@@ -66,13 +66,6 @@ class UsageError(Exception):
     """Bad flag combination detected after argparse (exit code 2)."""
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return n
-
-
 # --- built-in series (generated, never literal tables) ------------------------
 
 
@@ -249,7 +242,8 @@ def _cmd_hilbert(args):
 def _cmd_enhanced(args):
     if args.r == 1:
         e = rank1_enhanced_closed(args.d)
-        assert e == phi_sigma(detring_formal_character(args.d, 1))
+        if e != phi_sigma(detring_formal_character(args.d, 1)):
+            raise AssertionError
     else:
         e = phi_sigma(detring_formal_character(args.d, args.r))
     obj = {"command": "enhanced", "d": args.d, "r": args.r,
@@ -470,9 +464,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          const="json", help="JSON output (default)")
         fmt.add_argument("--text", dest="output", action="store_const",
                          const="text", help="human-readable output")
-        p.add_argument("--threads", type=_positive_int, default=1, metavar="N",
-                       help="cap on parallelism; evaluation is sequential, "
-                            "which any cap >= 1 admits")
         p.set_defaults(output="json")
 
     p = sub.add_parser("detring", help="formal character of a determinantal ring")

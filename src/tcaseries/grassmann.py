@@ -142,7 +142,8 @@ def euler_schur_q(d: int, r: int, lam: Partition) -> int:
     if res is None:
         return 0
     ell, w = res
-    assert ell == 0 and all(x >= 0 for x in w), f"unexpected twist for {lam}"
+    if not (ell == 0 and all(x >= 0 for x in w)):
+        raise AssertionError(f"unexpected twist for {lam}")
     return dim_schur(w, d)
 
 
@@ -154,7 +155,8 @@ def _lr_products(alpha: Partition, beta: Partition, r: int) -> tuple[tuple[Parti
     out = []
     for lam, c in prod.terms.items():
         if len(lam) <= r:
-            assert c.denominator == 1
+            if c.denominator != 1:
+                raise AssertionError
             out.append((lam, int(c)))
     return tuple(out)
 
@@ -235,7 +237,8 @@ def m_shifted_class(lam, r: int, kind: str = "monomial") -> dict[Partition, int]
                         out.pop(mu, None)
     result: dict[Partition, int] = {}
     for mu, c in sorted(out.items(), key=lambda kv: canonical_key(kv[0])):
-        assert c.denominator == 1, f"non-integer class coefficient {c}"
+        if c.denominator != 1:
+            raise AssertionError(f"non-integer class coefficient {c}")
         result[mu] = int(c)
     return result
 
@@ -266,7 +269,8 @@ def mu_r(c: LambdaGrClass) -> ExpPoly:
         return ExpPoly({})
     _, r = c.shape()
     h = ex_sigma(theta_r(c))
-    assert set(h.parts) <= {r}, f"mu_r output not concentrated on e^{{{r}t}}"
+    if not set(h.parts) <= {r}:
+        raise AssertionError(f"mu_r output not concentrated on e^{{{r}t}}")
     return h
 
 

@@ -185,7 +185,8 @@ def dim_specht(lam: Partition) -> int:
         for j in range(row):
             denom *= row - j + tr[j] - i - 1
     num = _factorial(n)
-    assert num % denom == 0
+    if num % denom:
+        raise AssertionError
     return num // denom
 
 
@@ -208,7 +209,8 @@ def dim_schur(weight, d: int) -> int:
         for j in range(i + 1, d):
             num *= w[i] - w[j] + j - i
             den *= j - i
-    assert num % den == 0
+    if num % den:
+        raise AssertionError
     return num // den
 
 
@@ -259,9 +261,11 @@ def kostka_and_inverse(n: int):
     size = len(order)
     K = [[kostka_number(order[i], order[j]) for j in range(size)] for i in range(size)]
     for i in range(size):
-        assert K[i][i] == 1
+        if K[i][i] != 1:
+            raise AssertionError
         for j in range(i):
-            assert K[i][j] == 0, "Kostka matrix not triangular in canonical order"
+            if K[i][j] != 0:
+                raise AssertionError("Kostka matrix not triangular in canonical order")
     inv = [[0] * size for _ in range(size)]
     for j in range(size):
         inv[j][j] = 1

@@ -36,10 +36,6 @@ def pscale(a: Poly, c) -> Poly:
     return tuple(x * c for x in a)
 
 
-def psub(a: Poly, b: Poly) -> Poly:
-    return padd(a, pscale(b, -1))
-
-
 def pmul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ()
@@ -57,13 +53,6 @@ def pderiv(a: Poly) -> Poly:
 def pcompose_neg(a: Poly) -> Poly:
     """p(t) -> p(-t)."""
     return tuple((-1) ** i * c for i, c in enumerate(a))
-
-
-def peval(a: Poly, x) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(a):
-        out = out * x + c
-    return out
 
 
 def falling(m: int, k: int) -> int:

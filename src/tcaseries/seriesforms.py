@@ -141,18 +141,6 @@ class SigmaExpr:
         return degs.pop() if len(degs) == 1 else None
 
 
-def sigma_add(a: SigmaExpr, b: SigmaExpr) -> SigmaExpr:
-    terms = dict(a.terms)
-    for k, c in b.terms.items():
-        terms[k] = terms.get(k, Fraction(0)) + c
-    return SigmaExpr(terms)
-
-
-def sigma_scale(a: SigmaExpr, c) -> SigmaExpr:
-    c = Fraction(c)
-    return SigmaExpr({k: v * c for k, v in a.terms.items()})
-
-
 @dataclass(frozen=True)
 class ExpPoly:
     """Exponential polynomial sum_r p_r(t) e^{rt}; parts maps r -> p_r."""
@@ -172,13 +160,6 @@ class ExpPoly:
 
     def is_zero(self) -> bool:
         return not self.parts
-
-
-def exppoly_add(a: ExpPoly, b: ExpPoly) -> ExpPoly:
-    parts = dict(a.parts)
-    for r, p in b.parts.items():
-        parts[r] = padd(parts.get(r, ()), p)
-    return ExpPoly(parts)
 
 
 def exppoly_taylor(h: ExpPoly, N: int) -> list[Fraction]:
@@ -201,15 +182,7 @@ class TSeries:
     def __post_init__(self):
         if self.truncation < 0:
             raise ValueError("truncation must be >= 0")
-        clean: dict[Partition, Fraction] = {}
-        for lam, c in self.coeffs.items():
-            lam = as_partition(lam)
-            c = Fraction(c)
-            if c == 0 or sum(lam) > self.truncation:
-                continue
-            clean[lam] = clean.get(lam, Fraction(0)) + c
-        clean = {k: c for k, c in sorted(clean.items(), key=lambda kv: canonical_key(kv[0])) if c}
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", symfunc.normalize_terms(self.coeffs, self.truncation))
 
     def coeff(self, lam) -> Fraction:
         return self.coeffs.get(as_partition(lam), Fraction(0))
@@ -229,46 +202,15 @@ class TSeries:
 
     def __mul__(self, other: "TSeries") -> "TSeries":
         N = min(self.truncation, other.truncation)
-        out: dict[Partition, Fraction] = {}
-        for ka, ca in self.coeffs.items():
-            wa = sum(ka)
-            if wa > N:
-                continue
-            for kb, cb in other.coeffs.items():
-                if wa + sum(kb) > N:
-                    continue
-                key = tuple(sorted(ka + kb, reverse=True))
-                v = ca * cb
-                cur = out.get(key)
-                out[key] = v if cur is None else cur + v
-        return TSeries(N, out)
+        return TSeries(N, symfunc._p_mul_terms(self.coeffs, other.coeffs, N))
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
 
-def ts_one(N: int) -> TSeries:
-    return TSeries(N, {(): Fraction(1)})
-
-
 def ts_exp(s: TSeries, N: int) -> TSeries:
-    """exp of a TSeries with no constant term."""
-    if () in s.coeffs:
-        raise ValueError("exp of a series with constant term")
-    s = TSeries(N, s.coeffs)
-    out = ts_one(N)
-    if s.is_zero():
-        return out
-    mindeg = min(sum(k) for k in s.coeffs)
-    power = ts_one(N)
-    fact = 1
-    j = 0
-    while (j + 1) * mindeg <= N:
-        j += 1
-        fact *= j
-        power = power * s
-        out = out + power.scale(Fraction(1, fact))
-    return out
+    """exp of a TSeries with no constant term, truncated at N."""
+    return TSeries(N, symfunc.graded_exp(s.coeffs, N))
 
 
 def ts_egf(s: TSeries) -> list[Fraction]:
@@ -281,17 +223,6 @@ def ts_egf(s: TSeries) -> list[Fraction]:
 
 
 # --- TT polynomials: exact polynomials in t_i and T_i -----------------------
-
-
-def tt_mul(a: TTPoly, b: TTPoly) -> TTPoly:
-    out: TTPoly = {}
-    for (ta, Ta), ca in a.items():
-        for (tb, Tb), cb in b.items():
-            key = (tuple(sorted(ta + tb, reverse=True)), tuple(sorted(Ta + Tb, reverse=True)))
-            v = ca * cb
-            cur = out.get(key)
-            out[key] = v if cur is None else cur + v
-    return {k: c for k, c in out.items() if c}
 
 
 def tt_add_into(dst: TTPoly, src: TTPoly, c: Fraction):
@@ -324,14 +255,6 @@ class EnhancedExpr:
             if poly:
                 clean[k] = poly
         object.__setattr__(self, "parts", dict(sorted(clean.items())))
-
-
-def enhanced_add(a: EnhancedExpr, b: EnhancedExpr) -> EnhancedExpr:
-    parts: dict[int, TTPoly] = {k: dict(v) for k, v in a.parts.items()}
-    for k, poly in b.parts.items():
-        dst = parts.setdefault(k, {})
-        tt_add_into(dst, poly, Fraction(1))
-    return EnhancedExpr(parts)
 
 
 @dataclass(frozen=True)
@@ -583,23 +506,20 @@ def _xlam(lam: Partition) -> tuple[tuple[TTKey, Fraction], ...]:
 
 
 @functools.cache
-def _bell_sigma(k: int) -> tuple[tuple[TTKey, Fraction], ...]:
+def _bell_sigma(k: int) -> tuple[tuple[Partition, Fraction], ...]:
     """phi(sigma_k) = exp(T_0) * sum_{nu |- k} T^nu / nu!; the T polynomial."""
-    out: TTPoly = {}
-    for nu in enumerate_partitions(k):
-        out[((), nu)] = Fraction(1, partition_factorial(nu))
-    return tuple(out.items())
+    return tuple((nu, Fraction(1, partition_factorial(nu))) for nu in enumerate_partitions(k))
 
 
 def phi_sigma(e: SigmaExpr) -> EnhancedExpr:
     """Enhanced specialization on Lambda-tilde."""
     parts: dict[int, TTPoly] = {}
     for (mu, nu), c in e.terms.items():
-        poly: TTPoly = dict(_xlam(mu))
+        tpoly: dict[Partition, Fraction] = {(): Fraction(1)}
         for k in nu:
-            poly = tt_mul(poly, dict(_bell_sigma(k)))
-        dst = parts.setdefault(len(nu), {})
-        tt_add_into(dst, poly, c)
+            tpoly = symfunc._p_mul_terms(tpoly, dict(_bell_sigma(k)), None)
+        poly = {(t, T): ct * cT for (t, _), ct in _xlam(mu) for T, cT in tpoly.items()}
+        tt_add_into(parts.setdefault(len(nu), {}), poly, c)
     return EnhancedExpr(parts)
 
 
@@ -737,36 +657,15 @@ def umbral_substitute(p, k: int) -> dict[Partition, Fraction]:
     for alpha, c in mono.items():
         cur: dict[Partition, Fraction] = {(): c}
         for var, d in multiplicities(alpha).items():
-            ff: dict[int, Fraction] = {0: Fraction(1)}  # poly in a_var
+            ff: Poly = (Fraction(1),)  # (a_var)_d, ascending in a_var
             for step in range(d):
-                nxt: dict[int, Fraction] = {}
-                for e, v in ff.items():
-                    nxt[e + 1] = nxt.get(e + 1, Fraction(0)) + v
-                    if step:
-                        w = nxt.get(e, Fraction(0)) - v * step
-                        if w:
-                            nxt[e] = w
-                        else:
-                            nxt.pop(e, None)
-                ff = nxt
+                ff = pmul(ff, (Fraction(-step), Fraction(1)))
             scale = Fraction(1, k ** d)
-            nxt_cur: dict[Partition, Fraction] = {}
-            for key0, v0 in cur.items():
-                for e, v in ff.items():
-                    nk = tuple(sorted(key0 + (var,) * e, reverse=True))
-                    val = nxt_cur.get(nk, Fraction(0)) + v0 * v * scale
-                    if val:
-                        nxt_cur[nk] = val
-                    else:
-                        nxt_cur.pop(nk, None)
-            cur = nxt_cur
+            cur = symfunc._p_mul_terms(
+                cur, {(var,) * e: v * scale for e, v in enumerate(ff) if v}, None)
         for key0, v0 in cur.items():
-            val = out.get(key0, Fraction(0)) + v0
-            if val:
-                out[key0] = val
-            else:
-                out.pop(key0, None)
-    return {k0: v for k0, v in sorted(out.items(), key=lambda kv: canonical_key(kv[0])) if v}
+            out[key0] = out.get(key0, Fraction(0)) + v0
+    return symfunc.normalize_terms(out, None)
 
 
 def character_at(form: CharPolyForm, lam, t_cap: int | None = None) -> int:
@@ -787,16 +686,7 @@ def character_at(form: CharPolyForm, lam, t_cap: int | None = None) -> int:
             expanded: dict[Partition, Fraction] = {tpart: c}
             for j in Tpart:
                 tail = {(n,): Fraction(binom(n, j)) for n in range(j, cap + 1)}
-                nxt: dict[Partition, Fraction] = {}
-                for ka, va in expanded.items():
-                    for kb, vb in tail.items():
-                        nk = tuple(sorted(ka + kb, reverse=True))
-                        val = nxt.get(nk, Fraction(0)) + va * vb
-                        if val:
-                            nxt[nk] = val
-                        else:
-                            nxt.pop(nk, None)
-                expanded = nxt
+                expanded = symfunc._p_mul_terms(expanded, tail, None)
             for alpha, v in expanded.items():
                 w = v
                 degree = 0
@@ -870,6 +760,8 @@ def exppoly_to_json(h: ExpPoly) -> dict:
 
 
 def exppoly_from_json(obj: dict) -> ExpPoly:
+    if not isinstance(obj, dict) or not all(isinstance(p, list) for p in obj.values()):
+        raise ValueError("ExpPoly JSON must be an object mapping exponents to coefficient lists")
     return ExpPoly({int(r): tuple(Fraction(c) for c in p) for r, p in obj.items()})
 
 
@@ -915,7 +807,3 @@ def ode_to_json(op: OdeOperator) -> list[list[str]]:
 def ode_from_json(obj) -> OdeOperator:
     return OdeOperator(tuple(tuple(Fraction(c) for c in p) for p in obj))
 
-
-def poincare_to_json(P: PoincareSeries) -> dict:
-    return {"d": P.d, "truncation": P.truncation,
-            "terms": {str(n): [str(c) for c in p] for n, p in P.parts.items()}}

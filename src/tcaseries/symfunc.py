@@ -13,6 +13,7 @@ only as a test oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -51,6 +52,20 @@ __all__ = [
 ]
 
 
+def normalize_terms(terms, truncation: int | None) -> dict[Partition, Fraction]:
+    """Canonical copy of a partition-keyed dict: keys validated, coefficients
+    made Fractions, terms above `truncation` (None: none) dropped, equal keys
+    merged, zeros dropped, keys in canonical order."""
+    clean: dict[Partition, Fraction] = {}
+    for lam, c in terms.items():
+        lam = as_partition(lam)
+        c = Fraction(c)
+        if c == 0 or (truncation is not None and sum(lam) > truncation):
+            continue
+        clean[lam] = clean.get(lam, Fraction(0)) + c
+    return {lam: c for lam, c in sorted(clean.items(), key=lambda kv: canonical_key(kv[0])) if c}
+
+
 @dataclass(frozen=True)
 class SymFunc:
     basis: str
@@ -60,17 +75,7 @@ class SymFunc:
     def __post_init__(self):
         if self.basis not in _BASES:
             raise ValueError(f"unknown basis {self.basis!r}")
-        clean: dict[Partition, Fraction] = {}
-        for lam, c in self.terms.items():
-            lam = as_partition(lam)
-            c = Fraction(c)
-            if c == 0:
-                continue
-            if self.truncation is not None and sum(lam) > self.truncation:
-                continue
-            clean[lam] = clean.get(lam, Fraction(0)) + c
-        clean = {lam: c for lam, c in sorted(clean.items(), key=lambda kv: canonical_key(kv[0])) if c}
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", normalize_terms(self.terms, self.truncation))
 
     def coeff(self, lam) -> Fraction:
         return self.terms.get(as_partition(lam), Fraction(0))
@@ -163,17 +168,48 @@ def _kostka_apply(terms, inverse: bool) -> dict[Partition, Fraction]:
 
 def _p_mul_terms(a: dict[Partition, Fraction], b: dict[Partition, Fraction],
                  trunc: int | None) -> dict[Partition, Fraction]:
+    """Product of two partition-keyed dicts whose keys multiply by multiset
+    union (power sums, t-monomials, T-monomials), dropping terms above `trunc`
+    (None: keep all). The result has no zero coefficients."""
     out: dict[Partition, Fraction] = {}
+    limit = math.inf if trunc is None else trunc
+    b_items = [(lb, sum(lb), cb) for lb, cb in b.items()]
     for la, ca in a.items():
-        wa = sum(la)
-        for lb, cb in b.items():
-            if trunc is not None and wa + sum(lb) > trunc:
+        room = limit - sum(la)
+        for lb, wb, cb in b_items:
+            if wb > room:
                 continue
             key = tuple(sorted(la + lb, reverse=True))
             v = ca * cb
             cur = out.get(key)
             out[key] = v if cur is None else cur + v
     return {k: v for k, v in out.items() if v}
+
+
+def graded_exp(b: dict[Partition, Fraction], N: int) -> dict[Partition, Fraction]:
+    """exp(b) through degree N in the algebra of `_p_mul_terms`, for b with no
+    degree-0 term.
+
+    Uses Newton's identity n a_n = sum_{k=1}^n k b_k a_{n-k} on the homogeneous
+    parts a_n of exp(b) and b_k of b (Macdonald, Symmetric Functions, I.2), so
+    each pair of terms of b and exp(b) is multiplied once.
+    """
+    if () in b:
+        raise ValueError("exp of a series with constant term")
+    kb: dict[int, dict[Partition, Fraction]] = {}
+    for mu, c in b.items():
+        k = sum(mu)
+        if k <= N:
+            kb.setdefault(k, {})[mu] = k * c
+    a: list[dict[Partition, Fraction]] = [{(): Fraction(1)}]
+    for n in range(1, N + 1):
+        acc: dict[Partition, Fraction] = {}
+        for k, kb_k in kb.items():
+            if k <= n:
+                for mu, v in _p_mul_terms(kb_k, a[n - k], None).items():
+                    acc[mu] = acc.get(mu, Fraction(0)) + v
+        a.append({mu: v / n for mu, v in acc.items() if v})
+    return {mu: c for a_n in a for mu, c in a_n.items()}
 
 
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
@@ -206,29 +242,12 @@ def sym_algebra_character(f: SymFunc, N: int) -> SymFunc:
         raise ValueError("character has a degree-0 term")
     if fp.truncation is not None and fp.truncation < N:
         raise ValueError(f"input truncated at {fp.truncation} < {N}")
-    if not fp.terms:
-        return SymFunc(SCHUR, {(): Fraction(1)}, N)
-    mindeg = min(sum(mu) for mu in fp.terms)
     log_terms: dict[Partition, Fraction] = {}
-    k = 1
-    while k * mindeg <= N:
-        for mu, c in fp.terms.items():
+    for mu, c in fp.terms.items():
+        for k in range(1, N // sum(mu) + 1):
             key = tuple(k * part for part in mu)
-            if sum(key) <= N:
-                log_terms[key] = log_terms.get(key, Fraction(0)) + c / k
-        k += 1
-    out: dict[Partition, Fraction] = {(): Fraction(1)}
-    power: dict[Partition, Fraction] = {(): Fraction(1)}
-    fact = 1
-    j = 0
-    while (j + 1) * mindeg <= N:
-        j += 1
-        fact *= j
-        power = _p_mul_terms(power, log_terms, N)
-        for mu, c in power.items():
-            v = c / fact
-            out[mu] = out.get(mu, Fraction(0)) + v
-    return change_basis(SymFunc(POWERSUM, out, N), SCHUR)
+            log_terms[key] = log_terms.get(key, Fraction(0)) + c / k
+    return change_basis(SymFunc(POWERSUM, graded_exp(log_terms, N), N), SCHUR)
 
 
 def dagger(f: SymFunc) -> SymFunc:

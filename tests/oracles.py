@@ -199,6 +199,26 @@ def decompose_schur(poly: dict, nvars: int) -> dict[tuple[int, ...], int]:
     return out
 
 
+def exp_power_sum_log(N: int) -> dict[tuple[int, ...], Fraction]:
+    """exp(sum_k p_k / k) = sum_mu p_mu / z_mu through degree N, with
+    z_mu = prod_k k^{m_k} m_k! counted from the parts directly."""
+    out = {}
+
+    def rec(prefix, bound, left):
+        z = 1
+        for k in set(prefix):
+            m = prefix.count(k)
+            z *= k ** m
+            for i in range(2, m + 1):
+                z *= i
+        out[tuple(prefix)] = Fraction(1, z)
+        for k in range(min(bound, left), 0, -1):
+            rec(prefix + [k], k, left - k)
+
+    rec([], N, N)
+    return out
+
+
 @functools.cache
 def catalan(k: int) -> int:
     if k == 0:

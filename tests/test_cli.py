@@ -124,13 +124,16 @@ EXIT_CODE_CASES = [
     (["gessel", "--d", "2", "--r", "0", "--truncate", "4"], 3),    # r < 1
     (["oracle-check", "--suite", "nope"], 2),                      # unknown suite
     (["nosuchcommand"], 2),
-    (["detring", "--d", "2", "--r", "1", "--threads", "0"], 2),
+    (["detring", "--d", "2", "--r", "1", "--threads", "0"], 2),    # unknown flag
     (["detring", "--d", "2", "--r", "1", "--json", "--text"], 2),
     (["invariants", "--group", "trivial", "--nmax", "3"], 2),      # missing --dim
     (["invariants", "--group", "sl2xsl2", "--rep", "standard", "--nmax", "2"], 2),
     (["fourier", "--d", "2"], 2),                                  # neither input
     (["fourier", "--d", "2", "--r", "1", "--hilb", "{}"], 2),      # both inputs
     (["fourier", "--d", "2", "--hilb", "not json"], 2),
+    (["fourier", "--d", "2", "--hilb", "[1]"], 2),                 # not an object
+    (["fourier", "--d", "2", "--hilb", "[\"1\"]"], 2),
+    (["fourier", "--d", "2", "--hilb", "{\"1\": \"12\"}"], 2),     # layer not a list
     (["fourier", "--d", "2", "--hilb", "{\"3\": [\"1\"]}"], 3),    # layer > d
     (["dfinite", "--series", "bell-egf", "--max-order", "5",
       "--max-degree", "5", "--nmax", "40"], 3),                    # too short
@@ -154,13 +157,6 @@ def test_not_found_report_disclaims_proof():
     res = json.loads(out)["result"]
     assert res["found"] is False
     assert "not a proof" in res["note"]
-
-
-def test_threads_flag_accepted():
-    code, out, _ = run_cli(["detring", "--d", "2", "--r", "1", "--threads", "4"])
-    assert code == 0
-    _, base, _ = run_cli(["detring", "--d", "2", "--r", "1"])
-    assert out == base
 
 
 def test_builtin_series_values():

@@ -51,6 +51,8 @@ from tcaseries.seriesforms import (
     umbral_substitute,
 )
 
+from oracles import exp_power_sum_log
+
 F = Fraction
 HALF = F(1, 2)
 
@@ -79,6 +81,9 @@ def test_ts_exp_of_t1():
     for n in range(7):
         assert e.coeff((1,) * n) == F(1, [1, 1, 2, 6, 24, 120, 720][n])
     assert all(all(p == 1 for p in lam) for lam in e.coeffs)
+    # exp(sum_k t_k/k) = sum_{|mu| <= 10} t^mu / z_mu
+    e = ts_exp(TSeries(10, {(k,): F(1, k) for k in range(1, 11)}), 10)
+    assert e.coeffs == exp_power_sum_log(10)
 
 
 def test_ts_exp_rejects_constant_term():

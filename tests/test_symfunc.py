@@ -26,7 +26,13 @@ from tcaseries.symfunc import (
 )
 import tcaseries.symfunc as sf
 
-from oracles import decompose_schur, lr_coefficient, poly_mul, schur_monomials
+from oracles import (
+    decompose_schur,
+    exp_power_sum_log,
+    lr_coefficient,
+    poly_mul,
+    schur_monomials,
+)
 
 
 def s_one(lam, trunc=None):
@@ -153,6 +159,9 @@ def test_complete_homogeneous_oracle():
             mono[k] = c
         assert decompose_schur(mono, 3) == {(n,): 1}
         assert degree_slice(f, n) == {(n,): Fraction(1)}
+    # the exponential itself: exp(sum_k p_k/k) = sum_{|mu| <= 10} p_mu / z_mu
+    f = sym_algebra_character(SymFunc(POWERSUM, {(1,): Fraction(1)}), 10)
+    assert change_basis(f, POWERSUM).terms == exp_power_sum_log(10)
 
 
 def test_dagger_and_ddag():
