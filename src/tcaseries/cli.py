@@ -5,7 +5,7 @@ Output is deterministic: identical invocations produce byte-identical bytes.
 
 Exit codes: 0 success; 1 oracle-suite mismatch; 2 bad flags; 3 precondition
 violation (bad mathematical input, insufficient truncation); 4 not-found /
-not-recognized verdicts.
+not-recognized verdicts; 5 internal error (a failed runtime invariant).
 """
 
 from __future__ import annotations
@@ -64,6 +64,13 @@ __all__ = ["main", "builtin_series"]
 
 class UsageError(Exception):
     """Bad flag combination detected after argparse (exit code 2)."""
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 # --- built-in series (generated, never literal tables) ------------------------
@@ -471,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--form", choices=("sigma", "s", "enhanced", "hilbert"),
                    default="sigma")
-    p.add_argument("--truncate", type=int)
+    p.add_argument("--truncate", type=_non_negative_int)
     common(p)
 
     p = sub.add_parser("theta", help="theta_r of a Grassmannian class")
@@ -480,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=parse_partition, default=())
     p.add_argument("--mu", type=parse_partition, default=())
     p.add_argument("--form", choices=("sigma", "s"), default="sigma")
-    p.add_argument("--truncate", type=int)
+    p.add_argument("--truncate", type=_non_negative_int)
     common(p)
 
     p = sub.add_parser("hilbert", help="Hilbert series of a determinantal ring")
@@ -492,26 +499,26 @@ def _build_parser() -> argparse.ArgumentParser:
                                         "determinantal ring")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--truncate", type=int)
+    p.add_argument("--truncate", type=_non_negative_int)
     common(p)
 
     p = sub.add_parser("gessel", help="enhanced series via the Gessel determinant")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--truncate", type=int, required=True)
+    p.add_argument("--truncate", type=_non_negative_int, required=True)
     common(p)
 
     p = sub.add_parser("hilbschur", help="enhanced series of Sym of a small object")
     p.add_argument("--rep", choices=tuple(_HILBSCHUR_REPS), required=True)
-    p.add_argument("--truncate", type=int, required=True)
+    p.add_argument("--truncate", type=_non_negative_int, required=True)
     common(p)
 
     p = sub.add_parser("invariants", help="dimension sequence of tensor-power "
                                           "invariants")
     p.add_argument("--group", choices=("sl2", "sl2xsl2", "trivial"), required=True)
     p.add_argument("--rep", choices=("standard", "tensor"), default="standard")
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--dim", type=int)
+    p.add_argument("--nmax", type=_non_negative_int, required=True)
+    p.add_argument("--dim", type=_non_negative_int)
     common(p)
 
     p = sub.add_parser("dfinite", help="guess an annihilating ODE for a "
@@ -520,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                         "catalan-sq-ogf"), required=True)
     p.add_argument("--max-order", type=int, default=6)
     p.add_argument("--max-degree", type=int, default=8)
-    p.add_argument("--nmax", type=int, help="number of coefficients to generate")
+    p.add_argument("--nmax", type=_non_negative_int, help="number of coefficients to generate")
     common(p)
 
     p = sub.add_parser("fourier", help="Fourier-dual Hilbert series")
@@ -533,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                         "determinantal ring")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--at", type=parse_partition)
-    p.add_argument("--tcap", type=int)
+    p.add_argument("--tcap", type=_non_negative_int)
     common(p)
 
     p = sub.add_parser("oracle-check", help="run a cross-route oracle suite")
@@ -557,6 +564,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 5
     payload = text if args.output == "text" else json.dumps(obj, indent=2)
     sys.stdout.write(payload + "\n")
     return code

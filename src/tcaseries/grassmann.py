@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,16 +26,15 @@ from .partitions import (
     dim_schur,
     enumerate_partitions,
     format_partition,
-    kostka_and_inverse,
     parse_partition,
     partition_factorial,
     partitions_in_box,
-    transpose,
 )
 from .polyutil import binom, factorial
 from . import symfunc
 from .symfunc import SCHUR, SymFunc
 from .seriesforms import EnhancedExpr, ExpPoly, SigmaExpr, TSeries, TTPoly, ex_sigma
+from .torus import LaurentPoly, delta_squared, schur_coefficients, schur_lp
 
 __all__ = [
     "GrClass",
@@ -174,73 +174,45 @@ def pairing(poly_class: dict, f: GrClass) -> int:
     return total
 
 
-def _distinct_arrangements(mu: Partition, r: int):
-    return set(itertools.permutations(mu + (0,) * (r - len(mu))))
+def _shift_down(f: LaurentPoly) -> LaurentPoly:
+    """Substitute x_i -> x_i - 1 in a polynomial f."""
+    terms: dict[Weight, Fraction] = {}
+    for e, coeff in f.terms.items():
+        for evec in itertools.product(*(range(a + 1) for a in e)):
+            c = coeff
+            for a, k in zip(e, evec):
+                c *= binom(a, k) * (-1) ** (a - k)
+            terms[evec] = terms.get(evec, 0) + c
+    return LaurentPoly(f.d, terms)
 
 
-def _shifted_monomial_poly(base: dict[Partition, int], r: int) -> dict[Weight, Fraction]:
-    """Expand sum_mu base[mu] * m_mu(x_1 - 1, ..., x_r - 1) into exponent vectors."""
-    poly: dict[Weight, Fraction] = {}
-    for mu, coeff in base.items():
-        for arr in _distinct_arrangements(mu, r):
-            ranges = [range(ai + 1) for ai in arr]
-            for evec in itertools.product(*ranges):
-                c = Fraction(coeff)
-                for ai, ei in zip(arr, evec):
-                    c *= binom(ai, ei) * (-1) ** (ai - ei)
-                if c:
-                    key = tuple(evec)
-                    val = poly.get(key, Fraction(0)) + c
-                    if val:
-                        poly[key] = val
-                    else:
-                        poly.pop(key, None)
-    return poly
+@functools.cache
+def _shifted_class(lam: Partition, r: int, kind: str) -> tuple[tuple[Partition, int], ...]:
+    if kind == "monomial":
+        orbit = set(itertools.permutations(lam + (0,) * (r - len(lam))))
+        f = LaurentPoly(r, dict.fromkeys(orbit, 1))
+    else:
+        f = schur_lp(lam, r)
+    out = []
+    for mu, c in sorted(schur_coefficients(_shift_down(f)).items(),
+                        key=lambda kv: canonical_key(kv[0])):
+        if c.denominator != 1:
+            raise AssertionError(f"non-integer class coefficient {c}")
+        out.append((mu, int(c)))
+    return tuple(out)
 
 
 def m_shifted_class(lam, r: int, kind: str = "monomial") -> dict[Partition, int]:
     """The K-class of the shifted monomial M_lam^{(r)} (or shifted Schur
-    S_lam^{(r)} with kind="schur") evaluated at [Q], expanded over [S_mu(Q)].
+    S_lam^{(r)} with kind="schur") evaluated at [Q], expanded over [S_mu(Q)]:
+    the Schur coefficients of m_lam(x_1 - 1, ..., x_r - 1) (or s_lam).
     """
     lam = as_partition(lam)
     if len(lam) > r:
         raise ValueError(f"partition {lam} has more than r={r} rows")
-    if kind == "monomial":
-        base = {lam: 1}
-    elif kind == "schur":
-        order, K, _ = kostka_and_inverse(sum(lam))
-        idx = order.index(lam)
-        base = {mu: K[idx][j] for j, mu in enumerate(order)
-                if len(mu) <= r and K[idx][j]}
-        if not lam:
-            base = {(): 1}
-    else:
+    if kind not in ("monomial", "schur"):
         raise ValueError(f"unknown kind {kind!r}")
-    poly = _shifted_monomial_poly(base, r)
-    # read off monomial coefficients at descending exponent vectors, then s-expand
-    out: dict[Partition, Fraction] = {}
-    by_degree: dict[int, dict[Partition, Fraction]] = {}
-    for evec, c in poly.items():
-        desc = tuple(sorted(evec, reverse=True))
-        if desc == evec:
-            by_degree.setdefault(sum(evec), {})[as_partition(evec)] = c
-    for n, mcoeffs in by_degree.items():
-        order, _, Kinv = kostka_and_inverse(n)
-        for nu, c in mcoeffs.items():
-            i = order.index(nu)
-            for j, mu in enumerate(order):
-                if Kinv[i][j] and len(mu) <= r:
-                    val = out.get(mu, Fraction(0)) + c * Kinv[i][j]
-                    if val:
-                        out[mu] = val
-                    else:
-                        out.pop(mu, None)
-    result: dict[Partition, int] = {}
-    for mu, c in sorted(out.items(), key=lambda kv: canonical_key(kv[0])):
-        if c.denominator != 1:
-            raise AssertionError(f"non-integer class coefficient {c}")
-        result[mu] = int(c)
-    return result
+    return dict(_shifted_class(lam, r, kind))
 
 
 def theta_r(c: LambdaGrClass) -> SigmaExpr:
@@ -294,22 +266,25 @@ def pushforward_module_character(d: int, r: int, alpha, N: int) -> SymFunc:
 
 
 def detring_formal_character(d: int, r: int) -> SigmaExpr:
-    """Closed-form sigma expression sum_{lam in r x d} c_lam sigma^lam sigma_0^{r-l(lam)}
-    with c_lam the Kostka-inverse sums against subbundle Schur dimensions.
+    """Closed-form sigma expression sum_{lam in r x d} c_lam sigma^lam sigma_0^{r-l(lam)}.
+
+    c_lam = weyl_inner(m_lam, g, r) with g = prod_i (1 + x_i)^{d-r}, which by
+    dual Cauchy (Macdonald I.4) is sum_mu [m_lam in s_mu] s_{mu'}(1^{d-r}).
+    g |Delta|^2 is symmetric, so the constant term over the orbit of lam
+    collapses to c_lam = [x^lam] (g |Delta|^2) / |Stab(lam)|, where the
+    stabilizer of lam (padded to r parts) in S_r has order lam! (r - l(lam))!.
     """
     if not (0 <= r <= d):
         raise ValueError(f"need 0 <= r <= d, got r={r}, d={d}")
+    g = LaurentPoly(r, {e: math.prod(binom(d - r, k) for k in e)
+                        for e in itertools.product(range(d - r + 1), repeat=r)})
+    weighted = (g * delta_squared(r)).terms
     terms: dict[tuple[Partition, tuple[int, ...]], Fraction] = {}
     for lam in partitions_in_box(r, d):
-        n = sum(lam)
-        order, _, Kinv = kostka_and_inverse(n)
-        i = order.index(lam)
-        c = 0
-        for j, mu in enumerate(order):
-            if Kinv[i][j] and len(mu) <= r and (not mu or mu[0] <= d - r):
-                c += Kinv[i][j] * dim_schur(transpose(mu), d - r)
+        e = lam + (0,) * (r - len(lam))
+        c = weighted.get(e)
         if c:
-            terms[((), lam + (0,) * (r - len(lam)))] = Fraction(c)
+            terms[((), e)] = c / (partition_factorial(lam) * factorial(r - len(lam)))
     return SigmaExpr(terms)
 
 

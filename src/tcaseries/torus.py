@@ -20,9 +20,8 @@ from fractions import Fraction
 from .partitions import (
     Partition,
     as_partition,
-    canonical_key,
     enumerate_partitions,
-    kostka_and_inverse,
+    kostka_number,
     partition_factorial,
     partitions_up_to,
 )
@@ -173,17 +172,30 @@ def _power_sum_of(lam: Partition, d: int) -> LaurentPoly:
 
 @functools.cache
 def schur_lp(lam: Partition, d: int) -> LaurentPoly:
-    """s_lam(alpha_1, ..., alpha_d) via Kostka numbers and monomial expansions."""
+    """s_lam(alpha_1, ..., alpha_d) = sum_mu K_{lam,mu} m_mu(alpha), l(mu) <= d."""
     lam = as_partition(lam)
-    out = LaurentPoly(d, {})
-    order, K, _ = kostka_and_inverse(sum(lam))
-    i = order.index(lam)
-    for j, mu in enumerate(order):
-        if K[i][j] == 0 or len(mu) > d:
-            continue
-        padded = mu + (0,) * (d - len(mu))
-        terms = {e: Fraction(K[i][j]) for e in set(itertools.permutations(padded))}
-        out = out + LaurentPoly(d, terms)
+    terms: dict[Exponent, Fraction] = {}
+    for mu in enumerate_partitions(sum(lam), max_length=d):
+        k = kostka_number(lam, mu)
+        if k:
+            padded = mu + (0,) * (d - len(mu))
+            for e in set(itertools.permutations(padded)):
+                terms[e] = Fraction(k)
+    return LaurentPoly(d, terms)
+
+
+def schur_coefficients(f: LaurentPoly) -> dict[Partition, Fraction]:
+    """Schur expansion of a symmetric polynomial f in f.d variables.
+
+    f * a_delta is alternating, so it is sum_mu c_mu a_{mu+delta}, and
+    [s_mu] f = [x^(mu+delta)] (f * a_delta) (Macdonald I.3); the exponents
+    mu+delta are exactly the strictly decreasing ones.
+    """
+    d = f.d
+    out: dict[Partition, Fraction] = {}
+    for e, c in (f * _delta(d)).terms.items():
+        if all(e[i] > e[i + 1] for i in range(d - 1)):
+            out[as_partition(x - (d - 1 - i) for i, x in enumerate(e))] = c
     return out
 
 

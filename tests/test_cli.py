@@ -140,6 +140,10 @@ EXIT_CODE_CASES = [
     (["dfinite", "--series", "bell-egf", "--max-order", "5",
       "--max-degree", "5", "--nmax", "60"], 4),                    # honest miss
     (["charpoly", "--d", "2", "--at", "[9,9]", "--tcap", "3"], 3),  # part > cap
+    (["detring", "--d", "3", "--r", "1", "--form", "s", "--truncate", "-2"], 2),
+    (["theta", "--d", "3", "--r", "1", "--form", "s", "--truncate", "-1"], 2),
+    (["invariants", "--group", "sl2", "--nmax", "-3"], 2),
+    (["invariants", "--group", "trivial", "--dim", "-2", "--nmax", "3"], 2),
 ]
 
 
@@ -148,6 +152,16 @@ EXIT_CODE_CASES = [
 def test_exit_codes(argv, expected):
     code, _, _ = run_cli(argv)
     assert code == expected
+
+
+def test_internal_error_exit_code(monkeypatch):
+    def broken(args):
+        raise AssertionError("invariant violated")
+    monkeypatch.setitem(cli._HANDLERS, "detring", broken)
+    code, out, err = run_cli(["detring", "--d", "2", "--r", "1"])
+    assert code == 5 and out == ""
+    assert err == "internal error: invariant violated\n"
+    assert "Traceback" not in err
 
 
 def test_not_found_report_disclaims_proof():

@@ -249,10 +249,28 @@ def test_detring_rank_one_binomials(d):
     assert out.terms == {((), (n,)): F(binom(d - 1, n)) for n in range(d)}
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_detring_full_rank(d):
     out = detring_formal_character(d, d)
     assert out.terms == {((), (0,) * d): F(1)}
+
+
+def test_detring_matches_kostka_inverse_sum():
+    # c_lam = sum_mu Kinv[lam][mu] s_{mu'}(1^{d-r}) over l(mu) <= r
+    from tcaseries.partitions import kostka_and_inverse
+    for d in range(1, 13):
+        for r in range(0, d + 1):
+            if r * d > 12:
+                continue
+            want = {}
+            for lam in partitions_in_box(r, d):
+                order, _, Kinv = kostka_and_inverse(sum(lam))
+                i = order.index(lam)
+                c = sum(Kinv[i][j] * dim_schur(transpose(mu), d - r)
+                        for j, mu in enumerate(order) if len(mu) <= r)
+                if c:
+                    want[((), lam + (0,) * (r - len(lam)))] = F(c)
+            assert detring_formal_character(d, r).terms == want, (d, r)
 
 
 def test_detring_rank_zero():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import decompose_schur, poly_mul, schur_monomials
 from tcaseries.partitions import (
     enumerate_partitions,
     partition_factorial,
@@ -26,6 +27,7 @@ from tcaseries.torus import (
     lp_from_json,
     lp_to_json,
     power_sum_lp,
+    schur_coefficients,
     schur_lp,
     sym_degree_characters,
     weyl_inner,
@@ -101,6 +103,17 @@ def test_schur_orthonormality():
 
 def test_weyl_inner_distinct_schur_vanishes():
     assert weyl_inner(schur_lp((1,), 2), schur_lp((2,), 2), 2) == 0
+
+
+def test_schur_coefficients_match_tableau_oracle():
+    # inputs and expected expansions both come from SSYT enumeration
+    for r in (1, 2, 3):
+        shapes = [lam for lam in partitions_up_to(5) if len(lam) <= r]
+        polys = [schur_monomials(lam, r) for lam in shapes]
+        polys += [poly_mul(a, b) for a, b in itertools.combinations_with_replacement(polys, 2)]
+        for f in polys:
+            want = {lam: F(c) for lam, c in decompose_schur(f, r).items()}
+            assert schur_coefficients(lp(r, f)) == want
 
 
 def test_weyl_inner_variable_check():
