@@ -15,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .dfinite import _poly_text, guess_ode, needed_length, ode_to_text
+from .dfinite import _join_terms, _poly_times, guess_ode, needed_length, ode_to_text
 from .grassmann import (
     GrClass,
     LambdaGrClass,
@@ -105,23 +105,6 @@ def builtin_series(name: str, length: int) -> list[Fraction]:
 # --- text renderers ------------------------------------------------------------
 
 
-def _join_terms(pairs) -> str:
-    parts = []
-    for c, body in pairs:
-        mag = abs(c)
-        if body and mag == 1:
-            txt = body
-        elif body:
-            txt = f"{mag}*{body}"
-        else:
-            txt = str(mag)
-        if not parts:
-            parts.append(txt if c > 0 else f"-{txt}")
-        else:
-            parts.append(f" + {txt}" if c > 0 else f" - {txt}")
-    return "".join(parts) if parts else "0"
-
-
 def sigma_text(e: SigmaExpr) -> str:
     pairs = []
     for (mu, nu), c in reversed(list(e.terms.items())):
@@ -145,30 +128,11 @@ def tseries_text(s: TSeries) -> str:
 
 
 def exppoly_text(h: ExpPoly) -> str:
-    parts = []
+    pairs = []
     for r in sorted(h.parts, reverse=True):
-        ptxt, multi = _poly_text(h.parts[r])
-        etxt = "exp(t)" if r == 1 else f"exp({r}*t)"
-        negative = False
-        if r == 0:
-            term = f"({ptxt})" if multi else ptxt
-            if term.startswith("-") and not multi:
-                term, negative = term[1:], True
-        elif multi:
-            term = f"({ptxt})*{etxt}"
-        elif ptxt == "1":
-            term = etxt
-        elif ptxt == "-1":
-            term, negative = etxt, True
-        elif ptxt.startswith("-"):
-            term, negative = f"{ptxt[1:]}*{etxt}", True
-        else:
-            term = f"{ptxt}*{etxt}"
-        if not parts:
-            parts.append(f"-{term}" if negative else term)
-        else:
-            parts.append(f" - {term}" if negative else f" + {term}")
-    return "".join(parts) if parts else "0"
+        name = "" if r == 0 else "exp(t)" if r == 1 else f"exp({r}*t)"
+        pairs.append(_poly_times(h.parts[r], name))
+    return _join_terms(pairs)
 
 
 def _ttpoly_text(poly) -> str:
@@ -337,7 +301,7 @@ def _cmd_fourier(args):
     if args.hilb is not None:
         try:
             h = exppoly_from_json(json.loads(args.hilb))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise UsageError(f"bad --hilb payload: {exc}") from exc
     else:
         h = ex_sigma(detring_formal_character(args.d, args.r))

@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 
 from .polyutil import Poly, falling, ptrim
+# perfbench/tracing.py wraps dfinite._nullspace by this name
+from .polyutil import nullspace as _nullspace
 from .seriesforms import OdeOperator
 
 __all__ = [
@@ -43,39 +45,6 @@ def apply_ode(op: OdeOperator, coeffs: CoeffSeries) -> list[Fraction]:
                     acc += c * coeffs[m - j + i] * falling(m - j + i, i)
         out.append(acc)
     return out
-
-
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right nullspace of the matrix, by reduced row echelon."""
-    mat = [row[:] for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for rix, pc in enumerate(pivots):
-            vec[pc] = -mat[rix][fc]
-        basis.append(vec)
-    return basis
 
 
 def _frobenius_lift(polys: list[Poly]) -> list[Poly]:
@@ -162,25 +131,39 @@ def hadamard(a: CoeffSeries, b: CoeffSeries) -> CoeffSeries:
     return [Fraction(x) * Fraction(y) for x, y in zip(a, b)]
 
 
-def _poly_text(p: Poly) -> tuple[str, bool]:
-    """Render ascending-coefficient poly in t, descending powers; the flag
-    says whether the rendering needs parentheses before '*'."""
-    pieces = []
-    for j in range(len(p) - 1, -1, -1):
-        c = p[j]
-        if not c:
-            continue
-        if j == 0:
-            body = str(abs(c))
+def _join_terms(pairs) -> str:
+    """Signed sum of (coefficient, body) pairs; unit coefficients are dropped
+    before a non-empty body, and an empty body stands for 1."""
+    parts = []
+    for c, body in pairs:
+        mag = abs(c)
+        if body and mag == 1:
+            txt = body
+        elif body:
+            txt = f"{mag}*{body}"
         else:
-            t = "t" if j == 1 else f"t^{j}"
-            body = t if abs(c) == 1 else f"{abs(c)}*{t}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
+            txt = str(mag)
+        if not parts:
+            parts.append(txt if c > 0 else f"-{txt}")
         else:
-            pieces.append(f" + {body}" if c > 0 else f" - {body}")
-    text = "".join(pieces)
-    return text, len([c for c in p if c]) > 1
+            parts.append(f" + {txt}" if c > 0 else f" - {txt}")
+    return "".join(parts) if parts else "0"
+
+
+def _t_power(j: int) -> str:
+    return "" if j == 0 else "t" if j == 1 else f"t^{j}"
+
+
+def _poly_times(p: Poly, name: str) -> tuple[Fraction, str]:
+    """p(t)*name as one (coefficient, body) pair for _join_terms, with p in
+    descending powers of t and bracketed when it has more than one term;
+    name "" stands for 1."""
+    support = [j for j in range(len(p) - 1, -1, -1) if p[j]]
+    if len(support) > 1:
+        text = _join_terms([(p[j], _t_power(j)) for j in support])
+        return Fraction(1), "*".join(filter(None, (f"({text})", name)))
+    j = support[0]
+    return p[j], "*".join(filter(None, (_t_power(j), name)))
 
 
 def _y_name(i: int) -> str:
@@ -188,25 +171,5 @@ def _y_name(i: int) -> str:
 
 
 def ode_to_text(op: OdeOperator) -> str:
-    parts = []
-    for i in range(op.order, -1, -1):
-        p = ptrim(op.coeffs[i])
-        if not p:
-            continue
-        text, multi = _poly_text(p)
-        y = _y_name(i)
-        if multi:
-            term, negative = f"({text})*{y}", False
-        elif text == "1":
-            term, negative = y, False
-        elif text == "-1":
-            term, negative = y, True
-        elif text.startswith("-"):
-            term, negative = f"{text[1:]}*{y}", True
-        else:
-            term, negative = f"{text}*{y}", False
-        if not parts:
-            parts.append(f"-{term}" if negative else term)
-        else:
-            parts.append(f" - {term}" if negative else f" + {term}")
-    return "".join(parts) if parts else "0"
+    return _join_terms([_poly_times(op.coeffs[i], _y_name(i))
+                        for i in range(op.order, -1, -1) if op.coeffs[i]])

@@ -28,13 +28,21 @@ from .partitions import (
     format_partition,
     parse_partition,
     partition_factorial,
-    partitions_in_box,
+    partitions_up_to,
 )
 from .polyutil import binom, factorial
 from . import symfunc
 from .symfunc import SCHUR, SymFunc
-from .seriesforms import EnhancedExpr, ExpPoly, SigmaExpr, TSeries, TTPoly, ex_sigma
-from .torus import LaurentPoly, delta_squared, schur_coefficients, schur_lp
+from .seriesforms import (
+    EnhancedExpr,
+    ExpPoly,
+    SigmaExpr,
+    TSeries,
+    TTPoly,
+    ex_sigma,
+    tt_add_into,
+)
+from .torus import LaurentPoly, _delta, schur_coefficients, schur_lp
 
 __all__ = [
     "GrClass",
@@ -273,16 +281,21 @@ def detring_formal_character(d: int, r: int) -> SigmaExpr:
     g |Delta|^2 is symmetric, so the constant term over the orbit of lam
     collapses to c_lam = [x^lam] (g |Delta|^2) / |Stab(lam)|, where the
     stabilizer of lam (padded to r parts) in S_r has order lam! (r - l(lam))!.
+    The coefficient is read as sum_f Delta[f] (g Delta)[lam + f] without
+    forming |Delta|^2; g |Delta|^2 has degree r(d-r) and no exponent above
+    d-1, so only those lam are visited.
     """
     if not (0 <= r <= d):
         raise ValueError(f"need 0 <= r <= d, got r={r}, d={d}")
     g = LaurentPoly(r, {e: math.prod(binom(d - r, k) for k in e)
                         for e in itertools.product(range(d - r + 1), repeat=r)})
-    weighted = (g * delta_squared(r)).terms
+    delta = _delta(r)
+    g_delta = (g * delta).terms
     terms: dict[tuple[Partition, tuple[int, ...]], Fraction] = {}
-    for lam in partitions_in_box(r, d):
+    for lam in partitions_up_to(r * (d - r), max_length=r, max_part=d - 1):
         e = lam + (0,) * (r - len(lam))
-        c = weighted.get(e)
+        c = sum(cf * g_delta.get(tuple(a + b for a, b in zip(e, f)), 0)
+                for f, cf in delta.terms.items())
         if c:
             terms[((), e)] = c / (partition_factorial(lam) * factorial(r - len(lam)))
     return SigmaExpr(terms)
@@ -354,17 +367,8 @@ def rank1_enhanced_closed(d: int) -> EnhancedExpr:
     poly: TTPoly = {}
     for j in range(d):
         i = d - 1 - j
-        scale = Fraction(binom(d - 1, i), factorial(j))
-        for nu, c in fs[j].items():
-            w = scale * c
-            for k in nu:
-                w *= factorial(k)
-            key = ((), nu)
-            val = poly.get(key, Fraction(0)) + w
-            if val:
-                poly[key] = val
-            else:
-                poly.pop(key, None)
+        weighted = {((), nu): c * math.prod(factorial(k) for k in nu) for nu, c in fs[j].items()}
+        tt_add_into(poly, weighted, Fraction(binom(d - 1, i), factorial(j)))
     return EnhancedExpr({1: poly})
 
 

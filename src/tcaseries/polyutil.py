@@ -1,6 +1,7 @@
 """Dense univariate polynomials over Fraction: tuples of ascending coefficients.
 
-The zero polynomial is the empty tuple; no trailing zeros are stored.
+The zero polynomial is the empty tuple; no trailing zeros are stored. Also
+the package's one exact linear-algebra kernel, ``nullspace``.
 """
 
 from __future__ import annotations
@@ -73,3 +74,36 @@ def binom(n: int, k: int) -> int:
 
 def factorial(n: int) -> int:
     return math.factorial(n)
+
+
+def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right nullspace of the matrix, by reduced row echelon."""
+    mat = [row[:] for row in rows]
+    pivots: list[int] = []
+    rank = 0
+    for col in range(ncols):
+        sel = None
+        for i in range(rank, len(mat)):
+            if mat[i][col]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [v * inv for v in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        pivots.append(col)
+        rank += 1
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for rix, pc in enumerate(pivots):
+            vec[pc] = -mat[rix][fc]
+        basis.append(vec)
+    return basis

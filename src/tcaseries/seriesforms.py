@@ -23,6 +23,7 @@ sigma_n -> exp(T_0) sum_{nu |- n} T^nu / nu!).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,14 +38,13 @@ from .partitions import (
     parse_partition,
     partition_factorial,
     partitions_up_to,
-    sym_character,
-    z_of,
 )
 from .polyutil import (
     Poly,
     binom,
     factorial,
     falling,
+    nullspace,
     padd,
     pcompose_neg,
     pderiv,
@@ -225,7 +225,8 @@ def ts_egf(s: TSeries) -> list[Fraction]:
 # --- TT polynomials: exact polynomials in t_i and T_i -----------------------
 
 
-def tt_add_into(dst: TTPoly, src: TTPoly, c: Fraction):
+def tt_add_into(dst: dict, src: dict, c):
+    """dst += c * src for Fraction-valued dicts, dropping zero coefficients."""
     for k, v in src.items():
         val = dst.get(k, Fraction(0)) + c * v
         if val:
@@ -361,14 +362,7 @@ def phi_enhanced(f: SymFunc, N: int) -> TSeries:
 @functools.cache
 def _sigma_p_terms(k: int, N: int) -> tuple[tuple[Partition, Fraction], ...]:
     """sigma_k = sum_{n>=k} binom(n,k) s_n, truncated at N, in powersum terms."""
-    terms: dict[Partition, Fraction] = {}
-    for n in range(k, N + 1):
-        b = binom(n, k)
-        for mu in enumerate_partitions(n):
-            v = b * Fraction(sym_character((n,), mu), z_of(mu))
-            if v:
-                terms[mu] = terms.get(mu, Fraction(0)) + v
-    return tuple(terms.items())
+    return tuple(symfunc._s_to_p({(n,): binom(n, k) for n in range(k, N + 1)}).items())
 
 
 def sigma_expand(e: SigmaExpr, N: int) -> SymFunc:
@@ -377,19 +371,10 @@ def sigma_expand(e: SigmaExpr, N: int) -> SymFunc:
     for (mu_s, nu), c in e.terms.items():
         if sum(mu_s) > N:
             continue
-        cur: dict[Partition, Fraction] = {}
-        for rho in enumerate_partitions(sum(mu_s)):
-            v = Fraction(sym_character(mu_s, rho), z_of(rho))
-            if v:
-                cur[rho] = v
+        cur = symfunc._s_to_p({mu_s: 1})
         for k in nu:
             cur = symfunc._p_mul_terms(cur, dict(_sigma_p_terms(k, N)), N)
-        for key, v in cur.items():
-            val = total.get(key, Fraction(0)) + c * v
-            if val:
-                total[key] = val
-            else:
-                total.pop(key, None)
+        tt_add_into(total, cur, c)
     return symfunc.change_basis(SymFunc(POWERSUM, total, N), SCHUR)
 
 
@@ -432,50 +417,22 @@ def sigma_recognize(f: SymFunc, r_max: int, s_deg_max: int,
     for mu in partitions_up_to(s_deg_max):
         for nu in _sigma_multisets(r_max, sigma_wt_max):
             candidates.append((mu, nu))
-    matrix: list[list[Fraction]] = [[Fraction(0)] * len(candidates) for _ in rows]
+    # [A | -b]: A x = b is solvable iff the last column is free, and that
+    # column's basis vector is (x, 1) with the other free variables 0.
+    matrix = [[Fraction(0)] * len(candidates) + [-fs.terms.get(lam, Fraction(0))]
+              for lam in rows]
     for j, key in enumerate(candidates):
         col = sigma_expand(SigmaExpr({key: Fraction(1)}), N)
         for lam, c in col.terms.items():
             matrix[row_index[lam]][j] = c
-    rhs = [fs.terms.get(lam, Fraction(0)) for lam in rows]
-    sol = _solve_exact(matrix, rhs)
-    if sol is None:
+    basis = nullspace(matrix, len(candidates) + 1)
+    if not basis or basis[-1][-1] != 1:
         return None
+    sol = basis[-1]
     expr = SigmaExpr({key: sol[j] for j, key in enumerate(candidates) if sol[j]})
     if sigma_expand(expr, N) != fs:
         return None
     return expr
-
-
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """One exact solution of A x = b (free variables set to 0), or None."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    A = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if A[i][c] != 0), None)
-        if pr is None:
-            continue
-        A[r], A[pr] = A[pr], A[r]
-        pv = A[r][c]
-        A[r] = [x / pv for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if A[i][n] != 0:
-            return None  # inconsistent
-    x = [Fraction(0)] * n
-    for (pr, pc) in pivots:
-        x[pc] = A[pr][n]
-    return x
 
 
 def ex_sigma(e: SigmaExpr) -> ExpPoly:
@@ -496,13 +453,9 @@ def ex_sigma(e: SigmaExpr) -> ExpPoly:
 
 @functools.cache
 def _xlam(lam: Partition) -> tuple[tuple[TTKey, Fraction], ...]:
-    """X_lam = phi(s_lam) = sum_mu chi^lam(mu) t^mu / mu!  as a TTPoly."""
-    out: TTPoly = {}
-    for mu in enumerate_partitions(sum(lam)):
-        v = Fraction(sym_character(lam, mu), partition_factorial(mu))
-        if v:
-            out[(mu, ())] = v
-    return tuple(out.items())
+    """X_lam = phi(s_lam) = sum_mu chi^lam(mu) t^mu / mu!  as a TTPoly, read
+    off s_lam = sum_mu chi^lam(mu) p_mu / z_mu with z_mu = mu! prod(mu)."""
+    return tuple(((mu, ()), v * math.prod(mu)) for mu, v in symfunc._s_to_p({lam: 1}).items())
 
 
 @functools.cache
@@ -573,13 +526,7 @@ def sigma_ddag_check(N: int) -> bool:
     for m in range(N + 1):
         acc: dict[Partition, Fraction] = {}
         for a in range(m + 1):
-            prod = symfunc._p_mul_terms(sig_dd[a], sig[m - a], N)
-            for key, v in prod.items():
-                val = acc.get(key, Fraction(0)) + v
-                if val:
-                    acc[key] = val
-                else:
-                    acc.pop(key, None)
+            tt_add_into(acc, symfunc._p_mul_terms(sig_dd[a], sig[m - a], N), 1)
         expected: dict[Partition, Fraction] = {(): Fraction(1)} if m == 0 else {}
         if acc != expected:
             return False

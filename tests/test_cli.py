@@ -2,12 +2,18 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tcaseries import cli
+from tcaseries.seriesforms import ExpPoly
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -99,6 +105,18 @@ def test_fourier_hilb_payload():
     assert json.loads(out)["result"] == {"2": ["0", "-1"]}
 
 
+def test_exppoly_text_layers():
+    F = Fraction
+    cases = [
+        ({0: (F(-2),), 1: (F(0), F(1)), 2: (F(1), F(-1))}, "(-t + 1)*exp(2*t) + t*exp(t) - 2"),
+        ({0: (F(1), F(0), F(-1, 2))}, "(-1/2*t^2 + 1)"),
+        ({0: (F(0), F(-1)), 3: (F(-1),)}, "-exp(3*t) - t"),
+        ({}, "0"),
+    ]
+    for parts, want in cases:
+        assert cli.exppoly_text(ExpPoly(parts)) == want
+
+
 def test_oracle_suites_pass():
     for suite in ("theta-vs-pushforward", "detring-bruteforce",
                   "gessel-vs-sigma", "enh1-integral", "empty"):
@@ -135,6 +153,8 @@ EXIT_CODE_CASES = [
     (["fourier", "--d", "2", "--hilb", "[\"1\"]"], 2),
     (["fourier", "--d", "2", "--hilb", "{\"1\": \"12\"}"], 2),     # layer not a list
     (["fourier", "--d", "2", "--hilb", "{\"3\": [\"1\"]}"], 3),    # layer > d
+    (["fourier", "--d", "2", "--hilb", "{\"1\": [\"1/0\"]}"], 2),  # zero denominator
+    (["fourier", "--d", "2", "--hilb", "{\"1\": [Infinity]}"], 2),  # not a rational
     (["dfinite", "--series", "bell-egf", "--max-order", "5",
       "--max-degree", "5", "--nmax", "40"], 3),                    # too short
     (["dfinite", "--series", "bell-egf", "--max-order", "5",
@@ -152,6 +172,83 @@ EXIT_CODE_CASES = [
 def test_exit_codes(argv, expected):
     code, _, _ = run_cli(argv)
     assert code == expected
+
+
+_DR = st.integers(-1, 4).map(str)
+_SIZE = st.integers(0, 4).map(str)
+_PART = st.sampled_from(["[]", "[1]", "[2,1]", "[1,1]", "[3]", "[1,2]", "[0]", "[-1]", "[x]", "2"])
+_HILB_ITEM = st.sampled_from(['"1"', '"-1/2"', '"1/0"', "null", '"inf"', "Infinity", "2", "[1]"])
+_HILB = st.one_of(
+    st.sampled_from(["{}", "[1]", "not json"]),
+    st.dictionaries(st.sampled_from(["0", "1", "2", "5", "-1", "x"]),
+                    st.lists(_HILB_ITEM, max_size=3), max_size=2).map(
+        lambda d: "{" + ", ".join(f'"{k}": [{", ".join(v)}]' for k, v in d.items()) + "}"))
+# Each subcommand's flags and the values drawn for them; dfinite stays at
+# small caps and oracle-check at cheap suites so that each call is quick.
+_FLAGS = {
+    "detring": {"--d": _DR, "--r": _DR, "--truncate": _SIZE,
+                "--form": st.sampled_from(["sigma", "s", "enhanced", "hilbert"])},
+    "theta": {"--d": _DR, "--r": _DR, "--alpha": _PART, "--mu": _PART,
+              "--form": st.sampled_from(["sigma", "s"]), "--truncate": _SIZE},
+    "hilbert": {"--d": _DR, "--r": _DR},
+    "enhanced": {"--d": _DR, "--r": _DR, "--truncate": _SIZE},
+    "gessel": {"--d": _DR, "--r": _DR, "--truncate": _SIZE},
+    "hilbschur": {"--rep": st.sampled_from(["sym2", "wedge2", "tensor2", "tensor3", "nope"]),
+                  "--truncate": _SIZE},
+    "invariants": {"--group": st.sampled_from(["sl2", "sl2xsl2", "trivial", "nope"]),
+                   "--rep": st.sampled_from(["standard", "tensor"]),
+                   "--nmax": _SIZE, "--dim": _SIZE},
+    "dfinite": {"--series": st.sampled_from(["catalan-egf", "bell-egf", "catalan-sq-ogf"]),
+                "--max-order": st.integers(-1, 2).map(str),
+                "--max-degree": st.integers(-1, 2).map(str), "--nmax": _SIZE},
+    "fourier": {"--d": _DR, "--r": _DR, "--hilb": _HILB},
+    "charpoly": {"--d": _DR, "--at": _PART, "--tcap": _SIZE},
+    "oracle-check": {"--suite": st.sampled_from(["empty", "nope"])},
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, values in _FLAGS[command].items():
+        if draw(st.integers(0, 4)):  # each flag present four times in five
+            argv += [flag, draw(values)]
+    return argv + draw(st.sampled_from([[], ["--text"], ["--json"]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cli_argv())
+@example(["fourier", "--d", "2", "--hilb", '{"1": ["1/0"]}'])
+@example(["fourier", "--d", "2", "--hilb", '{"1": [Infinity]}'])
+def test_random_argv_exit_code_contract(argv):
+    code, _, err = run_cli(argv)
+    assert code in (0, 2, 3, 4, 5), (argv, code, err)
+    assert "Traceback" not in err
+
+
+def test_golden_under_optimize():
+    script = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from tcaseries import cli\n"
+        "outs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    buf = io.StringIO()\n"
+        "    with redirect_stdout(buf):\n"
+        "        cli.main(argv)\n"
+        "    outs.append(buf.getvalue())\n"
+        "print(json.dumps({'optimize': sys.flags.optimize, 'outs': outs}))\n"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, json.dumps([argv for _, argv in GOLDEN_CASES])],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    res = json.loads(proc.stdout)
+    assert res["optimize"] == 1
+    for (fname, _), out in zip(GOLDEN_CASES, res["outs"]):
+        assert out == (GOLDEN / fname).read_text(), fname
 
 
 def test_internal_error_exit_code(monkeypatch):

@@ -249,7 +249,7 @@ def test_detring_rank_one_binomials(d):
     assert out.terms == {((), (n,)): F(binom(d - 1, n)) for n in range(d)}
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_detring_full_rank(d):
     out = detring_formal_character(d, d)
     assert out.terms == {((), (0,) * d): F(1)}

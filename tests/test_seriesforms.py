@@ -11,6 +11,7 @@ from tcaseries.partitions import (
     partitions_up_to,
     sym_character,
 )
+from tcaseries.polyutil import nullspace
 from tcaseries.symfunc import SCHUR, SymFunc, add, multiply, sym_algebra_character
 from tcaseries.seriesforms import (
     CharPolyForm,
@@ -187,6 +188,35 @@ def test_sigma_recognize_truncation_guard():
     f = SymFunc(SCHUR, {(1,): F(1)}, 4)
     with pytest.raises(ValueError):
         sigma_recognize(f, r_max=1, s_deg_max=1, sigma_wt_max=2)
+
+
+@st.composite
+def small_matrix(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entry = st.builds(F, st.integers(-2, 2), st.integers(1, 2))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+def _apply(A, x):
+    return [sum(a * v for a, v in zip(row, x)) for row in A]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrix(), st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+def test_nullspace_basis_and_augmented_solve(A, x0):
+    n = len(A[0])
+    basis = nullspace(A, n)
+    # each vector's own free column is its last non-zero entry
+    free = [max(j for j, v in enumerate(vec) if v) for vec in basis]
+    assert free == sorted(set(free)) and len(free) >= n - len(A)
+    for vec in basis:
+        assert _apply(A, vec) == [0] * len(A)
+        assert [vec[fc] for fc in free] == [int(vec is other) for other in basis]
+    # sigma_recognize's solve: A x = b is read off the nullspace of [A | -b]
+    b = _apply(A, x0[:n])
+    aug = nullspace([row + [-bi] for row, bi in zip(A, b)], n + 1)
+    assert aug[-1][-1] == 1
+    assert _apply(A, aug[-1][:n]) == b
 
 
 def test_sigma_ddag_inverse_series():
