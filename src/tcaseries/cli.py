@@ -26,7 +26,7 @@ from .grassmann import (
     theta_r,
 )
 from .partitions import format_partition, parse_partition
-from .polyutil import factorial
+from .polyutil import binom, factorial
 from .seriesforms import (
     EnhancedExpr,
     ExpPoly,
@@ -48,11 +48,11 @@ from .seriesforms import (
     sigma_to_json,
     tca_enhanced_exp,
     tseries_to_json,
-    tt_clean,
 )
 from .symfunc import SCHUR, SymFunc, sym_algebra_character
 from .symfunc import to_json as symfunc_to_json
 from .torus import (
+    LaurentPoly,
     enhanced_from_equivariant,
     invariant_dimensions,
     power_sum_lp,
@@ -88,7 +88,6 @@ def builtin_series(name: str, length: int) -> list[Fraction]:
         # e^{e^t - 1}: B_{m+1} = sum_k binom(m, k) B_k
         bell = [1]
         for m in range(length - 1):
-            from .polyutil import binom
             bell.append(sum(binom(m, k) * bell[k] for k in range(m + 1)))
         out = [Fraction(b, factorial(i)) for i, b in enumerate(bell[:length])]
     elif name == "catalan-sq-ogf":
@@ -137,7 +136,7 @@ def exppoly_text(h: ExpPoly) -> str:
 
 def _ttpoly_text(poly) -> str:
     pairs = []
-    for (t, T), c in tt_clean(poly).items():
+    for (t, T), c in poly.items():
         factors = ([f"t{format_partition(t)}"] if t else [])
         factors += ([f"T{format_partition(T)}"] if T else [])
         pairs.append((c, "*".join(factors)))
@@ -155,6 +154,28 @@ def enhanced_text(e: EnhancedExpr) -> str:
 # --- subcommand handlers --------------------------------------------------------
 
 
+def _schur_form(obj, e: SigmaExpr, truncate):
+    """`--form s`: the Schur series of e truncated at `truncate`."""
+    if truncate is None:
+        raise UsageError("--form s requires --truncate")
+    f = sigma_expand(e, truncate)
+    obj["truncation"] = truncate
+    obj["result"] = symfunc_to_json(f)
+    return obj, symfunc_text(f), 0
+
+
+def _enhanced_form(obj, e: EnhancedExpr, truncate):
+    """An enhanced series, with its expansion in the t_i when `truncate` is set."""
+    obj["result"] = {"series": enhanced_to_json(e)}
+    text = enhanced_text(e)
+    if truncate is not None:
+        ts = enhanced_expand(e, truncate)
+        obj["truncation"] = truncate
+        obj["result"]["expansion"] = tseries_to_json(ts)
+        text += "\n" + tseries_text(ts)
+    return obj, text, 0
+
+
 def _cmd_detring(args):
     e = detring_formal_character(args.d, args.r)
     obj = {"command": "detring", "d": args.d, "r": args.r, "form": args.form}
@@ -162,22 +183,9 @@ def _cmd_detring(args):
         obj["result"] = sigma_to_json(e)
         return obj, sigma_text(e), 0
     if args.form == "s":
-        if args.truncate is None:
-            raise UsageError("--form s requires --truncate")
-        f = sigma_expand(e, args.truncate)
-        obj["truncation"] = args.truncate
-        obj["result"] = symfunc_to_json(f)
-        return obj, symfunc_text(f), 0
+        return _schur_form(obj, e, args.truncate)
     if args.form == "enhanced":
-        ee = phi_sigma(e)
-        obj["result"] = {"series": enhanced_to_json(ee)}
-        text = enhanced_text(ee)
-        if args.truncate is not None:
-            ts = enhanced_expand(ee, args.truncate)
-            obj["truncation"] = args.truncate
-            obj["result"]["expansion"] = tseries_to_json(ts)
-            text += "\n" + tseries_text(ts)
-        return obj, text, 0
+        return _enhanced_form(obj, phi_sigma(e), args.truncate)
     h = ex_sigma(e)  # form == "hilbert"
     obj["result"] = exppoly_to_json(h)
     return obj, exppoly_text(h), 0
@@ -190,12 +198,7 @@ def _cmd_theta(args):
            "mu": format_partition(args.mu), "alpha": format_partition(args.alpha),
            "form": args.form}
     if args.form == "s":
-        if args.truncate is None:
-            raise UsageError("--form s requires --truncate")
-        f = sigma_expand(e, args.truncate)
-        obj["truncation"] = args.truncate
-        obj["result"] = symfunc_to_json(f)
-        return obj, symfunc_text(f), 0
+        return _schur_form(obj, e, args.truncate)
     obj["result"] = sigma_to_json(e)
     return obj, sigma_text(e), 0
 
@@ -217,15 +220,7 @@ def _cmd_enhanced(args):
             raise AssertionError
     else:
         e = phi_sigma(detring_formal_character(args.d, args.r))
-    obj = {"command": "enhanced", "d": args.d, "r": args.r,
-           "result": {"series": enhanced_to_json(e)}}
-    text = enhanced_text(e)
-    if args.truncate is not None:
-        ts = enhanced_expand(e, args.truncate)
-        obj["truncation"] = args.truncate
-        obj["result"]["expansion"] = tseries_to_json(ts)
-        text += "\n" + tseries_text(ts)
-    return obj, text, 0
+    return _enhanced_form({"command": "enhanced", "d": args.d, "r": args.r}, e, args.truncate)
 
 
 def _cmd_gessel(args):
@@ -262,13 +257,11 @@ def _cmd_invariants(args):
         if args.rep != "tensor":
             raise UsageError("group sl2xsl2 supports --rep tensor")
         factors = [("sl", 2), ("sl", 2)]
-        from .torus import LaurentPoly
         chi = LaurentPoly(4, {(1, 0, 1, 0): Fraction(1), (1, 0, 0, 1): Fraction(1),
                               (0, 1, 1, 0): Fraction(1), (0, 1, 0, 1): Fraction(1)})
     else:  # trivial
         if args.dim is None:
             raise UsageError("group trivial requires --dim")
-        from .torus import LaurentPoly
         factors = []
         chi = LaurentPoly(0, {(): Fraction(args.dim)})
     dims = invariant_dimensions(factors, chi, args.nmax)
@@ -301,7 +294,7 @@ def _cmd_fourier(args):
     if args.hilb is not None:
         try:
             h = exppoly_from_json(json.loads(args.hilb))
-        except (ValueError, KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             raise UsageError(f"bad --hilb payload: {exc}") from exc
     else:
         h = ex_sigma(detring_formal_character(args.d, args.r))

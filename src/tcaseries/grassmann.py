@@ -30,7 +30,7 @@ from .partitions import (
     partition_factorial,
     partitions_up_to,
 )
-from .polyutil import binom, factorial
+from .polyutil import add_into, binom, factorial, merge_terms
 from . import symfunc
 from .symfunc import SCHUR, SymFunc
 from .seriesforms import (
@@ -40,7 +40,6 @@ from .seriesforms import (
     TSeries,
     TTPoly,
     ex_sigma,
-    tt_add_into,
 )
 from .torus import LaurentPoly, _delta, schur_coefficients, schur_lp
 
@@ -77,16 +76,14 @@ class GrClass:
     def __post_init__(self):
         if not (0 <= self.r <= self.d):
             raise ValueError(f"need 0 <= r <= d, got r={self.r}, d={self.d}")
-        clean: dict[Partition, int] = {}
-        for alpha, c in self.terms.items():
-            alpha = as_partition(alpha)
-            if len(alpha) > self.r:
-                raise ValueError(f"class key {alpha} has more than r={self.r} rows")
-            c = int(c)
-            if c:
-                clean[alpha] = clean.get(alpha, 0) + c
-        clean = {k: c for k, c in sorted(clean.items(), key=lambda kv: canonical_key(kv[0])) if c}
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", merge_terms(
+            ((self._key(alpha), int(c)) for alpha, c in self.terms.items()), canonical_key))
+
+    def _key(self, alpha) -> Partition:
+        alpha = as_partition(alpha)
+        if len(alpha) > self.r:
+            raise ValueError(f"class key {alpha} has more than r={self.r} rows")
+        return alpha
 
 
 @dataclass(frozen=True)
@@ -98,8 +95,7 @@ class LambdaGrClass:
     def __post_init__(self):
         clean: dict[Partition, GrClass] = {}
         shape = None
-        for mu, g in self.terms.items():
-            mu = as_partition(mu)
+        for mu, g in _unique_keys((as_partition(mu), g) for mu, g in self.terms.items()).items():
             if shape is None:
                 shape = (g.d, g.r)
             elif (g.d, g.r) != shape:
@@ -114,6 +110,17 @@ class LambdaGrClass:
             raise ValueError("empty class has no (d, r)")
         g = next(iter(self.terms.values()))
         return (g.d, g.r)
+
+
+def _unique_keys(pairs) -> dict:
+    """Dict of (partition, GrClass) pairs; classes cannot be merged, so a
+    partition given twice (e.g. as [1] and [1,0]) is an error."""
+    out: dict = {}
+    for mu, g in pairs:
+        if mu in out:
+            raise ValueError(f"partition {mu} given twice")
+        out[mu] = g
+    return out
 
 
 def _check_weight(w, length: int, name: str) -> Weight:
@@ -184,14 +191,10 @@ def pairing(poly_class: dict, f: GrClass) -> int:
 
 def _shift_down(f: LaurentPoly) -> LaurentPoly:
     """Substitute x_i -> x_i - 1 in a polynomial f."""
-    terms: dict[Weight, Fraction] = {}
-    for e, coeff in f.terms.items():
-        for evec in itertools.product(*(range(a + 1) for a in e)):
-            c = coeff
-            for a, k in zip(e, evec):
-                c *= binom(a, k) * (-1) ** (a - k)
-            terms[evec] = terms.get(evec, 0) + c
-    return LaurentPoly(f.d, terms)
+    return LaurentPoly(f.d, merge_terms(
+        (evec, coeff * math.prod(binom(a, k) * (-1) ** (a - k) for a, k in zip(e, evec)))
+        for e, coeff in f.terms.items()
+        for evec in itertools.product(*(range(a + 1) for a in e))))
 
 
 @functools.cache
@@ -232,15 +235,9 @@ def theta_r(c: LambdaGrClass) -> SigmaExpr:
     if not c.terms:
         return SigmaExpr({})
     d, r = c.shape()
-    terms: dict[tuple[Partition, tuple[int, ...]], Fraction] = {}
-    for mu_s, g in c.terms.items():
-        for n in range(r * (d - r) + 1):
-            for lam in enumerate_partitions(n, max_length=r):
-                val = pairing(m_shifted_class(lam, r, "monomial"), g)
-                if val:
-                    key = (mu_s, lam + (0,) * (r - len(lam)))
-                    terms[key] = terms.get(key, Fraction(0)) + val
-    return SigmaExpr(terms)
+    return SigmaExpr({(mu_s, lam + (0,) * (r - len(lam))): pairing(m_shifted_class(lam, r), g)
+                      for mu_s, g in c.terms.items()
+                      for lam in partitions_up_to(r * (d - r), max_length=r)})
 
 
 def mu_r(c: LambdaGrClass) -> ExpPoly:
@@ -368,7 +365,7 @@ def rank1_enhanced_closed(d: int) -> EnhancedExpr:
     for j in range(d):
         i = d - 1 - j
         weighted = {((), nu): c * math.prod(factorial(k) for k in nu) for nu, c in fs[j].items()}
-        tt_add_into(poly, weighted, Fraction(binom(d - 1, i), factorial(j)))
+        add_into(poly, weighted, Fraction(binom(d - 1, i), factorial(j)))
     return EnhancedExpr({1: poly})
 
 
@@ -382,7 +379,7 @@ def grclass_to_json(g: GrClass) -> dict:
 
 def grclass_from_json(obj: dict) -> GrClass:
     return GrClass(obj["d"], obj["r"],
-                   {parse_partition(k): int(v) for k, v in obj["terms"].items()})
+                   merge_terms((parse_partition(k), int(v)) for k, v in obj["terms"].items()))
 
 
 def lambda_grclass_to_json(c: LambdaGrClass) -> dict:
@@ -391,5 +388,5 @@ def lambda_grclass_to_json(c: LambdaGrClass) -> dict:
 
 
 def lambda_grclass_from_json(obj: dict) -> LambdaGrClass:
-    return LambdaGrClass({parse_partition(k): grclass_from_json(v)
-                          for k, v in obj["terms"].items()})
+    return LambdaGrClass(_unique_keys((parse_partition(k), grclass_from_json(v))
+                                      for k, v in obj["terms"].items()))

@@ -13,6 +13,8 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
+from .polyutil import factorial, merge_terms
+
 Partition = tuple[int, ...]
 
 __all__ = [
@@ -27,6 +29,7 @@ __all__ = [
     "kostka_and_inverse",
     "kostka_number",
     "multiplicities",
+    "parse_bracket_list",
     "parse_partition",
     "partition_factorial",
     "partitions_in_box",
@@ -47,18 +50,22 @@ def as_partition(parts) -> Partition:
     return lam
 
 
-def parse_partition(text: str) -> Partition:
-    """Parse the wire form "[3,1,1]" (empty partition: "[]")."""
+def parse_bracket_list(text: str) -> tuple[int, ...]:
+    """Parse the bracket-list wire form "[3,1,1]" of an integer tuple ("[]": ())."""
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"bad partition literal {text!r}")
+        raise ValueError(f"bad bracket-list literal {text!r}")
     body = s[1:-1].strip()
-    if not body:
-        return ()
-    return as_partition(int(tok) for tok in body.split(","))
+    return tuple(int(tok) for tok in body.split(",")) if body else ()
 
 
-def format_partition(lam: Partition) -> str:
+def parse_partition(text: str) -> Partition:
+    """Parse the wire form "[3,1,1]" (empty partition: "[]")."""
+    return as_partition(parse_bracket_list(text))
+
+
+def format_partition(lam) -> str:
+    """Bracket-list wire form of an integer tuple; zeros are kept: "[2,0]"."""
     return "[" + ",".join(str(p) for p in lam) + "]"
 
 
@@ -114,24 +121,15 @@ def transpose(lam: Partition) -> Partition:
 
 def multiplicities(lam: Partition) -> dict[int, int]:
     """Part multiplicities m_i(lam) as a dict {part: count}."""
-    mult: dict[int, int] = {}
-    for p in lam:
-        mult[p] = mult.get(p, 0) + 1
-    return mult
+    return merge_terms((p, 1) for p in lam)
 
 
 def partition_factorial(lam: Partition) -> int:
     """lam! = prod_i m_i(lam)!."""
     out = 1
     for m in multiplicities(lam).values():
-        out *= _factorial(m)
+        out *= factorial(m)
     return out
-
-
-@functools.cache
-def _factorial(n: int) -> int:
-    import math
-    return math.factorial(n)
 
 
 def z_of(lam: Partition) -> int:
@@ -184,7 +182,7 @@ def dim_specht(lam: Partition) -> int:
     for i, row in enumerate(lam):
         for j in range(row):
             denom *= row - j + tr[j] - i - 1
-    num = _factorial(n)
+    num = factorial(n)
     if num % denom:
         raise AssertionError
     return num // denom

@@ -1,7 +1,8 @@
 """Dense univariate polynomials over Fraction: tuples of ascending coefficients.
 
 The zero polynomial is the empty tuple; no trailing zeros are stored. Also
-the package's one exact linear-algebra kernel, ``nullspace``.
+the package's one exact linear-algebra kernel, ``nullspace``, and its one
+merge kernel for sparse term dicts, ``merge_terms`` and ``add_into``.
 """
 
 from __future__ import annotations
@@ -74,6 +75,34 @@ def binom(n: int, k: int) -> int:
 
 def factorial(n: int) -> int:
     return math.factorial(n)
+
+
+def merge_terms(pairs, order=None) -> dict:
+    """Dict of (key, coefficient) pairs with the coefficients of equal keys
+    summed and zero terms dropped; keys in first-seen order, or sorted by the
+    key function `order`."""
+    out: dict = {}
+    for k, c in pairs:
+        if c:
+            cur = out.get(k)
+            out[k] = c if cur is None else cur + c
+    items = [kv for kv in out.items() if kv[1]]
+    if order is not None:
+        items.sort(key=lambda kv: order(kv[0]))
+    return dict(items)
+
+
+def add_into(dst: dict, src: dict, c=1) -> None:
+    """dst += c * src, dropping zero coefficients."""
+    for k, v in src.items():
+        if c != 1:
+            v = c * v
+        cur = dst.get(k)
+        val = v if cur is None else cur + v
+        if val:
+            dst[k] = val
+        else:
+            dst.pop(k, None)
 
 
 def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:

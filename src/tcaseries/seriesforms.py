@@ -35,15 +35,18 @@ from .partitions import (
     enumerate_partitions,
     format_partition,
     multiplicities,
+    parse_bracket_list,
     parse_partition,
     partition_factorial,
     partitions_up_to,
 )
 from .polyutil import (
     Poly,
+    add_into,
     binom,
     factorial,
     falling,
+    merge_terms,
     nullspace,
     padd,
     pcompose_neg,
@@ -91,22 +94,20 @@ TTKey = tuple[Partition, Partition]  # (t exponent partition, T exponent partiti
 TTPoly = dict[TTKey, Fraction]
 
 
-def format_indices(nu: tuple[int, ...]) -> str:
-    """Wire form of a sigma index multiset; zeros are kept: "[2,0]"."""
-    return "[" + ",".join(str(i) for i in nu) + "]"
-
-
 def parse_indices(text: str) -> tuple[int, ...]:
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"bad index literal {text!r}")
-    body = s[1:-1].strip()
-    if not body:
-        return ()
-    nu = tuple(int(tok) for tok in body.split(","))
+    """Parse a sigma index multiset; its wire form keeps zeros: "[2,0]"."""
+    nu = parse_bracket_list(text)
     if any(i < 0 for i in nu) or any(nu[j] < nu[j + 1] for j in range(len(nu) - 1)):
         raise ValueError(f"bad sigma index multiset {text!r}")
     return nu
+
+
+def _sigma_key(mu, nu) -> SigmaKey:
+    mu = as_partition(mu)
+    nu = tuple(sorted((int(i) for i in nu), reverse=True))
+    if any(i < 0 for i in nu):
+        raise ValueError(f"negative sigma index in {nu}")
+    return mu, nu
 
 
 def _sigma_key_sort(key: SigmaKey):
@@ -121,19 +122,9 @@ class SigmaExpr:
     terms: dict[SigmaKey, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean: dict[SigmaKey, Fraction] = {}
-        for (mu, nu), c in self.terms.items():
-            mu = as_partition(mu)
-            nu = tuple(sorted((int(i) for i in nu), reverse=True))
-            if any(i < 0 for i in nu):
-                raise ValueError(f"negative sigma index in {nu}")
-            c = Fraction(c)
-            if c == 0:
-                continue
-            key = (mu, nu)
-            clean[key] = clean.get(key, Fraction(0)) + c
-        clean = {k: c for k, c in sorted(clean.items(), key=lambda kv: _sigma_key_sort(kv[0])) if c}
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", merge_terms(
+            ((_sigma_key(mu, nu), Fraction(c)) for (mu, nu), c in self.terms.items()),
+            _sigma_key_sort))
 
     def sigma_degree(self) -> int | None:
         """Common sigma-degree (count of sigma factors), None if mixed/empty."""
@@ -189,8 +180,7 @@ class TSeries:
 
     def __add__(self, other: "TSeries") -> "TSeries":
         coeffs = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, Fraction(0)) + c
+        add_into(coeffs, other.coeffs)
         return TSeries(min(self.truncation, other.truncation), coeffs)
 
     def __sub__(self, other: "TSeries") -> "TSeries":
@@ -225,18 +215,15 @@ def ts_egf(s: TSeries) -> list[Fraction]:
 # --- TT polynomials: exact polynomials in t_i and T_i -----------------------
 
 
-def tt_add_into(dst: dict, src: dict, c):
-    """dst += c * src for Fraction-valued dicts, dropping zero coefficients."""
-    for k, v in src.items():
-        val = dst.get(k, Fraction(0)) + c * v
-        if val:
-            dst[k] = val
-        else:
-            dst.pop(k, None)
+def _tt_key_sort(key: TTKey):
+    return canonical_key(key[0]), canonical_key(key[1])
 
 
-def tt_clean(p: TTPoly) -> TTPoly:
-    return {k: c for k, c in sorted(p.items(), key=lambda kv: (canonical_key(kv[0][0]), canonical_key(kv[0][1]))) if c}
+def tt_terms(poly) -> TTPoly:
+    """Canonical copy of a TT polynomial: keys validated, coefficients made
+    Fractions, equal keys merged, zeros dropped, keys in canonical order."""
+    return merge_terms((((as_partition(t), as_partition(T)), Fraction(c))
+                        for (t, T), c in poly.items()), _tt_key_sort)
 
 
 @dataclass(frozen=True)
@@ -251,8 +238,7 @@ class EnhancedExpr:
             k = int(k)
             if k < 0:
                 raise ValueError("negative exponent in EnhancedExpr")
-            poly = tt_clean({(as_partition(t), as_partition(T)): Fraction(c)
-                             for (t, T), c in poly.items()})
+            poly = tt_terms(poly)
             if poly:
                 clean[k] = poly
         object.__setattr__(self, "parts", dict(sorted(clean.items())))
@@ -313,7 +299,7 @@ class CharPolyForm:
             i = int(i)
             if i < 1:
                 raise ValueError("entries are indexed by i >= 1")
-            poly = tt_clean(poly)
+            poly = tt_terms(poly)
             if not poly:
                 continue
             for (tpart, Tpart) in poly:
@@ -348,15 +334,7 @@ def phi_enhanced(f: SymFunc, N: int) -> TSeries:
     if f.truncation is not None and f.truncation < N:
         raise ValueError(f"input truncated at {f.truncation} < {N}")
     fp = symfunc.change_basis(f, POWERSUM)
-    coeffs: dict[Partition, Fraction] = {}
-    for mu, c in fp.terms.items():
-        if sum(mu) > N:
-            continue
-        w = 1
-        for part in mu:
-            w *= part
-        coeffs[mu] = coeffs.get(mu, Fraction(0)) + c * w
-    return TSeries(N, coeffs)
+    return TSeries(N, {mu: c * math.prod(mu) for mu, c in fp.terms.items() if sum(mu) <= N})
 
 
 @functools.cache
@@ -374,7 +352,7 @@ def sigma_expand(e: SigmaExpr, N: int) -> SymFunc:
         cur = symfunc._s_to_p({mu_s: 1})
         for k in nu:
             cur = symfunc._p_mul_terms(cur, dict(_sigma_p_terms(k, N)), N)
-        tt_add_into(total, cur, c)
+        add_into(total, cur, c)
     return symfunc.change_basis(SymFunc(POWERSUM, total, N), SCHUR)
 
 
@@ -472,7 +450,7 @@ def phi_sigma(e: SigmaExpr) -> EnhancedExpr:
         for k in nu:
             tpoly = symfunc._p_mul_terms(tpoly, dict(_bell_sigma(k)), None)
         poly = {(t, T): ct * cT for (t, _), ct in _xlam(mu) for T, cT in tpoly.items()}
-        tt_add_into(parts.setdefault(len(nu), {}), poly, c)
+        add_into(parts.setdefault(len(nu), {}), poly, c)
     return EnhancedExpr(parts)
 
 
@@ -526,7 +504,7 @@ def sigma_ddag_check(N: int) -> bool:
     for m in range(N + 1):
         acc: dict[Partition, Fraction] = {}
         for a in range(m + 1):
-            tt_add_into(acc, symfunc._p_mul_terms(sig_dd[a], sig[m - a], N), 1)
+            add_into(acc, symfunc._p_mul_terms(sig_dd[a], sig[m - a], N))
         expected: dict[Partition, Fraction] = {(): Fraction(1)} if m == 0 else {}
         if acc != expected:
             return False
@@ -591,15 +569,16 @@ def umbral_substitute(p, k: int) -> dict[Partition, Fraction]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    mono: dict[Partition, Fraction] = {}
-    for key, c in p.items():
+
+    def t_part(key):
         if isinstance(key, tuple) and len(key) == 2 and key and isinstance(key[0], tuple):
             tpart, Tpart = key
             if Tpart:
                 raise ValueError("input must be a polynomial in the t_i only")
-            mono[as_partition(tpart)] = mono.get(as_partition(tpart), Fraction(0)) + Fraction(c)
-        else:
-            mono[as_partition(key)] = mono.get(as_partition(key), Fraction(0)) + Fraction(c)
+            return tpart
+        return key
+
+    mono = merge_terms((as_partition(t_part(key)), Fraction(c)) for key, c in p.items())
     out: dict[Partition, Fraction] = {}
     for alpha, c in mono.items():
         cur: dict[Partition, Fraction] = {(): c}
@@ -610,9 +589,8 @@ def umbral_substitute(p, k: int) -> dict[Partition, Fraction]:
             scale = Fraction(1, k ** d)
             cur = symfunc._p_mul_terms(
                 cur, {(var,) * e: v * scale for e, v in enumerate(ff) if v}, None)
-        for key0, v0 in cur.items():
-            out[key0] = out.get(key0, Fraction(0)) + v0
-    return symfunc.normalize_terms(out, None)
+        add_into(out, cur)
+    return merge_terms(out.items(), canonical_key)
 
 
 def character_at(form: CharPolyForm, lam, t_cap: int | None = None) -> int:
@@ -672,14 +650,8 @@ def tca_enhanced_exp(hV: TSeries, d: int, N: int) -> TSeries:
         raise ValueError("hV must be nonzero")
     if any(sum(k) != d for k in hV.coeffs) or d < 1:
         raise ValueError(f"hV must be supported in weighted degree exactly {d}")
-    s: dict[Partition, Fraction] = {}
-    for mu, c in hV.coeffs.items():
-        ell = len(mu)
-        n = 1
-        while n * d <= N:
-            key = tuple(n * p for p in mu)
-            s[key] = s.get(key, Fraction(0)) + c * n ** (ell - 1)
-            n += 1
+    s = merge_terms((tuple(n * p for p in mu), c * n ** (len(mu) - 1))
+                    for mu, c in hV.coeffs.items() for n in range(1, N // d + 1))
     return ts_exp(TSeries(N, s), N)
 
 
@@ -689,27 +661,31 @@ def tca_enhanced_exp(hV: TSeries, d: int, N: int) -> TSeries:
 def sigma_to_json(e: SigmaExpr) -> dict:
     out: dict[str, dict[str, str]] = {}
     for (mu, nu), c in e.terms.items():
-        out.setdefault(format_partition(mu), {})[format_indices(nu)] = str(c)
+        out.setdefault(format_partition(mu), {})[format_partition(nu)] = str(c)
     return {"terms": out}
 
 
 def sigma_from_json(obj: dict) -> SigmaExpr:
-    terms: dict[SigmaKey, Fraction] = {}
-    for mu_text, inner in obj["terms"].items():
-        mu = parse_partition(mu_text)
-        for nu_text, c in inner.items():
-            terms[(mu, parse_indices(nu_text))] = Fraction(c)
-    return SigmaExpr(terms)
+    return SigmaExpr(merge_terms(((parse_partition(mu_text), parse_indices(nu_text)), Fraction(c))
+                                 for mu_text, inner in obj["terms"].items()
+                                 for nu_text, c in inner.items()))
 
 
 def exppoly_to_json(h: ExpPoly) -> dict:
     return {str(r): [str(c) for c in p] for r, p in h.parts.items()}
 
 
+def _json_fraction(c) -> Fraction:
+    # a JSON float is a binary double, not the decimal written, and bool is an int subclass
+    if isinstance(c, bool) or not isinstance(c, (str, int)):
+        raise ValueError(f"coefficient {c!r} is not a string or an integer")
+    return Fraction(c)
+
+
 def exppoly_from_json(obj: dict) -> ExpPoly:
     if not isinstance(obj, dict) or not all(isinstance(p, list) for p in obj.values()):
         raise ValueError("ExpPoly JSON must be an object mapping exponents to coefficient lists")
-    return ExpPoly({int(r): tuple(Fraction(c) for c in p) for r, p in obj.items()})
+    return ExpPoly({int(r): tuple(_json_fraction(c) for c in p) for r, p in obj.items()})
 
 
 def tseries_to_json(s: TSeries) -> dict:
@@ -721,17 +697,17 @@ def tseries_to_json(s: TSeries) -> dict:
 
 def tseries_from_json(obj: dict) -> TSeries:
     return TSeries(obj["truncation"],
-                   {parse_partition(k): Fraction(v) for k, v in obj["coeffs"].items()})
+                   merge_terms((parse_partition(k), Fraction(v)) for k, v in obj["coeffs"].items()))
 
 
 def _ttpoly_json(poly: TTPoly) -> list[dict]:
     return [{"t": format_partition(t), "T": format_partition(T), "coeff": str(c)}
-            for (t, T), c in tt_clean(poly).items()]
+            for (t, T), c in poly.items()]
 
 
 def _ttpoly_from_json(items: list[dict]) -> TTPoly:
-    return {(parse_partition(d["t"]), parse_partition(d["T"])): Fraction(d["coeff"])
-            for d in items}
+    return merge_terms(((parse_partition(d["t"]), parse_partition(d["T"])), Fraction(d["coeff"]))
+                       for d in items)
 
 
 def enhanced_to_json(e: EnhancedExpr) -> dict:

@@ -22,11 +22,14 @@ from .partitions import (
     as_partition,
     canonical_key,
     enumerate_partitions,
+    format_partition,
     kostka_and_inverse,
+    parse_partition,
     sym_character,
     transpose,
     z_of,
 )
+from .polyutil import add_into, merge_terms
 
 SCHUR = "s"
 POWERSUM = "p"
@@ -56,14 +59,10 @@ def normalize_terms(terms, truncation: int | None) -> dict[Partition, Fraction]:
     """Canonical copy of a partition-keyed dict: keys validated, coefficients
     made Fractions, terms above `truncation` (None: none) dropped, equal keys
     merged, zeros dropped, keys in canonical order."""
-    clean: dict[Partition, Fraction] = {}
-    for lam, c in terms.items():
-        lam = as_partition(lam)
-        c = Fraction(c)
-        if c == 0 or (truncation is not None and sum(lam) > truncation):
-            continue
-        clean[lam] = clean.get(lam, Fraction(0)) + c
-    return {lam: c for lam, c in sorted(clean.items(), key=lambda kv: canonical_key(kv[0])) if c}
+    limit = math.inf if truncation is None else truncation
+    keys = map(as_partition, terms)
+    return merge_terms(((lam, Fraction(c)) for lam, c in zip(keys, terms.values())
+                        if sum(lam) <= limit), canonical_key)
 
 
 @dataclass(frozen=True)
@@ -104,8 +103,7 @@ def add(f: SymFunc, g: SymFunc) -> SymFunc:
     if f.basis != g.basis:
         g = change_basis(g, f.basis)
     terms = dict(f.terms)
-    for lam, c in g.terms.items():
-        terms[lam] = terms.get(lam, Fraction(0)) + c
+    add_into(terms, g.terms)
     return SymFunc(f.basis, terms, _min_trunc(f.truncation, g.truncation))
 
 
@@ -134,36 +132,21 @@ def change_basis(f: SymFunc, target: str) -> SymFunc:
 
 
 def _s_to_p(terms) -> dict[Partition, Fraction]:
-    out: dict[Partition, Fraction] = {}
-    for lam, c in terms.items():
-        for mu in enumerate_partitions(sum(lam)):
-            v = c * Fraction(sym_character(lam, mu), z_of(mu))
-            if v:
-                out[mu] = out.get(mu, Fraction(0)) + v
-    return out
+    return merge_terms((mu, c * Fraction(sym_character(lam, mu), z_of(mu)))
+                       for lam, c in terms.items() for mu in enumerate_partitions(sum(lam)))
 
 
 def _p_to_s(terms) -> dict[Partition, Fraction]:
-    out: dict[Partition, Fraction] = {}
-    for mu, c in terms.items():
-        for lam in enumerate_partitions(sum(mu)):
-            v = c * sym_character(lam, mu)
-            if v:
-                out[lam] = out.get(lam, Fraction(0)) + v
-    return out
+    return merge_terms((lam, c * sym_character(lam, mu))
+                       for mu, c in terms.items() for lam in enumerate_partitions(sum(mu)))
 
 
 def _kostka_apply(terms, inverse: bool) -> dict[Partition, Fraction]:
-    out: dict[Partition, Fraction] = {}
-    for lam, c in terms.items():
+    def row(lam):
         order, K, Kinv = kostka_and_inverse(sum(lam))
-        M = Kinv if inverse else K
-        i = order.index(lam)
-        for j, mu in enumerate(order):
-            v = c * M[i][j]
-            if v:
-                out[mu] = out.get(mu, Fraction(0)) + v
-    return out
+        return zip(order, (Kinv if inverse else K)[order.index(lam)])
+
+    return merge_terms((mu, c * m) for lam, c in terms.items() for mu, m in row(lam))
 
 
 def _p_mul_terms(a: dict[Partition, Fraction], b: dict[Partition, Fraction],
@@ -206,9 +189,8 @@ def graded_exp(b: dict[Partition, Fraction], N: int) -> dict[Partition, Fraction
         acc: dict[Partition, Fraction] = {}
         for k, kb_k in kb.items():
             if k <= n:
-                for mu, v in _p_mul_terms(kb_k, a[n - k], None).items():
-                    acc[mu] = acc.get(mu, Fraction(0)) + v
-        a.append({mu: v / n for mu, v in acc.items() if v})
+                add_into(acc, _p_mul_terms(kb_k, a[n - k], None))
+        a.append({mu: v / n for mu, v in acc.items()})
     return {mu: c for a_n in a for mu, c in a_n.items()}
 
 
@@ -242,11 +224,8 @@ def sym_algebra_character(f: SymFunc, N: int) -> SymFunc:
         raise ValueError("character has a degree-0 term")
     if fp.truncation is not None and fp.truncation < N:
         raise ValueError(f"input truncated at {fp.truncation} < {N}")
-    log_terms: dict[Partition, Fraction] = {}
-    for mu, c in fp.terms.items():
-        for k in range(1, N // sum(mu) + 1):
-            key = tuple(k * part for part in mu)
-            log_terms[key] = log_terms.get(key, Fraction(0)) + c / k
+    log_terms = merge_terms((tuple(k * part for part in mu), c / k)
+                            for mu, c in fp.terms.items() for k in range(1, N // sum(mu) + 1))
     return change_basis(SymFunc(POWERSUM, graded_exp(log_terms, N), N), SCHUR)
 
 
@@ -266,19 +245,13 @@ def ddag(f: SymFunc) -> SymFunc:
 def schur_derivative(f: SymFunc) -> SymFunc:
     """d/dp_1: the shift functor's effect on characters (degree drops by 1)."""
     fp = change_basis(f, POWERSUM)
-    out: dict[Partition, Fraction] = {}
-    for mu, c in fp.terms.items():
-        m1 = sum(1 for part in mu if part == 1)
-        if m1 == 0:
-            continue
-        key = mu[:-1]  # parts sorted descending: drop one trailing 1
-        out[key] = out.get(key, Fraction(0)) + m1 * c
+    # d/dp_1 (p_1^m p_nu) = m p_1^{m-1} p_nu; parts descend, so the 1s are last
+    out = merge_terms((mu[:-1], mu.count(1) * c) for mu, c in fp.terms.items())
     trunc = None if f.truncation is None else max(f.truncation - 1, 0)
     return change_basis(SymFunc(POWERSUM, out, trunc), f.basis)
 
 
 def to_json(f: SymFunc) -> dict:
-    from .partitions import format_partition
     return {
         "basis": f.basis,
         "truncation": f.truncation,
@@ -287,6 +260,5 @@ def to_json(f: SymFunc) -> dict:
 
 
 def from_json(obj: dict) -> SymFunc:
-    from .partitions import parse_partition
-    terms = {parse_partition(k): Fraction(v) for k, v in obj["terms"].items()}
+    terms = merge_terms((parse_partition(k), Fraction(v)) for k, v in obj["terms"].items())
     return SymFunc(obj["basis"], terms, obj.get("truncation"))

@@ -25,7 +25,7 @@ from .partitions import (
     partition_factorial,
     partitions_up_to,
 )
-from .polyutil import factorial
+from .polyutil import add_into, factorial, merge_terms
 from .seriesforms import TSeries
 
 __all__ = [
@@ -59,22 +59,20 @@ class LaurentPoly:
     def __post_init__(self):
         if self.d < 0:
             raise ValueError("need d >= 0")
-        clean: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            e = tuple(int(x) for x in e)
-            if len(e) != self.d:
-                raise ValueError(f"exponent {e} has length != {self.d}")
-            c = Fraction(c)
-            if c:
-                clean[e] = clean.get(e, Fraction(0)) + c
-        object.__setattr__(self, "terms", {k: c for k, c in sorted(clean.items()) if c})
+        terms = merge_terms((self._exponent(e), Fraction(c)) for e, c in self.terms.items())
+        object.__setattr__(self, "terms", dict(sorted(terms.items())))
+
+    def _exponent(self, e) -> Exponent:
+        e = tuple(int(x) for x in e)
+        if len(e) != self.d:
+            raise ValueError(f"exponent {e} has length != {self.d}")
+        return e
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.d != other.d:
             raise ValueError("variable count mismatch")
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
+        add_into(terms, other.terms)
         return LaurentPoly(self.d, terms)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -83,14 +81,9 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.d != other.d:
             raise ValueError("variable count mismatch")
-        terms: dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                v = ca * cb
-                cur = terms.get(key)
-                terms[key] = v if cur is None else cur + v
-        return LaurentPoly(self.d, terms)
+        return LaurentPoly(self.d, merge_terms(
+            (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+            for ea, ca in self.terms.items() for eb, cb in other.terms.items()))
 
     def scale(self, c) -> "LaurentPoly":
         c = Fraction(c)
@@ -229,15 +222,15 @@ def _sl_reduce(f: LaurentPoly, blocks: list[tuple[str, int]]) -> LaurentPoly:
         else:
             keep.extend(idx)
         pos += k
-    terms: dict[Exponent, Fraction] = {}
-    for e, c in f.terms.items():
+
+    def reduce(e: Exponent) -> Exponent:
         new = {i: e[i] for i in keep}
         for di, rest in drop:
             for i in rest:
                 new[i] -= e[di]
-        key = tuple(new[i] for i in keep)
-        terms[key] = terms.get(key, Fraction(0)) + c
-    return LaurentPoly(len(keep), terms)
+        return tuple(new[i] for i in keep)
+
+    return LaurentPoly(len(keep), merge_terms((reduce(e), c) for e, c in f.terms.items()))
 
 
 def invariant_dimensions(group: list[tuple[str, int]], weights: LaurentPoly,
@@ -383,8 +376,6 @@ def lp_to_json(f: LaurentPoly) -> dict:
 
 
 def lp_from_json(obj: dict) -> LaurentPoly:
-    terms = {}
-    for key, c in obj["terms"].items():
-        e = tuple(int(tok) for tok in key.split(",")) if key else ()
-        terms[e] = Fraction(c)
-    return LaurentPoly(obj["d"], terms)
+    return LaurentPoly(obj["d"], merge_terms(
+        (tuple(int(tok) for tok in key.split(",")) if key else (), Fraction(c))
+        for key, c in obj["terms"].items()))

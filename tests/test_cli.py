@@ -99,10 +99,11 @@ def test_enhanced_expansion_matches_gessel():
 
 
 def test_fourier_hilb_payload():
-    payload = json.dumps({"0": ["0", "1"]})
-    code, out, _ = run_cli(["fourier", "--d", "2", "--hilb", payload])
-    assert code == 0
-    assert json.loads(out)["result"] == {"2": ["0", "-1"]}
+    for coeffs in (["0", "1"], [0, 1]):  # strings or JSON integers
+        payload = json.dumps({"0": coeffs})
+        code, out, _ = run_cli(["fourier", "--d", "2", "--hilb", payload])
+        assert code == 0
+        assert json.loads(out)["result"] == {"2": ["0", "-1"]}
 
 
 def test_exppoly_text_layers():
@@ -155,6 +156,8 @@ EXIT_CODE_CASES = [
     (["fourier", "--d", "2", "--hilb", "{\"3\": [\"1\"]}"], 3),    # layer > d
     (["fourier", "--d", "2", "--hilb", "{\"1\": [\"1/0\"]}"], 2),  # zero denominator
     (["fourier", "--d", "2", "--hilb", "{\"1\": [Infinity]}"], 2),  # not a rational
+    (["fourier", "--d", "2", "--hilb", "{\"1\": [0.1]}"], 2),       # float: binary, not 1/10
+    (["fourier", "--d", "2", "--hilb", "{\"1\": [true]}"], 2),      # bool, not a number
     (["dfinite", "--series", "bell-egf", "--max-order", "5",
       "--max-degree", "5", "--nmax", "40"], 3),                    # too short
     (["dfinite", "--series", "bell-egf", "--max-order", "5",

@@ -387,3 +387,13 @@ def test_grclass_validation():
         GrClass(3, 1, {(1, 1): 1})
     with pytest.raises(ValueError):
         LambdaGrClass({(): GrClass(2, 1, {(): 1}), (1,): GrClass(3, 1, {(): 1})})
+
+
+def test_lambda_grclass_rejects_one_partition_twice():
+    # classes are values, not coefficients: two keys naming [1] cannot be merged
+    g, h = GrClass(3, 1, {(): 1}), GrClass(3, 1, {(1,): 1})
+    with pytest.raises(ValueError):
+        LambdaGrClass({(1,): g, (1, 0): h})
+    obj = {"terms": {"[1]": grclass_to_json(g), "[1,0]": grclass_to_json(h)}}
+    with pytest.raises(ValueError):
+        lambda_grclass_from_json(obj)

@@ -11,8 +11,10 @@ from tcaseries.partitions import (
     partitions_up_to,
     sym_character,
 )
+from tcaseries.grassmann import GrClass, grclass_from_json
 from tcaseries.polyutil import nullspace
 from tcaseries.symfunc import SCHUR, SymFunc, add, multiply, sym_algebra_character
+from tcaseries.symfunc import from_json as symfunc_from_json
 from tcaseries.seriesforms import (
     CharPolyForm,
     EnhancedExpr,
@@ -51,6 +53,7 @@ from tcaseries.seriesforms import (
     tseries_to_json,
     umbral_substitute,
 )
+from tcaseries.torus import LaurentPoly, lp_from_json
 
 from oracles import exp_power_sum_log
 
@@ -406,6 +409,8 @@ def test_character_at_linear_form_value():
 def test_char_poly_form_threshold_and_bounds():
     with pytest.raises(ValueError):
         CharPolyForm(2, {1: {((), (1, 1)): F(1)}})  # T-degree 2 > 1*(2-1)
+    with pytest.raises(ValueError):
+        CharPolyForm(2, {1: {((1, 2), ()): F(1)}})  # t key not a partition
     form = CharPolyForm(3, {1: {((), ()): F(1)}}, threshold=2)
     with pytest.raises(ValueError):
         character_at(form, (1, 1))  # |lam| = 2 not above threshold
@@ -493,3 +498,50 @@ def test_ode_json_roundtrip():
     op = OdeOperator(((F(-4), F(0), F(0)), (F(0), F(3)), (F(0), F(0), F(1))))
     assert ode_from_json(ode_to_json(op)) == op
     assert op.order == 2 and op.degree == 2
+
+
+# --- sparse term dicts: one merge rule for every constructor and reader -------
+
+_ONE_TWICE = {"[1]": "1", "[1,0]": "1"}  # one partition in two spellings
+
+MERGE_CASES = {
+    "SymFunc": lambda: SymFunc(SCHUR, {(1,): 1, (1, 0): 1}).terms,
+    "TSeries": lambda: TSeries(3, {(1,): 1, (1, 0): 1}).coeffs,
+    "SigmaExpr": lambda: SigmaExpr({((1,), ()): 1, ((1, 0), ()): 1}).terms,
+    "EnhancedExpr": lambda: EnhancedExpr({1: {((1,), ()): 1, ((1, 0), ()): 1}}).parts[1],
+    "CharPolyForm": lambda: CharPolyForm(2, {1: {((1,), ()): 1, ((1, 0), ()): 1}}).entries[1],
+    "GrClass": lambda: GrClass(3, 1, {(1,): 1, (1, 0): 1}).terms,
+    "symfunc.from_json": lambda: symfunc_from_json(
+        {"basis": "s", "truncation": None, "terms": _ONE_TWICE}).terms,
+    "sigma_from_json": lambda: sigma_from_json(
+        {"terms": {"[1]": {"[0]": "1"}, "[1,0]": {"[0]": "1"}}}).terms,
+    "tseries_from_json": lambda: tseries_from_json({"truncation": 3, "coeffs": _ONE_TWICE}).coeffs,
+    "enhanced_from_json": lambda: enhanced_from_json({"parts": {"1": [
+        {"t": t, "T": "[]", "coeff": "1"} for t in _ONE_TWICE]}}).parts[1],
+    "grclass_from_json": lambda: grclass_from_json(
+        {"d": 3, "r": 1, "terms": {"[1]": 1, "[1,0]": 1}}).terms,
+    "lp_from_json": lambda: lp_from_json({"d": 2, "terms": {"1,0": "1", "1, 0": "1"}}).terms,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MERGE_CASES))
+def test_equal_keys_merge(case):
+    assert list(MERGE_CASES[case]().values()) == [2]
+
+
+# keys are validated before zero terms are dropped
+BAD_KEY_CASES = {
+    "SymFunc": lambda: SymFunc(SCHUR, {(1, 2): 0}),
+    "TSeries": lambda: TSeries(3, {(1, 2): 0}),
+    "SigmaExpr": lambda: SigmaExpr({((1, 2), ()): 0}),
+    "EnhancedExpr": lambda: EnhancedExpr({1: {((), (1, 2)): 0}}),
+    "CharPolyForm": lambda: CharPolyForm(2, {1: {((1, 2), ()): 0}}),
+    "GrClass": lambda: GrClass(3, 1, {(1, 1): 0}),
+    "LaurentPoly": lambda: LaurentPoly(2, {(1,): 0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_KEY_CASES))
+def test_zero_term_key_still_validated(case):
+    with pytest.raises(ValueError):
+        BAD_KEY_CASES[case]()
