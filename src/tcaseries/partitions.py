@@ -11,7 +11,6 @@ and ``canonical_key`` sorts mixed-size collections by (size, reverse-lex).
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from .polyutil import factorial, merge_terms
 
@@ -19,7 +18,6 @@ Partition = tuple[int, ...]
 
 __all__ = [
     "Partition",
-    "CharTable",
     "as_partition",
     "canonical_key",
     "dim_schur",
@@ -248,6 +246,7 @@ def kostka_number(lam: Partition, mu: Partition) -> int:
     return sum(kostka_number(eta, rest) for eta in _horizontal_strips_below(lam, k))
 
 
+# no route uses it: kept for perfbench/tracing.py (wraps it by name) and test oracles
 @functools.cache
 def kostka_and_inverse(n: int):
     """(order, K, K^{-1}) for partitions of n in canonical (reverse-lex) order.
@@ -271,33 +270,3 @@ def kostka_and_inverse(n: int):
             s = sum(K[i][t] * inv[t][j] for t in range(i + 1, j + 1))
             inv[i][j] = -s
     return order, K, inv
-
-
-class CharTable:
-    """Character table of S_n, rows (irreducibles) and columns (classes)
-    both indexed by partitions of n in canonical order."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.classes: list[Partition] = enumerate_partitions(n)
-        self.table = {
-            (lam, mu): sym_character(lam, mu)
-            for lam in self.classes for mu in self.classes
-        }
-
-    def value(self, lam: Partition, mu: Partition) -> int:
-        return self.table[(as_partition(lam), as_partition(mu))]
-
-    def row(self, lam: Partition) -> list[int]:
-        return [self.table[(as_partition(lam), mu)] for mu in self.classes]
-
-    def orthogonality_defect(self) -> Fraction:
-        """Max |sum_mu chi^lam(mu) chi^nu(mu) / z_mu - delta| over row pairs."""
-        worst = Fraction(0)
-        for a in self.classes:
-            for b in self.classes:
-                s = sum(Fraction(self.table[(a, mu)] * self.table[(b, mu)], z_of(mu))
-                        for mu in self.classes)
-                target = 1 if a == b else 0
-                worst = max(worst, abs(s - target))
-        return worst

@@ -132,6 +132,25 @@ class SigmaExpr:
         return degs.pop() if len(degs) == 1 else None
 
 
+def _layers(parts, low: int, total, error: str) -> dict:
+    """Canonical copy of a dict of layers: keys made ints (so "1" and "01" name
+    one layer) that must be >= `low`, else ValueError(error); `total(*values)`
+    is the canonical sum of the values of one layer; empty layers dropped;
+    keys sorted."""
+    groups: dict[int, list] = {}
+    for k, v in parts.items():
+        k = int(k)
+        if k < low:
+            raise ValueError(error)
+        groups.setdefault(k, []).append(v)
+    layers = ((k, total(*vs)) for k, vs in sorted(groups.items()))
+    return {k: v for k, v in layers if v}
+
+
+def _psum(*ps) -> Poly:
+    return functools.reduce(padd, map(ptrim, ps))
+
+
 @dataclass(frozen=True)
 class ExpPoly:
     """Exponential polynomial sum_r p_r(t) e^{rt}; parts maps r -> p_r."""
@@ -139,15 +158,8 @@ class ExpPoly:
     parts: dict[int, Poly] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean: dict[int, Poly] = {}
-        for r, p in self.parts.items():
-            r = int(r)
-            if r < 0:
-                raise ValueError("negative exponent in ExpPoly")
-            p = ptrim(p)
-            if p:
-                clean[r] = p
-        object.__setattr__(self, "parts", dict(sorted(clean.items())))
+        object.__setattr__(self, "parts",
+                           _layers(self.parts, 0, _psum, "negative exponent in ExpPoly"))
 
     def is_zero(self) -> bool:
         return not self.parts
@@ -219,11 +231,11 @@ def _tt_key_sort(key: TTKey):
     return canonical_key(key[0]), canonical_key(key[1])
 
 
-def tt_terms(poly) -> TTPoly:
-    """Canonical copy of a TT polynomial: keys validated, coefficients made
+def tt_terms(*polys) -> TTPoly:
+    """Canonical sum of TT polynomials: keys validated, coefficients made
     Fractions, equal keys merged, zeros dropped, keys in canonical order."""
     return merge_terms((((as_partition(t), as_partition(T)), Fraction(c))
-                        for (t, T), c in poly.items()), _tt_key_sort)
+                        for poly in polys for (t, T), c in poly.items()), _tt_key_sort)
 
 
 @dataclass(frozen=True)
@@ -233,15 +245,8 @@ class EnhancedExpr:
     parts: dict[int, TTPoly] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean: dict[int, TTPoly] = {}
-        for k, poly in self.parts.items():
-            k = int(k)
-            if k < 0:
-                raise ValueError("negative exponent in EnhancedExpr")
-            poly = tt_terms(poly)
-            if poly:
-                clean[k] = poly
-        object.__setattr__(self, "parts", dict(sorted(clean.items())))
+        object.__setattr__(self, "parts",
+                           _layers(self.parts, 0, tt_terms, "negative exponent in EnhancedExpr"))
 
 
 @dataclass(frozen=True)
@@ -274,10 +279,8 @@ class PoincareSeries:
     parts: dict[int, Poly] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {int(n): ptrim(p) for n, p in self.parts.items() if ptrim(p)}
-        if any(n < 0 for n in clean):
-            raise ValueError("negative homological degree")
-        object.__setattr__(self, "parts", dict(sorted(clean.items())))
+        object.__setattr__(self, "parts",
+                           _layers(self.parts, 0, _psum, "negative homological degree"))
 
 
 @dataclass(frozen=True)
@@ -294,20 +297,13 @@ class CharPolyForm:
     threshold: int = -1
 
     def __post_init__(self):
-        clean: dict[int, TTPoly] = {}
-        for i, poly in self.entries.items():
-            i = int(i)
-            if i < 1:
-                raise ValueError("entries are indexed by i >= 1")
-            poly = tt_terms(poly)
-            if not poly:
-                continue
-            for (tpart, Tpart) in poly:
+        entries = _layers(self.entries, 1, tt_terms, "entries are indexed by i >= 1")
+        for i, poly in entries.items():
+            for (_, Tpart) in poly:
                 if sum(Tpart) > i * (self.m - i):
                     raise ValueError(
                         f"T-degree {sum(Tpart)} of entry {i} exceeds bound i(m-i) = {i * (self.m - i)}")
-            clean[i] = poly
-        object.__setattr__(self, "entries", dict(sorted(clean.items())))
+        object.__setattr__(self, "entries", entries)
 
 
 # --- specializations of Lambda and Lambda-tilde ------------------------------
@@ -685,7 +681,7 @@ def _json_fraction(c) -> Fraction:
 def exppoly_from_json(obj: dict) -> ExpPoly:
     if not isinstance(obj, dict) or not all(isinstance(p, list) for p in obj.values()):
         raise ValueError("ExpPoly JSON must be an object mapping exponents to coefficient lists")
-    return ExpPoly({int(r): tuple(_json_fraction(c) for c in p) for r, p in obj.items()})
+    return ExpPoly({r: tuple(_json_fraction(c) for c in p) for r, p in obj.items()})
 
 
 def tseries_to_json(s: TSeries) -> dict:
@@ -715,7 +711,7 @@ def enhanced_to_json(e: EnhancedExpr) -> dict:
 
 
 def enhanced_from_json(obj: dict) -> EnhancedExpr:
-    return EnhancedExpr({int(k): _ttpoly_from_json(v) for k, v in obj["parts"].items()})
+    return EnhancedExpr({k: _ttpoly_from_json(v) for k, v in obj["parts"].items()})
 
 
 def charpoly_to_json(f: CharPolyForm) -> dict:

@@ -1,7 +1,7 @@
 """Symmetric functions with explicit basis tags and truncation metadata.
 
 A SymFunc is a finite Fraction-linear combination of basis elements indexed
-by partitions, in one of three bases: schur "s", powersum "p", monomial "m".
+by partitions, in one of two bases: schur "s" or powersum "p".
 ``truncation=N`` means coefficients are only meaningful in degrees <= N
 (None marks an exact, untruncated element). Operations propagate the minimum
 truncation of their inputs and never silently extend precision.
@@ -23,7 +23,6 @@ from .partitions import (
     canonical_key,
     enumerate_partitions,
     format_partition,
-    kostka_and_inverse,
     parse_partition,
     sym_character,
     transpose,
@@ -33,11 +32,9 @@ from .polyutil import add_into, merge_terms
 
 SCHUR = "s"
 POWERSUM = "p"
-MONOMIAL = "m"
-_BASES = (SCHUR, POWERSUM, MONOMIAL)
+_BASES = (SCHUR, POWERSUM)
 
 __all__ = [
-    "MONOMIAL",
     "POWERSUM",
     "SCHUR",
     "SymFunc",
@@ -117,17 +114,7 @@ def change_basis(f: SymFunc, target: str) -> SymFunc:
         raise ValueError(f"unknown basis {target!r}")
     if f.basis == target:
         return f
-    if f.basis == SCHUR and target == POWERSUM:
-        terms = _s_to_p(f.terms)
-    elif f.basis == POWERSUM and target == SCHUR:
-        terms = _p_to_s(f.terms)
-    elif f.basis == SCHUR and target == MONOMIAL:
-        terms = _kostka_apply(f.terms, inverse=False)
-    elif f.basis == MONOMIAL and target == SCHUR:
-        terms = _kostka_apply(f.terms, inverse=True)
-    else:
-        via = change_basis(SymFunc(f.basis, f.terms, f.truncation), SCHUR)
-        return change_basis(via, target)
+    terms = _s_to_p(f.terms) if target == POWERSUM else _p_to_s(f.terms)
     return SymFunc(target, terms, f.truncation)
 
 
@@ -139,14 +126,6 @@ def _s_to_p(terms) -> dict[Partition, Fraction]:
 def _p_to_s(terms) -> dict[Partition, Fraction]:
     return merge_terms((lam, c * sym_character(lam, mu))
                        for mu, c in terms.items() for lam in enumerate_partitions(sum(mu)))
-
-
-def _kostka_apply(terms, inverse: bool) -> dict[Partition, Fraction]:
-    def row(lam):
-        order, K, Kinv = kostka_and_inverse(sum(lam))
-        return zip(order, (Kinv if inverse else K)[order.index(lam)])
-
-    return merge_terms((mu, c * m) for lam, c in terms.items() for mu, m in row(lam))
 
 
 def _p_mul_terms(a: dict[Partition, Fraction], b: dict[Partition, Fraction],

@@ -294,9 +294,9 @@ class KernelSeries:
                 raise ValueError(f"exponent {e} out of bound {self.truncation}")
             if s.truncation != self.truncation:
                 s = TSeries(self.truncation, s.coeffs)
-            if not s.is_zero():
-                clean[e] = s
-        object.__setattr__(self, "terms", dict(sorted(clean.items())))
+            clean[e] = clean[e] + s if e in clean else s
+        object.__setattr__(self, "terms",
+                           {e: s for e, s in sorted(clean.items()) if not s.is_zero()})
 
     def coefficient(self, e) -> TSeries:
         return self.terms.get(tuple(e), TSeries(self.truncation, {}))

@@ -106,6 +106,13 @@ def test_fourier_hilb_payload():
         assert json.loads(out)["result"] == {"2": ["0", "-1"]}
 
 
+def test_fourier_hilb_equal_layer_keys_add():
+    # "1" and "01" both name the e^t layer
+    code, out, _ = run_cli(["fourier", "--d", "2", "--hilb", '{"1": ["1"], "01": ["2"]}', "--text"])
+    assert code == 0
+    assert out.strip() == "3*exp(t)"
+
+
 def test_exppoly_text_layers():
     F = Fraction
     cases = [
@@ -252,6 +259,18 @@ def test_golden_under_optimize():
     assert res["optimize"] == 1
     for (fname, _), out in zip(GOLDEN_CASES, res["outs"]):
         assert out == (GOLDEN / fname).read_text(), fname
+
+
+def test_acceptance_under_optimize():
+    # pytest rewrites the asserts of test modules, so they still check under -O;
+    # the library's own runtime checks must not rely on assert
+    root = Path(__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_acceptance.py"],
+        capture_output=True, text=True, cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stdout[-2000:]
 
 
 def test_internal_error_exit_code(monkeypatch):

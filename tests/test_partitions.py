@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tcaseries.partitions import (
-    CharTable,
     as_partition,
     canonical_key,
     dim_schur,
@@ -113,8 +112,14 @@ def test_sym_character_size_mismatch():
 
 
 def test_char_table_orthogonality():
+    # sum_mu chi^a(mu) chi^b(mu) / z_mu = [a == b]
     for n in range(1, 8):
-        assert CharTable(n).orthogonality_defect() == 0
+        classes = enumerate_partitions(n)
+        for a in classes:
+            for b in classes:
+                s = sum(Fraction(sym_character(a, mu) * sym_character(b, mu), z_of(mu))
+                        for mu in classes)
+                assert s == (a == b), (a, b)
 
 
 def test_sign_and_trivial_rows():

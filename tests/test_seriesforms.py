@@ -20,6 +20,7 @@ from tcaseries.seriesforms import (
     EnhancedExpr,
     ExpPoly,
     OdeOperator,
+    PoincareSeries,
     SigmaExpr,
     TSeries,
     annihilator,
@@ -53,7 +54,7 @@ from tcaseries.seriesforms import (
     tseries_to_json,
     umbral_substitute,
 )
-from tcaseries.torus import LaurentPoly, lp_from_json
+from tcaseries.torus import KernelSeries, LaurentPoly, lp_from_json
 
 from oracles import exp_power_sum_log
 
@@ -527,6 +528,37 @@ MERGE_CASES = {
 @pytest.mark.parametrize("case", sorted(MERGE_CASES))
 def test_equal_keys_merge(case):
     assert list(MERGE_CASES[case]().values()) == [2]
+
+
+# "1" and "01" (or (1,) and ("01",)) name one layer: its values add up
+_TT_ONE = {((1,), ()): 1}
+
+LAYER_MERGE_CASES = {
+    "ExpPoly": (lambda: ExpPoly({1: (1,), "01": (2,)}).parts, {1: (3,)}),
+    "PoincareSeries": (lambda: PoincareSeries(2, 3, {1: (1,), "01": (2,)}).parts, {1: (3,)}),
+    "EnhancedExpr": (lambda: EnhancedExpr({1: _TT_ONE, "01": _TT_ONE}).parts,
+                     {1: {((1,), ()): 2}}),
+    "CharPolyForm": (lambda: CharPolyForm(2, {1: _TT_ONE, "01": _TT_ONE}).entries,
+                     {1: {((1,), ()): 2}}),
+    "KernelSeries": (lambda: KernelSeries(1, 2, {(1,): TSeries(2, {(1,): 1}),
+                                                 ("01",): TSeries(2, {(1,): 1})}).terms,
+                     {(1,): TSeries(2, {(1,): 2})}),
+    "exppoly_from_json": (lambda: exppoly_from_json({"1": ["1"], "01": ["2"]}).parts, {1: (3,)}),
+    "enhanced_from_json": (lambda: enhanced_from_json({"parts": {
+        k: [{"t": "[1]", "T": "[]", "coeff": "1"}] for k in ("1", "01")}}).parts,
+        {1: {((1,), ()): 2}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYER_MERGE_CASES))
+def test_equal_layer_keys_add(case):
+    build, want = LAYER_MERGE_CASES[case]
+    assert build() == want
+
+
+def test_cancelling_layers_are_dropped():
+    assert ExpPoly({1: (1,), "01": (-1,), 2: (1,)}).parts == {2: (1,)}
+    assert EnhancedExpr({1: {((1,), ()): 1}, "01": {((1,), ()): -1}}).parts == {}
 
 
 # keys are validated before zero terms are dropped

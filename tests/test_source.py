@@ -1,6 +1,8 @@
 """Source-level invariants of the package."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import tcaseries
@@ -68,3 +70,24 @@ def test_coefficients_merge_only_in_polyutil():
                   and id(node) not in skip
                   and (_zero_default_get(node.left) or _zero_default_get(node.right))]
     assert found == []
+
+
+def test_names_pinned_by_perfbench_tracing_exist():
+    # perfbench/tracing.py wraps library functions by module and name; a
+    # rename or deletion here would silently drop them from the traced run
+    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for mod_name, qual, *_ in tracing.TARGETS:
+        obj = importlib.import_module(f"tcaseries.{mod_name}")
+        for attr in qual.split("."):
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(f"{mod_name}.{qual}")
+    for mod_name, attr, _ in tracing.CACHES:
+        fn = getattr(importlib.import_module(f"tcaseries.{mod_name}"), attr, None)
+        if not hasattr(fn, "cache_info"):
+            missing.append(f"{mod_name}.{attr}.cache_info")
+    assert missing == []
