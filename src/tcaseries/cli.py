@@ -310,7 +310,7 @@ def _cmd_charpoly(args):
     form = char_poly_form(rank1_enhanced_closed(args.d), args.d)
     obj = {"command": "charpoly", "d": args.d}
     if args.at is not None:
-        value = character_at(form, args.at, t_cap=args.tcap)
+        value = character_at(form, args.at)
         obj["at"] = format_partition(args.at)
         obj["result"] = {"value": value}
         return obj, f"trace at {format_partition(args.at)} = {value}", 0
@@ -497,7 +497,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                         "determinantal ring")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--at", type=parse_partition)
-    p.add_argument("--tcap", type=_non_negative_int)
     common(p)
 
     p = sub.add_parser("oracle-check", help="run a cross-route oracle suite")

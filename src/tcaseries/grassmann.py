@@ -30,7 +30,7 @@ from .partitions import (
     partition_factorial,
     partitions_up_to,
 )
-from .polyutil import add_into, binom, factorial, merge_terms
+from .polyutil import add_into, binom, factorial, json_int, merge_terms
 from . import symfunc
 from .symfunc import SCHUR, SymFunc
 from .seriesforms import (
@@ -298,13 +298,10 @@ def detring_formal_character(d: int, r: int) -> SigmaExpr:
     return SigmaExpr(terms)
 
 
-def _a_series(i: int, d: int, N: int) -> TSeries:
+def _a_series(i: int, d: int, N: int) -> dict[Partition, Fraction]:
     """a_i = sum over |lam| >= -i of binom(|lam|+i+d-1, |lam|+i) t^lam / lam!."""
-    coeffs: dict[Partition, Fraction] = {}
-    for n in range(max(0, -i), N + 1):
-        for lam in enumerate_partitions(n):
-            coeffs[lam] = Fraction(binom(n + i + d - 1, n + i), partition_factorial(lam))
-    return TSeries(N, coeffs)
+    return {lam: Fraction(binom(n + i + d - 1, n + i), partition_factorial(lam))
+            for n in range(max(0, -i), N + 1) for lam in enumerate_partitions(n)}
 
 
 def gessel_enhanced(d: int, r: int, N: int) -> TSeries:
@@ -314,18 +311,14 @@ def gessel_enhanced(d: int, r: int, N: int) -> TSeries:
     if r < 1:
         raise ValueError("need r >= 1")
     series = {k: _a_series(k, d, N) for k in range(-(r - 1), r)}
-    total = TSeries(N, {})
+    total: dict[Partition, Fraction] = {}
     for perm in itertools.permutations(range(r)):
-        sign = 1
-        for x in range(r):
-            for y in range(x + 1, r):
-                if perm[x] > perm[y]:
-                    sign = -sign
-        prod = TSeries(N, {(): Fraction(1)})
+        prod = {(): Fraction(1)}
         for i in range(r):
-            prod = prod * series[perm[i] - i]
-        total = total + prod.scale(sign)
-    return total
+            prod = symfunc._p_mul_terms(prod, series[perm[i] - i], N)
+        inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+        add_into(total, prod, (-1) ** inversions)
+    return TSeries(N, total)
 
 
 def _bell_polynomials(jmax: int) -> list[dict[Partition, int]]:
@@ -378,8 +371,8 @@ def grclass_to_json(g: GrClass) -> dict:
 
 
 def grclass_from_json(obj: dict) -> GrClass:
-    return GrClass(obj["d"], obj["r"],
-                   merge_terms((parse_partition(k), int(v)) for k, v in obj["terms"].items()))
+    return GrClass(json_int(obj["d"]), json_int(obj["r"]),
+                   merge_terms((parse_partition(k), json_int(v)) for k, v in obj["terms"].items()))
 
 
 def lambda_grclass_to_json(c: LambdaGrClass) -> dict:

@@ -107,8 +107,7 @@ def partitions_up_to(n: int, max_length: int | None = None,
 
 def partitions_in_box(rows: int, cols: int) -> list[Partition]:
     """All partitions fitting in a rows x cols box, canonically ordered."""
-    return [lam for k in range(rows * cols + 1)
-            for lam in enumerate_partitions(k, max_length=rows, max_part=cols)]
+    return partitions_up_to(rows * cols, max_length=rows, max_part=cols)
 
 
 def transpose(lam: Partition) -> Partition:

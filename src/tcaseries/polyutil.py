@@ -1,8 +1,9 @@
 """Dense univariate polynomials over Fraction: tuples of ascending coefficients.
 
 The zero polynomial is the empty tuple; no trailing zeros are stored. Also
-the package's one exact linear-algebra kernel, ``nullspace``, and its one
-merge kernel for sparse term dicts, ``merge_terms`` and ``add_into``.
+the package's one exact linear-algebra kernel, ``nullspace``, its one merge
+kernel for sparse term dicts, ``merge_terms`` and ``add_into``, and the number
+checks of every JSON reader, ``json_fraction`` and ``json_int``.
 """
 
 from __future__ import annotations
@@ -75,6 +76,21 @@ def binom(n: int, k: int) -> int:
 
 def factorial(n: int) -> int:
     return math.factorial(n)
+
+
+def json_fraction(c) -> Fraction:
+    """A coefficient read from JSON: a string such as "-1/2" or an integer."""
+    # a JSON float is a binary double, not the decimal written, and bool is an int subclass
+    if isinstance(c, bool) or not isinstance(c, (str, int)):
+        raise ValueError(f"coefficient {c!r} is not a string or an integer")
+    return Fraction(c)
+
+
+def json_int(v) -> int:
+    """An integer field read from JSON: an integer, or a string naming one."""
+    if isinstance(v, bool) or not isinstance(v, (str, int)) or Fraction(v).denominator != 1:
+        raise ValueError(f"{v!r} is not an integer")
+    return int(Fraction(v))
 
 
 def merge_terms(pairs, order=None) -> dict:

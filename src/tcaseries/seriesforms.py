@@ -46,6 +46,8 @@ from .polyutil import (
     binom,
     factorial,
     falling,
+    json_fraction,
+    json_int,
     merge_terms,
     nullspace,
     padd,
@@ -450,33 +452,33 @@ def phi_sigma(e: SigmaExpr) -> EnhancedExpr:
     return EnhancedExpr(parts)
 
 
-def _t_tail_series(j: int, N: int) -> TSeries:
-    """T_j = sum_{n >= j} binom(n, j) t_n, truncated at N (j >= 1)."""
-    return TSeries(N, {(n,): Fraction(binom(n, j)) for n in range(max(j, 1), N + 1)})
+def _substitute_tails(poly: TTPoly, top: int, trunc: int | None) -> dict[Partition, Fraction]:
+    """The t-polynomial of `poly` under T_j -> sum_{n=j}^{top} binom(n, j) t_n,
+    dropping terms of weight above `trunc` (None: keep all)."""
+    out: dict[Partition, Fraction] = {}
+    for (tpart, Tpart), c in poly.items():
+        if trunc is not None and sum(tpart) > trunc:
+            continue
+        cur = {tpart: c}
+        for j in Tpart:
+            tail = {(n,): Fraction(binom(n, j)) for n in range(j, top + 1)}
+            cur = symfunc._p_mul_terms(cur, tail, trunc)
+        add_into(out, cur)
+    return out
 
 
-def _exp_kt0(k: int, N: int) -> TSeries:
+def _exp_kt0(k: int, N: int) -> dict[Partition, Fraction]:
     """exp(k T_0) = sum_nu k^{l(nu)} t^nu / nu!, truncated at N."""
-    coeffs: dict[Partition, Fraction] = {}
-    for nu in partitions_up_to(N):
-        coeffs[nu] = Fraction(k ** len(nu), partition_factorial(nu))
-    return TSeries(N, coeffs)
+    return merge_terms((nu, Fraction(k ** len(nu), partition_factorial(nu)))
+                       for nu in partitions_up_to(N))
 
 
 def enhanced_expand(e: EnhancedExpr, N: int) -> TSeries:
     """Expand T_j and e^{k T_0} into the t variables, truncated at weight N."""
-    total = TSeries(N, {})
+    total: dict[Partition, Fraction] = {}
     for k, poly in e.parts.items():
-        layer = TSeries(N, {})
-        for (tpart, Tpart), c in poly.items():
-            if sum(tpart) > N:
-                continue
-            ts = TSeries(N, {tpart: c})
-            for j in Tpart:
-                ts = ts * _t_tail_series(j, N)
-            layer = layer + ts
-        total = total + layer * _exp_kt0(k, N)
-    return total
+        add_into(total, symfunc._p_mul_terms(_substitute_tails(poly, N, N), _exp_kt0(k, N), N))
+    return TSeries(N, total)
 
 
 def fourier_dual_hilbert(h: ExpPoly, d: int) -> ExpPoly:
@@ -519,15 +521,7 @@ def poincare_series(resolution, d: int, N: int) -> PoincareSeries:
 
 def hilbert_from_poincare(P: PoincareSeries) -> list[Fraction]:
     """Coefficients of P(t, 1) e^{dt} up to the t-truncation."""
-    N = P.truncation
-    tot: Poly = ()
-    for p in P.parts.values():
-        tot = padd(tot, p)
-    expd = tuple(Fraction(P.d ** j, factorial(j)) for j in range(N + 1))
-    prod = pmul(tot, expd)
-    out = list(prod[: N + 1])
-    out.extend([Fraction(0)] * (N + 1 - len(out)))
-    return out
+    return exppoly_taylor(ExpPoly({P.d: _psum((), *P.parts.values())}), P.truncation)
 
 
 def annihilator(h: ExpPoly) -> tuple[int, ...]:
@@ -589,36 +583,20 @@ def umbral_substitute(p, k: int) -> dict[Partition, Fraction]:
     return merge_terms(out.items(), canonical_key)
 
 
-def character_at(form: CharPolyForm, lam, t_cap: int | None = None) -> int:
-    """Evaluate tr(c_lam | M_{|lam|}) from a character polynomial form."""
+def character_at(form: CharPolyForm, lam) -> int:
+    """Evaluate tr(c_lam | M_{|lam|}) from a character polynomial form. The
+    tails T_j stop at t_{lam_1} (and vanish for lam = ()): a t_n with n > lam_1
+    adds nothing, as m_n(lam) = 0 and the falling factorial (0)_e = 0, e >= 1."""
     lam = as_partition(lam)
     if sum(lam) <= form.threshold:
         raise ValueError(
             f"|lam| = {sum(lam)} not above validity threshold {form.threshold}")
-    cap = t_cap if t_cap is not None else (lam[0] if lam else 1)
-    if lam and lam[0] > cap:
-        raise ValueError(f"largest part {lam[0]} exceeds t_cap {cap}")
     mult = multiplicities(lam)
-    ell = len(lam)
     total = Fraction(0)
     for i, poly in form.entries.items():
-        layer = Fraction(0)
-        for (tpart, Tpart), c in poly.items():
-            expanded: dict[Partition, Fraction] = {tpart: c}
-            for j in Tpart:
-                tail = {(n,): Fraction(binom(n, j)) for n in range(j, cap + 1)}
-                expanded = symfunc._p_mul_terms(expanded, tail, None)
-            for alpha, v in expanded.items():
-                w = v
-                degree = 0
-                for var, e in multiplicities(alpha).items():
-                    w *= falling(mult.get(var, 0), e)
-                    degree += e
-                    if w == 0:
-                        break
-                if w:
-                    layer += w / Fraction(i ** degree)
-        total += Fraction(i ** ell) * layer
+        for alpha, v in _substitute_tails(poly, lam[0] if lam else 0, None).items():
+            w = math.prod(falling(mult.get(var, 0), e) for var, e in multiplicities(alpha).items())
+            total += v * w * Fraction(i ** len(lam), i ** len(alpha))
     if total.denominator != 1:
         raise AssertionError(f"non-integral trace {total} at {lam}")
     return int(total)
@@ -662,7 +640,8 @@ def sigma_to_json(e: SigmaExpr) -> dict:
 
 
 def sigma_from_json(obj: dict) -> SigmaExpr:
-    return SigmaExpr(merge_terms(((parse_partition(mu_text), parse_indices(nu_text)), Fraction(c))
+    return SigmaExpr(merge_terms(((parse_partition(mu_text), parse_indices(nu_text)),
+                                  json_fraction(c))
                                  for mu_text, inner in obj["terms"].items()
                                  for nu_text, c in inner.items()))
 
@@ -671,17 +650,10 @@ def exppoly_to_json(h: ExpPoly) -> dict:
     return {str(r): [str(c) for c in p] for r, p in h.parts.items()}
 
 
-def _json_fraction(c) -> Fraction:
-    # a JSON float is a binary double, not the decimal written, and bool is an int subclass
-    if isinstance(c, bool) or not isinstance(c, (str, int)):
-        raise ValueError(f"coefficient {c!r} is not a string or an integer")
-    return Fraction(c)
-
-
 def exppoly_from_json(obj: dict) -> ExpPoly:
     if not isinstance(obj, dict) or not all(isinstance(p, list) for p in obj.values()):
         raise ValueError("ExpPoly JSON must be an object mapping exponents to coefficient lists")
-    return ExpPoly({r: tuple(_json_fraction(c) for c in p) for r, p in obj.items()})
+    return ExpPoly({r: tuple(json_fraction(c) for c in p) for r, p in obj.items()})
 
 
 def tseries_to_json(s: TSeries) -> dict:
@@ -692,8 +664,9 @@ def tseries_to_json(s: TSeries) -> dict:
 
 
 def tseries_from_json(obj: dict) -> TSeries:
-    return TSeries(obj["truncation"],
-                   merge_terms((parse_partition(k), Fraction(v)) for k, v in obj["coeffs"].items()))
+    return TSeries(json_int(obj["truncation"]),
+                   merge_terms((parse_partition(k), json_fraction(v))
+                               for k, v in obj["coeffs"].items()))
 
 
 def _ttpoly_json(poly: TTPoly) -> list[dict]:
@@ -702,8 +675,8 @@ def _ttpoly_json(poly: TTPoly) -> list[dict]:
 
 
 def _ttpoly_from_json(items: list[dict]) -> TTPoly:
-    return merge_terms(((parse_partition(d["t"]), parse_partition(d["T"])), Fraction(d["coeff"]))
-                       for d in items)
+    return merge_terms(((parse_partition(d["t"]), parse_partition(d["T"])),
+                        json_fraction(d["coeff"])) for d in items)
 
 
 def enhanced_to_json(e: EnhancedExpr) -> dict:
@@ -724,5 +697,5 @@ def ode_to_json(op: OdeOperator) -> list[list[str]]:
 
 
 def ode_from_json(obj) -> OdeOperator:
-    return OdeOperator(tuple(tuple(Fraction(c) for c in p) for p in obj))
+    return OdeOperator(tuple(tuple(json_fraction(c) for c in p) for p in obj))
 

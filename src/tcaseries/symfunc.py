@@ -28,7 +28,7 @@ from .partitions import (
     transpose,
     z_of,
 )
-from .polyutil import add_into, merge_terms
+from .polyutil import add_into, json_fraction, json_int, merge_terms
 
 SCHUR = "s"
 POWERSUM = "p"
@@ -239,5 +239,6 @@ def to_json(f: SymFunc) -> dict:
 
 
 def from_json(obj: dict) -> SymFunc:
-    terms = merge_terms((parse_partition(k), Fraction(v)) for k, v in obj["terms"].items())
-    return SymFunc(obj["basis"], terms, obj.get("truncation"))
+    terms = merge_terms((parse_partition(k), json_fraction(v)) for k, v in obj["terms"].items())
+    trunc = obj.get("truncation")
+    return SymFunc(obj["basis"], terms, None if trunc is None else json_int(trunc))

@@ -25,7 +25,7 @@ from .partitions import (
     partition_factorial,
     partitions_up_to,
 )
-from .polyutil import add_into, factorial, merge_terms
+from .polyutil import add_into, factorial, json_fraction, json_int, merge_terms
 from .seriesforms import TSeries
 
 __all__ = [
@@ -88,12 +88,6 @@ class LaurentPoly:
     def scale(self, c) -> "LaurentPoly":
         c = Fraction(c)
         return LaurentPoly(self.d, {e: v * c for e, v in self.terms.items()})
-
-    def power(self, n: int) -> "LaurentPoly":
-        out = lp_one(self.d)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def value_at_one(self) -> Fraction:
         return sum(self.terms.values(), Fraction(0))
@@ -376,6 +370,6 @@ def lp_to_json(f: LaurentPoly) -> dict:
 
 
 def lp_from_json(obj: dict) -> LaurentPoly:
-    return LaurentPoly(obj["d"], merge_terms(
-        (tuple(int(tok) for tok in key.split(",")) if key else (), Fraction(c))
+    return LaurentPoly(json_int(obj["d"]), merge_terms(
+        (tuple(int(tok) for tok in key.split(",")) if key else (), json_fraction(c))
         for key, c in obj["terms"].items()))

@@ -187,7 +187,8 @@ def decompose_schur(poly: dict, nvars: int) -> dict[tuple[int, ...], int]:
     while work:
         lead = max(work)
         lam = tuple(p for p in lead if p)
-        assert tuple(sorted(lead, reverse=True)) == lead, f"not symmetric at {lead}"
+        if tuple(sorted(lead, reverse=True)) != lead:
+            raise ValueError(f"not symmetric at {lead}")
         c = work[lead]
         out[lam] = c
         for k, s in schur_monomials(lam, nvars).items():
@@ -224,7 +225,8 @@ def catalan(k: int) -> int:
     if k == 0:
         return 1
     num = catalan(k - 1) * 2 * (2 * k - 1)
-    assert num % (k + 1) == 0
+    if num % (k + 1):
+        raise ArithmeticError(f"Catalan recurrence left a remainder at k = {k}")
     return num // (k + 1)
 
 

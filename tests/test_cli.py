@@ -35,7 +35,9 @@ GOLDEN_CASES = [
     ("hilbert_d3_r1.json", ["hilbert", "--d", "3", "--r", "1"]),
     ("hilbert_d3_r1.txt", ["hilbert", "--d", "3", "--r", "1", "--text"]),
     ("enhanced_d2_r1_n4.json", ["enhanced", "--d", "2", "--r", "1", "--truncate", "4"]),
+    ("enhanced_d4_r3_n8.json", ["enhanced", "--d", "4", "--r", "3", "--truncate", "8"]),
     ("gessel_d2_r1_n4.json", ["gessel", "--d", "2", "--r", "1", "--truncate", "4"]),
+    ("gessel_d3_r2_n8.json", ["gessel", "--d", "3", "--r", "2", "--truncate", "8"]),
     ("hilbschur_sym2_n6.json", ["hilbschur", "--rep", "sym2", "--truncate", "6"]),
     ("invariants_sl2_nmax6.json", ["invariants", "--group", "sl2", "--rep", "standard", "--nmax", "6"]),
     ("invariants_trivial_dim3_nmax4.txt", ["invariants", "--group", "trivial", "--dim", "3", "--nmax", "4", "--text"]),
@@ -44,6 +46,7 @@ GOLDEN_CASES = [
     ("fourier_d3_r1.json", ["fourier", "--d", "3", "--r", "1"]),
     ("charpoly_d2_at31.json", ["charpoly", "--d", "2", "--at", "[3,1]"]),
     ("charpoly_d3_form.json", ["charpoly", "--d", "3"]),
+    ("charpoly_d5_at3221.json", ["charpoly", "--d", "5", "--at", "[3,2,2,1]"]),
     ("oracle_empty.json", ["oracle-check", "--suite", "empty"]),
 ]
 
@@ -169,7 +172,7 @@ EXIT_CODE_CASES = [
       "--max-degree", "5", "--nmax", "40"], 3),                    # too short
     (["dfinite", "--series", "bell-egf", "--max-order", "5",
       "--max-degree", "5", "--nmax", "60"], 4),                    # honest miss
-    (["charpoly", "--d", "2", "--at", "[9,9]", "--tcap", "3"], 3),  # part > cap
+    (["charpoly", "--d", "2", "--at", "[9,9]", "--tcap", "3"], 2),  # unknown flag
     (["detring", "--d", "3", "--r", "1", "--form", "s", "--truncate", "-2"], 2),
     (["theta", "--d", "3", "--r", "1", "--form", "s", "--truncate", "-1"], 2),
     (["invariants", "--group", "sl2", "--nmax", "-3"], 2),

@@ -379,7 +379,7 @@ def test_character_at_tensor_powers():
         for n in range(7):
             for mu in enumerate_partitions(n):
                 want = d ** len(mu)
-                assert character_at(form, mu, t_cap=max(n, 1)) == want
+                assert character_at(form, mu) == want
                 schur_weyl = sum(
                     dim_schur(lam, d) * sym_character(lam, mu)
                     for lam in enumerate_partitions(n))
@@ -396,7 +396,7 @@ def test_character_at_matches_schur_route(d):
     ch = sigma_expand(e, 6)
     for n in range(7):
         for mu in enumerate_partitions(n):
-            assert character_at(form, mu, t_cap=max(n, 1)) == brute_trace(ch.terms, mu)
+            assert character_at(form, mu) == brute_trace(ch.terms, mu)
 
 
 def test_character_at_linear_form_value():
@@ -416,8 +416,6 @@ def test_char_poly_form_threshold_and_bounds():
     with pytest.raises(ValueError):
         character_at(form, (1, 1))  # |lam| = 2 not above threshold
     assert character_at(form, (2, 1)) == 1
-    with pytest.raises(ValueError):
-        character_at(form, (4, 1), t_cap=3)  # largest part exceeds cap
 
 
 # --- tca exponentials --------------------------------------------------------
@@ -577,3 +575,35 @@ BAD_KEY_CASES = {
 def test_zero_term_key_still_validated(case):
     with pytest.raises(ValueError):
         BAD_KEY_CASES[case]()
+
+
+# a JSON float is the binary double nearest the decimal written (0.1 reads as
+# 3602879701896397/36028797018963968) and bool is an int subclass: coefficients
+# and integer fields refuse both, and integer fields refuse fractions
+_GR = {"d": 3, "r": 1, "terms": {"[1]": 1}}
+BAD_NUMBER_CASES = {
+    "symfunc coefficient float": lambda: symfunc_from_json(
+        {"basis": "s", "truncation": 2, "terms": {"[1]": 0.1}}),
+    "symfunc truncation float": lambda: symfunc_from_json(
+        {"basis": "s", "truncation": 2.5, "terms": {"[1]": "1"}}),
+    "sigma coefficient float": lambda: sigma_from_json({"terms": {"[]": {"[0]": 0.5}}}),
+    "tseries coefficient float": lambda: tseries_from_json(
+        {"truncation": 2, "coeffs": {"[1]": 0.1}}),
+    "tseries truncation bool": lambda: tseries_from_json({"truncation": True, "coeffs": {}}),
+    "tseries truncation fraction": lambda: tseries_from_json({"truncation": "5/2", "coeffs": {}}),
+    "enhanced coefficient float": lambda: enhanced_from_json(
+        {"parts": {"1": [{"t": "[1]", "T": "[]", "coeff": 0.1}]}}),
+    "ode coefficient float": lambda: ode_from_json([["1", 0.5]]),
+    "laurent coefficient float": lambda: lp_from_json({"d": 1, "terms": {"1": 0.1}}),
+    "laurent d float": lambda: lp_from_json({"d": 1.0, "terms": {"1": "1"}}),
+    "grclass coefficient float": lambda: grclass_from_json({**_GR, "terms": {"[1]": 2.7}}),
+    "grclass coefficient fraction": lambda: grclass_from_json({**_GR, "terms": {"[1]": "1/2"}}),
+    "grclass d bool": lambda: grclass_from_json({**_GR, "d": True, "r": True}),
+    "grclass r float": lambda: grclass_from_json({**_GR, "r": 1.0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBER_CASES))
+def test_json_readers_refuse_inexact_numbers(case):
+    with pytest.raises(ValueError):
+        BAD_NUMBER_CASES[case]()
