@@ -240,8 +240,7 @@ _HILBSCHUR_REPS = {
 
 def _cmd_hilbschur(args):
     coeffs, deg = _HILBSCHUR_REPS[args.rep]
-    hV = TSeries(args.truncate, coeffs)
-    s = tca_enhanced_exp(hV, deg, args.truncate)
+    s = tca_enhanced_exp(TSeries(deg, coeffs), deg, args.truncate)
     obj = {"command": "hilbschur", "rep": args.rep, "truncation": args.truncate,
            "result": tseries_to_json(s)}
     return obj, tseries_text(s), 0

@@ -230,6 +230,16 @@ def _horizontal_strips_below(lam: Partition, k: int) -> list[Partition]:
     return out
 
 
+def _horizontal_strips_above(lam: Partition, k: int) -> list[Partition]:
+    """Partitions mu >= lam with mu/lam a horizontal strip of size k: turning
+    an (l(lam)+1) x (lam_1+k) box half way round maps them to the strips below
+    the complement of lam."""
+    rows, cols = len(lam) + 1, (lam[0] if lam else 0) + k
+    comp = tuple(cols - p for p in reversed(lam + (0,)))
+    return [as_partition([cols - p for p in reversed(eta + (0,) * (rows - len(eta)))])
+            for eta in _horizontal_strips_below(comp, k)]
+
+
 @functools.cache
 def kostka_number(lam: Partition, mu: Partition) -> int:
     """Kostka number K_{lam,mu}: SSYT of shape lam and content mu.

@@ -15,9 +15,9 @@ The central objects:
 * ``CharPolyForm``: the character-polynomial reading of an EnhancedExpr,
   evaluating traces tr(c_lam | M_{|lam|}) by umbral substitution.
 
-Specializations: ``sigma_expand`` (sigma -> Schur series), ``ex_*`` (Hilbert
-series, sigma_k -> (t^k/k!) e^t), ``phi_*`` (enhanced series, p_n -> n t_n,
-sigma_n -> exp(T_0) sum_{nu |- n} T^nu / nu!).
+Specializations: ``sigma_expand`` (sigma -> Schur series, by the Pieri rule),
+``ex_*`` (Hilbert series, sigma_k -> (t^k/k!) e^t), ``phi_*`` (enhanced
+series, p_n -> n t_n, sigma_n -> exp(T_0) sum_{nu |- n} T^nu / nu!).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from .partitions import (
     Partition,
+    _horizontal_strips_above,
     as_partition,
     canonical_key,
     dim_specht,
@@ -335,39 +336,25 @@ def phi_enhanced(f: SymFunc, N: int) -> TSeries:
     return TSeries(N, {mu: c * math.prod(mu) for mu, c in fp.terms.items() if sum(mu) <= N})
 
 
-@functools.cache
-def _sigma_p_terms(k: int, N: int) -> tuple[tuple[Partition, Fraction], ...]:
-    """sigma_k = sum_{n>=k} binom(n,k) s_n, truncated at N, in powersum terms."""
-    return tuple(symfunc._s_to_p({(n,): binom(n, k) for n in range(k, N + 1)}).items())
+def _sigma_mul(terms: dict[Partition, Fraction], k: int, N: int) -> dict[Partition, Fraction]:
+    """Schur-keyed `terms` times sigma_k = sum_{n>=k} binom(n,k) h_n through
+    degree N, by the Pieri rule: s_lam h_n sums s_mu over the horizontal
+    strips mu/lam of size n (Macdonald, Symmetric Functions, I (5.16))."""
+    return merge_terms((mu, c * binom(n, k)) for lam, c in terms.items()
+                       for n in range(k, N - sum(lam) + 1)
+                       for mu in _horizontal_strips_above(lam, n))
 
 
 def sigma_expand(e: SigmaExpr, N: int) -> SymFunc:
-    """Expand sigma_k -> sum_{n=k}^N binom(n,k) s_n and multiply out in Lambda."""
+    """Expand sigma_k -> sum_{n=k}^N binom(n,k) s_n and multiply out in the
+    Schur basis, one Pieri product per sigma factor."""
     total: dict[Partition, Fraction] = {}
     for (mu_s, nu), c in e.terms.items():
-        if sum(mu_s) > N:
-            continue
-        cur = symfunc._s_to_p({mu_s: 1})
+        cur = {mu_s: c}
         for k in nu:
-            cur = symfunc._p_mul_terms(cur, dict(_sigma_p_terms(k, N)), N)
-        add_into(total, cur, c)
-    return symfunc.change_basis(SymFunc(POWERSUM, total, N), SCHUR)
-
-
-def _sigma_multisets(max_count: int, max_weight: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], bound: int, weight_left: int):
-        out.append(tuple(prefix))
-        if len(prefix) == max_count:
-            return
-        for i in range(min(bound, weight_left), -1, -1):
-            prefix.append(i)
-            rec(prefix, i, weight_left - i)
-            prefix.pop()
-
-    rec([], max_weight, max_weight)
-    return out
+            cur = _sigma_mul(cur, k, N)
+        add_into(total, cur)
+    return SymFunc(SCHUR, total, N)
 
 
 def sigma_recognize(f: SymFunc, r_max: int, s_deg_max: int,
@@ -389,10 +376,9 @@ def sigma_recognize(f: SymFunc, r_max: int, s_deg_max: int,
     fs = symfunc.change_basis(f, SCHUR)
     rows = partitions_up_to(N)
     row_index = {lam: i for i, lam in enumerate(rows)}
-    candidates: list[SigmaKey] = []
-    for mu in partitions_up_to(s_deg_max):
-        for nu in _sigma_multisets(r_max, sigma_wt_max):
-            candidates.append((mu, nu))
+    sigmas = [nu + (0,) * j for nu in partitions_up_to(sigma_wt_max, max_length=r_max)
+              for j in range(r_max - len(nu) + 1)]
+    candidates = [(mu, nu) for mu in partitions_up_to(s_deg_max) for nu in sigmas]
     # [A | -b]: A x = b is solvable iff the last column is free, and that
     # column's basis vector is (x, 1) with the other free variables 0.
     matrix = [[Fraction(0)] * len(candidates) + [-fs.terms.get(lam, Fraction(0))]
@@ -491,18 +477,14 @@ def fourier_dual_hilbert(h: ExpPoly, d: int) -> ExpPoly:
     return ExpPoly(parts)
 
 
-def _ddag_p_terms(terms: dict[Partition, Fraction]) -> dict[Partition, Fraction]:
-    return {mu: (-1) ** len(mu) * c for mu, c in terms.items()}
-
-
 def sigma_ddag_check(N: int) -> bool:
-    """Verify (sum_n sigma_n^ddag u^n)(sum_n sigma_n u^n) = 1 to bidegree (N, N)."""
-    sig = [dict(_sigma_p_terms(k, N)) for k in range(N + 1)]
-    sig_dd = [_ddag_p_terms(s) for s in sig]
+    """Verify (sum_n sigma_n^ddag u^n)(sum_n sigma_n u^n) = 1 to bidegree (N, N),
+    with sigma_a^ddag = sum_{i>=a} (-1)^i binom(i,a) s_{1^i}."""
     for m in range(N + 1):
         acc: dict[Partition, Fraction] = {}
         for a in range(m + 1):
-            add_into(acc, symfunc._p_mul_terms(sig_dd[a], sig[m - a], N))
+            dd = {(1,) * i: (-1) ** i * binom(i, a) for i in range(a, N + 1)}
+            add_into(acc, _sigma_mul(dd, m - a, N))
         expected: dict[Partition, Fraction] = {(): Fraction(1)} if m == 0 else {}
         if acc != expected:
             return False

@@ -71,6 +71,8 @@ class SymFunc:
     def __post_init__(self):
         if self.basis not in _BASES:
             raise ValueError(f"unknown basis {self.basis!r}")
+        if self.truncation is not None and self.truncation < 0:
+            raise ValueError("truncation must be >= 0")
         object.__setattr__(self, "terms", normalize_terms(self.terms, self.truncation))
 
     def coeff(self, lam) -> Fraction:

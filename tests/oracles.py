@@ -3,7 +3,9 @@
 Nothing here shares algorithms with the package: Kostka numbers are counted
 by explicit tableau backtracking (vs. the horizontal-strip recursion),
 partition counts come from the pentagonal-number recurrence, Schur expansions
-from monomial enumeration, products from Littlewood-Richardson tableaux.
+from monomial enumeration, products from Littlewood-Richardson tableaux. The
+one exception, ``sigma_expand_powersum``, calls the package's power-sum
+routines, which the Pieri kernel of ``sigma_expand`` does not use.
 """
 
 from __future__ import annotations
@@ -198,6 +200,21 @@ def decompose_schur(poly: dict, nvars: int) -> dict[tuple[int, ...], int]:
             else:
                 work.pop(k, None)
     return out
+
+
+def sigma_expand_powersum(e, N: int):
+    """sigma_expand by the power-sum route, the independent check of its Pieri
+    kernel: each sigma_k = sum_{n>=k} binom(n,k) s_n goes to power sums by
+    Murnaghan-Nakayama, products concatenate power-sum partitions, and the sum
+    goes back to Schur functions."""
+    from tcaseries.symfunc import SymFunc, add, change_basis, multiply
+    total = SymFunc("p", {}, N)
+    for (mu, nu), c in e.terms.items():
+        cur = change_basis(SymFunc("s", {mu: c}, N), "p")
+        for k in nu:
+            cur = multiply(cur, SymFunc("s", {(n,): _binom(n, k) for n in range(k, N + 1)}))
+        total = add(total, cur)
+    return change_basis(total, "s")
 
 
 def exp_power_sum_log(N: int) -> dict[tuple[int, ...], Fraction]:

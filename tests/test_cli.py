@@ -29,9 +29,11 @@ GOLDEN_CASES = [
     ("detring_d3_r1_sigma.json", ["detring", "--d", "3", "--r", "1", "--form", "sigma"]),
     ("detring_d3_r1_sigma.txt", ["detring", "--d", "3", "--r", "1", "--form", "sigma", "--text"]),
     ("detring_d2_r1_s_n6.json", ["detring", "--d", "2", "--r", "1", "--form", "s", "--truncate", "6"]),
+    ("detring_d5_r3_s_n14.json", ["detring", "--d", "5", "--r", "3", "--form", "s", "--truncate", "14"]),
     ("detring_d2_r2_hilbert.json", ["detring", "--d", "2", "--r", "2", "--form", "hilbert"]),
     ("theta_d3_r1_alpha2.json", ["theta", "--d", "3", "--r", "1", "--alpha", "[2]"]),
     ("theta_d2_r1_mu1_s_n5.json", ["theta", "--d", "2", "--r", "1", "--mu", "[1]", "--form", "s", "--truncate", "5"]),
+    ("theta_d4_r2_alpha11_s_n12.json", ["theta", "--d", "4", "--r", "2", "--alpha", "[1,1]", "--form", "s", "--truncate", "12"]),
     ("hilbert_d3_r1.json", ["hilbert", "--d", "3", "--r", "1"]),
     ("hilbert_d3_r1.txt", ["hilbert", "--d", "3", "--r", "1", "--text"]),
     ("enhanced_d2_r1_n4.json", ["enhanced", "--d", "2", "--r", "1", "--truncate", "4"]),
@@ -177,6 +179,7 @@ EXIT_CODE_CASES = [
     (["theta", "--d", "3", "--r", "1", "--form", "s", "--truncate", "-1"], 2),
     (["invariants", "--group", "sl2", "--nmax", "-3"], 2),
     (["invariants", "--group", "trivial", "--dim", "-2", "--nmax", "3"], 2),
+    (["hilbschur", "--rep", "tensor3", "--truncate", "2"], 0),     # below the degree of V
 ]
 
 
@@ -185,6 +188,14 @@ EXIT_CODE_CASES = [
 def test_exit_codes(argv, expected):
     code, _, _ = run_cli(argv)
     assert code == expected
+
+
+@pytest.mark.parametrize("rep,truncate", [("sym2", 0), ("wedge2", 1), ("tensor2", 1),
+                                           ("tensor3", 0), ("tensor3", 2)])
+def test_hilbschur_below_degree_of_v_is_one(rep, truncate):
+    code, out, err = run_cli(["hilbschur", "--rep", rep, "--truncate", str(truncate)])
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"] == {"truncation": truncate, "coeffs": {"[]": "1"}}
 
 
 _DR = st.integers(-1, 4).map(str)
@@ -215,7 +226,7 @@ _FLAGS = {
                 "--max-order": st.integers(-1, 2).map(str),
                 "--max-degree": st.integers(-1, 2).map(str), "--nmax": _SIZE},
     "fourier": {"--d": _DR, "--r": _DR, "--hilb": _HILB},
-    "charpoly": {"--d": _DR, "--at": _PART, "--tcap": _SIZE},
+    "charpoly": {"--d": _DR, "--at": _PART},
     "oracle-check": {"--suite": st.sampled_from(["empty", "nope"])},
 }
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tcaseries.partitions import (
+    _horizontal_strips_above,
     as_partition,
     canonical_key,
     dim_schur,
@@ -17,6 +18,7 @@ from tcaseries.partitions import (
     parse_partition,
     partition_factorial,
     partitions_in_box,
+    partitions_up_to,
     sym_character,
     transpose,
     z_of,
@@ -170,6 +172,22 @@ def test_kostka_vs_ssyt_oracle():
         for lam in enumerate_partitions(n):
             for mu in enumerate_partitions(n):
                 assert kostka_number(lam, mu) == ssyt_fillings(lam, mu)
+
+
+def test_horizontal_strips_above_match_interlacing_filter():
+    # mu/lam is a horizontal strip iff mu_1 >= lam_1 >= mu_2 >= lam_2 >= ...
+    def interlaces(mu, lam):
+        if len(lam) > len(mu):
+            return False
+        lam = lam + (0,) * (len(mu) - len(lam))
+        return all(mu[i] >= lam[i] >= (mu[i + 1] if i + 1 < len(mu) else 0)
+                   for i in range(len(mu)))
+
+    for lam in partitions_up_to(6):
+        for k in range(6):
+            got = _horizontal_strips_above(lam, k)
+            want = [mu for mu in enumerate_partitions(sum(lam) + k) if interlaces(mu, lam)]
+            assert sorted(got) == sorted(want) and len(set(got)) == len(got), (lam, k)
 
 
 def test_kostka_inverse():

@@ -56,7 +56,7 @@ from tcaseries.seriesforms import (
 )
 from tcaseries.torus import KernelSeries, LaurentPoly, lp_from_json
 
-from oracles import exp_power_sum_log
+from oracles import exp_power_sum_log, sigma_expand_powersum
 
 F = Fraction
 HALF = F(1, 2)
@@ -162,6 +162,21 @@ def test_sigma_expand_product_matches_symfunc_multiply():
     assert prod == multiply(a, b)
 
 
+@st.composite
+def small_sigma_exprs(draw):
+    """s-part of size <= 3, at most 3 sigma factors, indices <= 3."""
+    mu = st.integers(0, 3).flatmap(lambda n: st.sampled_from(enumerate_partitions(n)))
+    nu = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+    c = st.builds(F, st.integers(-3, 3), st.integers(1, 2))
+    return SigmaExpr(draw(st.dictionaries(st.tuples(mu, nu), c, min_size=1, max_size=3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_sigma_exprs(), st.integers(0, 10))
+def test_sigma_expand_matches_powersum_route(e, N):
+    assert sigma_expand(e, N) == sigma_expand_powersum(e, N)
+
+
 def test_sigma_expr_canonicalization():
     e = SigmaExpr({((1,), (0, 2)): F(1), ((1,), (2, 0)): F(2)})
     assert e.terms == {((1,), (2, 0)): F(3)}
@@ -223,8 +238,9 @@ def test_nullspace_basis_and_augmented_solve(A, x0):
     assert _apply(A, aug[-1][:n]) == b
 
 
-def test_sigma_ddag_inverse_series():
-    assert sigma_ddag_check(6)
+@pytest.mark.parametrize("N", range(9))
+def test_sigma_ddag_inverse_series(N):
+    assert sigma_ddag_check(N)
 
 
 def test_schur_row_column_inverse_series():
@@ -579,13 +595,16 @@ def test_zero_term_key_still_validated(case):
 
 # a JSON float is the binary double nearest the decimal written (0.1 reads as
 # 3602879701896397/36028797018963968) and bool is an int subclass: coefficients
-# and integer fields refuse both, and integer fields refuse fractions
+# and integer fields refuse both, and integer fields refuse fractions; a
+# truncation also refuses negatives
 _GR = {"d": 3, "r": 1, "terms": {"[1]": 1}}
 BAD_NUMBER_CASES = {
     "symfunc coefficient float": lambda: symfunc_from_json(
         {"basis": "s", "truncation": 2, "terms": {"[1]": 0.1}}),
     "symfunc truncation float": lambda: symfunc_from_json(
         {"basis": "s", "truncation": 2.5, "terms": {"[1]": "1"}}),
+    "symfunc truncation negative": lambda: symfunc_from_json(
+        {"basis": "s", "truncation": -3, "terms": {"[1]": "1"}}),
     "sigma coefficient float": lambda: sigma_from_json({"terms": {"[]": {"[0]": 0.5}}}),
     "tseries coefficient float": lambda: tseries_from_json(
         {"truncation": 2, "coeffs": {"[1]": 0.1}}),
