@@ -273,15 +273,22 @@ def _cmd_dfinite(args):
     length = args.nmax if args.nmax is not None else \
         needed_length(args.max_order, args.max_degree)
     coeffs = builtin_series(args.series, length)
-    op = guess_ode(coeffs, max_order=args.max_order, max_degree=args.max_degree)
+    cert: dict = {}
+    op = guess_ode(coeffs, max_order=args.max_order, max_degree=args.max_degree,
+                   certificate=cert)
     obj = {"command": "dfinite", "series": args.series,
            "max_order": args.max_order, "max_degree": args.max_degree,
            "coefficients_used": length}
     note = ("no annihilating operator within the search bounds; "
             "this is not a proof that the series is not D-finite")
     if op is None:
-        obj["result"] = {"found": False, "note": note}
-        return obj, f"not found: {note}", 4
+        certified = len(cert["pairs"]) == args.max_order * (args.max_degree + 1)
+        obj["result"] = {"found": False, "note": note, "certified": certified,
+                         "prime": None if cert["prime"] is None else str(cert["prime"]),
+                         "certified_pairs": [list(pair) for pair in cert["pairs"]]}
+        clause = (f"every (order, degree) pair certified by full rank mod {cert['prime']}"
+                  if certified else "not every (order, degree) pair certified mod a prime")
+        return obj, f"not found: {note}; {clause}", 4
     obj["result"] = {"found": True, "order": op.order, "degree": op.degree,
                      "operator": ode_to_json(op), "text": ode_to_text(op)}
     return obj, ode_to_text(op), 0

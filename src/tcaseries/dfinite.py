@@ -2,7 +2,10 @@
 
 Given a truncated coefficient series, search for the lexicographically
 minimal (order, degree) annihilating operator sum_i p_i(t) y^(i) over the
-rationals, with enough surplus equations to make a miss trustworthy.
+rationals, with enough surplus equations to make a miss trustworthy. A
+(order, degree) pair whose system has full column rank modulo a prime is
+skipped, since that proves its rational nullspace trivial; the prime only
+filters, and every operator returned comes from exact elimination.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .polyutil import Poly, falling, ptrim
+from .polyutil import Poly, falling, full_rank_mod, ptrim, residues
 # perfbench/tracing.py wraps dfinite._nullspace by this name
 from .polyutil import nullspace as _nullspace
 from .seriesforms import OdeOperator
@@ -80,12 +83,27 @@ def _normalize(polys: list[Poly]) -> tuple[Poly, ...]:
     return tuple(tuple(c * scale for c in p) for p in polys)
 
 
+def _ode_rows(coeffs: list, r: int, d: int, zero) -> list[list]:
+    """Linear system of sum_{i<=r, j<=d} c_ij t^j y^(i) = 0, unknowns c_ij in
+    the order (i, j): one row per coefficient of t^m that the truncation
+    determines."""
+    return [[coeffs[m - j + i] * falling(m - j + i, i) if j <= m else zero
+             for i in range(r + 1) for j in range(d + 1)]
+            for m in range(len(coeffs) - r)]
+
+
 def guess_ode(coeffs: CoeffSeries, max_order: int = 6, max_degree: int = 8,
-              margin: int = 10) -> OdeOperator | None:
+              margin: int = 10, certificate: dict | None = None) -> OdeOperator | None:
     """Search orders 1..max_order, degrees 0..max_degree in lexicographic
     order for an operator annihilating the series; None means no operator
     within the caps fits the data. Raises ValueError when the series is too
     short for a None to be meaningful.
+
+    Each pair's system is first reduced modulo a prime; full column rank
+    there proves its rational nullspace trivial, and only the other pairs are
+    solved exactly. A dict passed as `certificate` receives that prime under
+    "prime" (None when it divides a denominator of the series for every
+    prime tried) and the pairs it proved empty under "pairs".
 
     Output normalization: integer coefficients of content 1, positive leading
     coefficient of the leading polynomial; operators singular at the origin
@@ -100,22 +118,17 @@ def guess_ode(coeffs: CoeffSeries, max_order: int = 6, max_degree: int = 8,
             f"need at least {need} coefficients for caps "
             f"({max_order}, {max_degree}), got {L}")
     coeffs = [Fraction(c) for c in coeffs]
+    p, mod = residues(coeffs) or (None, None)
+    certified = []
+    if certificate is not None:
+        certificate.update(prime=p, pairs=certified)
     for r in range(1, max_order + 1):
-        rows_full = []
-        for m in range(L - r):
-            row = []
-            for i in range(r + 1):
-                for j in range(max_degree + 1):
-                    if j <= m:
-                        row.append(coeffs[m - j + i] * falling(m - j + i, i))
-                    else:
-                        row.append(Fraction(0))
-            rows_full.append(row)
-        width = max_degree + 1
         for d in range(max_degree + 1):
-            cols = [i * width + j for i in range(r + 1) for j in range(d + 1)]
-            rows = [[row[c] for c in cols] for row in rows_full]
-            for vec in _nullspace(rows, len(cols)):
+            ncols = (r + 1) * (d + 1)
+            if p is not None and full_rank_mod(_ode_rows(mod, r, d, 0), ncols, p):
+                certified.append((r, d))
+                continue
+            for vec in _nullspace(_ode_rows(coeffs, r, d, Fraction(0)), ncols):
                 polys = [ptrim(tuple(vec[i * (d + 1) + j] for j in range(d + 1)))
                          for i in range(r + 1)]
                 if not polys[-1]:

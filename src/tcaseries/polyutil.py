@@ -1,9 +1,13 @@
 """Dense univariate polynomials over Fraction: tuples of ascending coefficients.
 
 The zero polynomial is the empty tuple; no trailing zeros are stored. Also
-the package's one exact linear-algebra kernel, ``nullspace``, its one merge
-kernel for sparse term dicts, ``merge_terms`` and ``add_into``, and the number
-checks of every JSON reader, ``json_fraction`` and ``json_int``.
+the package's two elimination kernels: ``nullspace``, exact over the
+rationals, and ``full_rank_mod``, a rank filter modulo a prime that proves a
+nullspace trivial before exact elimination runs (``residues`` reduces
+rationals for it; ``certify_full_rank`` applies both to a rational matrix).
+Also its one merge kernel for sparse term dicts, ``merge_terms`` and
+``add_into``, and the number checks of every JSON reader, ``json_fraction``
+and ``json_int``.
 """
 
 from __future__ import annotations
@@ -152,3 +156,51 @@ def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
             vec[pc] = -mat[rix][fc]
         basis.append(vec)
     return basis
+
+
+# Primes of the rank filter, tried in turn: 2^61-1 first, then larger
+# Mersenne primes for a matrix with a denominator divisible by it.
+RANK_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)
+
+
+def residues(values) -> tuple[int, list[int]] | None:
+    """The first prime of RANK_PRIMES that divides no denominator of the
+    rationals `values`, with their residues modulo it; None when every prime
+    divides one."""
+    values = [Fraction(v) for v in values]
+    for p in RANK_PRIMES:
+        if all(v.denominator % p for v in values):
+            return p, [v.numerator * pow(v.denominator, -1, p) % p for v in values]
+    return None
+
+
+def full_rank_mod(rows: list[list[int]], ncols: int, p: int) -> bool:
+    """Whether the integer matrix has rank ncols modulo the prime p.
+
+    Rank modulo p is at most rank over the rationals, so True proves that
+    the rational matrix these are the residues of has a trivial nullspace;
+    False proves nothing."""
+    mat = [[a % p for a in row] for row in rows]
+    for col in range(ncols):
+        sel = next((i for i in range(col, len(mat)) if mat[i][col]), None)
+        if sel is None:
+            return False
+        mat[col], mat[sel] = mat[sel], mat[col]
+        inv = pow(mat[col][col], -1, p)
+        tail = mat[col][col + 1:]
+        for row in mat[col + 1:]:
+            f = row[col] * inv % p
+            if f:  # columns up to col are never read again
+                row[col + 1:] = [(a - f * b) % p for a, b in zip(row[col + 1:], tail)]
+    return True
+
+
+def certify_full_rank(rows: list[list[Fraction]], ncols: int) -> int | None:
+    """A prime modulo which the rational matrix has rank ncols, which proves
+    its nullspace trivial; None when not certified."""
+    red = residues(c for row in rows for c in row)
+    if red is None:
+        return None
+    p, flat = red
+    cells = iter(flat)
+    return p if full_rank_mod([[next(cells) for _ in row] for row in rows], ncols, p) else None

@@ -45,6 +45,7 @@ from .polyutil import (
     Poly,
     add_into,
     binom,
+    certify_full_rank,
     factorial,
     falling,
     json_fraction,
@@ -387,6 +388,9 @@ def sigma_recognize(f: SymFunc, r_max: int, s_deg_max: int,
         col = sigma_expand(SigmaExpr({key: Fraction(1)}), N)
         for lam, c in col.terms.items():
             matrix[row_index[lam]][j] = c
+    # full column rank modulo a prime proves the nullspace trivial
+    if certify_full_rank(matrix, len(candidates) + 1) is not None:
+        return None
     basis = nullspace(matrix, len(candidates) + 1)
     if not basis or basis[-1][-1] != 1:
         return None

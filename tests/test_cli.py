@@ -50,16 +50,20 @@ GOLDEN_CASES = [
     ("charpoly_d3_form.json", ["charpoly", "--d", "3"]),
     ("charpoly_d5_at3221.json", ["charpoly", "--d", "5", "--at", "[3,2,2,1]"]),
     ("oracle_empty.json", ["oracle-check", "--suite", "empty"]),
+    # a miss: exit 4, with the rank-mod-p certificate of every pair
+    ("dfinite_bell_o3_d3.json", ["dfinite", "--series", "bell-egf", "--max-order", "3", "--max-degree", "3"], 4),
 ]
+# (file, argv, expected exit code); the code defaults to 0
+GOLDEN_RUNS = [(fname, argv, code[0] if code else 0) for fname, argv, *code in GOLDEN_CASES]
 
 
-@pytest.mark.parametrize("fname,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
-def test_golden(fname, argv):
+@pytest.mark.parametrize("fname,argv,expected", GOLDEN_RUNS, ids=[c[0] for c in GOLDEN_RUNS])
+def test_golden(fname, argv, expected):
     code, out, err = run_cli(argv)
-    assert code == 0 and err == ""
+    assert code == expected and err == ""
     assert out == (GOLDEN / fname).read_text()
     code2, out2, _ = run_cli(argv)
-    assert code2 == 0 and out2 == out  # byte-identical reruns
+    assert code2 == expected and out2 == out  # byte-identical reruns
 
 
 def test_spec_example_detring_sigma():
@@ -256,23 +260,24 @@ def test_golden_under_optimize():
         "import io, json, sys\n"
         "from contextlib import redirect_stdout\n"
         "from tcaseries import cli\n"
-        "outs = []\n"
+        "outs, codes = [], []\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    buf = io.StringIO()\n"
         "    with redirect_stdout(buf):\n"
-        "        cli.main(argv)\n"
+        "        codes.append(cli.main(argv))\n"
         "    outs.append(buf.getvalue())\n"
-        "print(json.dumps({'optimize': sys.flags.optimize, 'outs': outs}))\n"
+        "print(json.dumps({'optimize': sys.flags.optimize, 'outs': outs, 'codes': codes}))\n"
     )
     src = str(Path(__file__).parent.parent / "src")
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", script, json.dumps([argv for _, argv in GOLDEN_CASES])],
+        [sys.executable, "-O", "-c", script, json.dumps([argv for _, argv, _ in GOLDEN_RUNS])],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src})
     res = json.loads(proc.stdout)
     assert res["optimize"] == 1
-    for (fname, _), out in zip(GOLDEN_CASES, res["outs"]):
+    for (fname, _, expected), out, code in zip(GOLDEN_RUNS, res["outs"], res["codes"]):
         assert out == (GOLDEN / fname).read_text(), fname
+        assert code == expected, fname
 
 
 def test_acceptance_under_optimize():
@@ -304,6 +309,27 @@ def test_not_found_report_disclaims_proof():
     res = json.loads(out)["result"]
     assert res["found"] is False
     assert "not a proof" in res["note"]
+    assert res["certified"] is True and res["prime"] == str(2**61 - 1)
+    assert res["certified_pairs"] == [[r, d] for r in range(1, 6) for d in range(6)]
+    code, out, _ = run_cli(["dfinite", "--series", "bell-egf", "--max-order", "2",
+                            "--max-degree", "2", "--text"])
+    assert code == 4
+    assert out.rstrip().endswith(
+        "not D-finite; every (order, degree) pair certified by full rank mod 2305843009213693951")
+
+
+def test_uncertified_miss_report(monkeypatch):
+    # every coefficient a multiple of the prime: each pair needs exact elimination
+    p = 2**61 - 1
+    bell = cli.builtin_series
+    monkeypatch.setattr(cli, "builtin_series", lambda name, n: [p * c for c in bell(name, n)])
+    argv = ["dfinite", "--series", "bell-egf", "--max-order", "2", "--max-degree", "2"]
+    code, out, _ = run_cli(argv)
+    assert code == 4
+    res = json.loads(out)["result"]
+    assert (res["certified"], res["prime"], res["certified_pairs"]) == (False, str(p), [])
+    code, out, _ = run_cli(argv + ["--text"])
+    assert out.rstrip().endswith("; not every (order, degree) pair certified mod a prime")
 
 
 def test_builtin_series_values():
@@ -317,5 +343,5 @@ def test_builtin_series_values():
 
 
 def test_every_subcommand_has_golden_coverage():
-    covered = {argv[0] for _, argv in GOLDEN_CASES}
+    covered = {argv[0] for _, argv, _ in GOLDEN_RUNS}
     assert covered == set(cli._HANDLERS)

@@ -1,9 +1,11 @@
 """ODE guessing: exact recovery, honest misses, and text rendering."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from tcaseries import dfinite
 from tcaseries.dfinite import (
     apply_ode,
     guess_ode,
@@ -11,7 +13,7 @@ from tcaseries.dfinite import (
     needed_length,
     ode_to_text,
 )
-from tcaseries.polyutil import factorial
+from tcaseries.polyutil import RANK_PRIMES, certify_full_rank, factorial, nullspace
 from tcaseries.seriesforms import OdeOperator
 
 F = Fraction
@@ -156,3 +158,90 @@ def test_frobenius_lift_at_singular_origin():
 def test_apply_ode_respects_truncation_window():
     # residuals only for indices the truncation determines
     assert len(apply_ode(CATALAN_OP, catalan_egf(10))) == 8
+
+
+P = 2**61 - 1
+EXP_OP = OdeOperator(((F(-1),), (F(1),)))  # y' - y
+
+
+def _counting_nullspace(monkeypatch):
+    shapes = []
+
+    def counted(rows, ncols):
+        shapes.append((len(rows), ncols))
+        return nullspace(rows, ncols)
+    monkeypatch.setattr(dfinite, "_nullspace", counted)
+    return shapes
+
+
+def test_rank_filter_does_not_certify_singular_residues(monkeypatch):
+    # both matrices have full rank over Q but not modulo P
+    assert RANK_PRIMES[0] == P
+    assert certify_full_rank([[F(P)]], 1) is None
+    singular_mod_p = [[F(1), F(2)], [F(3), F(6 + P)]]  # determinant P
+    assert certify_full_rank(singular_mod_p, 2) is None
+    assert nullspace(singular_mod_p, 2) == []
+    # a series whose every coefficient is a multiple of P still goes to
+    # exact elimination, for the hit and for the miss
+    shapes = _counting_nullspace(monkeypatch)
+    cert = {}
+    assert guess_ode([F(P, factorial(n)) for n in range(needed_length(1, 0))],
+                     max_order=1, max_degree=0, certificate=cert) == EXP_OP
+    assert shapes == [(12, 2)] and cert == {"prime": P, "pairs": []}
+    shapes.clear()
+    assert guess_ode([P * c for c in bell_egf(needed_length(2, 2))],
+                     max_order=2, max_degree=2, certificate=cert) is None
+    assert len(shapes) == 6 and cert == {"prime": P, "pairs": []}
+
+
+def test_rank_filter_switches_primes_on_denominators():
+    assert certify_full_rank([[F(1, P)]], 1) == RANK_PRIMES[1]
+    assert certify_full_rank([[F(1)], [F(1, RANK_PRIMES[0] * RANK_PRIMES[1])]], 1) == RANK_PRIMES[2]
+    every = RANK_PRIMES[0] * RANK_PRIMES[1] * RANK_PRIMES[2]
+    assert certify_full_rank([[F(1, every)]], 1) is None
+    cert = {}
+    assert guess_ode([c / P for c in bell_egf(needed_length(2, 2))],
+                     max_order=2, max_degree=2, certificate=cert) is None
+    assert cert["prime"] == RANK_PRIMES[1] and len(cert["pairs"]) == 6
+    assert guess_ode([c / every for c in bell_egf(needed_length(2, 2))],
+                     max_order=2, max_degree=2, certificate=cert) is None
+    assert cert == {"prime": None, "pairs": []}
+
+
+def test_rank_filter_certifies_only_trivial_nullspaces():
+    rng = random.Random(20171)
+    certified = deficient = 0
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 5)
+        rows = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(ncols)]
+                for _ in range(nrows)]
+        if rng.random() < 0.5:  # force a dependent column
+            k = rng.randrange(ncols)
+            c = F(rng.randint(-2, 2), rng.randint(1, 3))
+            for row in rows:
+                row[k] = c * row[(k + 1) % ncols] if ncols > 1 else F(0)
+        prime = certify_full_rank(rows, ncols)
+        trivial = nullspace(rows, ncols) == []
+        # certified implies trivial; on this sample the converse holds too
+        assert (prime is not None) == trivial and prime in (None, P)
+        certified += trivial
+        deficient += not trivial
+    assert certified > 20 and deficient > 50
+
+
+def test_bell_miss_certified_without_exact_elimination(monkeypatch):
+    def refuse(rows, ncols):
+        raise AssertionError("exact elimination on a certified pair")
+    monkeypatch.setattr(dfinite, "_nullspace", refuse)
+    cert = {}
+    assert guess_ode(bell_egf(60), max_order=5, max_degree=5, certificate=cert) is None
+    assert cert == {"prime": P, "pairs": [(r, d) for r in range(1, 6) for d in range(6)]}
+
+
+def test_catalan_reaches_exact_elimination_at_first_deficient_pair(monkeypatch):
+    shapes = _counting_nullspace(monkeypatch)
+    cert = {}
+    coeffs = catalan_egf(needed_length(3, 3))
+    assert guess_ode(coeffs, max_order=3, max_degree=3, certificate=cert) == CATALAN_OP
+    assert cert["pairs"] == [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0)]
+    assert shapes == [(len(coeffs) - 2, 3 * 2)]  # pair (2, 1) only

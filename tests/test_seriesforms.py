@@ -12,6 +12,7 @@ from tcaseries.partitions import (
     sym_character,
 )
 from tcaseries.grassmann import GrClass, grclass_from_json
+from tcaseries import seriesforms
 from tcaseries.polyutil import nullspace
 from tcaseries.symfunc import SCHUR, SymFunc, add, multiply, sym_algebra_character
 from tcaseries.symfunc import from_json as symfunc_from_json
@@ -199,6 +200,15 @@ def test_sigma_recognize_mixed_term():
 
 def test_sigma_recognize_rejects_non_sigma_series():
     # coefficients 2^n are not polynomial in n, so no sigma expression fits
+    f = SymFunc(SCHUR, {(n,): F(2 ** n) for n in range(9)}, 8)
+    assert sigma_recognize(f, r_max=1, s_deg_max=0, sigma_wt_max=2) is None
+
+
+def test_sigma_recognize_rejects_by_rank_mod_p(monkeypatch):
+    # [A | -b] has full column rank modulo a prime: no exact elimination
+    def refuse(rows, ncols):
+        raise AssertionError("exact elimination of a certified system")
+    monkeypatch.setattr(seriesforms, "nullspace", refuse)
     f = SymFunc(SCHUR, {(n,): F(2 ** n) for n in range(9)}, 8)
     assert sigma_recognize(f, r_max=1, s_deg_max=0, sigma_wt_max=2) is None
 

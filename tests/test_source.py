@@ -92,3 +92,43 @@ def test_names_pinned_by_perfbench_tracing_exist():
         if not hasattr(fn, "cache_info"):
             missing.append(f"{mod_name}.{attr}.cache_info")
     assert missing == []
+
+
+def _modular_inverse(node) -> bool:
+    """pow(x, -1, p)."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "pow" and len(node.args) == 3):
+        return False
+    e = node.args[1]
+    return (isinstance(e, ast.Constant) and e.value == -1) or (
+        isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.USub)
+        and isinstance(e.operand, ast.Constant) and e.operand.value == 1)
+
+
+def _row_swap(node) -> bool:
+    """a[i], a[j] = a[j], a[i]."""
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Tuple) and isinstance(node.value, ast.Tuple)):
+        return False
+    lhs, rhs = node.targets[0].elts, node.value.elts
+    return (len(lhs) == len(rhs) == 2 and all(isinstance(e, ast.Subscript) for e in lhs + rhs)
+            and [ast.dump(e.value) for e in lhs] == [ast.dump(e.value) for e in rhs]
+            and [ast.dump(e.slice) for e in lhs] == [ast.dump(e.slice) for e in rhs[::-1]])
+
+
+def test_elimination_only_in_polyutil():
+    # a pivot loop with row swaps re-implements polyutil.nullspace (exact) or
+    # polyutil.full_rank_mod (the rank filter modulo a prime)
+    swapping, modular = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                nodes = list(ast.walk(func))
+                if any(_row_swap(n) for n in nodes):
+                    swapping.add((path.name, func.name))
+                    if any(_modular_inverse(n) for n in nodes):
+                        modular.add((path.name, func.name))
+    assert {f for f in modular if f[0] != "polyutil.py"} == set()
+    assert swapping == {("polyutil.py", "nullspace"), ("polyutil.py", "full_rank_mod")}
+    assert modular == {("polyutil.py", "full_rank_mod")}
