@@ -28,11 +28,12 @@ __all__ = [
 ]
 
 CoeffSeries = list[Fraction]
+_MARGIN = 10  # equations beyond the unknowns of the largest system: a miss is trustworthy
 
 
-def needed_length(max_order: int, max_degree: int, margin: int = 10) -> int:
+def needed_length(max_order: int, max_degree: int) -> int:
     """Coefficients required before a failed search may return None."""
-    return (max_order + 1) * (max_degree + 1) + max_order + margin
+    return (max_order + 1) * (max_degree + 1) + max_order + _MARGIN
 
 
 def apply_ode(op: OdeOperator, coeffs: CoeffSeries) -> list[Fraction]:
@@ -93,7 +94,7 @@ def _ode_rows(coeffs: list, r: int, d: int, zero) -> list[list]:
 
 
 def guess_ode(coeffs: CoeffSeries, max_order: int = 6, max_degree: int = 8,
-              margin: int = 10, certificate: dict | None = None) -> OdeOperator | None:
+              certificate: dict | None = None) -> OdeOperator | None:
     """Search orders 1..max_order, degrees 0..max_degree in lexicographic
     order for an operator annihilating the series; None means no operator
     within the caps fits the data. Raises ValueError when the series is too
@@ -112,7 +113,7 @@ def guess_ode(coeffs: CoeffSeries, max_order: int = 6, max_degree: int = 8,
     if max_order < 1 or max_degree < 0:
         raise ValueError("need max_order >= 1 and max_degree >= 0")
     L = len(coeffs)
-    need = needed_length(max_order, max_degree, margin)
+    need = needed_length(max_order, max_degree)
     if L < need:
         raise ValueError(
             f"need at least {need} coefficients for caps "

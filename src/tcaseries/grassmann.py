@@ -77,7 +77,7 @@ class GrClass:
         if not (0 <= self.r <= self.d):
             raise ValueError(f"need 0 <= r <= d, got r={self.r}, d={self.d}")
         object.__setattr__(self, "terms", merge_terms(
-            ((self._key(alpha), int(c)) for alpha, c in self.terms.items()), canonical_key))
+            ((self._key(alpha), _integer(c)) for alpha, c in self.terms.items()), canonical_key))
 
     def _key(self, alpha) -> Partition:
         alpha = as_partition(alpha)
@@ -123,6 +123,13 @@ def _unique_keys(pairs) -> dict:
     return out
 
 
+def _integer(c) -> int:
+    """A K-class coefficient; refused, not truncated, when it is no integer."""
+    if int(c) != c:
+        raise ValueError(f"coefficient {c!r} is not an integer")
+    return int(c)
+
+
 def _check_weight(w, length: int, name: str) -> Weight:
     w = tuple(int(x) for x in w)
     if len(w) > length:
@@ -162,31 +169,27 @@ def euler_schur_q(d: int, r: int, lam: Partition) -> int:
     return dim_schur(w, d)
 
 
+def _integer_schur_terms(f: LaurentPoly) -> tuple[tuple[Partition, int], ...]:
+    """Schur expansion of a K-class f over [S_mu(Q)], in canonical order."""
+    terms = sorted(schur_coefficients(f).items(), key=lambda kv: canonical_key(kv[0]))
+    if any(c.denominator != 1 for _, c in terms):
+        raise AssertionError(f"non-integer class coefficient in {terms}")
+    return tuple((mu, int(c)) for mu, c in terms)
+
+
 @functools.cache
 def _lr_products(alpha: Partition, beta: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
-    """S_alpha(Q) tensor S_beta(Q) = sum of S_lam(Q), lam with at most r rows."""
-    prod = symfunc.multiply(SymFunc(SCHUR, {alpha: Fraction(1)}),
-                            SymFunc(SCHUR, {beta: Fraction(1)}))
-    out = []
-    for lam, c in prod.terms.items():
-        if len(lam) <= r:
-            if c.denominator != 1:
-                raise AssertionError
-            out.append((lam, int(c)))
-    return tuple(out)
+    """S_alpha(Q) tensor S_beta(Q) = sum of S_lam(Q): s_alpha s_beta in r variables."""
+    return _integer_schur_terms(schur_lp(alpha, r) * schur_lp(beta, r))
 
 
 def pairing(poly_class: dict, f: GrClass) -> int:
     """<x, f> = chi(Y, x tensor f) for x an integer combination of [S_mu(Q)]."""
-    total = 0
-    for mu, cm in poly_class.items():
-        mu = as_partition(mu)
-        if cm == 0:
-            continue
-        for alpha, ca in f.terms.items():
-            for lam, c_lr in _lr_products(mu, alpha, f.r):
-                total += int(cm) * ca * c_lr * euler_schur_q(f.d, f.r, lam)
-    return total
+    x = [(as_partition(mu), _integer(cm)) for mu, cm in poly_class.items()]
+    return sum(cm * ca * c_lr * euler_schur_q(f.d, f.r, lam)
+               for mu, cm in x if cm
+               for alpha, ca in f.terms.items()
+               for lam, c_lr in _lr_products(mu, alpha, f.r))
 
 
 def _shift_down(f: LaurentPoly) -> LaurentPoly:
@@ -204,13 +207,7 @@ def _shifted_class(lam: Partition, r: int, kind: str) -> tuple[tuple[Partition, 
         f = LaurentPoly(r, dict.fromkeys(orbit, 1))
     else:
         f = schur_lp(lam, r)
-    out = []
-    for mu, c in sorted(schur_coefficients(_shift_down(f)).items(),
-                        key=lambda kv: canonical_key(kv[0])):
-        if c.denominator != 1:
-            raise AssertionError(f"non-integer class coefficient {c}")
-        out.append((mu, int(c)))
-    return tuple(out)
+    return _integer_schur_terms(_shift_down(f))
 
 
 def m_shifted_class(lam, r: int, kind: str = "monomial") -> dict[Partition, int]:

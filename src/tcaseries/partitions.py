@@ -230,14 +230,15 @@ def _horizontal_strips_below(lam: Partition, k: int) -> list[Partition]:
     return out
 
 
-def _horizontal_strips_above(lam: Partition, k: int) -> list[Partition]:
+@functools.cache
+def _horizontal_strips_above(lam: Partition, k: int) -> tuple[Partition, ...]:
     """Partitions mu >= lam with mu/lam a horizontal strip of size k: turning
     an (l(lam)+1) x (lam_1+k) box half way round maps them to the strips below
     the complement of lam."""
     rows, cols = len(lam) + 1, (lam[0] if lam else 0) + k
     comp = tuple(cols - p for p in reversed(lam + (0,)))
-    return [as_partition([cols - p for p in reversed(eta + (0,) * (rows - len(eta)))])
-            for eta in _horizontal_strips_below(comp, k)]
+    return tuple(as_partition([cols - p for p in reversed(eta + (0,) * (rows - len(eta)))])
+                 for eta in _horizontal_strips_below(comp, k))
 
 
 @functools.cache

@@ -111,7 +111,7 @@ def test_short_series_raises_instead_of_none():
 
 def test_needed_length_formula():
     assert needed_length(3, 3) == 4 * 4 + 3 + 10
-    assert needed_length(5, 5, margin=10) == 51
+    assert needed_length(5, 5) == 51
 
 
 def test_lex_minimality_prefers_low_order():

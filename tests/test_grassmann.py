@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tcaseries.partitions import (
+    canonical_key,
     dim_schur,
     enumerate_partitions,
     partitions_in_box,
@@ -23,6 +24,7 @@ from tcaseries.seriesforms import (
 from tcaseries.grassmann import (
     GrClass,
     LambdaGrClass,
+    _lr_products,
     bott_pushforward,
     detring_formal_character,
     gessel_enhanced,
@@ -37,6 +39,8 @@ from tcaseries.grassmann import (
     rank1_enhanced_closed,
     theta_r,
 )
+
+from oracles import lr_coefficient
 
 F = Fraction
 
@@ -98,6 +102,21 @@ def test_pairing_symmetric_powers_rank_one():
         for n in range(5):
             key = (n,) if n else ()
             assert pairing({key: 1}, GrClass(d, 1, {(): 1})) == binom(d + n - 1, n)
+
+
+def test_lr_products_match_lr_tableaux():
+    # the Schur coefficients of s_alpha s_beta in r variables are the LR
+    # numbers c^lam_{alpha,beta} with l(lam) <= r, in canonical order; the
+    # product is empty exactly when alpha or beta has more than r rows
+    for r in range(4):
+        for alpha in partitions_up_to(4):
+            for beta in partitions_up_to(4):
+                n = sum(alpha) + sum(beta)
+                want = [(lam, c) for lam in enumerate_partitions(n, max_length=r)
+                        if (c := lr_coefficient(alpha, beta, lam))]
+                want.sort(key=lambda kv: canonical_key(kv[0]))
+                assert _lr_products(alpha, beta, r) == tuple(want), (alpha, beta, r)
+                assert (want == []) == (len(alpha) > r or len(beta) > r)
 
 
 def test_pairing_tautological_square():
@@ -387,6 +406,16 @@ def test_grclass_validation():
         GrClass(3, 1, {(1, 1): 1})
     with pytest.raises(ValueError):
         LambdaGrClass({(): GrClass(2, 1, {(): 1}), (1,): GrClass(3, 1, {(): 1})})
+
+
+def test_non_integral_coefficients_are_refused():
+    # truncation would make half of [Q] the zero class and pair 2.9 [Q] as 2 [Q]
+    with pytest.raises(ValueError):
+        GrClass(3, 1, {(1,): Fraction(1, 2)})
+    with pytest.raises(ValueError):
+        pairing({(1,): 2.9}, GrClass(3, 1, {(): 1}))
+    assert GrClass(3, 1, {(1,): Fraction(4, 2)}).terms == {(1,): 2}
+    assert pairing({(1,): 3.0}, GrClass(3, 1, {(): 1})) == 9
 
 
 def test_lambda_grclass_rejects_one_partition_twice():

@@ -94,6 +94,18 @@ def test_names_pinned_by_perfbench_tracing_exist():
     assert missing == []
 
 
+def test_grassmann_reads_schur_products_off_the_bialternant():
+    # Littlewood-Richardson products and shifted classes are r-variable Schur
+    # expansions, read off torus.schur_coefficients; the infinite-variable
+    # character table of symfunc is not a route for them
+    tree = ast.parse((SRC / "grassmann.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert names & {"multiply", "change_basis"} == set()
+
+
 def _modular_inverse(node) -> bool:
     """pow(x, -1, p)."""
     if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
