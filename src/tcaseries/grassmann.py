@@ -30,7 +30,7 @@ from .partitions import (
     partition_factorial,
     partitions_up_to,
 )
-from .polyutil import add_into, binom, factorial, json_int, merge_terms
+from .polyutil import add_into, binom, factorial, integer, json_int, merge_terms
 from . import symfunc
 from .symfunc import SCHUR, SymFunc
 from .seriesforms import (
@@ -77,7 +77,7 @@ class GrClass:
         if not (0 <= self.r <= self.d):
             raise ValueError(f"need 0 <= r <= d, got r={self.r}, d={self.d}")
         object.__setattr__(self, "terms", merge_terms(
-            ((self._key(alpha), _integer(c)) for alpha, c in self.terms.items()), canonical_key))
+            ((self._key(alpha), integer(c)) for alpha, c in self.terms.items()), canonical_key))
 
     def _key(self, alpha) -> Partition:
         alpha = as_partition(alpha)
@@ -123,15 +123,8 @@ def _unique_keys(pairs) -> dict:
     return out
 
 
-def _integer(c) -> int:
-    """A K-class coefficient; refused, not truncated, when it is no integer."""
-    if int(c) != c:
-        raise ValueError(f"coefficient {c!r} is not an integer")
-    return int(c)
-
-
 def _check_weight(w, length: int, name: str) -> Weight:
-    w = tuple(int(x) for x in w)
+    w = tuple(map(integer, w))
     if len(w) > length:
         raise ValueError(f"{name} has length {len(w)} > {length}")
     if any(w[i] < w[i + 1] for i in range(len(w) - 1)):
@@ -185,7 +178,7 @@ def _lr_products(alpha: Partition, beta: Partition, r: int) -> tuple[tuple[Parti
 
 def pairing(poly_class: dict, f: GrClass) -> int:
     """<x, f> = chi(Y, x tensor f) for x an integer combination of [S_mu(Q)]."""
-    x = [(as_partition(mu), _integer(cm)) for mu, cm in poly_class.items()]
+    x = [(as_partition(mu), integer(cm)) for mu, cm in poly_class.items()]
     return sum(cm * ca * c_lr * euler_schur_q(f.d, f.r, lam)
                for mu, cm in x if cm
                for alpha, ca in f.terms.items()
@@ -305,8 +298,8 @@ def gessel_enhanced(d: int, r: int, N: int) -> TSeries:
     """Enhanced Hilbert series of the rank-r determinantal quotient as the
     r x r determinant det(a_{j-i}), expanded by permutations.
     """
-    if r < 1:
-        raise ValueError("need r >= 1")
+    if d < 1 or r < 1:
+        raise ValueError(f"need d >= 1 and r >= 1, got d={d}, r={r}")
     series = {k: _a_series(k, d, N) for k in range(-(r - 1), r)}
     total: dict[Partition, Fraction] = {}
     for perm in itertools.permutations(range(r)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 
-from .polyutil import factorial, merge_terms
+from .polyutil import factorial, integer, merge_terms
 
 Partition = tuple[int, ...]
 
@@ -40,7 +40,8 @@ __all__ = [
 
 def as_partition(parts) -> Partition:
     """Validate and normalize a part sequence: sorted check, zeros stripped."""
-    lam = tuple(int(p) for p in parts if p != 0)
+    # _mn calls this in its recursion: int parts skip the integrality check
+    lam = tuple(p if type(p) is int else integer(p) for p in parts if p != 0)
     if any(p < 0 for p in lam):
         raise ValueError(f"negative part in {parts!r}")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):

@@ -6,8 +6,8 @@ rationals, and ``full_rank_mod``, a rank filter modulo a prime that proves a
 nullspace trivial before exact elimination runs (``residues`` reduces
 rationals for it; ``certify_full_rank`` applies both to a rational matrix).
 Also its one merge kernel for sparse term dicts, ``merge_terms`` and
-``add_into``, and the number checks of every JSON reader, ``json_fraction``
-and ``json_int``.
+``add_into``, its one integrality check, ``integer``, and the number checks
+of every JSON reader, ``json_fraction`` and ``json_int``.
 """
 
 from __future__ import annotations
@@ -80,6 +80,15 @@ def binom(n: int, k: int) -> int:
 
 def factorial(n: int) -> int:
     return math.factorial(n)
+
+
+def integer(v) -> int:
+    """v as an int when its value is an integer (a numeral such as "01" too);
+    refused, not truncated, when it is not."""
+    n = int(v)
+    if n != v and not isinstance(v, str):
+        raise ValueError(f"{v!r} is not an integer")
+    return n
 
 
 def json_fraction(c) -> Fraction:

@@ -48,6 +48,7 @@ from .polyutil import (
     certify_full_rank,
     factorial,
     falling,
+    integer,
     json_fraction,
     json_int,
     merge_terms,
@@ -108,7 +109,7 @@ def parse_indices(text: str) -> tuple[int, ...]:
 
 def _sigma_key(mu, nu) -> SigmaKey:
     mu = as_partition(mu)
-    nu = tuple(sorted((int(i) for i in nu), reverse=True))
+    nu = tuple(sorted(map(integer, nu), reverse=True))
     if any(i < 0 for i in nu):
         raise ValueError(f"negative sigma index in {nu}")
     return mu, nu
@@ -143,7 +144,7 @@ def _layers(parts, low: int, total, error: str) -> dict:
     keys sorted."""
     groups: dict[int, list] = {}
     for k, v in parts.items():
-        k = int(k)
+        k = integer(k)
         if k < low:
             raise ValueError(error)
         groups.setdefault(k, []).append(v)
@@ -187,7 +188,7 @@ class TSeries:
     coeffs: dict[Partition, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.truncation < 0:
+        if integer(self.truncation) < 0:
             raise ValueError("truncation must be >= 0")
         object.__setattr__(self, "coeffs", symfunc.normalize_terms(self.coeffs, self.truncation))
 

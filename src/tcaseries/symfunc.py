@@ -28,7 +28,7 @@ from .partitions import (
     transpose,
     z_of,
 )
-from .polyutil import add_into, json_fraction, json_int, merge_terms
+from .polyutil import add_into, integer, json_fraction, json_int, merge_terms
 
 SCHUR = "s"
 POWERSUM = "p"
@@ -71,7 +71,7 @@ class SymFunc:
     def __post_init__(self):
         if self.basis not in _BASES:
             raise ValueError(f"unknown basis {self.basis!r}")
-        if self.truncation is not None and self.truncation < 0:
+        if self.truncation is not None and integer(self.truncation) < 0:
             raise ValueError("truncation must be >= 0")
         object.__setattr__(self, "terms", normalize_terms(self.terms, self.truncation))
 

@@ -5,9 +5,10 @@ sequences for products of GL(k)/SL(k) factors, the kernel K(t, alpha), the
 integral route to enhanced Hilbert series, and the lattice-point EGF.
 
 All integration is exact constant-term extraction; there is no numerical
-quadrature and no symbolic rational-function arithmetic. Per-degree characters
-are ordinary Laurent polynomials supplied by the caller or built with
-`sym_degree_characters`.
+quadrature and no symbolic rational-function arithmetic. Invariant dimensions
+need no integral: they are integer multiplicities on dominant weights, by the
+Brauer-Klimyk rule. Per-degree characters are ordinary Laurent polynomials
+supplied by the caller or built with `sym_degree_characters`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .partitions import (
     partition_factorial,
     partitions_up_to,
 )
-from .polyutil import add_into, factorial, json_fraction, json_int, merge_terms
+from .polyutil import add_into, factorial, integer, json_fraction, json_int, merge_terms
 from .seriesforms import TSeries
 
 __all__ = [
@@ -63,7 +64,7 @@ class LaurentPoly:
         object.__setattr__(self, "terms", dict(sorted(terms.items())))
 
     def _exponent(self, e) -> Exponent:
-        e = tuple(int(x) for x in e)
+        e = tuple(map(integer, e))
         if len(e) != self.d:
             raise ValueError(f"exponent {e} has length != {self.d}")
         return e
@@ -202,71 +203,60 @@ def sym_degree_characters(chi: LaurentPoly, N: int) -> list[LaurentPoly]:
     return hs
 
 
-def _sl_reduce(f: LaurentPoly, blocks: list[tuple[str, int]]) -> LaurentPoly:
-    """Substitute, in each SL(k) block, the last variable by the inverse
-    product of the block's others; GL blocks keep all their variables."""
-    keep: list[int] = []
-    drop: list[tuple[int, list[int]]] = []  # (dropped index, indices it folds into)
-    pos = 0
-    for kind, k in blocks:
-        idx = list(range(pos, pos + k))
-        if kind == "sl":
-            keep.extend(idx[:-1])
-            drop.append((idx[-1], idx[:-1]))
-        else:
-            keep.extend(idx)
-        pos += k
-
-    def reduce(e: Exponent) -> Exponent:
-        new = {i: e[i] for i in keep}
-        for di, rest in drop:
-            for i in rest:
-                new[i] -= e[di]
-        return tuple(new[i] for i in keep)
-
-    return LaurentPoly(len(keep), merge_terms((reduce(e), c) for e, c in f.terms.items()))
+def _reflect(v: Exponent, spans) -> tuple[Exponent, int]:
+    """(w v, sign(w)) for the w that sorts each block of v decreasingly, each
+    SL block shifted to end in 0; sign 0 when a block has a repeated entry."""
+    out: list[int] = []
+    sign = 1
+    for lo, hi, sl in spans:
+        block = v[lo:hi]
+        if len(set(block)) < hi - lo:
+            return v, 0
+        sign *= (-1) ** sum(a < b for a, b in itertools.combinations(block, 2))
+        block = sorted(block, reverse=True)
+        out += [x - block[-1] for x in block] if sl else block
+    return tuple(out), sign
 
 
 def invariant_dimensions(group: list[tuple[str, int]], weights: LaurentPoly,
                          n_max: int) -> list[int]:
     """dim (E^{tensor n})^G for n = 0..n_max, G a product of GL(k)/SL(k) factors.
 
-    `weights` is the character of E on the product of the ambient GL tori
-    (dimension of E = value at all alpha_i = 1). SL factors are realized by
-    eliminating the last torus coordinate of their block; |W| and |Delta|^2
-    stay those of the ambient type-A data.
+    `weights` is the character of E on the ambient GL tori, with integer
+    multiplicities and invariant under permutations within each block. Each
+    irreducible V_lam of E^{tensor n} is counted under the key lam + rho and
+    tensored with E by the Brauer-Klimyk rule V_lam (x) E = sum_mu sign(w)
+    V_{w(lam+mu+rho)-rho} over the weights mu of E (Humphreys section 24,
+    Fulton-Harris section 25), SL weights taken modulo (1, ..., 1). The
+    invariant dimension is the count of lam = 0.
     """
-    blocks = [(str(kind), int(k)) for kind, k in group]
-    for kind, k in blocks:
+    spans, pos = [], 0
+    for kind, k in group:
+        k = integer(k)
         if kind not in ("gl", "sl"):
             raise ValueError(f"unknown factor kind {kind!r}")
         if k < 1:
             raise ValueError("factor rank must be >= 1")
-    total = sum(k for _, k in blocks)
-    if weights.d != total:
-        raise ValueError(f"weights must have {total} variables")
-    weyl_order = 1
-    for _, k in blocks:
-        weyl_order *= factorial(k)
-    measure = lp_one(total)
-    pos = 0
-    for _, k in blocks:
-        dsq = delta_squared(k)
-        lifted = LaurentPoly(total, {
-            (0,) * pos + e + (0,) * (total - pos - k): c for e, c in dsq.terms.items()})
-        measure = measure * lifted
+        spans.append((pos, pos + k, kind == "sl"))
         pos += k
-    chi = _sl_reduce(weights, blocks)
-    measure = _sl_reduce(measure, blocks)
-    dims: list[int] = []
-    power = lp_one(chi.d)
+    if weights.d != pos:
+        raise ValueError(f"weights must have {pos} variables")
+    terms = weights.terms
+    mus = [(e, integer(c)) for e, c in terms.items()]
+    if any(terms.get(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) != c for e, c in mus
+           for lo, hi, _ in spans for i in range(lo, hi - 1)):
+        raise ValueError("weights must be invariant under permutations within each block")
+    rho = tuple(hi - 1 - i for lo, hi, _ in spans for i in range(lo, hi))
+    mult, dims = {rho: 1}, []
     for n in range(n_max + 1):
         if n:
-            power = power * chi
-        val = _ct_dot(power, measure) / weyl_order
-        if val.denominator != 1 or val < 0:
-            raise AssertionError(f"non-integral invariant dimension {val} at n={n}")
-        dims.append(int(val))
+            mult = merge_terms(
+                (w, sign * c * m) for v, c in mult.items() for mu, m in mus
+                for w, sign in [_reflect(tuple(x + y for x, y in zip(v, mu)), spans)])
+        dims.append(mult.get(rho, 0))
+        if dims[-1] < 0:
+            raise ValueError(f"negative invariant dimension {dims[-1]} at n={n}: "
+                             "weights is a virtual character")
     return dims
 
 
@@ -281,7 +271,7 @@ class KernelSeries:
     def __post_init__(self):
         clean: dict[Exponent, TSeries] = {}
         for e, s in self.terms.items():
-            e = tuple(int(x) for x in e)
+            e = tuple(map(integer, e))
             if len(e) != self.d:
                 raise ValueError(f"exponent {e} has length != {self.d}")
             if any(abs(x) > self.truncation for x in e):
@@ -330,8 +320,8 @@ def hilbert_from_weight_presentation(A, b, N: int) -> list[Fraction]:
     A is an n x d matrix of non-negative integers with no zero row; b is a
     non-negative integer d-tuple; |y| = sum(y), y! = prod(y_i!).
     """
-    rows = [tuple(int(v) for v in row) for row in A]
-    b = tuple(int(v) for v in b)
+    rows = [tuple(map(integer, row)) for row in A]
+    b = tuple(map(integer, b))
     width = len(b)
     for row in rows:
         if len(row) != width:

@@ -3,14 +3,17 @@
 Nothing here shares algorithms with the package: Kostka numbers are counted
 by explicit tableau backtracking (vs. the horizontal-strip recursion),
 partition counts come from the pentagonal-number recurrence, Schur expansions
-from monomial enumeration, products from Littlewood-Richardson tableaux. The
-one exception, ``sigma_expand_powersum``, calls the package's power-sum
-routines, which the Pieri kernel of ``sigma_expand`` does not use.
+from monomial enumeration, products from Littlewood-Richardson tableaux, and
+invariant dimensions from constant terms of chi^n |Delta|^2
+(``invariant_dimensions_ct``, vs. the Brauer-Klimyk rule on dominant
+weights). The one exception, ``sigma_expand_powersum``, calls the package's
+power-sum routines, which the Pieri kernel of ``sigma_expand`` does not use.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 
@@ -181,6 +184,56 @@ def poly_mul(a: dict, b: dict) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
+def invariant_dimensions_ct(group, weights: dict, n_max: int) -> list[int]:
+    """dim (E^{tensor n})^G by Weyl integration, CT(chi^n prod_k |Delta_k|^2) / |W|,
+    for G a product of GL(k)/SL(k) blocks and `weights` the character chi of E
+    as a dict of exponent tuples over the ambient GL tori. Each block brings
+    |Delta_k|^2 = prod_{i<j} (2 - a_i/a_j - a_j/a_i); an SL(k) block then
+    substitutes its last variable by the inverse product of its others, while
+    |W| stays prod_k k!."""
+    total = sum(k for _, k in group)
+    zero = (0,) * total
+    measure = {zero: 1}
+    weyl_order = 1
+    sl_spans = []
+    pos = 0
+    for kind, k in group:
+        for i in range(pos, pos + k):
+            for j in range(i + 1, pos + k):
+                e = tuple(1 if v == i else -1 if v == j else 0 for v in range(total))
+                measure = poly_mul(measure, {zero: 2, e: -1, tuple(-x for x in e): -1})
+        weyl_order *= math.factorial(k)
+        if kind == "sl":
+            sl_spans.append((pos, pos + k))
+        pos += k
+    dropped = {hi - 1 for _, hi in sl_spans}
+
+    def reduce(poly: dict) -> dict:
+        out: dict[tuple[int, ...], int] = {}
+        for e, c in poly.items():
+            e = list(e)
+            for lo, hi in sl_spans:
+                for i in range(lo, hi - 1):
+                    e[i] -= e[hi - 1]
+            key = tuple(x for i, x in enumerate(e) if i not in dropped)
+            out[key] = out.get(key, 0) + c
+        return {k: c for k, c in out.items() if c}
+
+    chi, measure = reduce(weights), reduce(measure)
+    power = reduce({zero: 1})
+    dims = []
+    for n in range(n_max + 1):
+        if n:
+            power = poly_mul(power, chi)
+        ct = sum(c * measure.get(tuple(-x for x in e), 0) for e, c in power.items())
+        if ct % weyl_order:
+            raise ArithmeticError(f"constant term {ct} at n={n} is not a multiple of |W|")
+        if ct < 0:
+            raise ValueError(f"negative invariant dimension {ct // weyl_order} at n={n}")
+        dims.append(ct // weyl_order)
+    return dims
+
+
 def decompose_schur(poly: dict, nvars: int) -> dict[tuple[int, ...], int]:
     """Write a symmetric polynomial (monomial dict) as sum of s_lam, by
     repeatedly subtracting the Schur polynomial of the lex-leading exponent."""
@@ -258,13 +311,11 @@ def bell(n: int) -> int:
 
 
 def _binom(n: int, k: int) -> int:
-    import math
     return math.comb(n, k)
 
 
 def catalan_egf(length: int) -> list[Fraction]:
     """EGF coefficients of sum_k C_k t^{2k}/(2k)!."""
-    import math
     out = [Fraction(0)] * length
     for n in range(length):
         if n % 2 == 0:
@@ -273,7 +324,6 @@ def catalan_egf(length: int) -> list[Fraction]:
 
 
 def bell_egf(length: int) -> list[Fraction]:
-    import math
     return [Fraction(bell(n), math.factorial(n)) for n in range(length)]
 
 

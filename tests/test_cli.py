@@ -194,6 +194,13 @@ def test_exit_codes(argv, expected):
     assert code == expected
 
 
+@pytest.mark.parametrize("d,r", [("0", "1"), ("2", "0")])
+def test_gessel_refuses_d_or_r_below_one_by_name(d, r):
+    code, out, err = run_cli(["gessel", "--d", d, "--r", r, "--truncate", "3"])
+    assert (code, out) == (3, "")
+    assert err == f"error: need d >= 1 and r >= 1, got d={d}, r={r}\n"
+
+
 @pytest.mark.parametrize("rep,truncate", [("sym2", 0), ("wedge2", 1), ("tensor2", 1),
                                            ("tensor3", 0), ("tensor3", 2)])
 def test_hilbschur_below_degree_of_v_is_one(rep, truncate):

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcaseries.partitions import (
+    as_partition,
     dim_schur,
     enumerate_partitions,
     partitions_up_to,
     sym_character,
 )
-from tcaseries.grassmann import GrClass, grclass_from_json
+from tcaseries.grassmann import GrClass, bott_pushforward, grclass_from_json
 from tcaseries import seriesforms
 from tcaseries.polyutil import nullspace
 from tcaseries.symfunc import SCHUR, SymFunc, add, multiply, sym_algebra_character
@@ -55,7 +56,13 @@ from tcaseries.seriesforms import (
     tseries_to_json,
     umbral_substitute,
 )
-from tcaseries.torus import KernelSeries, LaurentPoly, lp_from_json
+from tcaseries.torus import (
+    KernelSeries,
+    LaurentPoly,
+    hilbert_from_weight_presentation,
+    invariant_dimensions,
+    lp_from_json,
+)
 
 from oracles import exp_power_sum_log, sigma_expand_powersum
 
@@ -601,6 +608,27 @@ BAD_KEY_CASES = {
 def test_zero_term_key_still_validated(case):
     with pytest.raises(ValueError):
         BAD_KEY_CASES[case]()
+
+
+# int() would truncate each of these to a valid key or truncation
+NON_INTEGER_CASES = {
+    "as_partition": lambda: as_partition((1.5,)),
+    "SigmaExpr": lambda: SigmaExpr({((), (0.5,)): 1}),
+    "LaurentPoly": lambda: LaurentPoly(1, {(1.5,): 1}),
+    "KernelSeries": lambda: KernelSeries(1, 2, {(0.5,): TSeries(2, {(1,): 1})}),
+    "SymFunc truncation": lambda: SymFunc(SCHUR, {(1,): 1}, 2.5),
+    "TSeries truncation": lambda: TSeries(2.5, {(1,): 1}),
+    "invariant_dimensions rank": lambda: invariant_dimensions([("gl", 1.5)], LaurentPoly(1), 2),
+    "bott_pushforward weight": lambda: bott_pushforward(3, 1, (1.5,), ()),
+    "ExpPoly layer": lambda: ExpPoly({1.5: (1,)}),
+    "weight presentation row": lambda: hilbert_from_weight_presentation([[1.5]], [0], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_CASES))
+def test_non_integers_refused_not_truncated(case):
+    with pytest.raises(ValueError):
+        NON_INTEGER_CASES[case]()
 
 
 # a JSON float is the binary double nearest the decimal written (0.1 reads as

@@ -5,8 +5,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import decompose_schur, poly_mul, schur_monomials
+from oracles import decompose_schur, invariant_dimensions_ct, poly_mul, schur_monomials
 from tcaseries.partitions import (
     enumerate_partitions,
     partition_factorial,
@@ -183,6 +184,58 @@ def test_invariant_dimensions_validation():
         invariant_dimensions([("sl", 2), ("sl", 2)], chi, 2)
     with pytest.raises(ValueError):
         invariant_dimensions([("sl", 0)], chi, 2)
+    with pytest.raises(ValueError):  # not invariant under swapping the block's variables
+        invariant_dimensions([("gl", 2)], lp(2, {(1, 0): 1}), 2)
+    with pytest.raises(ValueError):  # not integral
+        invariant_dimensions([("gl", 2)], lp(2, {(1, 0): F(1, 2), (0, 1): F(1, 2)}), 2)
+
+
+def _orbit(e, group):
+    """The exponents e permuted within each block of the group."""
+    orbit = {()}
+    pos = 0
+    for _, k in group:
+        orbit = {o + p for o in orbit for p in itertools.permutations(e[pos:pos + k])}
+        pos += k
+    return orbit
+
+
+@st.composite
+def weyl_invariant_characters(draw):
+    """(group, character, n_max): gl/sl blocks of total rank <= 4 (none: the
+    trivial group) and an integer sum of one or two orbits, some with
+    negative multiplicity, so that some characters are virtual."""
+    ranks = draw(st.lists(st.integers(1, 4), max_size=4).filter(lambda r: sum(r) <= 4))
+    group = [(draw(st.sampled_from(["gl", "sl"])), k) for k in ranks]
+    chi: dict = {}
+    for _ in range(draw(st.integers(1, 2))):
+        e = tuple(draw(st.lists(st.integers(-1, 1), min_size=sum(ranks), max_size=sum(ranks))))
+        m = draw(st.sampled_from([1, 1, 2, -1]))
+        for o in _orbit(e, group):
+            chi[o] = chi.get(o, 0) + m
+    return group, {e: c for e, c in chi.items() if c}, draw(st.integers(0, 6))
+
+
+def _dims_or_error(route, *args):
+    try:
+        return route(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weyl_invariant_characters())
+def test_invariant_dimensions_match_constant_term_oracle(case):
+    # Brauer-Klimyk on dominant weights against CT(chi^n |Delta|^2) / |W|; a
+    # virtual character fails on both routes at the same n with the same value
+    group, chi, n_max = case
+    want = _dims_or_error(invariant_dimensions_ct, group, chi, n_max)
+    got = _dims_or_error(invariant_dimensions, group,
+                         LaurentPoly(sum(k for _, k in group), chi), n_max)
+    if isinstance(want, str):
+        assert isinstance(got, str) and got.startswith(want)
+    else:
+        assert got == want
 
 
 # --- kernel series -----------------------------------------------------------
