@@ -217,7 +217,7 @@ def _cmd_enhanced(args):
     if args.r == 1:
         e = rank1_enhanced_closed(args.d)
         if e != phi_sigma(detring_formal_character(args.d, 1)):
-            raise AssertionError
+            raise AssertionError(f"rank-1 closed form disagrees with phi_sigma at d={args.d}")
     else:
         e = phi_sigma(detring_formal_character(args.d, args.r))
     return _enhanced_form({"command": "enhanced", "d": args.d, "r": args.r}, e, args.truncate)

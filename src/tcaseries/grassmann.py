@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .partitions import (
@@ -30,7 +29,7 @@ from .partitions import (
     partition_factorial,
     partitions_up_to,
 )
-from .polyutil import add_into, binom, factorial, integer, json_int, merge_terms
+from .polyutil import Value, add_into, binom, factorial, integer, json_int, merge_terms
 from . import symfunc
 from .symfunc import SCHUR, SymFunc
 from .seriesforms import (
@@ -65,45 +64,41 @@ __all__ = [
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GrClass:
+class GrClass(Value):
     """Integer K(Gr_r(C^d)) class sum c_alpha [S_alpha(Q)]."""
 
-    d: int
-    r: int
-    terms: dict[Partition, int] = field(default_factory=dict)
+    __slots__ = ("d", "r", "terms")
 
-    def __post_init__(self):
-        if not (0 <= self.r <= self.d):
-            raise ValueError(f"need 0 <= r <= d, got r={self.r}, d={self.d}")
-        object.__setattr__(self, "terms", merge_terms(
-            ((self._key(alpha), integer(c)) for alpha, c in self.terms.items()), canonical_key))
-
-    def _key(self, alpha) -> Partition:
-        alpha = as_partition(alpha)
-        if len(alpha) > self.r:
-            raise ValueError(f"class key {alpha} has more than r={self.r} rows")
-        return alpha
+    def __init__(self, d: int, r: int, terms: dict[Partition, int] = {}):
+        if not (0 <= r <= d):
+            raise ValueError(f"need 0 <= r <= d, got r={r}, d={d}")
+        Value.__init__(self, d, r, merge_terms(
+            ((_class_key(alpha, r), integer(c)) for alpha, c in terms.items()), canonical_key))
 
 
-@dataclass(frozen=True)
-class LambdaGrClass:
+def _class_key(alpha, r: int) -> Partition:
+    alpha = as_partition(alpha)
+    if len(alpha) > r:
+        raise ValueError(f"class key {alpha} has more than r={r} rows")
+    return alpha
+
+
+class LambdaGrClass(Value):
     """Element of Lambda tensor K(Gr_r): partition mu -> GrClass, fixed (d, r)."""
 
-    terms: dict[Partition, GrClass] = field(default_factory=dict)
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
+    def __init__(self, terms: dict[Partition, GrClass] = {}):
         clean: dict[Partition, GrClass] = {}
         shape = None
-        for mu, g in _unique_keys((as_partition(mu), g) for mu, g in self.terms.items()).items():
+        for mu, g in _unique_keys((as_partition(mu), g) for mu, g in terms.items()).items():
             if shape is None:
                 shape = (g.d, g.r)
             elif (g.d, g.r) != shape:
                 raise ValueError(f"mixed (d, r): {shape} vs {(g.d, g.r)}")
             if g.terms:
                 clean[mu] = g
-        object.__setattr__(self, "terms",
-                           dict(sorted(clean.items(), key=lambda kv: canonical_key(kv[0]))))
+        Value.__init__(self, dict(sorted(clean.items(), key=lambda kv: canonical_key(kv[0]))))
 
     def shape(self) -> tuple[int, int]:
         if not self.terms:

@@ -182,7 +182,7 @@ def dim_specht(lam: Partition) -> int:
             denom *= row - j + tr[j] - i - 1
     num = factorial(n)
     if num % denom:
-        raise AssertionError
+        raise AssertionError(f"hook product {denom} does not divide {n}! for {lam}")
     return num // denom
 
 
@@ -206,7 +206,7 @@ def dim_schur(weight, d: int) -> int:
             num *= w[i] - w[j] + j - i
             den *= j - i
     if num % den:
-        raise AssertionError
+        raise AssertionError(f"Weyl dimension {num}/{den} of {w} is not an integer")
     return num // den
 
 
@@ -270,7 +270,7 @@ def kostka_and_inverse(n: int):
     K = [[kostka_number(order[i], order[j]) for j in range(size)] for i in range(size)]
     for i in range(size):
         if K[i][i] != 1:
-            raise AssertionError
+            raise AssertionError(f"Kostka matrix diagonal at {order[i]} is {K[i][i]}, not 1")
         for j in range(i):
             if K[i][j] != 0:
                 raise AssertionError("Kostka matrix not triangular in canonical order")

@@ -7,7 +7,8 @@ nullspace trivial before exact elimination runs (``residues`` reduces
 rationals for it; ``certify_full_rank`` applies both to a rational matrix).
 Also its one merge kernel for sparse term dicts, ``merge_terms`` and
 ``add_into``, its one integrality check, ``integer``, and the number checks
-of every JSON reader, ``json_fraction`` and ``json_int``.
+of every JSON reader, ``json_fraction`` and ``json_int``. And ``Value``, the
+immutable base of the package's value classes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,43 @@ import math
 from fractions import Fraction
 
 Poly = tuple[Fraction, ...]
+
+
+class Value:
+    """Immutable value with the fields named in a subclass's __slots__.
+
+    The subclass's __init__ validates its arguments and passes the canonical
+    field values, in __slots__ order, to Value.__init__; it copies what it is
+    given, so a {} default argument is never shared. Values are equal only
+    within one class, hash over their fields (TypeError for a dict field),
+    refuse assignment, and copy and pickle through the constructor."""
+
+    __slots__ = ()
+
+    def __init__(self, *values, _set=object.__setattr__):
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def ptrim(coeffs) -> Poly:

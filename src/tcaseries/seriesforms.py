@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .partitions import (
@@ -43,6 +42,7 @@ from .partitions import (
 )
 from .polyutil import (
     Poly,
+    Value,
     add_into,
     binom,
     certify_full_rank,
@@ -120,15 +120,14 @@ def _sigma_key_sort(key: SigmaKey):
     return (canonical_key(s_part), sum(nu), len(nu), tuple(-i for i in nu))
 
 
-@dataclass(frozen=True)
-class SigmaExpr:
+class SigmaExpr(Value):
     """Finite sum  c * s_mu * sigma_{nu_1} ... sigma_{nu_k}  in Lambda-tilde."""
 
-    terms: dict[SigmaKey, Fraction] = field(default_factory=dict)
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", merge_terms(
-            ((_sigma_key(mu, nu), Fraction(c)) for (mu, nu), c in self.terms.items()),
+    def __init__(self, terms: dict[SigmaKey, Fraction] = {}):
+        Value.__init__(self, merge_terms(
+            ((_sigma_key(mu, nu), Fraction(c)) for (mu, nu), c in terms.items()),
             _sigma_key_sort))
 
     def sigma_degree(self) -> int | None:
@@ -156,15 +155,13 @@ def _psum(*ps) -> Poly:
     return functools.reduce(padd, map(ptrim, ps))
 
 
-@dataclass(frozen=True)
-class ExpPoly:
+class ExpPoly(Value):
     """Exponential polynomial sum_r p_r(t) e^{rt}; parts maps r -> p_r."""
 
-    parts: dict[int, Poly] = field(default_factory=dict)
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts",
-                           _layers(self.parts, 0, _psum, "negative exponent in ExpPoly"))
+    def __init__(self, parts: dict[int, Poly] = {}):
+        Value.__init__(self, _layers(parts, 0, _psum, "negative exponent in ExpPoly"))
 
     def is_zero(self) -> bool:
         return not self.parts
@@ -180,17 +177,15 @@ def exppoly_taylor(h: ExpPoly, N: int) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class TSeries:
+class TSeries(Value):
     """Series in t_1, t_2, ... truncated at weighted degree `truncation`."""
 
-    truncation: int
-    coeffs: dict[Partition, Fraction] = field(default_factory=dict)
+    __slots__ = ("truncation", "coeffs")
 
-    def __post_init__(self):
-        if integer(self.truncation) < 0:
+    def __init__(self, truncation: int, coeffs: dict[Partition, Fraction] = {}):
+        if integer(truncation) < 0:
             raise ValueError("truncation must be >= 0")
-        object.__setattr__(self, "coeffs", symfunc.normalize_terms(self.coeffs, self.truncation))
+        Value.__init__(self, truncation, symfunc.normalize_terms(coeffs, truncation))
 
     def coeff(self, lam) -> Fraction:
         return self.coeffs.get(as_partition(lam), Fraction(0))
@@ -243,28 +238,25 @@ def tt_terms(*polys) -> TTPoly:
                         for poly in polys for (t, T), c in poly.items()), _tt_key_sort)
 
 
-@dataclass(frozen=True)
-class EnhancedExpr:
+class EnhancedExpr(Value):
     """Enhanced series form sum_k q_k(t, T) e^{k T_0}."""
 
-    parts: dict[int, TTPoly] = field(default_factory=dict)
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts",
-                           _layers(self.parts, 0, tt_terms, "negative exponent in EnhancedExpr"))
+    def __init__(self, parts: dict[int, TTPoly] = {}):
+        Value.__init__(self, _layers(parts, 0, tt_terms, "negative exponent in EnhancedExpr"))
 
 
-@dataclass(frozen=True)
-class OdeOperator:
+class OdeOperator(Value):
     """Linear ODE  sum_i p_i(t) y^{(i)} = 0; coeffs = (p_0, ..., p_R), p_R != 0."""
 
-    coeffs: tuple[Poly, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        cs = tuple(ptrim(p) for p in self.coeffs)
+    def __init__(self, coeffs: tuple[Poly, ...]):
+        cs = tuple(ptrim(p) for p in coeffs)
         if not cs or not cs[-1]:
             raise ValueError("leading coefficient polynomial must be nonzero")
-        object.__setattr__(self, "coeffs", cs)
+        Value.__init__(self, cs)
 
     @property
     def order(self) -> int:
@@ -275,21 +267,17 @@ class OdeOperator:
         return max(pdeg(p) for p in self.coeffs)
 
 
-@dataclass(frozen=True)
-class PoincareSeries:
+class PoincareSeries(Value):
     """P_M(t, q) = sum_n (-q)^n H_{Tor_n}(t), truncated in t."""
 
-    d: int
-    truncation: int
-    parts: dict[int, Poly] = field(default_factory=dict)
+    __slots__ = ("d", "truncation", "parts")
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts",
-                           _layers(self.parts, 0, _psum, "negative homological degree"))
+    def __init__(self, d: int, truncation: int, parts: dict[int, Poly] = {}):
+        Value.__init__(self, d, truncation,
+                       _layers(parts, 0, _psum, "negative homological degree"))
 
 
-@dataclass(frozen=True)
-class CharPolyForm:
+class CharPolyForm(Value):
     """Character polynomial data: tr(c_lam | M) = sum_i i^{l(lam)} (down_i q_i)(m(lam)).
 
     `entries` holds the q_i (polynomials in t, T) for i >= 1; `threshold` is
@@ -297,18 +285,16 @@ class CharPolyForm:
     below which |lam| the evaluation is not asserted to be the trace.
     """
 
-    m: int
-    entries: dict[int, TTPoly] = field(default_factory=dict)
-    threshold: int = -1
+    __slots__ = ("m", "entries", "threshold")
 
-    def __post_init__(self):
-        entries = _layers(self.entries, 1, tt_terms, "entries are indexed by i >= 1")
+    def __init__(self, m: int, entries: dict[int, TTPoly] = {}, threshold: int = -1):
+        entries = _layers(entries, 1, tt_terms, "entries are indexed by i >= 1")
         for i, poly in entries.items():
             for (_, Tpart) in poly:
-                if sum(Tpart) > i * (self.m - i):
+                if sum(Tpart) > i * (m - i):
                     raise ValueError(
-                        f"T-degree {sum(Tpart)} of entry {i} exceeds bound i(m-i) = {i * (self.m - i)}")
-        object.__setattr__(self, "entries", entries)
+                        f"T-degree {sum(Tpart)} of entry {i} exceeds bound i(m-i) = {i * (m - i)}")
+        Value.__init__(self, m, entries, threshold)
 
 
 # --- specializations of Lambda and Lambda-tilde ------------------------------

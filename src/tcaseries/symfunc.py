@@ -14,7 +14,6 @@ only as a test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .partitions import (
@@ -28,7 +27,7 @@ from .partitions import (
     transpose,
     z_of,
 )
-from .polyutil import add_into, integer, json_fraction, json_int, merge_terms
+from .polyutil import Value, add_into, integer, json_fraction, json_int, merge_terms
 
 SCHUR = "s"
 POWERSUM = "p"
@@ -62,18 +61,16 @@ def normalize_terms(terms, truncation: int | None) -> dict[Partition, Fraction]:
                         if sum(lam) <= limit), canonical_key)
 
 
-@dataclass(frozen=True)
-class SymFunc:
-    basis: str
-    terms: dict[Partition, Fraction] = field(default_factory=dict)
-    truncation: int | None = None
+class SymFunc(Value):
+    __slots__ = ("basis", "terms", "truncation")
 
-    def __post_init__(self):
-        if self.basis not in _BASES:
-            raise ValueError(f"unknown basis {self.basis!r}")
-        if self.truncation is not None and integer(self.truncation) < 0:
+    def __init__(self, basis: str, terms: dict[Partition, Fraction] = {},
+                 truncation: int | None = None):
+        if basis not in _BASES:
+            raise ValueError(f"unknown basis {basis!r}")
+        if truncation is not None and integer(truncation) < 0:
             raise ValueError("truncation must be >= 0")
-        object.__setattr__(self, "terms", normalize_terms(self.terms, self.truncation))
+        Value.__init__(self, basis, normalize_terms(terms, truncation), truncation)
 
     def coeff(self, lam) -> Fraction:
         return self.terms.get(as_partition(lam), Fraction(0))

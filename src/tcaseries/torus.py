@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .partitions import (
@@ -26,7 +25,7 @@ from .partitions import (
     partition_factorial,
     partitions_up_to,
 )
-from .polyutil import add_into, factorial, integer, json_fraction, json_int, merge_terms
+from .polyutil import Value, add_into, factorial, integer, json_fraction, json_int, merge_terms
 from .seriesforms import TSeries
 
 __all__ = [
@@ -50,24 +49,24 @@ __all__ = [
 Exponent = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+def _exponent(e, d: int) -> Exponent:
+    """The exponent e as a tuple of d ints."""
+    e = tuple(map(integer, e))
+    if len(e) != d:
+        raise ValueError(f"exponent {e} has length != {d}")
+    return e
+
+
+class LaurentPoly(Value):
     """Exact Laurent polynomial in d torus variables."""
 
-    d: int
-    terms: dict[Exponent, Fraction] = field(default_factory=dict)
+    __slots__ = ("d", "terms")
 
-    def __post_init__(self):
-        if self.d < 0:
+    def __init__(self, d: int, terms: dict[Exponent, Fraction] = {}):
+        if d < 0:
             raise ValueError("need d >= 0")
-        terms = merge_terms((self._exponent(e), Fraction(c)) for e, c in self.terms.items())
-        object.__setattr__(self, "terms", dict(sorted(terms.items())))
-
-    def _exponent(self, e) -> Exponent:
-        e = tuple(map(integer, e))
-        if len(e) != self.d:
-            raise ValueError(f"exponent {e} has length != {self.d}")
-        return e
+        terms = merge_terms((_exponent(e, d), Fraction(c)) for e, c in terms.items())
+        Value.__init__(self, d, dict(sorted(terms.items())))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.d != other.d:
@@ -260,27 +259,22 @@ def invariant_dimensions(group: list[tuple[str, int]], weights: LaurentPoly,
     return dims
 
 
-@dataclass(frozen=True)
-class KernelSeries:
+class KernelSeries(Value):
     """K(t, alpha) = sum_lam p_lam(alpha) t^lam / lam!, truncated at t-weight N."""
 
-    d: int
-    truncation: int
-    terms: dict[Exponent, TSeries] = field(default_factory=dict)
+    __slots__ = ("d", "truncation", "terms")
 
-    def __post_init__(self):
+    def __init__(self, d: int, truncation: int, terms: dict[Exponent, TSeries] = {}):
         clean: dict[Exponent, TSeries] = {}
-        for e, s in self.terms.items():
-            e = tuple(map(integer, e))
-            if len(e) != self.d:
-                raise ValueError(f"exponent {e} has length != {self.d}")
-            if any(abs(x) > self.truncation for x in e):
-                raise ValueError(f"exponent {e} out of bound {self.truncation}")
-            if s.truncation != self.truncation:
-                s = TSeries(self.truncation, s.coeffs)
+        for e, s in terms.items():
+            e = _exponent(e, d)
+            if any(abs(x) > truncation for x in e):
+                raise ValueError(f"exponent {e} out of bound {truncation}")
+            if s.truncation != truncation:
+                s = TSeries(truncation, s.coeffs)
             clean[e] = clean[e] + s if e in clean else s
-        object.__setattr__(self, "terms",
-                           {e: s for e, s in sorted(clean.items()) if not s.is_zero()})
+        Value.__init__(self, d, truncation,
+                       {e: s for e, s in sorted(clean.items()) if not s.is_zero()})
 
     def coefficient(self, e) -> TSeries:
         return self.terms.get(tuple(e), TSeries(self.truncation, {}))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tcaseries import cli
-from tcaseries.seriesforms import ExpPoly
+from tcaseries.seriesforms import EnhancedExpr, ExpPoly
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -307,6 +307,14 @@ def test_internal_error_exit_code(monkeypatch):
     assert code == 5 and out == ""
     assert err == "internal error: invariant violated\n"
     assert "Traceback" not in err
+
+
+def test_rank1_closed_form_mismatch_names_the_invariant(monkeypatch):
+    monkeypatch.setattr(cli, "rank1_enhanced_closed", lambda d: EnhancedExpr({}))
+    code, out, err = run_cli(["enhanced", "--d", "2", "--r", "1", "--truncate", "4"])
+    assert code == 5 and out == ""
+    assert err.startswith("internal error: ") and err.strip() != "internal error:"
+    assert "phi_sigma" in err
 
 
 def test_not_found_report_disclaims_proof():

@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tcaseries
@@ -39,6 +42,29 @@ def test_no_unused_imports():
         found += [f"{path.name}:{line} {name}" for name, line in bound.items()
                   if name not in used]
     assert found == []
+
+
+def test_no_dataclasses():
+    # value classes derive from polyutil.Value; dataclasses costs the CLI
+    # its import and that of inspect at every start
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}:{node.lineno}" for alias in node.names
+                          if alias.name.split(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dataclasses"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S: only what importing the package loads, not what site does
+    code = ("import sys, tcaseries.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def _zero_default_get(node) -> bool:
