@@ -4,11 +4,11 @@ Constant terms, Weyl integration against |Delta|^2, invariant-ring dimension
 sequences for products of GL(k)/SL(k) factors, the kernel K(t, alpha), the
 integral route to enhanced Hilbert series, and the lattice-point EGF.
 
-All integration is exact constant-term extraction; there is no numerical
-quadrature and no symbolic rational-function arithmetic. Invariant dimensions
-need no integral: they are integer multiplicities on dominant weights, by the
-Brauer-Klimyk rule. Per-degree characters are ordinary Laurent polynomials
-supplied by the caller or built with `sym_degree_characters`.
+All integration is exact: CT(F * bar(g)) is the sparse dot product of F and g,
+and the enhanced route forms ch_n * |Delta|^2 once per degree n. Invariant
+dimensions need no integral: they are integer multiplicities on dominant
+weights by the Brauer-Klimyk rule, dropped once they cannot return to weight 0.
+Per-degree characters come from the caller or from `sym_degree_characters`.
 """
 
 from __future__ import annotations
@@ -124,22 +124,23 @@ def delta_squared(d: int) -> LaurentPoly:
     return dl * bar(dl)
 
 
-def _ct_dot(f: LaurentPoly, g: LaurentPoly) -> Fraction:
-    """CT(f * g) without materializing the product."""
-    if len(f.terms) > len(g.terms):
-        f, g = g, f
-    zero = Fraction(0)
-    total = Fraction(0)
-    for e, c in f.terms.items():
-        total += c * g.terms.get(tuple(-x for x in e), zero)
-    return total
+def _weighted(f: LaurentPoly, d: int) -> LaurentPoly:
+    """f * |Delta|^2, the left factor of every Weyl integral below."""
+    if f.d != d:
+        raise ValueError(f"inputs must have {d} variables")
+    return f * delta_squared(d)
+
+
+def _integral(w: LaurentPoly, g: LaurentPoly) -> Fraction:
+    """CT(w * bar(g)) = sum_e w[e] g[e], without materializing the product."""
+    return sum((c * g.terms.get(e, 0) for e, c in w.terms.items()), Fraction(0))
 
 
 def weyl_inner(f: LaurentPoly, g: LaurentPoly, d: int) -> Fraction:
     """(1/d!) CT(f * bar(g) * |Delta|^2): the GL(d) invariant inner product."""
-    if f.d != d or g.d != d:
+    if g.d != d:
         raise ValueError(f"inputs must have {d} variables")
-    return _ct_dot(f * bar(g), delta_squared(d)) / factorial(d)
+    return _integral(_weighted(f, d), g) / factorial(d)
 
 
 def power_sum_lp(k: int, d: int) -> LaurentPoly:
@@ -189,6 +190,8 @@ def schur_coefficients(f: LaurentPoly) -> dict[Partition, Fraction]:
 def sym_degree_characters(chi: LaurentPoly, N: int) -> list[LaurentPoly]:
     """Characters of Sym^n(E) for n <= N from the character of E, by Newton's
     identity n h_n = sum_{k=1}^{n} p_k h_{n-k} with p_k = chi(alpha^k)."""
+    if N < 0:
+        raise ValueError("truncation must be >= 0")
     d = chi.d
     pk = [None] + [LaurentPoly(d, {tuple(k * x for x in e): c
                                    for e, c in chi.terms.items()})
@@ -217,6 +220,11 @@ def _reflect(v: Exponent, spans) -> tuple[Exponent, int]:
     return tuple(out), sign
 
 
+def _size(block: Exponent, sl: bool) -> int:
+    """max |x| over a GL block, max - min over an SL block."""
+    return max(block) - min(block) if sl else max(map(abs, block))
+
+
 def invariant_dimensions(group: list[tuple[str, int]], weights: LaurentPoly,
                          n_max: int) -> list[int]:
     """dim (E^{tensor n})^G for n = 0..n_max, G a product of GL(k)/SL(k) factors.
@@ -228,6 +236,10 @@ def invariant_dimensions(group: list[tuple[str, int]], weights: LaurentPoly,
     V_{w(lam+mu+rho)-rho} over the weights mu of E (Humphreys section 24,
     Fulton-Harris section 25), SL weights taken modulo (1, ..., 1). The
     invariant dimension is the count of lam = 0.
+
+    `_reflect` leaves each block's `_size` unchanged and adding mu moves it by
+    at most _size(mu), so a key whose size exceeds rho's by more than the steps
+    left can carry can never return to rho; it is dropped, whatever its sign.
     """
     spans, pos = [], 0
     for kind, k in group:
@@ -246,6 +258,7 @@ def invariant_dimensions(group: list[tuple[str, int]], weights: LaurentPoly,
            for lo, hi, _ in spans for i in range(lo, hi - 1)):
         raise ValueError("weights must be invariant under permutations within each block")
     rho = tuple(hi - 1 - i for lo, hi, _ in spans for i in range(lo, hi))
+    steps = [max((_size(mu[lo:hi], sl) for mu, _ in mus), default=0) for lo, hi, sl in spans]
     mult, dims = {rho: 1}, []
     for n in range(n_max + 1):
         if n:
@@ -256,6 +269,8 @@ def invariant_dimensions(group: list[tuple[str, int]], weights: LaurentPoly,
         if dims[-1] < 0:
             raise ValueError(f"negative invariant dimension {dims[-1]} at n={n}: "
                              "weights is a virtual character")
+        mult = {v: c for v, c in mult.items() if all(_size(v[lo:hi], sl) - (hi - lo - 1)
+                <= (n_max - n) * step for (lo, hi, sl), step in zip(spans, steps))}
     return dims
 
 
@@ -292,19 +307,19 @@ def kernel_K(d: int, N: int) -> KernelSeries:
 
 def enhanced_from_equivariant(hilb, d: int, N: int) -> TSeries:
     """Integral route to the enhanced Hilbert series: the coefficient of t^lam
-    is weyl_inner(character of degree |lam|, p_lam) / lam!.
+    is weyl_inner(ch, p_lam) / lam! for ch the character of degree |lam|, with
+    ch * |Delta|^2 formed once per degree and paired with each p_lam.
 
     `hilb` is a sequence of LaurentPoly degree-n characters of M(C^d) for
     n = 0..N (entries may be None for zero).
     """
     coeffs: dict[Partition, Fraction] = {}
-    for lam in partitions_up_to(N):
-        ch = hilb[sum(lam)] if sum(lam) < len(hilb) else None
-        if ch is None:
-            continue
-        v = weyl_inner(ch, _power_sum_of(lam, d), d) / partition_factorial(lam)
-        if v:
-            coeffs[lam] = v
+    for n, ch in enumerate(hilb[:N + 1]):
+        if ch is not None:
+            w = _weighted(ch, d)
+            for lam in enumerate_partitions(n):
+                coeffs[lam] = _integral(w, _power_sum_of(lam, d)) / (
+                    factorial(d) * partition_factorial(lam))
     return TSeries(N, coeffs)
 
 

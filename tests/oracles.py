@@ -6,8 +6,10 @@ partition counts come from the pentagonal-number recurrence, Schur expansions
 from monomial enumeration, products from Littlewood-Richardson tableaux, and
 invariant dimensions from constant terms of chi^n |Delta|^2
 (``invariant_dimensions_ct``, vs. the Brauer-Klimyk rule on dominant
-weights). The one exception, ``sigma_expand_powersum``, calls the package's
-power-sum routines, which the Pieri kernel of ``sigma_expand`` does not use.
+weights). Two oracles call the package: ``sigma_expand_powersum`` uses its
+power-sum routines, which the Pieri kernel of ``sigma_expand`` does not use,
+and ``enhanced_from_equivariant_per_partition`` runs one ``weyl_inner`` per
+partition, where the package weights each degree by |Delta|^2 once.
 """
 
 from __future__ import annotations
@@ -268,6 +270,24 @@ def sigma_expand_powersum(e, N: int):
             cur = multiply(cur, SymFunc("s", {(n,): _binom(n, k) for n in range(k, N + 1)}))
         total = add(total, cur)
     return change_basis(total, "s")
+
+
+def enhanced_from_equivariant_per_partition(hilb, d: int, N: int):
+    """enhanced_from_equivariant by one full Weyl integral per partition:
+    [t^lam] = weyl_inner(ch, p_lam, d) / lam! with ch = hilb[|lam|] (None or
+    missing: zero) and p_lam a product of power_sum_lp factors."""
+    from tcaseries.partitions import partition_factorial, partitions_up_to
+    from tcaseries.seriesforms import TSeries
+    from tcaseries.torus import LaurentPoly, power_sum_lp, weyl_inner
+    coeffs = {}
+    for lam in partitions_up_to(N):
+        ch = hilb[sum(lam)] if sum(lam) < len(hilb) else None
+        if ch is not None:
+            p_lam = LaurentPoly(d, {(0,) * d: 1})
+            for k in lam:
+                p_lam = p_lam * power_sum_lp(k, d)
+            coeffs[lam] = weyl_inner(ch, p_lam, d) / partition_factorial(lam)
+    return TSeries(N, coeffs)
 
 
 def exp_power_sum_log(N: int) -> dict[tuple[int, ...], Fraction]:

@@ -43,6 +43,7 @@ GOLDEN_CASES = [
     ("hilbschur_sym2_n6.json", ["hilbschur", "--rep", "sym2", "--truncate", "6"]),
     ("invariants_sl2_nmax6.json", ["invariants", "--group", "sl2", "--rep", "standard", "--nmax", "6"]),
     ("invariants_trivial_dim3_nmax4.txt", ["invariants", "--group", "trivial", "--dim", "3", "--nmax", "4", "--text"]),
+    ("invariants_sl2xsl2_tensor_nmax24.json", ["invariants", "--group", "sl2xsl2", "--rep", "tensor", "--nmax", "24"]),
     ("dfinite_catalan_o3_d3.json", ["dfinite", "--series", "catalan-egf", "--max-order", "3", "--max-degree", "3"]),
     ("dfinite_catalan_o3_d3.txt", ["dfinite", "--series", "catalan-egf", "--max-order", "3", "--max-degree", "3", "--text"]),
     ("fourier_d3_r1.json", ["fourier", "--d", "3", "--r", "1"]),
@@ -50,6 +51,7 @@ GOLDEN_CASES = [
     ("charpoly_d3_form.json", ["charpoly", "--d", "3"]),
     ("charpoly_d5_at3221.json", ["charpoly", "--d", "5", "--at", "[3,2,2,1]"]),
     ("oracle_empty.json", ["oracle-check", "--suite", "empty"]),
+    ("oracle_enh1_integral.json", ["oracle-check", "--suite", "enh1-integral"]),
     # a miss: exit 4, with the rank-mod-p certificate of every pair
     ("dfinite_bell_o3_d3.json", ["dfinite", "--series", "bell-egf", "--max-order", "3", "--max-degree", "3"], 4),
 ]

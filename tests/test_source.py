@@ -140,7 +140,17 @@ def test_invariant_dimensions_use_no_weyl_integration():
     assert "_sl_reduce" not in funcs
     body = funcs["invariant_dimensions"]
     names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
-    assert names & {"delta_squared", "_ct_dot", "Fraction"} == set()
+    assert names & {"delta_squared", "_ct_dot", "_weighted", "_integral", "Fraction"} == set()
+
+
+def test_integral_route_weights_each_degree_once():
+    # the enhanced route forms ch_n * |Delta|^2 once per degree and pairs it
+    # with each p_lam; one weyl_inner per partition re-forms it every time
+    tree = ast.parse((SRC / "torus.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    body = funcs["enhanced_from_equivariant"]
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    assert "weyl_inner" not in names
 
 
 def _modular_inverse(node) -> bool:

@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import decompose_schur, invariant_dimensions_ct, poly_mul, schur_monomials
+from oracles import (
+    decompose_schur,
+    enhanced_from_equivariant_per_partition,
+    invariant_dimensions_ct,
+    poly_mul,
+    schur_monomials,
+)
 from tcaseries.partitions import (
     enumerate_partitions,
     partition_factorial,
@@ -176,6 +182,28 @@ def test_sl2_adjoint_weights():
     assert dims == [1, 0, 1, 1, 3, 6, 15]
 
 
+def test_invariant_dimensions_far_weight_returns_in_one_step():
+    # E = x + x^-3 on GL(1): an invariant word has three x per x^-3, so
+    # dims[4b] = C(4b, b); the key 3 returns to 0 in one step, so the pruning
+    # bound must use the largest |mu_i| of a weight, not its largest mu_i
+    dims = invariant_dimensions([("gl", 1)], lp(1, {(1,): 1, (-3,): 1}), 12)
+    assert dims == [binom(n, n // 4) if n % 4 == 0 else 0 for n in range(13)]
+
+
+@pytest.mark.parametrize("group,chi,n_max", [
+    ([("gl", 2)], {(1, 0): 1, (0, 1): 1, (-1, -1): 1}, 9),        # C^2 + det^-1
+    ([("gl", 2)], {(2, 0): 1, (0, 2): 1, (-1, 0): 1, (0, -1): 1}, 8),
+    ([("sl", 2)], {(3, 0): 1, (0, 3): 1, (1, 0): 1, (0, 1): 1}, 10),  # Sym^3
+    ([("gl", 1), ("sl", 2)], {(-2, 1, 0): 1, (-2, 0, 1): 1, (1, 0, 0): 2}, 9),
+])
+def test_invariant_dimensions_with_lopsided_weights(group, chi, n_max):
+    # weights whose entries differ in size and sign, so that keys move out
+    # fast and come back fast; the pruned route against the constant term
+    want = invariant_dimensions_ct(group, chi, n_max)
+    assert invariant_dimensions(group, LaurentPoly(sum(k for _, k in group), chi), n_max) == want
+    assert any(want[1:])
+
+
 def test_invariant_dimensions_validation():
     chi = lp(2, {(1, 0): 1, (0, 1): 1})
     with pytest.raises(ValueError):
@@ -216,7 +244,7 @@ def weyl_invariant_characters(draw):
     return group, {e: c for e, c in chi.items() if c}, draw(st.integers(0, 6))
 
 
-def _dims_or_error(route, *args):
+def _result_or_error(route, *args):
     try:
         return route(*args)
     except ValueError as exc:
@@ -229,8 +257,8 @@ def test_invariant_dimensions_match_constant_term_oracle(case):
     # Brauer-Klimyk on dominant weights against CT(chi^n |Delta|^2) / |W|; a
     # virtual character fails on both routes at the same n with the same value
     group, chi, n_max = case
-    want = _dims_or_error(invariant_dimensions_ct, group, chi, n_max)
-    got = _dims_or_error(invariant_dimensions, group,
+    want = _result_or_error(invariant_dimensions_ct, group, chi, n_max)
+    got = _result_or_error(invariant_dimensions, group,
                          LaurentPoly(sum(k for _, k in group), chi), n_max)
     if isinstance(want, str):
         assert isinstance(got, str) and got.startswith(want)
@@ -304,6 +332,55 @@ def test_single_schur_object_enhanced():
 def test_zero_module_enhanced():
     assert enhanced_from_equivariant([None] * 6, 2, 5) == TSeries(5, {})
     assert enhanced_from_equivariant([], 2, 5) == TSeries(5, {})
+
+
+@st.composite
+def degree_characters(draw):
+    """(hilb, d, N): d <= 3, N <= 6, a list of up to N + 2 degree characters,
+    each None or a few terms with signed fractional coefficients, mostly of
+    total degree n so that the integrals do not all vanish; sometimes one
+    entry has the wrong number of variables."""
+    d, N = draw(st.integers(0, 3)), draw(st.integers(0, 6))
+    wrong_d = draw(st.booleans())
+
+    def character(n):
+        k = draw(st.sampled_from([d, d, d, d + 1] if wrong_d else [d]))
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            width = max(k - 1, 0)
+            head = draw(st.lists(st.integers(-1, n + 1), min_size=width, max_size=width))
+            tail = n - sum(head) + draw(st.sampled_from([0, 0, 0, 1, -2]))
+            e = tuple(head + [tail]) if k else ()
+            terms[e] = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        return LaurentPoly(k, terms)
+
+    length = draw(st.integers(0, N + 2))
+    return [None if draw(st.booleans()) else character(n) for n in range(length)], d, N
+
+
+@settings(max_examples=100, deadline=None)
+@given(degree_characters())
+def test_enhanced_integral_matches_per_partition_oracle(case):
+    # |Delta|^2 once per degree against one weyl_inner per partition; a
+    # character with the wrong number of variables fails on both routes
+    hilb, d, N = case
+    assert _result_or_error(enhanced_from_equivariant, hilb, d, N) == \
+        _result_or_error(enhanced_from_equivariant_per_partition, hilb, d, N)
+
+
+def test_enhanced_integral_refuses_wrong_variable_count():
+    hilb = [lp(2, {(0, 0): 1}), lp(3, {(1, 0, 0): F(-1, 2)})]
+    for route in (enhanced_from_equivariant, enhanced_from_equivariant_per_partition):
+        with pytest.raises(ValueError, match="2 variables"):
+            route(hilb, 2, 3)
+    # entries above the truncation are never read
+    assert enhanced_from_equivariant(hilb, 2, 0) == TSeries(0, {(): F(1)})
+
+
+def test_sym_degree_characters_refuse_negative_truncation():
+    with pytest.raises(ValueError):
+        sym_degree_characters(power_sum_lp(1, 2), -1)
+    assert sym_degree_characters(power_sum_lp(1, 2), 0) == [lp(2, {(0, 0): 1})]
 
 
 @pytest.mark.parametrize("m", [1, 2])
