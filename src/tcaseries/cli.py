@@ -513,25 +513,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    # exact integers are read and printed in full, however many digits they have
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        obj, text, code = _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 5
-    payload = text if args.output == "text" else json.dumps(obj, indent=2)
-    sys.stdout.write(payload + "\n")
-    return code
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        try:
+            obj, text, code = _HANDLERS[args.command](args)
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except AssertionError as exc:
+            print(f"internal error: {exc}", file=sys.stderr)
+            return 5
+        payload = text if args.output == "text" else json.dumps(obj, indent=2)
+        sys.stdout.write(payload + "\n")
+        return code
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 
 Given a truncated coefficient series, search for the lexicographically
 minimal (order, degree) annihilating operator sum_i p_i(t) y^(i) over the
-rationals, with enough surplus equations to make a miss trustworthy. A
-(order, degree) pair whose system has full column rank modulo a prime is
-skipped, since that proves its rational nullspace trivial; the prime only
-filters, and every operator returned comes from exact elimination.
+rationals, with enough surplus equations to make a miss trustworthy. One
+reduction modulo a prime per order skips every (order, degree) pair it proves
+to have a trivial rational nullspace; the prime only filters, and every
+operator returned comes from exact elimination.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .polyutil import Poly, falling, full_rank_mod, ptrim, residues
+from .polyutil import Poly, echelon, falling, ptrim, residues
 # perfbench/tracing.py wraps dfinite._nullspace by this name
 from .polyutil import nullspace as _nullspace
 from .seriesforms import OdeOperator
@@ -33,6 +33,8 @@ _MARGIN = 10  # equations beyond the unknowns of the largest system: a miss is t
 
 def needed_length(max_order: int, max_degree: int) -> int:
     """Coefficients required before a failed search may return None."""
+    if max_order < 1 or max_degree < 0:
+        raise ValueError("need max_order >= 1 and max_degree >= 0")
     return (max_order + 1) * (max_degree + 1) + max_order + _MARGIN
 
 
@@ -84,12 +86,11 @@ def _normalize(polys: list[Poly]) -> tuple[Poly, ...]:
     return tuple(tuple(c * scale for c in p) for p in polys)
 
 
-def _ode_rows(coeffs: list, r: int, d: int, zero) -> list[list]:
-    """Linear system of sum_{i<=r, j<=d} c_ij t^j y^(i) = 0, unknowns c_ij in
-    the order (i, j): one row per coefficient of t^m that the truncation
-    determines."""
-    return [[coeffs[m - j + i] * falling(m - j + i, i) if j <= m else zero
-             for i in range(r + 1) for j in range(d + 1)]
+def _ode_rows(coeffs: list, r: int, cols: list[tuple[int, int]], zero) -> list[list]:
+    """Linear system of sum c_ij t^j y^(i) = 0: one unknown c_ij per (i, j) of
+    `cols` (i <= r), in that order, and one row, whatever the columns, per
+    coefficient of t^m that the truncation determines."""
+    return [[coeffs[m - j + i] * falling(m - j + i, i) if j <= m else zero for i, j in cols]
             for m in range(len(coeffs) - r)]
 
 
@@ -97,41 +98,43 @@ def guess_ode(coeffs: CoeffSeries, max_order: int = 6, max_degree: int = 8,
               certificate: dict | None = None) -> OdeOperator | None:
     """Search orders 1..max_order, degrees 0..max_degree in lexicographic
     order for an operator annihilating the series; None means no operator
-    within the caps fits the data. Raises ValueError when the series is too
-    short for a None to be meaningful.
+    within the caps fits the data. Raises ValueError for caps below (1, 0)
+    and when the series is too short for a None to be meaningful.
 
-    Each pair's system is first reduced modulo a prime; full column rank
-    there proves its rational nullspace trivial, and only the other pairs are
-    solved exactly. A dict passed as `certificate` receives that prime under
-    "prime" (None when it divides a denominator of the series for every
-    prime tried) and the pairs it proved empty under "pairs".
+    Each order's system at max_degree, unknowns degree-major, is reduced once
+    modulo a prime. When its first k columns are pivots, each (r, d) system
+    with (r+1)(d+1) <= k, a column prefix, has full column rank there, which
+    proves its rational nullspace trivial; only the other pairs are solved
+    exactly. A dict passed as `certificate` receives that prime under "prime"
+    (None when it divides a denominator of the series for every prime tried)
+    and the pairs it proved empty under "pairs".
 
     Output normalization: integer coefficients of content 1, positive leading
     coefficient of the leading polynomial; operators singular at the origin
     are returned in cleared Frobenius form (a polynomial in t*d/dt), which may
     raise the reported degree above that of the raw minimal solution."""
-    if max_order < 1 or max_degree < 0:
-        raise ValueError("need max_order >= 1 and max_degree >= 0")
-    L = len(coeffs)
     need = needed_length(max_order, max_degree)
-    if L < need:
+    if len(coeffs) < need:
         raise ValueError(
             f"need at least {need} coefficients for caps "
-            f"({max_order}, {max_degree}), got {L}")
+            f"({max_order}, {max_degree}), got {len(coeffs)}")
     coeffs = [Fraction(c) for c in coeffs]
     p, mod = residues(coeffs) or (None, None)
     certified = []
     if certificate is not None:
         certificate.update(prime=p, pairs=certified)
     for r in range(1, max_order + 1):
-        for d in range(max_degree + 1):
-            ncols = (r + 1) * (d + 1)
-            if p is not None and full_rank_mod(_ode_rows(mod, r, d, 0), ncols, p):
-                certified.append((r, d))
-                continue
-            for vec in _nullspace(_ode_rows(coeffs, r, d, Fraction(0)), ncols):
-                polys = [ptrim(tuple(vec[i * (d + 1) + j] for j in range(d + 1)))
-                         for i in range(r + 1)]
+        # degree-major unknowns (j, i): each (r, d) system is a column prefix
+        cols = [(i, j) for j in range(max_degree + 1) for i in range(r + 1)]
+        pivots = echelon(_ode_rows(mod, r, cols, 0), len(cols), p)[0] if p else []
+        k = sum(c == n for n, c in enumerate(pivots))
+        certified += [(r, d) for d in range(k // (r + 1))]
+        for d in range(k // (r + 1), max_degree + 1):
+            # order-major unknowns (i, j): a nullspace of dimension above 1
+            # yields its basis, and so the operator, by the column order
+            cols = [(i, j) for i in range(r + 1) for j in range(d + 1)]
+            for vec in _nullspace(_ode_rows(coeffs, r, cols, Fraction(0)), len(cols)):
+                polys = [ptrim(vec[i * (d + 1):(i + 1) * (d + 1)]) for i in range(r + 1)]
                 if not polys[-1]:
                     continue
                 op = OdeOperator(_normalize(_frobenius_lift(polys)))

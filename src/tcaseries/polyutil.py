@@ -1,8 +1,9 @@
 """Dense univariate polynomials over Fraction: tuples of ascending coefficients.
 
 The zero polynomial is the empty tuple; no trailing zeros are stored. Also
-the package's two elimination kernels: ``nullspace``, exact over the
-rationals, and ``full_rank_mod``, a rank filter modulo a prime that proves a
+the package's one elimination kernel, ``echelon``: pivot columns and reduced
+row echelon form over the rationals, or modulo a prime. ``nullspace`` reads
+an exact basis off it; modulo a prime, full column rank proves a rational
 nullspace trivial before exact elimination runs (``residues`` reduces
 rationals for it; ``certify_full_rank`` applies both to a rational matrix).
 Also its one merge kernel for sparse term dicts, ``merge_terms`` and
@@ -172,31 +173,39 @@ def add_into(dst: dict, src: dict, c=1) -> None:
             dst.pop(k, None)
 
 
-def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right nullspace of the matrix, by reduced row echelon."""
-    mat = [row[:] for row in rows]
+def echelon(rows: list[list], ncols: int, p: int | None = None) -> tuple[list[int], list[list]]:
+    """Pivot columns and reduced row echelon form of the matrix, pivoting on
+    its first ncols columns: over the rationals for Fraction entries, or
+    modulo the prime p, when one is given, for integer entries. A column is
+    a pivot exactly when it is independent of the columns before it, so the
+    pivots of a column prefix are a prefix of the pivots."""
+    mat = [row[:] if p is None else [a % p for a in row] for row in rows]
     pivots: list[int] = []
-    rank = 0
     for col in range(ncols):
-        sel = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                sel = i
-                break
+        rank = len(pivots)
+        sel = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if sel is None:
             continue
         mat[rank], mat[sel] = mat[sel], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        # entries left of col are zero in the pivot row, so only tails change
+        tail = mat[rank][col:]
+        inv = 1 / tail[0] if p is None else pow(tail[0], -1, p)
+        tail = mat[rank][col:] = [v * inv if p is None else v * inv % p for v in tail]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if f and i != rank:
+                row[col:] = ([a - f * b for a, b in zip(row[col:], tail)] if p is None
+                             else [(a - f * b) % p for a, b in zip(row[col:], tail)])
         pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    return pivots, mat
+
+
+def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right nullspace of the matrix: one vector per free column
+    of the reduced row echelon form."""
+    pivots, mat = echelon(rows, ncols)
     basis = []
-    for fc in free:
+    for fc in [c for c in range(ncols) if c not in pivots]:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for rix, pc in enumerate(pivots):
@@ -221,33 +230,14 @@ def residues(values) -> tuple[int, list[int]] | None:
     return None
 
 
-def full_rank_mod(rows: list[list[int]], ncols: int, p: int) -> bool:
-    """Whether the integer matrix has rank ncols modulo the prime p.
-
-    Rank modulo p is at most rank over the rationals, so True proves that
-    the rational matrix these are the residues of has a trivial nullspace;
-    False proves nothing."""
-    mat = [[a % p for a in row] for row in rows]
-    for col in range(ncols):
-        sel = next((i for i in range(col, len(mat)) if mat[i][col]), None)
-        if sel is None:
-            return False
-        mat[col], mat[sel] = mat[sel], mat[col]
-        inv = pow(mat[col][col], -1, p)
-        tail = mat[col][col + 1:]
-        for row in mat[col + 1:]:
-            f = row[col] * inv % p
-            if f:  # columns up to col are never read again
-                row[col + 1:] = [(a - f * b) % p for a, b in zip(row[col + 1:], tail)]
-    return True
-
-
 def certify_full_rank(rows: list[list[Fraction]], ncols: int) -> int | None:
     """A prime modulo which the rational matrix has rank ncols, which proves
-    its nullspace trivial; None when not certified."""
+    its nullspace trivial (rank modulo p is at most rank over the
+    rationals); None when not certified."""
     red = residues(c for row in rows for c in row)
     if red is None:
         return None
     p, flat = red
     cells = iter(flat)
-    return p if full_rank_mod([[next(cells) for _ in row] for row in rows], ncols, p) else None
+    pivots, _ = echelon([[next(cells) for _ in row] for row in rows], ncols, p)
+    return p if len(pivots) == ncols else None

@@ -6,10 +6,12 @@ partition counts come from the pentagonal-number recurrence, Schur expansions
 from monomial enumeration, products from Littlewood-Richardson tableaux, and
 invariant dimensions from constant terms of chi^n |Delta|^2
 (``invariant_dimensions_ct``, vs. the Brauer-Klimyk rule on dominant
-weights). Two oracles call the package: ``sigma_expand_powersum`` uses its
+weights). Three oracles call the package: ``sigma_expand_powersum`` uses its
 power-sum routines, which the Pieri kernel of ``sigma_expand`` does not use,
-and ``enhanced_from_equivariant_per_partition`` runs one ``weyl_inner`` per
-partition, where the package weights each degree by |Delta|^2 once.
+``enhanced_from_equivariant_per_partition`` runs one ``weyl_inner`` per
+partition, where the package weights each degree by |Delta|^2 once, and
+``guess_ode_per_pair`` certifies and solves each (order, degree) system of
+``guess_ode`` on its own, where the package reduces each order once.
 """
 
 from __future__ import annotations
@@ -288,6 +290,36 @@ def enhanced_from_equivariant_per_partition(hilb, d: int, N: int):
                 p_lam = p_lam * power_sum_lp(k, d)
             coeffs[lam] = weyl_inner(ch, p_lam, d) / partition_factorial(lam)
     return TSeries(N, coeffs)
+
+
+def guess_ode_per_pair(coeffs, max_order: int, max_degree: int):
+    """guess_ode one (order, degree) pair at a time, unknowns in the order
+    (i, j): each pair's system gets its own rank certificate modulo a prime
+    and, when that fails, its own exact nullspace. Returns the operator (or
+    None), the prime and the certified pairs."""
+    from tcaseries.dfinite import _frobenius_lift, _normalize, apply_ode, needed_length
+    from tcaseries.polyutil import certify_full_rank, falling, nullspace, ptrim, residues
+    from tcaseries.seriesforms import OdeOperator
+    if len(coeffs) < needed_length(max_order, max_degree):
+        raise ValueError("series too short")
+    coeffs = [Fraction(c) for c in coeffs]
+    prime = (residues(coeffs) or (None,))[0]
+    certified = []
+    for r in range(1, max_order + 1):
+        for d in range(max_degree + 1):
+            rows = [[coeffs[m - j + i] * falling(m - j + i, i) if j <= m else Fraction(0)
+                     for i in range(r + 1) for j in range(d + 1)]
+                    for m in range(len(coeffs) - r)]
+            if certify_full_rank(rows, (r + 1) * (d + 1)) is not None:
+                certified.append((r, d))
+                continue
+            for vec in nullspace(rows, (r + 1) * (d + 1)):
+                polys = [ptrim(vec[i * (d + 1):(i + 1) * (d + 1)]) for i in range(r + 1)]
+                if polys[-1]:
+                    op = OdeOperator(_normalize(_frobenius_lift(polys)))
+                    if not any(apply_ode(op, coeffs)):
+                        return op, prime, certified
+    return None, prime, certified
 
 
 def exp_power_sum_log(N: int) -> dict[tuple[int, ...], Fraction]:

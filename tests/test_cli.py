@@ -186,6 +186,8 @@ EXIT_CODE_CASES = [
     (["invariants", "--group", "sl2", "--nmax", "-3"], 2),
     (["invariants", "--group", "trivial", "--dim", "-2", "--nmax", "3"], 2),
     (["hilbschur", "--rep", "tensor3", "--truncate", "2"], 0),     # below the degree of V
+    (["dfinite", "--series", "catalan-egf", "--max-order", "-1000",
+      "--max-degree", "-1000"], 3),                                # caps checked before the series is built
 ]
 
 
@@ -194,6 +196,19 @@ EXIT_CODE_CASES = [
 def test_exit_codes(argv, expected):
     code, _, _ = run_cli(argv)
     assert code == expected
+
+
+def test_integers_print_in_full_beyond_the_default_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(["invariants", "--group", "trivial", "--dim", "100000000000",
+                            "--nmax", "400", "--text"])
+    assert code == 0
+    assert out.split()[-1] == "1" + "0" * 4400  # dim^400 = 10^4400
+    assert sys.get_int_max_str_digits() == limit
+    code, out, _ = run_cli(["invariants", "--group", "trivial", "--dim", "100000000000",
+                            "--nmax", "400"])
+    assert code == 0
+    assert "\n      1" + "0" * 4400 + "\n" in out
 
 
 @pytest.mark.parametrize("d,r", [("0", "1"), ("2", "0")])

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import guess_ode_per_pair
 from tcaseries import dfinite
 from tcaseries.dfinite import (
     apply_ode,
@@ -13,7 +15,7 @@ from tcaseries.dfinite import (
     needed_length,
     ode_to_text,
 )
-from tcaseries.polyutil import RANK_PRIMES, certify_full_rank, factorial, nullspace
+from tcaseries.polyutil import RANK_PRIMES, certify_full_rank, echelon, factorial, nullspace
 from tcaseries.seriesforms import OdeOperator
 
 F = Fraction
@@ -112,6 +114,15 @@ def test_short_series_raises_instead_of_none():
 def test_needed_length_formula():
     assert needed_length(3, 3) == 4 * 4 + 3 + 10
     assert needed_length(5, 5) == 51
+
+
+@pytest.mark.parametrize("caps", [(-1000, -1000), (0, 3), (2, -1)])
+def test_needed_length_refuses_caps_out_of_range(caps):
+    # the CLI sizes its series by needed_length before guess_ode runs
+    with pytest.raises(ValueError, match="max_order >= 1"):
+        needed_length(*caps)
+    with pytest.raises(ValueError, match="max_order >= 1"):
+        guess_ode([F(1)] * 40, *caps)
 
 
 def test_lex_minimality_prefers_low_order():
@@ -245,3 +256,99 @@ def test_catalan_reaches_exact_elimination_at_first_deficient_pair(monkeypatch):
     assert guess_ode(coeffs, max_order=3, max_degree=3, certificate=cert) == CATALAN_OP
     assert cert["pairs"] == [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0)]
     assert shapes == [(len(coeffs) - 2, 3 * 2)]  # pair (2, 1) only
+
+
+def test_bell_reduces_each_order_once_modulo_p(monkeypatch):
+    # one modular elimination per order, not one per (order, degree) pair
+    calls = []
+
+    def counted(rows, ncols, p=None):
+        calls.append((len(rows), ncols, p))
+        return echelon(rows, ncols, p)
+    monkeypatch.setattr(dfinite, "echelon", counted)
+    assert guess_ode(bell_egf(60), max_order=5, max_degree=5) is None
+    assert calls == [(60 - r, (r + 1) * 6, P) for r in range(1, 6)]
+
+
+def _hypergeometric(draw, length):
+    """a_0 = c0 and a_(n+1) = c (n + a) / (n + b) a_n: D-finite of low order."""
+    a, b = draw(st.integers(-3, 3)), draw(st.integers(1, 4))
+    c = F(draw(st.sampled_from([1, -1, 2, 3])), draw(st.integers(1, 3)))
+    out = [F(draw(st.integers(1, 3)))]
+    for n in range(length - 1):
+        out.append(out[-1] * c * (n + a) / (n + b))
+    return out
+
+
+@st.composite
+def _guess_cases(draw):
+    R, D = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    length = needed_length(R, D) + draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["random", "hypergeometric", "sum", "polynomial",
+                                 "sparse", "even"]))
+    if kind == "random":  # a miss
+        coeffs = [F(draw(st.integers(-9, 9)), draw(st.integers(1, 5))) for _ in range(length)]
+    elif kind == "hypergeometric":
+        coeffs = _hypergeometric(draw, length)
+    elif kind == "sum":
+        coeffs = [x + y for x, y in zip(_hypergeometric(draw, length),
+                                        _hypergeometric(draw, length))]
+    elif kind == "polynomial":  # nullspaces of dimension above 1
+        top = draw(st.integers(0, 9))
+        coeffs = [F(draw(st.integers(-3, 3))) if n <= top else F(0) for n in range(length)]
+    elif kind == "sparse":
+        coeffs = [F(draw(st.sampled_from([0, 0, 0, 0, 1, -1, 2]))) for _ in range(length)]
+    else:  # f(t^2)
+        half = _hypergeometric(draw, length)
+        coeffs = [half[n // 2] if n % 2 == 0 else F(0) for n in range(length)]
+    scale = draw(st.sampled_from(["none", "multiple", "denominator", "one denominator"]))
+    if scale == "multiple":  # every residue modulo 2^61-1 vanishes
+        coeffs = [c * P for c in coeffs]
+    elif scale == "denominator":  # 2^61-1 divides every denominator
+        coeffs = [c / P for c in coeffs]
+    elif scale == "one denominator":
+        n = draw(st.integers(0, length - 1))
+        coeffs[n] += F(1, P)
+    return coeffs, R, D
+
+
+# a polynomial series whose (3, 2) nullspace has dimension above 1: degree-major
+# unknowns in the exact system pick another basis vector, so another operator
+@example(([F(c, P) for c in (-3, 3, -2, 3, 2, 0, 2)] + [F(0)] * 18, 3, 2))
+@settings(max_examples=300, deadline=None)
+@given(_guess_cases())
+def test_one_elimination_per_order_matches_per_pair_route(case):
+    coeffs, R, D = case
+    cert = {}
+    op = guess_ode(coeffs, max_order=R, max_degree=D, certificate=cert)
+    assert (op, cert["prime"], cert["pairs"]) == guess_ode_per_pair(coeffs, R, D)
+
+
+def test_polynomial_series_match_per_pair_route():
+    # nullspaces of dimension above 1 are common here, and the operator read
+    # off one depends on the order of the unknowns in the exact system
+    rng = random.Random(5)
+    for _ in range(400):
+        R, D = rng.randint(1, 3), rng.randint(0, 3)
+        top = rng.randint(0, 9)
+        coeffs = [F(rng.randint(-3, 3)) if n <= top else F(0)
+                  for n in range(needed_length(R, D) + rng.randint(0, 2))]
+        cert = {}
+        op = guess_ode(coeffs, max_order=R, max_degree=D, certificate=cert)
+        assert (op, cert["prime"], cert["pairs"]) == guess_ode_per_pair(coeffs, R, D)
+
+
+def test_echelon_pivots_of_a_column_prefix_are_a_prefix():
+    rng = random.Random(61)
+    for _ in range(100):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        ints = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(nrows)]
+        for p in (None, 3, P):
+            rows = [[F(a) for a in row] for row in ints] if p is None else ints
+            pivots, mat = echelon(rows, ncols, p)
+            for k in range(ncols + 1):
+                head, _ = echelon([row[:k] for row in rows], k, p)
+                assert head == [c for c in pivots if c < k]
+            # reduced: each pivot column is a unit vector
+            for rix, pc in enumerate(pivots):
+                assert [row[pc] for row in mat] == [int(i == rix) for i in range(nrows)]

@@ -176,8 +176,8 @@ def _row_swap(node) -> bool:
 
 
 def test_elimination_only_in_polyutil():
-    # a pivot loop with row swaps re-implements polyutil.nullspace (exact) or
-    # polyutil.full_rank_mod (the rank filter modulo a prime)
+    # a pivot loop with row swaps re-implements polyutil.echelon, the one
+    # elimination kernel, exact or modulo a prime
     swapping, modular = set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -188,6 +188,5 @@ def test_elimination_only_in_polyutil():
                     swapping.add((path.name, func.name))
                     if any(_modular_inverse(n) for n in nodes):
                         modular.add((path.name, func.name))
-    assert {f for f in modular if f[0] != "polyutil.py"} == set()
-    assert swapping == {("polyutil.py", "nullspace"), ("polyutil.py", "full_rank_mod")}
-    assert modular == {("polyutil.py", "full_rank_mod")}
+    assert swapping == {("polyutil.py", "echelon")}
+    assert modular == {("polyutil.py", "echelon")}
