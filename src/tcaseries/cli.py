@@ -357,7 +357,7 @@ def _suite_detring_bruteforce():
 
 def _suite_gessel_vs_sigma():
     cases = []
-    for d, r in ((2, 1), (3, 2), (2, 2)):
+    for d, r in ((2, 1), (3, 2), (2, 2), (4, 3)):
         lhs = gessel_enhanced(d, r, 6)
         rhs = enhanced_expand(phi_sigma(detring_formal_character(d, r)), 6)
         cases.append((f"d={d} r={r}", lhs == rhs,

@@ -106,8 +106,9 @@ def guess_ode(coeffs: CoeffSeries, max_order: int = 6, max_degree: int = 8,
     with (r+1)(d+1) <= k, a column prefix, has full column rank there, which
     proves its rational nullspace trivial; only the other pairs are solved
     exactly. A dict passed as `certificate` receives that prime under "prime"
-    (None when it divides a denominator of the series for every prime tried)
-    and the pairs it proved empty under "pairs".
+    and the pairs it proved empty under "pairs"; the prime is None when every
+    prime tried divides a denominator of the series, or divides every
+    coefficient of a series that is not zero.
 
     Output normalization: integer coefficients of content 1, positive leading
     coefficient of the leading polynomial; operators singular at the origin

@@ -30,7 +30,6 @@ from .partitions import (
     partitions_up_to,
 )
 from .polyutil import Value, add_into, binom, factorial, integer, json_int, merge_terms
-from . import symfunc
 from .symfunc import SCHUR, SymFunc
 from .seriesforms import (
     EnhancedExpr,
@@ -283,27 +282,70 @@ def detring_formal_character(d: int, r: int) -> SigmaExpr:
     return SigmaExpr(terms)
 
 
-def _a_series(i: int, d: int, N: int) -> dict[Partition, Fraction]:
-    """a_i = sum over |lam| >= -i of binom(|lam|+i+d-1, |lam|+i) t^lam / lam!."""
-    return {lam: Fraction(binom(n + i + d - 1, n + i), partition_factorial(lam))
-            for n in range(max(0, -i), N + 1) for lam in enumerate_partitions(n)}
+def _determinant_weight(nu: Partition, r: int, c: dict[int, list[int]]) -> int:
+    """D(nu): the sum of det[c_{j-i}(e_i)] over the distinct rearrangements e
+    of nu padded to r parts. One Laplace expansion along rows 0..r-1 picks
+    each row's part e_i as it goes; a state is the set of columns taken (a
+    bit mask, whose entries above column j give the sign) and the parts left.
+    """
+    states = {(0, nu + (0,) * (r - len(nu))): 1}
+    for i in range(r):
+        states = merge_terms(
+            ((taken | 1 << j, left[:k] + left[k + 1:]),
+             (-1) ** (taken >> j).bit_count() * c[j - i][n] * v)
+            for (taken, left), v in states.items()
+            for k, n in enumerate(left) if k == 0 or left[k - 1] != n
+            for j in range(r) if not taken >> j & 1)
+    return states.get(((1 << r) - 1, ()), 0)
+
+
+def _power_sum_to_monomial(r: int, N: int) -> dict[Partition, dict[Partition, int]]:
+    """[m_nu] p_lam in r variables, for every lam with |lam| <= N, keyed by
+    lam and then by nu. With k the last part of lam and lam- the rest,
+    p_lam = p_{lam-} p_k gives [x^nu] p_lam = sum_j [x^{nu - k e_j}] p_{lam-}
+    over the parts nu_j >= k (Macdonald I.6)."""
+    rows: dict[Partition, dict[Partition, int]] = {(): {(): 1}}
+    for n in range(1, N + 1):
+        nus = enumerate_partitions(n, max_length=r)
+        for lam in enumerate_partitions(n):
+            k, prev = lam[-1], rows[lam[:-1]]
+            rows[lam] = merge_terms((nu, prev.get(_take(nu, j, k), 0))
+                                    for nu in nus for j, part in enumerate(nu) if part >= k)
+    return rows
+
+
+def _take(nu: Partition, j: int, k: int) -> Partition:
+    """The partition nu - k e_j, for nu_j >= k."""
+    rest = nu[:j] + nu[j + 1:]
+    return tuple(sorted(rest + (nu[j] - k,), reverse=True)) if nu[j] > k else rest
 
 
 def gessel_enhanced(d: int, r: int, N: int) -> TSeries:
     """Enhanced Hilbert series of the rank-r determinantal quotient as the
-    r x r determinant det(a_{j-i}), expanded by permutations.
+    r x r determinant det(a_{j-i}) of Gessel (JCTA 1990), computed without
+    series products.
+
+    Every entry is a_k = sum_n c_k(n) E_n with c_k(n) = binom(n+k+d-1, n+k)
+    and E_n = sum_{|lam|=n} t^lam / lam!, so by multilinearity in the rows
+    det(a_{j-i}) = sum_nu D(nu) E_nu over partitions nu with at most r parts,
+    where D(nu) sums the integer determinants det[c_{j-i}(e_i)] over the
+    rearrangements e of nu. [t^lam / lam!] E_nu counts the ways to place the
+    parts of lam, told apart, in r boxes whose sums are nu_1, ..., nu_r,
+    which is the power-sum-to-monomial transition [m_nu] p_lam in r variables
+    (Macdonald, Symmetric Functions, I.6). So [t^lam] = sum_nu [m_nu] p_lam D(nu) / lam!,
+    one Fraction per lam, integers before it. For r >= d the rank condition
+    is vacuous and the series is the one at r = d.
     """
     if d < 1 or r < 1:
         raise ValueError(f"need d >= 1 and r >= 1, got d={d}, r={r}")
-    series = {k: _a_series(k, d, N) for k in range(-(r - 1), r)}
-    total: dict[Partition, Fraction] = {}
-    for perm in itertools.permutations(range(r)):
-        prod = {(): Fraction(1)}
-        for i in range(r):
-            prod = symfunc._p_mul_terms(prod, series[perm[i] - i], N)
-        inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
-        add_into(total, prod, (-1) ** inversions)
-    return TSeries(N, total)
+    if N < 0:
+        raise ValueError("truncation must be >= 0")
+    r = min(r, d)
+    c = {k: [binom(n + k + d - 1, n + k) for n in range(N + 1)] for k in range(1 - r, r)}
+    weights = {nu: _determinant_weight(nu, r, c) for nu in partitions_up_to(N, max_length=r)}
+    return TSeries(N, {lam: Fraction(sum(m * weights[nu] for nu, m in row.items()),
+                                     partition_factorial(lam))
+                       for lam, row in _power_sum_to_monomial(r, N).items()})
 
 
 def _bell_polynomials(jmax: int) -> list[dict[Partition, int]]:

@@ -215,18 +215,22 @@ def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
 
 
 # Primes of the rank filter, tried in turn: 2^61-1 first, then larger
-# Mersenne primes for a matrix with a denominator divisible by it.
+# Mersenne primes for a matrix with a denominator divisible by it, or with
+# every entry divisible by it.
 RANK_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)
 
 
 def residues(values) -> tuple[int, list[int]] | None:
     """The first prime of RANK_PRIMES that divides no denominator of the
-    rationals `values`, with their residues modulo it; None when every prime
-    divides one."""
+    rationals `values` and leaves some residue nonzero, with their residues
+    modulo it; None when there is none. Values that are all zero keep the
+    first prime: modulo any prime their residues all vanish."""
     values = [Fraction(v) for v in values]
     for p in RANK_PRIMES:
         if all(v.denominator % p for v in values):
-            return p, [v.numerator * pow(v.denominator, -1, p) % p for v in values]
+            mods = [v.numerator * pow(v.denominator, -1, p) % p for v in values]
+            if any(mods) or not any(values):
+                return p, mods
     return None
 
 

@@ -6,12 +6,15 @@ partition counts come from the pentagonal-number recurrence, Schur expansions
 from monomial enumeration, products from Littlewood-Richardson tableaux, and
 invariant dimensions from constant terms of chi^n |Delta|^2
 (``invariant_dimensions_ct``, vs. the Brauer-Klimyk rule on dominant
-weights). Three oracles call the package: ``sigma_expand_powersum`` uses its
+weights). Four oracles call the package: ``sigma_expand_powersum`` uses its
 power-sum routines, which the Pieri kernel of ``sigma_expand`` does not use,
 ``enhanced_from_equivariant_per_partition`` runs one ``weyl_inner`` per
-partition, where the package weights each degree by |Delta|^2 once, and
+partition, where the package weights each degree by |Delta|^2 once,
 ``guess_ode_per_pair`` certifies and solves each (order, degree) system of
-``guess_ode`` on its own, where the package reduces each order once.
+``guess_ode`` on its own, where the package reduces each order once, and
+``gessel_enhanced_permutations`` expands the Gessel determinant by
+permutations into series products, where the package forms one integer
+determinant per partition and the power-sum-to-monomial table.
 """
 
 from __future__ import annotations
@@ -320,6 +323,33 @@ def guess_ode_per_pair(coeffs, max_order: int, max_degree: int):
                     if not any(apply_ode(op, coeffs)):
                         return op, prime, certified
     return None, prime, certified
+
+
+def gessel_enhanced_permutations(d: int, r: int, N: int):
+    """The r x r determinant det(a_{j-i}) of grassmann.gessel_enhanced,
+    expanded by permutations with r series products per permutation."""
+    import itertools
+    from tcaseries import symfunc
+    from tcaseries.partitions import enumerate_partitions, partition_factorial
+    from tcaseries.polyutil import add_into, binom
+    from tcaseries.seriesforms import TSeries
+
+    def a_series(i):
+        """a_i = sum over |lam| >= -i of binom(|lam|+i+d-1, |lam|+i) t^lam / lam!."""
+        return {lam: Fraction(binom(n + i + d - 1, n + i), partition_factorial(lam))
+                for n in range(max(0, -i), N + 1) for lam in enumerate_partitions(n)}
+
+    if d < 1 or r < 1:
+        raise ValueError(f"need d >= 1 and r >= 1, got d={d}, r={r}")
+    series = {k: a_series(k) for k in range(-(r - 1), r)}
+    total = {}
+    for perm in itertools.permutations(range(r)):
+        prod = {(): Fraction(1)}
+        for i in range(r):
+            prod = symfunc._p_mul_terms(prod, series[perm[i] - i], N)
+        inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+        add_into(total, prod, (-1) ** inversions)
+    return TSeries(N, total)
 
 
 def exp_power_sum_log(N: int) -> dict[tuple[int, ...], Fraction]:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tcaseries import cli
+from tcaseries import cli, polyutil
 from tcaseries.seriesforms import EnhancedExpr, ExpPoly
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -218,6 +218,14 @@ def test_gessel_refuses_d_or_r_below_one_by_name(d, r):
     assert err == f"error: need d >= 1 and r >= 1, got d={d}, r={r}\n"
 
 
+def test_gessel_above_d_reports_the_requested_rank():
+    code, out, _ = run_cli(["gessel", "--d", "2", "--r", "8", "--truncate", "4"])
+    _, want, _ = run_cli(["gessel", "--d", "2", "--r", "2", "--truncate", "4"])
+    assert code == 0
+    got, want = json.loads(out), json.loads(want)
+    assert got["r"] == 8 and got["result"] == want["result"]
+
+
 @pytest.mark.parametrize("rep,truncate", [("sym2", 0), ("wedge2", 1), ("tensor2", 1),
                                            ("tensor3", 0), ("tensor3", 2)])
 def test_hilbschur_below_degree_of_v_is_one(rep, truncate):
@@ -351,15 +359,17 @@ def test_not_found_report_disclaims_proof():
 
 
 def test_uncertified_miss_report(monkeypatch):
-    # every coefficient a multiple of the prime: each pair needs exact elimination
+    # every coefficient a multiple of the only prime tried: no residues to
+    # certify with, so each pair needs exact elimination
     p = 2**61 - 1
+    monkeypatch.setattr(polyutil, "RANK_PRIMES", (p,))
     bell = cli.builtin_series
     monkeypatch.setattr(cli, "builtin_series", lambda name, n: [p * c for c in bell(name, n)])
     argv = ["dfinite", "--series", "bell-egf", "--max-order", "2", "--max-degree", "2"]
     code, out, _ = run_cli(argv)
     assert code == 4
     res = json.loads(out)["result"]
-    assert (res["certified"], res["prime"], res["certified_pairs"]) == (False, str(p), [])
+    assert (res["certified"], res["prime"], res["certified_pairs"]) == (False, None, [])
     code, out, _ = run_cli(argv + ["--text"])
     assert out.rstrip().endswith("; not every (order, degree) pair certified mod a prime")
 

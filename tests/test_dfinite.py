@@ -186,23 +186,27 @@ def _counting_nullspace(monkeypatch):
 
 
 def test_rank_filter_does_not_certify_singular_residues(monkeypatch):
-    # both matrices have full rank over Q but not modulo P
+    # full rank over Q but not modulo P
     assert RANK_PRIMES[0] == P
-    assert certify_full_rank([[F(P)]], 1) is None
     singular_mod_p = [[F(1), F(2)], [F(3), F(6 + P)]]  # determinant P
     assert certify_full_rank(singular_mod_p, 2) is None
     assert nullspace(singular_mod_p, 2) == []
-    # a series whose every coefficient is a multiple of P still goes to
-    # exact elimination, for the hit and for the miss
+    # entries that all vanish modulo P move the filter to the next prime;
+    # a zero matrix keeps the first and certifies nothing
+    assert certify_full_rank([[F(P)]], 1) == RANK_PRIMES[1]
+    assert certify_full_rank([[F(0)]], 1) is None
+    # a series whose every coefficient is a multiple of P: the hit still
+    # goes to exact elimination, the miss is certified modulo the next prime
     shapes = _counting_nullspace(monkeypatch)
     cert = {}
     assert guess_ode([F(P, factorial(n)) for n in range(needed_length(1, 0))],
                      max_order=1, max_degree=0, certificate=cert) == EXP_OP
-    assert shapes == [(12, 2)] and cert == {"prime": P, "pairs": []}
+    assert shapes == [(12, 2)] and cert == {"prime": RANK_PRIMES[1], "pairs": []}
     shapes.clear()
     assert guess_ode([P * c for c in bell_egf(needed_length(2, 2))],
                      max_order=2, max_degree=2, certificate=cert) is None
-    assert len(shapes) == 6 and cert == {"prime": P, "pairs": []}
+    assert shapes == [] and cert == {
+        "prime": RANK_PRIMES[1], "pairs": [(r, d) for r in (1, 2) for d in range(3)]}
 
 
 def test_rank_filter_switches_primes_on_denominators():

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tcaseries import seriesforms, symfunc
 from tcaseries.partitions import (
     canonical_key,
     dim_schur,
@@ -40,7 +42,7 @@ from tcaseries.grassmann import (
     theta_r,
 )
 
-from oracles import lr_coefficient
+from oracles import gessel_enhanced_permutations, lr_coefficient
 
 F = Fraction
 
@@ -346,6 +348,33 @@ def test_gessel_matches_sigma_route(d, r):
 def test_gessel_requires_positive_rank():
     with pytest.raises(ValueError):
         gessel_enhanced(3, 0, 4)
+    with pytest.raises(ValueError, match="truncation"):
+        gessel_enhanced(3, 2, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 8))
+def test_gessel_matches_permutation_expansion(d, r, N):
+    assert gessel_enhanced(d, r, N) == gessel_enhanced_permutations(d, r, N)
+
+
+def test_gessel_rank_above_d_is_rank_d():
+    # a rank <= r condition on maps out of C^d is vacuous once r >= d
+    for d in (1, 2, 3):
+        for r in (d + 1, d + 2):
+            assert gessel_enhanced(d, r, 5) == gessel_enhanced_permutations(d, r, 5)
+    assert gessel_enhanced(2, 12, 4) == gessel_enhanced(2, 2, 4)
+
+
+def test_gessel_forms_no_series_product(monkeypatch):
+    calls = []
+    for owner, name in ((symfunc, "_p_mul_terms"), (seriesforms.TSeries, "__mul__")):
+        def counted(*args, _product=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _product(*args)
+        monkeypatch.setattr(owner, name, counted)
+    gessel_enhanced(4, 3, 10)
+    assert calls == []
 
 
 def test_rank1_closed_form_small_d():
