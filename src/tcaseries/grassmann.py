@@ -39,7 +39,7 @@ from .seriesforms import (
     TTPoly,
     ex_sigma,
 )
-from .torus import LaurentPoly, _delta, schur_coefficients, schur_lp
+from .torus import LaurentPoly, _delta, _mul_terms, schur_coefficients, schur_lp
 
 __all__ = [
     "GrClass",
@@ -271,12 +271,12 @@ def detring_formal_character(d: int, r: int) -> SigmaExpr:
     g = LaurentPoly(r, {e: math.prod(binom(d - r, k) for k in e)
                         for e in itertools.product(range(d - r + 1), repeat=r)})
     delta = _delta(r)
-    g_delta = (g * delta).terms
+    g_delta = _mul_terms(g.terms, delta)
     terms: dict[tuple[Partition, tuple[int, ...]], Fraction] = {}
     for lam in partitions_up_to(r * (d - r), max_length=r, max_part=d - 1):
         e = lam + (0,) * (r - len(lam))
         c = sum(cf * g_delta.get(tuple(a + b for a, b in zip(e, f)), 0)
-                for f, cf in delta.terms.items())
+                for f, cf in delta.items())
         if c:
             terms[((), e)] = c / (partition_factorial(lam) * factorial(r - len(lam)))
     return SigmaExpr(terms)

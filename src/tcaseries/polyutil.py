@@ -7,9 +7,10 @@ an exact basis off it; modulo a prime, full column rank proves a rational
 nullspace trivial before exact elimination runs (``residues`` reduces
 rationals for it; ``certify_full_rank`` applies both to a rational matrix).
 Also its one merge kernel for sparse term dicts, ``merge_terms`` and
-``add_into``, its one integrality check, ``integer``, and the number checks
-of every JSON reader, ``json_fraction`` and ``json_int``. And ``Value``, the
-immutable base of the package's value classes.
+``add_into`` (kernels run them on integers: ``over_common_denominator``), its
+one integrality check, ``integer``, and the number checks of every JSON
+reader, ``json_fraction`` and ``json_int``. And ``Value``, the immutable base
+of the package's value classes.
 """
 
 from __future__ import annotations
@@ -171,6 +172,13 @@ def add_into(dst: dict, src: dict, c=1) -> None:
             dst[k] = val
         else:
             dst.pop(k, None)
+
+
+def over_common_denominator(*dicts) -> tuple[int, list[dict]]:
+    """(L, [L * t for t in dicts]) with int values, L the lcm of the denominators
+    of their Fraction values: a linear kernel runs on the ints and divides by L once."""
+    L = math.lcm(*(c.denominator for t in dicts for c in t.values()))
+    return L, [{k: c.numerator * (L // c.denominator) for k, c in t.items()} for t in dicts]
 
 
 def echelon(rows: list[list], ncols: int, p: int | None = None) -> tuple[list[int], list[list]]:

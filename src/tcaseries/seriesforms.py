@@ -18,6 +18,7 @@ The central objects:
 Specializations: ``sigma_expand`` (sigma -> Schur series, by the Pieri rule),
 ``ex_*`` (Hilbert series, sigma_k -> (t^k/k!) e^t), ``phi_*`` (enhanced
 series, p_n -> n t_n, sigma_n -> exp(T_0) sum_{nu |- n} T^nu / nu!).
+``sigma_expand`` and ``enhanced_expand`` work on integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .polyutil import (
     json_int,
     merge_terms,
     nullspace,
+    over_common_denominator,
     padd,
     pcompose_neg,
     pderiv,
@@ -335,14 +337,17 @@ def _sigma_mul(terms: dict[Partition, Fraction], k: int, N: int) -> dict[Partiti
 
 def sigma_expand(e: SigmaExpr, N: int) -> SymFunc:
     """Expand sigma_k -> sum_{n=k}^N binom(n,k) s_n and multiply out in the
-    Schur basis, one Pieri product per sigma factor."""
-    total: dict[Partition, Fraction] = {}
-    for (mu_s, nu), c in e.terms.items():
+    Schur basis, one Pieri product per sigma factor, over a common denominator."""
+    if N < 0:
+        raise ValueError("truncation must be >= 0")
+    L, (terms,) = over_common_denominator(e.terms)
+    total: dict[Partition, int] = {}
+    for (mu_s, nu), c in terms.items():
         cur = {mu_s: c}
         for k in nu:
             cur = _sigma_mul(cur, k, N)
         add_into(total, cur)
-    return SymFunc(SCHUR, total, N)
+    return SymFunc(SCHUR, {lam: Fraction(c, L) for lam, c in total.items()}, N)
 
 
 def sigma_recognize(f: SymFunc, r_max: int, s_deg_max: int,
@@ -430,32 +435,38 @@ def phi_sigma(e: SigmaExpr) -> EnhancedExpr:
 
 
 def _substitute_tails(poly: TTPoly, top: int, trunc: int | None) -> dict[Partition, Fraction]:
-    """The t-polynomial of `poly` under T_j -> sum_{n=j}^{top} binom(n, j) t_n,
-    dropping terms of weight above `trunc` (None: keep all)."""
+    """The t-polynomial of `poly` (int or Fraction coefficients) under T_j ->
+    sum_{n=j}^{top} binom(n, j) t_n, dropping terms above `trunc` (None: none)."""
     out: dict[Partition, Fraction] = {}
     for (tpart, Tpart), c in poly.items():
         if trunc is not None and sum(tpart) > trunc:
             continue
         cur = {tpart: c}
         for j in Tpart:
-            tail = {(n,): Fraction(binom(n, j)) for n in range(j, top + 1)}
+            tail = {(n,): binom(n, j) for n in range(j, top + 1)}
             cur = symfunc._p_mul_terms(cur, tail, trunc)
         add_into(out, cur)
     return out
 
 
-def _exp_kt0(k: int, N: int) -> dict[Partition, Fraction]:
-    """exp(k T_0) = sum_nu k^{l(nu)} t^nu / nu!, truncated at N."""
-    return merge_terms((nu, Fraction(k ** len(nu), partition_factorial(nu)))
+@functools.cache
+def _exp_kt0(k: int, N: int) -> dict[Partition, int]:
+    """N! exp(k T_0) = sum_nu N! k^{l(nu)} t^nu / nu! through weight N, cached and
+    read only; integers, as nu! = prod_i m_i(nu)! divides l(nu)! and so N!."""
+    return merge_terms((nu, factorial(N) * k ** len(nu) // partition_factorial(nu))
                        for nu in partitions_up_to(N))
 
 
 def enhanced_expand(e: EnhancedExpr, N: int) -> TSeries:
-    """Expand T_j and e^{k T_0} into the t variables, truncated at weight N."""
-    total: dict[Partition, Fraction] = {}
-    for k, poly in e.parts.items():
+    """Expand T_j and e^{k T_0} into the t variables, truncated at weight N,
+    on integers over L N! (L the common denominator, N! from _exp_kt0)."""
+    if N < 0:
+        raise ValueError("truncation must be >= 0")
+    L, polys = over_common_denominator(*e.parts.values())
+    total: dict[Partition, int] = {}
+    for k, poly in zip(e.parts, polys):
         add_into(total, symfunc._p_mul_terms(_substitute_tails(poly, N, N), _exp_kt0(k, N), N))
-    return TSeries(N, total)
+    return TSeries(N, {lam: Fraction(c, L * factorial(N)) for lam, c in total.items()})
 
 
 def fourier_dual_hilbert(h: ExpPoly, d: int) -> ExpPoly:

@@ -8,7 +8,8 @@ All integration is exact: CT(F * bar(g)) is the sparse dot product of F and g,
 and the enhanced route forms ch_n * |Delta|^2 once per degree n. Invariant
 dimensions need no integral: they are integer multiplicities on dominant
 weights by the Brauer-Klimyk rule, dropped once they cannot return to weight 0.
-Per-degree characters come from the caller or from `sym_degree_characters`.
+Per-degree characters come from the caller or from `sym_degree_characters`;
+both run on integers over a common denominator.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .partitions import (
     partition_factorial,
     partitions_up_to,
 )
-from .polyutil import Value, add_into, factorial, integer, json_fraction, json_int, merge_terms
+from .polyutil import (Value, add_into, factorial, falling, integer, json_fraction, json_int,
+                       merge_terms, over_common_denominator)
 from .seriesforms import TSeries
 
 __all__ = [
@@ -81,9 +83,7 @@ class LaurentPoly(Value):
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.d != other.d:
             raise ValueError("variable count mismatch")
-        return LaurentPoly(self.d, merge_terms(
-            (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
-            for ea, ca in self.terms.items() for eb, cb in other.terms.items()))
+        return LaurentPoly(self.d, _mul_terms(self.terms, other.terms))
 
     def scale(self, c) -> "LaurentPoly":
         c = Fraction(c)
@@ -93,8 +93,10 @@ class LaurentPoly(Value):
         return sum(self.terms.values(), Fraction(0))
 
 
-def lp_one(d: int) -> LaurentPoly:
-    return LaurentPoly(d, {(0,) * d: Fraction(1)})
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Product of two exponent-keyed term dicts, int or Fraction valued."""
+    return merge_terms((tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+                       for ea, ca in a.items() for eb, cb in b.items())
 
 
 def constant_term(f: LaurentPoly) -> Fraction:
@@ -107,40 +109,38 @@ def bar(f: LaurentPoly) -> LaurentPoly:
 
 
 @functools.cache
-def _delta(d: int) -> LaurentPoly:
-    out = lp_one(d)
-    for i in range(d):
-        for j in range(i + 1, d):
-            ei = tuple(1 if k == i else 0 for k in range(d))
-            ej = tuple(1 if k == j else 0 for k in range(d))
-            out = out * (LaurentPoly(d, {ei: Fraction(1), ej: Fraction(-1)}))
-    return out
+def _delta(d: int) -> dict[Exponent, int]:
+    """prod_{i<j} (alpha_i - alpha_j) = sum_w sign(w) alpha^{w delta}, delta = (d-1, ..., 0)."""
+    return {e: (-1) ** sum(a < b for a, b in itertools.combinations(e, 2))
+            for e in itertools.permutations(range(d - 1, -1, -1))}
 
 
 @functools.cache
 def delta_squared(d: int) -> LaurentPoly:
     """|Delta|^2 = Delta * bar(Delta) with Delta = prod_{i<j} (alpha_i - alpha_j)."""
     dl = _delta(d)
-    return dl * bar(dl)
+    return LaurentPoly(d, _mul_terms(dl, {tuple(-x for x in e): c for e, c in dl.items()}))
 
 
-def _weighted(f: LaurentPoly, d: int) -> LaurentPoly:
-    """f * |Delta|^2, the left factor of every Weyl integral below."""
+def _weighted(f: LaurentPoly, d: int) -> tuple[int, dict]:
+    """(L, L f |Delta|^2 in int terms), L the common denominator of f."""
     if f.d != d:
         raise ValueError(f"inputs must have {d} variables")
-    return f * delta_squared(d)
+    L, (terms,) = over_common_denominator(f.terms)
+    return L, _mul_terms(terms, {e: int(c) for e, c in delta_squared(d).terms.items()})
 
 
-def _integral(w: LaurentPoly, g: LaurentPoly) -> Fraction:
+def _integral(w: dict, g: dict):
     """CT(w * bar(g)) = sum_e w[e] g[e], without materializing the product."""
-    return sum((c * g.terms.get(e, 0) for e, c in w.terms.items()), Fraction(0))
+    return sum(c * g.get(e, 0) for e, c in w.items())
 
 
 def weyl_inner(f: LaurentPoly, g: LaurentPoly, d: int) -> Fraction:
     """(1/d!) CT(f * bar(g) * |Delta|^2): the GL(d) invariant inner product."""
     if g.d != d:
         raise ValueError(f"inputs must have {d} variables")
-    return _integral(_weighted(f, d), g) / factorial(d)
+    L, w = _weighted(f, d)
+    return Fraction(_integral(w, g.terms), L * factorial(d))
 
 
 def power_sum_lp(k: int, d: int) -> LaurentPoly:
@@ -151,11 +151,11 @@ def power_sum_lp(k: int, d: int) -> LaurentPoly:
 
 
 @functools.cache
-def _power_sum_of(lam: Partition, d: int) -> LaurentPoly:
-    out = lp_one(d)
-    for k in lam:
-        out = out * power_sum_lp(k, d)
-    return out
+def _power_sum_of(lam: Partition, d: int) -> dict[Exponent, int]:
+    if not lam:
+        return {(0,) * d: 1}
+    return merge_terms((e[:i] + (e[i] + lam[0],) + e[i + 1:], c)
+                       for e, c in _power_sum_of(lam[1:], d).items() for i in range(d))
 
 
 @functools.cache
@@ -181,7 +181,7 @@ def schur_coefficients(f: LaurentPoly) -> dict[Partition, Fraction]:
     """
     d = f.d
     out: dict[Partition, Fraction] = {}
-    for e, c in (f * _delta(d)).terms.items():
+    for e, c in sorted(_mul_terms(f.terms, _delta(d)).items()):
         if all(e[i] > e[i + 1] for i in range(d - 1)):
             out[as_partition(x - (d - 1 - i) for i, x in enumerate(e))] = c
     return out
@@ -189,20 +189,23 @@ def schur_coefficients(f: LaurentPoly) -> dict[Partition, Fraction]:
 
 def sym_degree_characters(chi: LaurentPoly, N: int) -> list[LaurentPoly]:
     """Characters of Sym^n(E) for n <= N from the character of E, by Newton's
-    identity n h_n = sum_{k=1}^{n} p_k h_{n-k} with p_k = chi(alpha^k)."""
+    identity n h_n = sum_{k=1}^{n} p_k h_{n-k} with p_k = chi(alpha^k), run
+    division-free on G_n = L^n n! h_n for L the common denominator of chi:
+    G_n = sum_k (n-1)!/(n-k)! L^{k-1} p_k(L chi) G_{n-k} over the integers."""
     if N < 0:
         raise ValueError("truncation must be >= 0")
     d = chi.d
-    pk = [None] + [LaurentPoly(d, {tuple(k * x for x in e): c
-                                   for e, c in chi.terms.items()})
+    L, (lchi,) = over_common_denominator(chi.terms)
+    pk = [None] + [{tuple(k * x for x in e): c for e, c in lchi.items()}
                    for k in range(1, N + 1)]
-    hs = [lp_one(d)]
+    gs = [{(0,) * d: 1}]
     for n in range(1, N + 1):
-        acc = LaurentPoly(d, {})
+        acc: dict[Exponent, int] = {}
         for k in range(1, n + 1):
-            acc = acc + pk[k] * hs[n - k]
-        hs.append(acc.scale(Fraction(1, n)))
-    return hs
+            add_into(acc, _mul_terms(pk[k], gs[n - k]), falling(n - 1, k - 1) * L ** (k - 1))
+        gs.append(acc)
+    return [LaurentPoly(d, {e: Fraction(c, L ** n * factorial(n)) for e, c in g.items()})
+            for n, g in enumerate(gs)]
 
 
 def _reflect(v: Exponent, spans) -> tuple[Exponent, int]:
@@ -298,9 +301,8 @@ class KernelSeries(Value):
 def kernel_K(d: int, N: int) -> KernelSeries:
     terms: dict[Exponent, dict[Partition, Fraction]] = {}
     for lam in partitions_up_to(N):
-        plam = _power_sum_of(lam, d)
         w = Fraction(1, partition_factorial(lam))
-        for e, c in plam.terms.items():
+        for e, c in _power_sum_of(lam, d).items():
             terms.setdefault(e, {})[lam] = c * w
     return KernelSeries(d, N, {e: TSeries(N, coeffs) for e, coeffs in terms.items()})
 
@@ -308,7 +310,8 @@ def kernel_K(d: int, N: int) -> KernelSeries:
 def enhanced_from_equivariant(hilb, d: int, N: int) -> TSeries:
     """Integral route to the enhanced Hilbert series: the coefficient of t^lam
     is weyl_inner(ch, p_lam) / lam! for ch the character of degree |lam|, with
-    ch * |Delta|^2 formed once per degree and paired with each p_lam.
+    L ch * |Delta|^2 formed once per degree on integers and paired with each
+    p_lam, one Fraction over L d! lam! per coefficient.
 
     `hilb` is a sequence of LaurentPoly degree-n characters of M(C^d) for
     n = 0..N (entries may be None for zero).
@@ -316,10 +319,10 @@ def enhanced_from_equivariant(hilb, d: int, N: int) -> TSeries:
     coeffs: dict[Partition, Fraction] = {}
     for n, ch in enumerate(hilb[:N + 1]):
         if ch is not None:
-            w = _weighted(ch, d)
+            L, w = _weighted(ch, d)
             for lam in enumerate_partitions(n):
-                coeffs[lam] = _integral(w, _power_sum_of(lam, d)) / (
-                    factorial(d) * partition_factorial(lam))
+                coeffs[lam] = Fraction(_integral(w, _power_sum_of(lam, d)),
+                                       L * factorial(d) * partition_factorial(lam))
     return TSeries(N, coeffs)
 
 

@@ -6,15 +6,19 @@ partition counts come from the pentagonal-number recurrence, Schur expansions
 from monomial enumeration, products from Littlewood-Richardson tableaux, and
 invariant dimensions from constant terms of chi^n |Delta|^2
 (``invariant_dimensions_ct``, vs. the Brauer-Klimyk rule on dominant
-weights). Four oracles call the package: ``sigma_expand_powersum`` uses its
+weights). Five oracles call the package: ``sigma_expand_powersum`` uses its
 power-sum routines, which the Pieri kernel of ``sigma_expand`` does not use,
 ``enhanced_from_equivariant_per_partition`` runs one ``weyl_inner`` per
 partition, where the package weights each degree by |Delta|^2 once,
 ``guess_ode_per_pair`` certifies and solves each (order, degree) system of
-``guess_ode`` on its own, where the package reduces each order once, and
+``guess_ode`` on its own, where the package reduces each order once,
 ``gessel_enhanced_permutations`` expands the Gessel determinant by
 permutations into series products, where the package forms one integer
-determinant per partition and the power-sum-to-monomial table.
+determinant per partition and the power-sum-to-monomial table, and
+``enhanced_expand_series`` multiplies T-tails and e^{k T_0} as truncated
+series, where the package runs on integer tables. ``sym_powers_binomial``
+reads Sym^n off generalized binomial series, against the Newton recurrence
+of ``sym_degree_characters``; it only builds LaurentPoly values.
 """
 
 from __future__ import annotations
@@ -293,6 +297,51 @@ def enhanced_from_equivariant_per_partition(hilb, d: int, N: int):
                 p_lam = p_lam * power_sum_lp(k, d)
             coeffs[lam] = weyl_inner(ch, p_lam, d) / partition_factorial(lam)
     return TSeries(N, coeffs)
+
+
+def enhanced_expand_series(e, N: int):
+    """enhanced_expand by series products: each T_j = sum_{n>=j} binom(n, j) t_n
+    (t_0 absent) and e^{k T_0} = ts_exp(k T_0) are TSeries truncated at N, and
+    every monomial c t^tau T^nu of layer k is multiplied out with
+    TSeries.__mul__, where the package runs one integer table of N! e^{k T_0}."""
+    from tcaseries.seriesforms import TSeries, ts_exp
+
+    def tail(j):
+        return TSeries(N, {(n,): _binom(n, j) for n in range(max(j, 1), N + 1)})
+
+    total = TSeries(N, {})
+    for k, poly in e.parts.items():
+        layer = TSeries(N, {})
+        for (t, T), c in poly.items():
+            term = TSeries(N, {t: c})
+            for j in T:
+                term = term * tail(j)
+            layer = layer + term
+        total = total + layer * ts_exp(tail(0).scale(k), N)
+    return total
+
+
+def sym_powers_binomial(chi, N: int):
+    """Characters of Sym^n(E), n <= N, for the virtual character
+    chi = sum_mu m_mu x^mu (a LaurentPoly; m_mu any rationals), read off
+    prod_mu (1 - x^mu u)^{-m_mu} = prod_mu sum_j binom(m_mu + j - 1, j) x^{j mu} u^j
+    with the generalized binomial m (m+1) ... (m+j-1) / j!, where the package
+    runs Newton's identity on integers."""
+    from tcaseries.torus import LaurentPoly
+    d = chi.d
+    series = [{(0,) * d: Fraction(1)}] + [{} for _ in range(N)]
+    for mu, m in chi.terms.items():
+        binoms = [Fraction(1)]
+        for j in range(N):
+            binoms.append(binoms[-1] * (m + j) / (j + 1))
+        new = [{} for _ in range(N + 1)]
+        for n, part in enumerate(series):
+            for j in range(N + 1 - n):
+                for e, c in part.items():
+                    key = tuple(a + j * b for a, b in zip(e, mu))
+                    new[n + j][key] = new[n + j].get(key, 0) + c * binoms[j]
+        series = new
+    return [LaurentPoly(d, part) for part in series]
 
 
 def guess_ode_per_pair(coeffs, max_order: int, max_degree: int):

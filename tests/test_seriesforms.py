@@ -64,7 +64,7 @@ from tcaseries.torus import (
     lp_from_json,
 )
 
-from oracles import exp_power_sum_log, sigma_expand_powersum
+from oracles import enhanced_expand_series, exp_power_sum_log, sigma_expand_powersum
 
 F = Fraction
 HALF = F(1, 2)
@@ -327,6 +327,44 @@ def test_enhanced_expand_pure_exponential():
     for lam in partitions_up_to(4):
         assert s.coeff(lam) == F(3 ** len(lam)) / partition_factorial(lam)
     assert ts_egf(s) == [F(3 ** n, [1, 1, 2, 6, 24][n]) for n in range(5)]
+
+
+def _partitions(top):
+    return st.lists(st.integers(1, top), max_size=3).map(lambda p: tuple(sorted(p, reverse=True)))
+
+
+@st.composite
+def enhanced_exprs(draw):
+    """(e, N): layers k = 0..3, coefficients of denominator up to 6, t-parts
+    of weight up to 3(N + 2), so some lie above N, and T_j with j <= N + 1."""
+    N = draw(st.integers(0, 7))
+    term = st.tuples(_partitions(N + 2), _partitions(N + 1))
+    c = st.builds(F, st.integers(-5, 5), st.integers(1, 6))
+    layer = st.dictionaries(term, c, min_size=1, max_size=3)
+    return EnhancedExpr(draw(st.dictionaries(st.integers(0, 3), layer, max_size=3))), N
+
+
+@settings(max_examples=80, deadline=None)
+@given(enhanced_exprs())
+def test_enhanced_expand_matches_series_products(case):
+    e, N = case
+    assert enhanced_expand(e, N) == enhanced_expand_series(e, N)
+
+
+def test_expansions_refuse_negative_truncation(monkeypatch):
+    # refused at entry with the message of TSeries, before any kernel runs
+    def kernel(*args):
+        raise AssertionError("a kernel ran at negative truncation")
+
+    for name in ("over_common_denominator", "_substitute_tails", "_sigma_mul", "_exp_kt0"):
+        monkeypatch.setattr(seriesforms, name, kernel)
+    e = EnhancedExpr({0: {((), ()): F(1)}, 1: {((1,), (2,)): HALF}})
+    for route, arg in ((enhanced_expand, e), (sigma_expand, sexpr(((1,), (1,), HALF)))):
+        with pytest.raises(ValueError, match="truncation must be >= 0"):
+            route(arg, -1)
+    monkeypatch.undo()
+    assert enhanced_expand(e, 0) == TSeries(0, {(): F(1)})
+    assert sigma_expand(sexpr(((), (0,), HALF)), 0) == SymFunc(SCHUR, {(): HALF}, 0)
 
 
 # --- Hilbert series shapes ---------------------------------------------------

@@ -13,6 +13,7 @@ from oracles import (
     invariant_dimensions_ct,
     poly_mul,
     schur_monomials,
+    sym_powers_binomial,
 )
 from tcaseries.partitions import (
     enumerate_partitions,
@@ -20,7 +21,14 @@ from tcaseries.partitions import (
     partitions_up_to,
 )
 from tcaseries.polyutil import binom, factorial
-from tcaseries.seriesforms import SigmaExpr, TSeries, enhanced_expand, phi_sigma, tca_enhanced_exp
+from tcaseries.seriesforms import (
+    SigmaExpr,
+    TSeries,
+    enhanced_expand,
+    phi_sigma,
+    sigma_expand,
+    tca_enhanced_exp,
+)
 from tcaseries.torus import (
     KernelSeries,
     LaurentPoly,
@@ -41,6 +49,7 @@ from tcaseries.torus import (
 )
 
 F = Fraction
+HALF = F(1, 2)
 
 
 def lp(d, terms):
@@ -381,6 +390,58 @@ def test_sym_degree_characters_refuse_negative_truncation():
     with pytest.raises(ValueError):
         sym_degree_characters(power_sum_lp(1, 2), -1)
     assert sym_degree_characters(power_sum_lp(1, 2), 0) == [lp(2, {(0, 0): 1})]
+
+
+@st.composite
+def virtual_characters(draw):
+    """(chi, N): d <= 3, N <= 6, up to four terms with exponents in -2..2 and
+    signed coefficients of denominator up to 6, one of them not an integer."""
+    d, N = draw(st.integers(0, 3)), draw(st.integers(0, 6))
+    exponents = st.tuples(*[st.integers(-2, 2)] * d)
+    terms = draw(st.dictionaries(exponents, st.builds(F, st.integers(-4, 4), st.integers(1, 6)),
+                                 max_size=3))
+    terms[draw(exponents)] = draw(st.builds(F, st.integers(-5, 5), st.integers(2, 6))
+                                  .filter(lambda c: c.denominator > 1))
+    return LaurentPoly(d, terms), N
+
+
+@settings(max_examples=100, deadline=None)
+@given(virtual_characters())
+def test_sym_degree_characters_match_binomial_series(case):
+    # Sym^n is not linear in chi: scaling chi by its common denominator L
+    # and dividing Sym^n by L^n would be wrong here
+    chi, N = case
+    assert sym_degree_characters(chi, N) == sym_powers_binomial(chi, N)
+
+
+def test_sym_degree_characters_of_half_a_line():
+    # prod (1 - u)^{-1/2}: binom(n - 1/2, n) = 1, 1/2, 3/8, 5/16
+    got = sym_degree_characters(lp(1, {(1,): HALF}), 3)
+    assert got == [lp(1, {(0,): 1}), lp(1, {(1,): HALF}), lp(1, {(2,): F(3, 8)}),
+                   lp(1, {(3,): F(5, 16)})]
+
+
+def test_expansion_routes_do_no_fraction_arithmetic(monkeypatch):
+    # the four expansion routes run on integers over one common denominator
+    # and make one Fraction per output coefficient; no Fraction sum or product
+    sigma = SigmaExpr({((2, 1), (2, 0)): F(1, 3), ((1,), (1,)): F(-5, 4), ((), (0, 0)): F(1),
+                       ((1, 1), ()): F(2, 5)})
+    enhanced = phi_sigma(sigma)
+    chi = lp(2, {(1, 0): HALF, (0, 1): HALF, (1, -1): F(-2, 3)})
+    hilb = sym_degree_characters(power_sum_lp(1, 2).scale(F(3, 2)), 8)
+    routes = [(sigma_expand, sigma, 9), (enhanced_expand, enhanced, 9),
+              (sym_degree_characters, chi, 8), (enhanced_from_equivariant, hilb, 2, 8)]
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        def counted(*args, _original=getattr(F, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(F, name, counted)
+    for route, *args in routes:
+        calls.clear()
+        assert route(*args)
+        assert calls == [], route.__name__
+    assert HALF + 1 == F(3, 2) and calls == ["__add__"]
 
 
 @pytest.mark.parametrize("m", [1, 2])
