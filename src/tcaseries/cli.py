@@ -523,6 +523,11 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         try:
+            # a flag that the chosen form or group would ignore is refused
+            if getattr(args, "form", None) in ("sigma", "hilbert") and args.truncate is not None:
+                raise UsageError(f"--truncate does not apply to --form {args.form}")
+            if getattr(args, "dim", None) is not None and args.group != "trivial":
+                raise UsageError(f"--dim does not apply to --group {args.group}")
             obj, text, code = _HANDLERS[args.command](args)
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)

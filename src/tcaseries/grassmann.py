@@ -8,7 +8,8 @@ truncation is imposed, relations are resolved through pushforward pairings.
 
 R pi_* S_lam(Q) = S_lam(C^d) with no higher cohomology for partitions lam with
 at most r parts; general weights on Q and R go through the dotted-Weyl-action
-algorithm (`bott_pushforward`).
+algorithm (`bott_pushforward`). theta_r, detring and Gessel's series each read
+one determinant of linear forms, polyutil.linear_form_det.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .partitions import (
     format_partition,
     parse_partition,
     partition_factorial,
-    partitions_up_to,
 )
-from .polyutil import Value, add_into, binom, factorial, integer, json_int, merge_terms
+from .polyutil import (
+    Value, add_into, binom, factorial, integer, json_int, linear_form_det, merge_terms)
 from .symfunc import SCHUR, SymFunc
 from .seriesforms import (
     EnhancedExpr,
@@ -39,7 +40,7 @@ from .seriesforms import (
     TTPoly,
     ex_sigma,
 )
-from .torus import LaurentPoly, _delta, _mul_terms, schur_coefficients, schur_lp
+from .torus import LaurentPoly, schur_coefficients, schur_lp
 
 __all__ = [
     "GrClass",
@@ -187,16 +188,6 @@ def _shift_down(f: LaurentPoly) -> LaurentPoly:
         for evec in itertools.product(*(range(a + 1) for a in e))))
 
 
-@functools.cache
-def _shifted_class(lam: Partition, r: int, kind: str) -> tuple[tuple[Partition, int], ...]:
-    if kind == "monomial":
-        orbit = set(itertools.permutations(lam + (0,) * (r - len(lam))))
-        f = LaurentPoly(r, dict.fromkeys(orbit, 1))
-    else:
-        f = schur_lp(lam, r)
-    return _integer_schur_terms(_shift_down(f))
-
-
 def m_shifted_class(lam, r: int, kind: str = "monomial") -> dict[Partition, int]:
     """The K-class of the shifted monomial M_lam^{(r)} (or shifted Schur
     S_lam^{(r)} with kind="schur") evaluated at [Q], expanded over [S_mu(Q)]:
@@ -205,23 +196,46 @@ def m_shifted_class(lam, r: int, kind: str = "monomial") -> dict[Partition, int]
     lam = as_partition(lam)
     if len(lam) > r:
         raise ValueError(f"partition {lam} has more than r={r} rows")
-    if kind not in ("monomial", "schur"):
+    if kind == "monomial":
+        f = LaurentPoly(r, dict.fromkeys(itertools.permutations(lam + (0,) * (r - len(lam))), 1))
+    elif kind == "schur":
+        f = schur_lp(lam, r)
+    else:
         raise ValueError(f"unknown kind {kind!r}")
-    return dict(_shifted_class(lam, r, kind))
+    return dict(_integer_schur_terms(_shift_down(f)))
+
+
+def _bott_differences(d: int, r: int, alpha: Partition, a: int, b: int) -> dict[int, int]:
+    """{k: (Delta^k p_b)(alpha_a + r-1-a)}, Delta the forward difference and
+    p_b(x) = x^{r-1-b} (x+1) (x+2) ... (x+d-r), of degree d-1-b."""
+    x = (alpha[a] if a < len(alpha) else 0) + r - 1 - a
+    p = [y ** (r - 1 - b) * math.prod(range(y + 1, y + d - r + 1)) for y in range(x, x + d - b)]
+    return {k: sum((-1) ** (k - j) * binom(k, j) * p[j] for j in range(k + 1))
+            for k in range(d - b)}
 
 
 def theta_r(c: LambdaGrClass) -> SigmaExpr:
     """Formal-character map on Lambda tensor K(Gr_r): sigma-degree r output.
 
-    theta_r(s_mu tensor [F]) = s_mu sum_lam sigma^lam sigma_0^{r-l(lam)}
-    <M_lam^{(r)}([Q]), [F]>, over l(lam) <= r and |lam| <= r(d-r).
+    theta_r(s_mu tensor [S_alpha(Q)]) = s_mu sum_lam sigma^lam sigma_0^{r-l(lam)}
+    <M_lam^{(r)}([Q]), [S_alpha(Q)]> over l(lam) <= r, the pairing being chi of
+    m_lam(x-1) s_alpha(x). By Bott and Weyl, chi(S_nu(Q)) = det[p_b(e_a)] / den at
+    e = nu + (r-1, ..., 0), den = prod_{i <= r, i < j <= d} (j-i), p_b as in
+    `_bott_differences`. Through the bialternant of s_alpha (Macdonald I.3),
+    (x-1)^k becomes Delta^k: the pairing is [s^lam] det(sum_k s_k U_k) / den,
+    U_k[a, b] = (Delta^k p_b)(alpha_a + r-1-a).
     """
     if not c.terms:
         return SigmaExpr({})
     d, r = c.shape()
-    return SigmaExpr({(mu_s, lam + (0,) * (r - len(lam))): pairing(m_shifted_class(lam, r), g)
-                      for mu_s, g in c.terms.items()
-                      for lam in partitions_up_to(r * (d - r), max_length=r)})
+    den = math.prod(j - i for i in range(1, r + 1) for j in range(i + 1, d + 1))
+    terms = merge_terms(((mu, lam), ca * D) for mu, g in c.terms.items()
+                        for alpha, ca in g.terms.items() for lam, D in linear_form_det(
+                            r, functools.partial(_bott_differences, d, r, alpha)).items())
+    for key, v in terms.items():
+        if v % den:
+            raise AssertionError(f"pairing {v}/{den} at {key} is not an integer")
+    return SigmaExpr({key: v // den for key, v in terms.items()})
 
 
 def mu_r(c: LambdaGrClass) -> ExpPoly:
@@ -257,46 +271,14 @@ def pushforward_module_character(d: int, r: int, alpha, N: int) -> SymFunc:
 def detring_formal_character(d: int, r: int) -> SigmaExpr:
     """Closed-form sigma expression sum_{lam in r x d} c_lam sigma^lam sigma_0^{r-l(lam)}.
 
-    c_lam = weyl_inner(m_lam, g, r) with g = prod_i (1 + x_i)^{d-r}, which by
-    dual Cauchy (Macdonald I.4) is sum_mu [m_lam in s_mu] s_{mu'}(1^{d-r}).
-    g |Delta|^2 is symmetric, so the constant term over the orbit of lam
-    collapses to c_lam = [x^lam] (g |Delta|^2) / |Stab(lam)|, where the
-    stabilizer of lam (padded to r parts) in S_r has order lam! (r - l(lam))!.
-    The coefficient is read as sum_f Delta[f] (g Delta)[lam + f] without
-    forming |Delta|^2; g |Delta|^2 has degree r(d-r) and no exponent above
-    d-1, so only those lam are visited.
+    c_lam = weyl_inner(m_lam, prod_i (1 + x_i)^{d-r}, r). Expanding both alternants
+    of |Delta|^2 over the rearrangements of lam, multilinearity in the rows makes
+    it the coefficient of s^lam in the Toeplitz determinant det(sum_k s_k binom(d-r, k+b-a)).
     """
     if not (0 <= r <= d):
         raise ValueError(f"need 0 <= r <= d, got r={r}, d={d}")
-    g = LaurentPoly(r, {e: math.prod(binom(d - r, k) for k in e)
-                        for e in itertools.product(range(d - r + 1), repeat=r)})
-    delta = _delta(r)
-    g_delta = _mul_terms(g.terms, delta)
-    terms: dict[tuple[Partition, tuple[int, ...]], Fraction] = {}
-    for lam in partitions_up_to(r * (d - r), max_length=r, max_part=d - 1):
-        e = lam + (0,) * (r - len(lam))
-        c = sum(cf * g_delta.get(tuple(a + b for a, b in zip(e, f)), 0)
-                for f, cf in delta.items())
-        if c:
-            terms[((), e)] = c / (partition_factorial(lam) * factorial(r - len(lam)))
-    return SigmaExpr(terms)
-
-
-def _determinant_weight(nu: Partition, r: int, c: dict[int, list[int]]) -> int:
-    """D(nu): the sum of det[c_{j-i}(e_i)] over the distinct rearrangements e
-    of nu padded to r parts. One Laplace expansion along rows 0..r-1 picks
-    each row's part e_i as it goes; a state is the set of columns taken (a
-    bit mask, whose entries above column j give the sign) and the parts left.
-    """
-    states = {(0, nu + (0,) * (r - len(nu))): 1}
-    for i in range(r):
-        states = merge_terms(
-            ((taken | 1 << j, left[:k] + left[k + 1:]),
-             (-1) ** (taken >> j).bit_count() * c[j - i][n] * v)
-            for (taken, left), v in states.items()
-            for k, n in enumerate(left) if k == 0 or left[k - 1] != n
-            for j in range(r) if not taken >> j & 1)
-    return states.get(((1 << r) - 1, ()), 0)
+    return SigmaExpr({((), lam): c for lam, c in linear_form_det(r, lambda a, b: {
+        k: binom(d - r, k + b - a) for k in range(max(0, a - b), d - r + a - b + 1)}).items()})
 
 
 def _power_sum_to_monomial(r: int, N: int) -> dict[Partition, dict[Partition, int]]:
@@ -322,28 +304,24 @@ def _take(nu: Partition, j: int, k: int) -> Partition:
 
 def gessel_enhanced(d: int, r: int, N: int) -> TSeries:
     """Enhanced Hilbert series of the rank-r determinantal quotient as the
-    r x r determinant det(a_{j-i}) of Gessel (JCTA 1990), computed without
-    series products.
+    r x r determinant det(a_{j-i}) of Gessel (JCTA 1990), without series products.
 
-    Every entry is a_k = sum_n c_k(n) E_n with c_k(n) = binom(n+k+d-1, n+k)
-    and E_n = sum_{|lam|=n} t^lam / lam!, so by multilinearity in the rows
-    det(a_{j-i}) = sum_nu D(nu) E_nu over partitions nu with at most r parts,
-    where D(nu) sums the integer determinants det[c_{j-i}(e_i)] over the
-    rearrangements e of nu. [t^lam / lam!] E_nu counts the ways to place the
-    parts of lam, told apart, in r boxes whose sums are nu_1, ..., nu_r,
-    which is the power-sum-to-monomial transition [m_nu] p_lam in r variables
-    (Macdonald, Symmetric Functions, I.6). So [t^lam] = sum_nu [m_nu] p_lam D(nu) / lam!,
-    one Fraction per lam, integers before it. For r >= d the rank condition
-    is vacuous and the series is the one at r = d.
+    Every entry is a_k = sum_n c_k(n) E_n with c_k(n) = binom(n+k+d-1, n+k) and
+    E_n = sum_{|lam|=n} t^lam / lam!, so det(a_{j-i}) = sum_nu D(nu) E_nu with
+    D(nu) read off one linear_form_det capped at weight N. [t^lam / lam!] E_nu
+    counts the ways to place the parts of lam, told apart, in r boxes whose sums
+    are nu: the power-sum-to-monomial transition [m_nu] p_lam in r variables
+    (Macdonald I.6). So [t^lam] = sum_nu [m_nu] p_lam D(nu) / lam!, one Fraction
+    per lam. For r >= d the rank condition is vacuous: the series is the one at r = d.
     """
     if d < 1 or r < 1:
         raise ValueError(f"need d >= 1 and r >= 1, got d={d}, r={r}")
     if N < 0:
         raise ValueError("truncation must be >= 0")
     r = min(r, d)
-    c = {k: [binom(n + k + d - 1, n + k) for n in range(N + 1)] for k in range(1 - r, r)}
-    weights = {nu: _determinant_weight(nu, r, c) for nu in partitions_up_to(N, max_length=r)}
-    return TSeries(N, {lam: Fraction(sum(m * weights[nu] for nu, m in row.items()),
+    weights = {tuple(n for n in ks if n): D for ks, D in linear_form_det(r, lambda a, b: {
+        n: binom(n + b - a + d - 1, n + b - a) for n in range(max(0, a - b), N + 1)}, N).items()}
+    return TSeries(N, {lam: Fraction(sum(m * weights.get(nu, 0) for nu, m in row.items()),
                                      partition_factorial(lam))
                        for lam, row in _power_sum_to_monomial(r, N).items()})
 

@@ -41,12 +41,13 @@ __all__ = [
 def as_partition(parts) -> Partition:
     """Validate and normalize a part sequence: sorted check, zeros stripped."""
     # _mn calls this in its recursion: int parts skip the integrality check
-    lam = tuple(p if type(p) is int else integer(p) for p in parts if p != 0)
-    if any(p < 0 for p in lam):
-        raise ValueError(f"negative part in {parts!r}")
+    lam = tuple(p if type(p) is int else integer(p) for p in parts)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError(f"parts not weakly decreasing in {parts!r}")
-    return lam
+    # weakly decreasing: the last part is the least, and every zero trails
+    if lam and lam[-1] < 0:
+        raise ValueError(f"negative part in {parts!r}")
+    return lam[:lam.index(0)] if lam and not lam[-1] else lam
 
 
 def parse_bracket_list(text: str) -> tuple[int, ...]:

@@ -10,7 +10,7 @@ Also its one merge kernel for sparse term dicts, ``merge_terms`` and
 ``add_into`` (kernels run them on integers: ``over_common_denominator``), its
 one integrality check, ``integer``, and the number checks of every JSON
 reader, ``json_fraction`` and ``json_int``. And ``Value``, the immutable base
-of the package's value classes.
+of the package's value classes, and ``linear_form_det``, its one determinant.
 """
 
 from __future__ import annotations
@@ -179,6 +179,23 @@ def over_common_denominator(*dicts) -> tuple[int, list[dict]]:
     of their Fraction values: a linear kernel runs on the ints and divides by L once."""
     L = math.lcm(*(c.denominator for t in dicts for c in t.values()))
     return L, [{k: c.numerator * (L // c.denominator) for k, c in t.items()} for t in dicts]
+
+
+def linear_form_det(r: int, entry, N: int | None = None) -> dict[tuple[int, ...], int]:
+    """det(sum_k s_k M_k) for r x r integer matrices M_k, entry(a, b) = {k: M_k[a][b]}:
+    the coefficient of s_{k_1} ... s_{k_r}, keyed by the weakly decreasing tuple
+    (k_1, ..., k_r), where k_1 + ... + k_r <= N (None: all). One Laplace expansion
+    down the rows; a state is the bit mask of columns taken, whose bits above
+    column b give the sign of taking b, and the multiset of k chosen so far."""
+    states = {(0, ()): 1}
+    for row in ([entry(a, b) for b in range(r)] for a in range(r)):
+        states = merge_terms(
+            ((taken | 1 << b, tuple(sorted((*ks, k), reverse=True))),
+             (-1) ** (taken >> b).bit_count() * c * v)
+            for (taken, ks), v in states.items()
+            for b, forms in enumerate(row) if not taken >> b & 1
+            for k, c in forms.items() if N is None or sum(ks) + k <= N)
+    return {ks: v for (_, ks), v in states.items()}
 
 
 def echelon(rows: list[list], ncols: int, p: int | None = None) -> tuple[list[int], list[list]]:

@@ -56,8 +56,8 @@ def normalize_terms(terms, truncation: int | None) -> dict[Partition, Fraction]:
     made Fractions, terms above `truncation` (None: none) dropped, equal keys
     merged, zeros dropped, keys in canonical order."""
     limit = math.inf if truncation is None else truncation
-    keys = map(as_partition, terms)
-    return merge_terms(((lam, Fraction(c)) for lam, c in zip(keys, terms.values())
+    return merge_terms(((lam, c if type(c) is Fraction else Fraction(c))
+                        for lam, c in zip(map(as_partition, terms), terms.values())
                         if sum(lam) <= limit), canonical_key)
 
 

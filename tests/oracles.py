@@ -6,7 +6,7 @@ partition counts come from the pentagonal-number recurrence, Schur expansions
 from monomial enumeration, products from Littlewood-Richardson tableaux, and
 invariant dimensions from constant terms of chi^n |Delta|^2
 (``invariant_dimensions_ct``, vs. the Brauer-Klimyk rule on dominant
-weights). Five oracles call the package: ``sigma_expand_powersum`` uses its
+weights). Seven oracles call the package: ``sigma_expand_powersum`` uses its
 power-sum routines, which the Pieri kernel of ``sigma_expand`` does not use,
 ``enhanced_from_equivariant_per_partition`` runs one ``weyl_inner`` per
 partition, where the package weights each degree by |Delta|^2 once,
@@ -16,7 +16,12 @@ partition, where the package weights each degree by |Delta|^2 once,
 permutations into series products, where the package forms one integer
 determinant per partition and the power-sum-to-monomial table, and
 ``enhanced_expand_series`` multiplies T-tails and e^{k T_0} as truncated
-series, where the package runs on integer tables. ``sym_powers_binomial``
+series, where the package runs on integer tables, ``theta_r_pairings``
+runs one Euler pairing per partition, through the shifted class,
+Littlewood-Richardson products and Bott pushforwards, and
+``detring_delta_squared`` reads the determinantal-ring character off
+g |Delta|^2, where the package reads both off one determinant of linear
+forms. ``sym_powers_binomial``
 reads Sym^n off generalized binomial series, against the Newton recurrence
 of ``sym_degree_characters``; it only builds LaurentPoly values.
 """
@@ -399,6 +404,60 @@ def gessel_enhanced_permutations(d: int, r: int, N: int):
         inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
         add_into(total, prod, (-1) ** inversions)
     return TSeries(N, total)
+
+
+def theta_r_pairings(c):
+    """theta_r by one pairing per partition: s_mu sigma^lam sigma_0^{r-l(lam)}
+    <M_lam^{(r)}([Q]), [F]> over l(lam) <= r and |lam| <= r(d-r), each pairing
+    through the Schur expansion of the shifted monomial class, Littlewood-Richardson
+    products and Bott pushforwards."""
+    from tcaseries.grassmann import pairing
+    from tcaseries.seriesforms import SigmaExpr
+    if not c.terms:
+        return SigmaExpr({})
+    d, r = c.shape()
+    return SigmaExpr({(mu, lam + (0,) * (r - len(lam))): pairing(m_lam, g)
+                      for mu, g in c.terms.items()
+                      for lam, m_lam in _shifted_monomial_classes(r, r * (d - r)).items()})
+
+
+@functools.cache
+def _shifted_monomial_classes(r: int, n: int) -> dict:
+    """m_shifted_class(lam, r) for every lam with l(lam) <= r and |lam| <= n."""
+    from tcaseries.grassmann import m_shifted_class
+    from tcaseries.partitions import partitions_up_to
+    return {lam: m_shifted_class(lam, r) for lam in partitions_up_to(n, max_length=r)}
+
+
+def detring_delta_squared(d: int, r: int):
+    """detring_formal_character by Weyl integration against |Delta|^2.
+
+    c_lam = weyl_inner(m_lam, g, r) with g = prod_i (1 + x_i)^{d-r}, which by
+    dual Cauchy (Macdonald I.4) is sum_mu [m_lam in s_mu] s_{mu'}(1^{d-r}).
+    g |Delta|^2 is symmetric, so the constant term over the orbit of lam
+    collapses to c_lam = [x^lam] (g |Delta|^2) / |Stab(lam)|, where the
+    stabilizer of lam (padded to r parts) in S_r has order lam! (r - l(lam))!.
+    The coefficient is read as sum_f Delta[f] (g Delta)[lam + f] without
+    forming |Delta|^2; g |Delta|^2 has degree r(d-r) and no exponent above
+    d-1, so only those lam are visited.
+    """
+    import itertools
+    from tcaseries.partitions import partition_factorial, partitions_up_to
+    from tcaseries.polyutil import binom
+    from tcaseries.seriesforms import SigmaExpr
+    from tcaseries.torus import _delta, _mul_terms
+    g = {e: math.prod(binom(d - r, k) for k in e)
+         for e in itertools.product(range(d - r + 1), repeat=r)}
+    delta = _delta(r)
+    g_delta = _mul_terms(g, delta)
+    terms = {}
+    for lam in partitions_up_to(r * (d - r), max_length=r, max_part=d - 1):
+        e = lam + (0,) * (r - len(lam))
+        c = sum(cf * g_delta.get(tuple(a + b for a, b in zip(e, f)), 0)
+                for f, cf in delta.items())
+        if c:
+            terms[((), e)] = Fraction(c, partition_factorial(lam) * math.factorial(r - len(lam)))
+    return SigmaExpr(terms)
 
 
 def exp_power_sum_log(N: int) -> dict[tuple[int, ...], Fraction]:

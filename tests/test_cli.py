@@ -186,6 +186,13 @@ EXIT_CODE_CASES = [
     (["invariants", "--group", "sl2", "--nmax", "-3"], 2),
     (["invariants", "--group", "trivial", "--dim", "-2", "--nmax", "3"], 2),
     (["hilbschur", "--rep", "tensor3", "--truncate", "2"], 0),     # below the degree of V
+    (["theta", "--d", "3", "--r", "2", "--mu", "[0,1]"], 2),        # not weakly decreasing
+    # flags the chosen form or group would ignore
+    (["detring", "--d", "3", "--r", "1", "--form", "sigma", "--truncate", "4"], 2),
+    (["detring", "--d", "3", "--r", "1", "--form", "hilbert", "--truncate", "4"], 2),
+    (["theta", "--d", "3", "--r", "1", "--truncate", "4"], 2),
+    (["invariants", "--group", "sl2", "--dim", "3", "--nmax", "4"], 2),
+    (["invariants", "--group", "sl2xsl2", "--rep", "tensor", "--dim", "3", "--nmax", "4"], 2),
     (["dfinite", "--series", "catalan-egf", "--max-order", "-1000",
       "--max-degree", "-1000"], 3),                                # caps checked before the series is built
 ]

@@ -1,11 +1,14 @@
 """Tests for Grassmannian K-theory: Bott, pairings, theta/mu, determinantal rings."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcaseries import seriesforms, symfunc
+from tcaseries import grassmann, seriesforms, symfunc
 from tcaseries.partitions import (
     canonical_key,
     dim_schur,
@@ -14,7 +17,7 @@ from tcaseries.partitions import (
     partitions_up_to,
     transpose,
 )
-from tcaseries.polyutil import binom
+from tcaseries.polyutil import binom, linear_form_det
 from tcaseries.symfunc import SCHUR, SymFunc, scale, sym_algebra_character
 from tcaseries.seriesforms import (
     EnhancedExpr,
@@ -42,7 +45,12 @@ from tcaseries.grassmann import (
     theta_r,
 )
 
-from oracles import gessel_enhanced_permutations, lr_coefficient
+from oracles import (
+    detring_delta_squared,
+    gessel_enhanced_permutations,
+    lr_coefficient,
+    theta_r_pairings,
+)
 
 F = Fraction
 
@@ -225,6 +233,40 @@ def test_theta_vs_pushforward_small():
     assert sigma_expand(theta_r(c), N) == pushforward_module_character(d, r, (1,), N)
 
 
+@st.composite
+def lambda_grclasses(draw):
+    """Multi-term classes sum_mu s_mu [F_mu] with negative coefficients; d <= 6,
+    0 <= r <= d, except r = 4, 5 at d = 6, where the oracle's first 4- and
+    5-variable Schur expansions take 3-7 s (test_detring_matches_theta_route
+    covers theta_r there and beyond)."""
+    d = draw(st.integers(1, 6))
+    r = draw(st.integers(0, d).filter(lambda r: not (d == 6 and r in (4, 5))))
+    alphas = st.sampled_from(partitions_up_to(3, max_length=r))
+    mus = draw(st.lists(st.sampled_from(partitions_up_to(2)), min_size=1, max_size=2,
+                        unique=True))
+    return LambdaGrClass({mu: GrClass(d, r, draw(st.dictionaries(
+        alphas, st.integers(-3, 3).filter(bool), min_size=1, max_size=3))) for mu in mus})
+
+
+@settings(max_examples=60, deadline=None)
+@given(lambda_grclasses())
+def test_theta_matches_pairing_route(c):
+    assert theta_r(c) == theta_r_pairings(c)
+
+
+def test_theta_makes_no_pairing(monkeypatch):
+    calls = []
+    for name in ("_lr_products", "pairing", "m_shifted_class"):
+        def counted(*args, _f=getattr(grassmann, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(grassmann, name, counted)
+    c = LambdaGrClass({(): GrClass(5, 2, {(2, 1): 1, (): -2}), (1,): GrClass(5, 2, {(1,): 3})})
+    got = theta_r(c)
+    assert calls == []
+    assert got == theta_r_pairings(c) and calls  # the counters see the pairing route
+
+
 def test_mu_r_examples():
     assert mu_r(unit_class(3, 1)).parts == {1: (F(1), F(2), F(1, 2))}
     assert mu_r(unit_class(3, 3)).parts == {3: (F(1),)}
@@ -298,9 +340,17 @@ def test_detring_rank_zero():
     assert detring_formal_character(3, 0).terms == {((), ()): F(1)}
 
 
-@pytest.mark.parametrize("d,r", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
+@pytest.mark.parametrize("d,r", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3),
+                                 (5, 0), (5, 5), (6, 3), (10, 5)])
 def test_detring_matches_theta_route(d, r):
+    # (10, 5) takes about 0.2 s; the pairing route took minutes there
     assert detring_formal_character(d, r) == theta_r(unit_class(d, r))
+
+
+def test_detring_matches_delta_squared_route():
+    for d in range(8):
+        for r in range(d + 1):
+            assert detring_formal_character(d, r) == detring_delta_squared(d, r), (d, r)
 
 
 def test_detring_matches_pushforward_character():
@@ -316,6 +366,40 @@ def test_detring_rank_one_schur_expansion():
         for n in range(8):
             key = (n,) if n else ()
             assert f.terms[key] == binom(d + n - 1, d - 1)
+
+
+# --- the determinant kernel ----------------------------------------------------
+
+
+def _leibniz(m):
+    r = len(m)
+    return sum((-1) ** sum(x > y for x, y in itertools.combinations(perm, 2))
+               * math.prod(m[a][perm[a]] for a in range(r))
+               for perm in itertools.permutations(range(r)))
+
+
+def test_linear_form_det_of_constant_entries_is_the_determinant():
+    rng = random.Random(17)
+    for _ in range(200):
+        r = rng.randint(0, 4)
+        m = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)]
+        det = _leibniz(m)
+        want = {(0,) * r: det} if det else {}
+        assert linear_form_det(r, lambda a, b: {0: m[a][b]}) == want, m
+
+
+def test_linear_form_det_keys_and_cap():
+    # det((s_0 + s_1) I_2) = s_0^2 + 2 s_0 s_1 + s_1^2; N = 1 drops s_1^2
+    def entry(a, b):
+        return {0: 1, 1: 1} if a == b else {}
+    assert linear_form_det(2, entry) == {(0, 0): 1, (1, 0): 2, (1, 1): 1}
+    assert linear_form_det(2, entry, 1) == {(0, 0): 1, (1, 0): 2}
+    assert linear_form_det(2, entry, 0) == {(0, 0): 1}
+    # det [[s_2, s_1], [s_1, s_0]] = s_2 s_0 - s_1^2, keys weakly decreasing
+    toeplitz = {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 0}
+    assert linear_form_det(2, lambda a, b: {toeplitz[a, b]: 1}) == {(2, 0): 1, (1, 1): -1}
+    assert linear_form_det(2, lambda a, b: {toeplitz[a, b]: 1}, 1) == {}
+    assert linear_form_det(0, entry, 0) == {(): 1}
 
 
 # --- Gessel determinant and rank-1 closed form --------------------------------

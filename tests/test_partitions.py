@@ -52,8 +52,15 @@ def test_parse_format_roundtrip():
 
 def test_as_partition_strips_zeros():
     assert as_partition([3, 1, 0, 0]) == (3, 1)
+    assert as_partition([0, 0]) == ()
     with pytest.raises(ValueError):
         as_partition([1, 2])
+
+
+@pytest.mark.parametrize("parts", [(0, 1), (2, 0, 1), (1, -1), (-1,)])
+def test_as_partition_checks_order_before_stripping_zeros(parts):
+    with pytest.raises(ValueError):
+        as_partition(parts)
 
 
 def test_enumerate_order_and_counts():

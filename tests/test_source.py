@@ -190,3 +190,22 @@ def test_elimination_only_in_polyutil():
                         modular.add((path.name, func.name))
     assert swapping == {("polyutil.py", "echelon")}
     assert modular == {("polyutil.py", "echelon")}
+
+
+def test_determinant_expansion_only_in_polyutil():
+    # a Laplace expansion over bit masks of the columns taken re-implements
+    # polyutil.linear_form_det, the one determinant kernel; grassmann reads no
+    # private torus kernel (|Delta|^2 products are the oracle's route)
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found |= {(path.name, func.name) for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef)
+                  and any(isinstance(n, ast.Attribute) and n.attr == "bit_count"
+                          for n in ast.walk(func))}
+    assert found == {("polyutil.py", "linear_form_det")}
+    tree = ast.parse((SRC / "grassmann.py").read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "torus"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
