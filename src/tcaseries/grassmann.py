@@ -281,9 +281,11 @@ def detring_formal_character(d: int, r: int) -> SigmaExpr:
         k: binom(d - r, k + b - a) for k in range(max(0, a - b), d - r + a - b + 1)}).items()})
 
 
-def _power_sum_to_monomial(r: int, N: int) -> dict[Partition, dict[Partition, int]]:
-    """[m_nu] p_lam in r variables, for every lam with |lam| <= N, keyed by
-    lam and then by nu. With k the last part of lam and lam- the rest,
+@functools.cache
+def _power_sum_to_monomial(r: int, N: int) -> tuple[tuple[Partition, int, tuple], ...]:
+    """(lam, lam!, [m_nu] p_lam in r variables as (nu, coefficient) pairs) for every
+    lam with |lam| <= N, cached in tuples only; the key leaves out d, so the Gessel
+    series of every d share it. With k the last part of lam and lam- the rest,
     p_lam = p_{lam-} p_k gives [x^nu] p_lam = sum_j [x^{nu - k e_j}] p_{lam-}
     over the parts nu_j >= k (Macdonald I.6)."""
     rows: dict[Partition, dict[Partition, int]] = {(): {(): 1}}
@@ -293,7 +295,7 @@ def _power_sum_to_monomial(r: int, N: int) -> dict[Partition, dict[Partition, in
             k, prev = lam[-1], rows[lam[:-1]]
             rows[lam] = merge_terms((nu, prev.get(_take(nu, j, k), 0))
                                     for nu in nus for j, part in enumerate(nu) if part >= k)
-    return rows
+    return tuple((lam, partition_factorial(lam), tuple(row.items())) for lam, row in rows.items())
 
 
 def _take(nu: Partition, j: int, k: int) -> Partition:
@@ -311,8 +313,9 @@ def gessel_enhanced(d: int, r: int, N: int) -> TSeries:
     D(nu) read off one linear_form_det capped at weight N. [t^lam / lam!] E_nu
     counts the ways to place the parts of lam, told apart, in r boxes whose sums
     are nu: the power-sum-to-monomial transition [m_nu] p_lam in r variables
-    (Macdonald I.6). So [t^lam] = sum_nu [m_nu] p_lam D(nu) / lam!, one Fraction
-    per lam. For r >= d the rank condition is vacuous: the series is the one at r = d.
+    (Macdonald I.6). So [t^lam] = sum_nu [m_nu] p_lam D(nu) / lam!: only D depends
+    on d, the rest is `_power_sum_to_monomial`, built once per (r, N). For r >= d
+    the rank condition is vacuous: the series is the one at r = d.
     """
     if d < 1 or r < 1:
         raise ValueError(f"need d >= 1 and r >= 1, got d={d}, r={r}")
@@ -321,9 +324,8 @@ def gessel_enhanced(d: int, r: int, N: int) -> TSeries:
     r = min(r, d)
     weights = {tuple(n for n in ks if n): D for ks, D in linear_form_det(r, lambda a, b: {
         n: binom(n + b - a + d - 1, n + b - a) for n in range(max(0, a - b), N + 1)}, N).items()}
-    return TSeries(N, {lam: Fraction(sum(m * weights.get(nu, 0) for nu, m in row.items()),
-                                     partition_factorial(lam))
-                       for lam, row in _power_sum_to_monomial(r, N).items()})
+    return TSeries(N, {lam: Fraction(sum(m * weights.get(nu, 0) for nu, m in row), fact)
+                       for lam, fact, row in _power_sum_to_monomial(r, N)})
 
 
 def _bell_polynomials(jmax: int) -> list[dict[Partition, int]]:

@@ -11,6 +11,7 @@ and ``canonical_key`` sorts mixed-size collections by (size, reverse-lex).
 from __future__ import annotations
 
 import functools
+import math
 
 from .polyutil import factorial, integer, merge_terms
 
@@ -124,19 +125,18 @@ def multiplicities(lam: Partition) -> dict[int, int]:
 
 
 def partition_factorial(lam: Partition) -> int:
-    """lam! = prod_i m_i(lam)!."""
-    out = 1
-    for m in multiplicities(lam).values():
-        out *= factorial(m)
+    """lam! = prod_i m_i(lam)!. The parts are sorted, so equal parts form one
+    run, and the j-th part of a run contributes the factor j."""
+    out = run = 1
+    for prev, part in zip(lam, lam[1:]):
+        run = run + 1 if part == prev else 1
+        out *= run
     return out
 
 
 def z_of(lam: Partition) -> int:
-    """Centralizer order z_lam = lam! * prod_i i^{m_i(lam)}."""
-    out = partition_factorial(lam)
-    for part, m in multiplicities(lam).items():
-        out *= part ** m
-    return out
+    """Centralizer order z_lam = lam! * prod_i i^{m_i(lam)} = lam! * prod(lam)."""
+    return partition_factorial(lam) * math.prod(lam)
 
 
 @functools.cache

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 from .partitions import (
     Partition,
@@ -417,44 +418,52 @@ def _xlam(lam: Partition) -> tuple[tuple[TTKey, Fraction], ...]:
 
 
 @functools.cache
-def _bell_sigma(k: int) -> tuple[tuple[Partition, Fraction], ...]:
-    """phi(sigma_k) = exp(T_0) * sum_{nu |- k} T^nu / nu!; the T polynomial."""
-    return tuple((nu, Fraction(1, partition_factorial(nu))) for nu in enumerate_partitions(k))
+def _bell_sigma(nu: tuple[int, ...]) -> tuple[tuple[Partition, Fraction], ...]:
+    """prod_{k in nu} phi(sigma_k) = exp(l(nu) T_0) times this T polynomial, with
+    phi(sigma_k) = exp(T_0) * sum_{lam |- k} T^lam / lam!; cached per sigma index nu."""
+    if not nu:
+        return (((), Fraction(1)),)
+    bell = {lam: Fraction(1, partition_factorial(lam)) for lam in enumerate_partitions(nu[-1])}
+    return tuple(symfunc._p_mul_terms(dict(_bell_sigma(nu[:-1])), bell, None).items())
 
 
 def phi_sigma(e: SigmaExpr) -> EnhancedExpr:
     """Enhanced specialization on Lambda-tilde."""
     parts: dict[int, TTPoly] = {}
     for (mu, nu), c in e.terms.items():
-        tpoly: dict[Partition, Fraction] = {(): Fraction(1)}
-        for k in nu:
-            tpoly = symfunc._p_mul_terms(tpoly, dict(_bell_sigma(k)), None)
-        poly = {(t, T): ct * cT for (t, _), ct in _xlam(mu) for T, cT in tpoly.items()}
+        poly = {(t, T): ct * cT for (t, _), ct in _xlam(mu) for T, cT in _bell_sigma(nu)}
         add_into(parts.setdefault(len(nu), {}), poly, c)
     return EnhancedExpr(parts)
 
 
 def _substitute_tails(poly: TTPoly, top: int, trunc: int | None) -> dict[Partition, Fraction]:
     """The t-polynomial of `poly` (int or Fraction coefficients) under T_j ->
-    sum_{n=j}^{top} binom(n, j) t_n, dropping terms above `trunc` (None: none)."""
+    sum_{n=j}^{top} binom(n, j) t_n, dropping terms above `trunc` (None: none).
+    Each term is multiplied once by the expansion of its T-monomial, which
+    `_tails` builds once per (T-part, top, trunc) and process."""
     out: dict[Partition, Fraction] = {}
     for (tpart, Tpart), c in poly.items():
-        if trunc is not None and sum(tpart) > trunc:
-            continue
-        cur = {tpart: c}
-        for j in Tpart:
-            tail = {(n,): binom(n, j) for n in range(j, top + 1)}
-            cur = symfunc._p_mul_terms(cur, tail, trunc)
-        add_into(out, cur)
+        if trunc is None or sum(tpart) <= trunc:
+            add_into(out, symfunc._p_mul_terms({tpart: c}, _tails(Tpart, top, trunc), trunc))
     return out
 
 
 @functools.cache
-def _exp_kt0(k: int, N: int) -> dict[Partition, int]:
-    """N! exp(k T_0) = sum_nu N! k^{l(nu)} t^nu / nu! through weight N, cached and
-    read only; integers, as nu! = prod_i m_i(nu)! divides l(nu)! and so N!."""
-    return merge_terms((nu, factorial(N) * k ** len(nu) // partition_factorial(nu))
-                       for nu in partitions_up_to(N))
+def _tails(Tpart: Partition, top: int, trunc: int | None) -> MappingProxyType:
+    """prod_{j in Tpart} sum_{n=j}^{top} binom(n, j) t_n through weight `trunc`, on
+    integers, as a read-only mapping; cached, so terms sharing a T-part share it."""
+    cur = {(): 1}
+    for j in Tpart:
+        cur = symfunc._p_mul_terms(cur, {(n,): binom(n, j) for n in range(j, top + 1)}, trunc)
+    return MappingProxyType(cur)
+
+
+@functools.cache
+def _exp_kt0(k: int, N: int) -> MappingProxyType:
+    """N! exp(k T_0) = sum_nu N! k^{l(nu)} t^nu / nu! through weight N, cached as a
+    read-only mapping; integers, as nu! = prod_i m_i(nu)! divides l(nu)! and so N!."""
+    return MappingProxyType(merge_terms(
+        (nu, factorial(N) * k ** len(nu) // partition_factorial(nu)) for nu in partitions_up_to(N)))
 
 
 def enhanced_expand(e: EnhancedExpr, N: int) -> TSeries:

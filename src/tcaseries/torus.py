@@ -177,14 +177,16 @@ def schur_coefficients(f: LaurentPoly) -> dict[Partition, Fraction]:
 
     f * a_delta is alternating, so it is sum_mu c_mu a_{mu+delta}, and
     [s_mu] f = [x^(mu+delta)] (f * a_delta) (Macdonald I.3); the exponents
-    mu+delta are exactly the strictly decreasing ones.
+    mu+delta are exactly the strictly decreasing ones. Only products landing on
+    those are formed, on integers over f's common denominator L.
     """
     d = f.d
-    out: dict[Partition, Fraction] = {}
-    for e, c in sorted(_mul_terms(f.terms, _delta(d)).items()):
-        if all(e[i] > e[i + 1] for i in range(d - 1)):
-            out[as_partition(x - (d - 1 - i) for i, x in enumerate(e))] = c
-    return out
+    L, (terms,) = over_common_denominator(f.terms)
+    coeffs = merge_terms((x, c * s) for e, c in terms.items() for w, s in _delta(d).items()
+                         for x in [tuple(a + b for a, b in zip(e, w))]
+                         if all(x[i] > x[i + 1] for i in range(d - 1)))
+    return {as_partition(x - (d - 1 - i) for i, x in enumerate(e)): Fraction(c, L)
+            for e, c in sorted(coeffs.items())}
 
 
 def sym_degree_characters(chi: LaurentPoly, N: int) -> list[LaurentPoly]:

@@ -237,7 +237,7 @@ def test_theta_vs_pushforward_small():
 def lambda_grclasses(draw):
     """Multi-term classes sum_mu s_mu [F_mu] with negative coefficients; d <= 6,
     0 <= r <= d, except r = 4, 5 at d = 6, where the oracle's first 4- and
-    5-variable Schur expansions take 3-7 s (test_detring_matches_theta_route
+    5-variable Schur expansions still take about 1 s (test_detring_matches_theta_route
     covers theta_r there and beyond)."""
     d = draw(st.integers(1, 6))
     r = draw(st.integers(0, d).filter(lambda r: not (d == 6 and r in (4, 5))))
@@ -459,6 +459,34 @@ def test_gessel_forms_no_series_product(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     gessel_enhanced(4, 3, 10)
     assert calls == []
+
+
+def test_gessel_tables_built_once_per_rank_and_truncation():
+    # the transition table does not depend on d: one build per new (r, N)
+    table = grassmann._power_sum_to_monomial
+    table.cache_clear()
+    for d in (4, 2, 6, 3, 5):
+        assert gessel_enhanced(d, 2, 7) == gessel_enhanced_permutations(d, 2, 7)
+    assert table.cache_info().misses == 1
+    for d, r, N, misses in ((3, 3, 7, 2), (2, 2, 6, 3), (9, 2, 7, 3), (1, 4, 7, 4), (3, 3, 7, 4)):
+        gessel_enhanced(d, r, N)
+        assert table.cache_info().misses == misses
+
+
+def test_gessel_table_is_read_only():
+    def walk(value):
+        yield value
+        if isinstance(value, tuple):
+            for v in value:
+                yield from walk(v)
+
+    table = grassmann._power_sum_to_monomial(2, 4)
+    assert all(type(v) in (tuple, int) for v in walk(table))
+    rows = {lam: (fact, dict(row)) for lam, fact, row in table}
+    assert rows[(1, 1)] == (2, {(2,): 1, (1, 1): 2})  # p_1^2 = m_2 + 2 m_11
+    # p_2 p_1^2 = m_4 + 2 m_31 + 2 m_22 in two variables
+    assert rows[(2, 1, 1)] == (2, {(4,): 1, (3, 1): 2, (2, 2): 2})
+    assert rows[()] == (1, {(): 1}) and len(rows) == len(partitions_up_to(4))
 
 
 def test_rank1_closed_form_small_d():

@@ -1,9 +1,11 @@
 """Partition primitives, S_n characters, Kostka matrices, dimension formulas."""
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tcaseries.partitions import (
     _horizontal_strips_above,
@@ -99,6 +101,19 @@ def test_z_of():
     for n in range(1, 8):
         assert sum(math.factorial(n) // z_of(mu) for mu in enumerate_partitions(n)) == math.factorial(n)
         assert all(math.factorial(n) % z_of(mu) == 0 for mu in enumerate_partitions(n))
+
+
+@given(st.dictionaries(st.integers(1, 9), st.integers(1, 25), max_size=4))
+@example({})
+@example({1: 40})
+@example({7: 1})
+def test_partition_factorial_and_z_of_match_definitions(mult):
+    # mult maps each part to its multiplicity: runs up to 25 long, and the
+    # examples pin the empty partition, one long run and one single part
+    lam = tuple(sorted(Counter(mult).elements(), reverse=True))
+    counts = Counter(lam)
+    assert partition_factorial(lam) == math.prod(math.factorial(m) for m in counts.values())
+    assert z_of(lam) == math.prod(math.factorial(m) * i ** m for i, m in counts.items())
 
 
 def test_sym_character_known_values():

@@ -351,6 +351,16 @@ def test_enhanced_expand_matches_series_products(case):
     assert enhanced_expand(e, N) == enhanced_expand_series(e, N)
 
 
+def test_terms_sharing_a_t_part_expand_it_once():
+    # the T-monomial's expansion is cached per (T-part, top, trunc), not per term
+    seriesforms._tails.cache_clear()
+    e = EnhancedExpr({0: {((), (2, 1)): F(1), ((1,), (2, 1)): HALF, ((2, 1), (2, 1)): F(3)},
+                      2: {((1, 1), (2, 1)): F(-1, 3)}})
+    got = enhanced_expand(e, 7)
+    assert seriesforms._tails.cache_info()[:2] == (3, 1)  # (hits, misses)
+    assert got == enhanced_expand_series(e, 7)
+
+
 def test_expansions_refuse_negative_truncation(monkeypatch):
     # refused at entry with the message of TSeries, before any kernel runs
     def kernel(*args):

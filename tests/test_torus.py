@@ -444,6 +444,23 @@ def test_expansion_routes_do_no_fraction_arithmetic(monkeypatch):
     assert HALF + 1 == F(3, 2) and calls == ["__add__"]
 
 
+def test_schur_coefficients_do_no_fraction_arithmetic(monkeypatch):
+    # integers over one common denominator, one Fraction per coefficient
+    cases = [(schur_lp((2, 1), 3) * schur_lp((1,), 3), {(3, 1): 1, (2, 2): 1, (2, 1, 1): 1}),
+             (schur_lp((2,), 2).scale(F(1, 3)) - schur_lp((1, 1), 2), {(2,): F(1, 3), (1, 1): -1}),
+             (lp(0, {(): 4}), {(): 4})]
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        def counted(*args, _original=getattr(F, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(F, name, counted)
+    got = [schur_coefficients(f) for f, _ in cases]
+    assert calls == []
+    monkeypatch.undo()
+    assert got == [want for _, want in cases]
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_polynomial_tca_enhanced_three_routes(m):
     d, N = 2, 5
