@@ -69,19 +69,10 @@ def _frobenius_lift(polys: list[Poly]) -> list[Poly]:
 
 
 def _normalize(polys: list[Poly]) -> tuple[Poly, ...]:
-    denom_lcm = 1
-    for p in polys:
-        for c in p:
-            if c:
-                denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    num_gcd = 0
-    for p in polys:
-        for c in p:
-            if c:
-                num_gcd = math.gcd(num_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
-    scale = Fraction(denom_lcm, num_gcd)
-    lead = polys[-1]
-    if lead[-1] * scale < 0:
+    coeffs = [c for p in polys for c in p]
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    scale = Fraction(lcm, math.gcd(*(c.numerator * (lcm // c.denominator) for c in coeffs)))
+    if polys[-1][-1] < 0:
         scale = -scale
     return tuple(tuple(c * scale for c in p) for p in polys)
 

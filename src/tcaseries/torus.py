@@ -6,8 +6,9 @@ integral route to enhanced Hilbert series, and the lattice-point EGF.
 
 All integration is exact: CT(F * bar(g)) is the sparse dot product of F and g,
 and the enhanced route forms ch_n * |Delta|^2 once per degree n. Invariant
-dimensions need no integral: they are integer multiplicities on dominant
-weights by the Brauer-Klimyk rule, dropped once they cannot return to weight 0.
+dimensions need no integral: integer multiplicities on dominant weights by
+the Brauer-Klimyk rule to half the degree, paired with their duals by Schur's
+lemma. Schur coefficients are read off f * x^delta by the same straightening.
 Per-degree characters come from the caller or from `sym_degree_characters`;
 both run on integers over a common denominator.
 """
@@ -176,16 +177,17 @@ def schur_coefficients(f: LaurentPoly) -> dict[Partition, Fraction]:
     """Schur expansion of a symmetric polynomial f in f.d variables.
 
     f * a_delta is alternating, so it is sum_mu c_mu a_{mu+delta}, and
-    [s_mu] f = [x^(mu+delta)] (f * a_delta) (Macdonald I.3); the exponents
-    mu+delta are exactly the strictly decreasing ones. Only products landing on
-    those are formed, on integers over f's common denominator L.
+    [s_mu] f = [x^(mu+delta)] (f * a_delta) (Macdonald I.3). For symmetric f
+    that product is the antisymmetrization of f * x^delta, so each term c x^e
+    of f adds sign(w) c at mu + delta = w(e + delta), one `_reflect` per term,
+    on integers over f's common denominator L.
     """
     d = f.d
     L, (terms,) = over_common_denominator(f.terms)
-    coeffs = merge_terms((x, c * s) for e, c in terms.items() for w, s in _delta(d).items()
-                         for x in [tuple(a + b for a, b in zip(e, w))]
-                         if all(x[i] > x[i + 1] for i in range(d - 1)))
-    return {as_partition(x - (d - 1 - i) for i, x in enumerate(e)): Fraction(c, L)
+    delta = range(d - 1, -1, -1)
+    coeffs = merge_terms((x, c * s) for e, c in terms.items() for x, s in
+                         [_reflect(tuple(a + b for a, b in zip(e, delta)), [(0, d, False)])])
+    return {as_partition(x - b for x, b in zip(e, delta)): Fraction(c, L)
             for e, c in sorted(coeffs.items())}
 
 
@@ -212,7 +214,11 @@ def sym_degree_characters(chi: LaurentPoly, N: int) -> list[LaurentPoly]:
 
 def _reflect(v: Exponent, spans) -> tuple[Exponent, int]:
     """(w v, sign(w)) for the w that sorts each block of v decreasingly, each
-    SL block shifted to end in 0; sign 0 when a block has a repeated entry."""
+    SL block shifted to end in 0; sign 0 when a block has a repeated entry.
+
+    The one Weyl straightening of this module: it moves Brauer-Klimyk keys
+    back to the dominant chamber, turns a key into its dual's, and reads
+    Schur coefficients off f * x^delta."""
     out: list[int] = []
     sign = 1
     for lo, hi, sl in spans:
@@ -225,11 +231,6 @@ def _reflect(v: Exponent, spans) -> tuple[Exponent, int]:
     return tuple(out), sign
 
 
-def _size(block: Exponent, sl: bool) -> int:
-    """max |x| over a GL block, max - min over an SL block."""
-    return max(block) - min(block) if sl else max(map(abs, block))
-
-
 def invariant_dimensions(group: list[tuple[str, int]], weights: LaurentPoly,
                          n_max: int) -> list[int]:
     """dim (E^{tensor n})^G for n = 0..n_max, G a product of GL(k)/SL(k) factors.
@@ -239,12 +240,12 @@ def invariant_dimensions(group: list[tuple[str, int]], weights: LaurentPoly,
     irreducible V_lam of E^{tensor n} is counted under the key lam + rho and
     tensored with E by the Brauer-Klimyk rule V_lam (x) E = sum_mu sign(w)
     V_{w(lam+mu+rho)-rho} over the weights mu of E (Humphreys section 24,
-    Fulton-Harris section 25), SL weights taken modulo (1, ..., 1). The
-    invariant dimension is the count of lam = 0.
+    Fulton-Harris section 25), SL weights taken modulo (1, ..., 1).
 
-    `_reflect` leaves each block's `_size` unchanged and adding mu moves it by
-    at most _size(mu), so a key whose size exceeds rho's by more than the steps
-    left can carry can never return to rho; it is dropped, whatever its sign.
+    By Schur's lemma V_lam (x) V_nu has an invariant only for nu = lam*, and
+    then exactly one, so dims[a + b] = sum_lam m_a[lam] m_b[lam*]: the rule runs
+    to ceil(n_max / 2) only. The dual key of v is (k-1) - reversed(v) on each
+    block, shifted to end in 0 on an SL block.
     """
     spans, pos = [], 0
     for kind, k in group:
@@ -263,19 +264,20 @@ def invariant_dimensions(group: list[tuple[str, int]], weights: LaurentPoly,
            for lo, hi, _ in spans for i in range(lo, hi - 1)):
         raise ValueError("weights must be invariant under permutations within each block")
     rho = tuple(hi - 1 - i for lo, hi, _ in spans for i in range(lo, hi))
-    steps = [max((_size(mu[lo:hi], sl) for mu, _ in mus), default=0) for lo, hi, sl in spans]
-    mult, dims = {rho: 1}, []
+    top = tuple(hi - lo - 1 for lo, hi, _ in spans for _ in range(lo, hi))
+    tables = [{rho: 1}]
+    for _ in range((n_max + 1) // 2):
+        tables.append(merge_terms(
+            (w, sign * c * m) for v, c in tables[-1].items() for mu, m in mus
+            for w, sign in [_reflect(tuple(x + y for x, y in zip(v, mu)), spans)]))
+    dims = []
     for n in range(n_max + 1):
-        if n:
-            mult = merge_terms(
-                (w, sign * c * m) for v, c in mult.items() for mu, m in mus
-                for w, sign in [_reflect(tuple(x + y for x, y in zip(v, mu)), spans)])
-        dims.append(mult.get(rho, 0))
+        half = tables[n - n // 2]
+        dims.append(sum(c * half.get(_reflect(tuple(t - x for t, x in zip(top, v)), spans)[0], 0)
+                        for v, c in tables[n // 2].items()))
         if dims[-1] < 0:
             raise ValueError(f"negative invariant dimension {dims[-1]} at n={n}: "
                              "weights is a virtual character")
-        mult = {v: c for v, c in mult.items() if all(_size(v[lo:hi], sl) - (hi - lo - 1)
-                <= (n_max - n) * step for (lo, hi, sl), step in zip(spans, steps))}
     return dims
 
 

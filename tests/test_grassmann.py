@@ -236,11 +236,9 @@ def test_theta_vs_pushforward_small():
 @st.composite
 def lambda_grclasses(draw):
     """Multi-term classes sum_mu s_mu [F_mu] with negative coefficients; d <= 6,
-    0 <= r <= d, except r = 4, 5 at d = 6, where the oracle's first 4- and
-    5-variable Schur expansions still take about 1 s (test_detring_matches_theta_route
-    covers theta_r there and beyond)."""
+    0 <= r <= d."""
     d = draw(st.integers(1, 6))
-    r = draw(st.integers(0, d).filter(lambda r: not (d == 6 and r in (4, 5))))
+    r = draw(st.integers(0, d))
     alphas = st.sampled_from(partitions_up_to(3, max_length=r))
     mus = draw(st.lists(st.sampled_from(partitions_up_to(2)), min_size=1, max_size=2,
                         unique=True))

@@ -134,10 +134,11 @@ def test_grassmann_reads_schur_products_off_the_bialternant():
 
 def test_invariant_dimensions_use_no_weyl_integration():
     # invariant dimensions come from the Brauer-Klimyk rule on dominant
-    # weights; the constant-term route is the oracle in tests/oracles.py
+    # weights, paired by Schur's lemma with no pruning bound; the
+    # constant-term route is the oracle in tests/oracles.py
     tree = ast.parse((SRC / "torus.py").read_text())
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert "_sl_reduce" not in funcs
+    assert {"_sl_reduce", "_size"} & set(funcs) == set()
     body = funcs["invariant_dimensions"]
     names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
     assert names & {"delta_squared", "_ct_dot", "_weighted", "_integral", "Fraction"} == set()

@@ -123,13 +123,35 @@ def test_weyl_inner_distinct_schur_vanishes():
 
 def test_schur_coefficients_match_tableau_oracle():
     # inputs and expected expansions both come from SSYT enumeration
-    for r in (1, 2, 3):
+    for r in (1, 2, 3, 4):
         shapes = [lam for lam in partitions_up_to(5) if len(lam) <= r]
         polys = [schur_monomials(lam, r) for lam in shapes]
         polys += [poly_mul(a, b) for a, b in itertools.combinations_with_replacement(polys, 2)]
         for f in polys:
             want = {lam: F(c) for lam, c in decompose_schur(f, r).items()}
             assert schur_coefficients(lp(r, f)) == want
+
+
+def test_schur_coefficients_straighten_each_term_once(monkeypatch):
+    # one Weyl straightening of e + delta per term of f, no product with the
+    # n! terms of the alternant
+    import tcaseries.torus as torus
+    f = schur_lp((2, 1), 4) * schur_lp((1, 1), 4)
+    calls = []
+
+    def counted(*args, _original=torus._reflect):
+        calls.append(args)
+        return _original(*args)
+
+    def forbidden(d):
+        raise AssertionError("schur_coefficients read _delta")
+
+    monkeypatch.setattr(torus, "_reflect", counted)
+    monkeypatch.setattr(torus, "_delta", forbidden)
+    got = schur_coefficients(f)
+    monkeypatch.undo()
+    assert len(calls) == len(f.terms)
+    assert got == {(2, 1, 1, 1): 1, (2, 2, 1): 1, (3, 1, 1): 1, (3, 2): 1}
 
 
 def test_weyl_inner_variable_check():
@@ -159,6 +181,14 @@ def test_sl2_standard_gives_catalan():
     chi = lp(2, {(1, 0): 1, (0, 1): 1})
     dims = invariant_dimensions([("sl", 2)], chi, 12)
     assert dims == [1, 0, 1, 0, 2, 0, 5, 0, 14, 0, 42, 0, 132]
+
+
+def test_sl3_standard_gives_three_row_tableaux():
+    # dims[3m] counts standard tableaux of shape (m, m, m): 1, 1, 5, 42, 462;
+    # SL(3) is not self-dual, so the pairing needs the shifted dual key
+    chi = lp(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+    dims = invariant_dimensions([("sl", 3)], chi, 12)
+    assert dims == [1, 0, 0, 1, 0, 0, 5, 0, 0, 42, 0, 0, 462]
 
 
 def test_sl2_x_sl2_tensor_gives_catalan_squares():
@@ -193,8 +223,8 @@ def test_sl2_adjoint_weights():
 
 def test_invariant_dimensions_far_weight_returns_in_one_step():
     # E = x + x^-3 on GL(1): an invariant word has three x per x^-3, so
-    # dims[4b] = C(4b, b); the key 3 returns to 0 in one step, so the pruning
-    # bound must use the largest |mu_i| of a weight, not its largest mu_i
+    # dims[4b] = C(4b, b); the key 3 returns to 0 in one step, so the
+    # half-length tables keep every key, however far from 0
     dims = invariant_dimensions([("gl", 1)], lp(1, {(1,): 1, (-3,): 1}), 12)
     assert dims == [binom(n, n // 4) if n % 4 == 0 else 0 for n in range(13)]
 
@@ -204,10 +234,13 @@ def test_invariant_dimensions_far_weight_returns_in_one_step():
     ([("gl", 2)], {(2, 0): 1, (0, 2): 1, (-1, 0): 1, (0, -1): 1}, 8),
     ([("sl", 2)], {(3, 0): 1, (0, 3): 1, (1, 0): 1, (0, 1): 1}, 10),  # Sym^3
     ([("gl", 1), ("sl", 2)], {(-2, 1, 0): 1, (-2, 0, 1): 1, (1, 0, 0): 2}, 9),
+    ([("gl", 3)], {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1,          # C^3 + (C^3)*
+                   (-1, 0, 0): 1, (0, -1, 0): 1, (0, 0, -1): 1}, 8),
 ])
 def test_invariant_dimensions_with_lopsided_weights(group, chi, n_max):
     # weights whose entries differ in size and sign, so that keys move out
-    # fast and come back fast; the pruned route against the constant term
+    # fast and come back fast; half-length tables paired with their duals
+    # against the constant term
     want = invariant_dimensions_ct(group, chi, n_max)
     assert invariant_dimensions(group, LaurentPoly(sum(k for _, k in group), chi), n_max) == want
     assert any(want[1:])
