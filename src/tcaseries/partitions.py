@@ -4,8 +4,8 @@ Partitions are plain tuples of weakly decreasing positive integers; the empty
 partition is ``()``. All arithmetic is exact (int / Fraction).
 
 The canonical order on partitions of equal size is reverse lexicographic:
-(n) first, (1,...,1) last. ``enumerate_partitions`` generates in that order
-and ``canonical_key`` sorts mixed-size collections by (size, reverse-lex).
+(n) first, (1,...,1) last. ``enumerate_partitions`` generates in that order.
+``canonical_key`` (size, then reverse-lex) and ``as_partition`` are cached.
 """
 
 from __future__ import annotations
@@ -40,7 +40,20 @@ __all__ = [
 
 
 def as_partition(parts) -> Partition:
-    """Validate and normalize a part sequence: sorted check, zeros stripped."""
+    """Validate and normalize a part sequence: sorted check, zeros stripped.
+    Hashable tuples are cached, refusals are not. Equal tuples such as (2.0, 1)
+    and (2, 1) share an entry: integer() maps equal values to one int (complex
+    aside), so the entry holds the same int tuple whichever tuple filled it."""
+    if type(parts) is tuple:
+        try:
+            hash(parts)
+        except TypeError:  # an unhashable part
+            return _validated_partition(parts)
+        return _cached_partition(parts)
+    return _validated_partition(parts)
+
+
+def _validated_partition(parts) -> Partition:
     # _mn calls this in its recursion: int parts skip the integrality check
     lam = tuple(p if type(p) is int else integer(p) for p in parts)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
@@ -49,6 +62,9 @@ def as_partition(parts) -> Partition:
     if lam and lam[-1] < 0:
         raise ValueError(f"negative part in {parts!r}")
     return lam[:lam.index(0)] if lam and not lam[-1] else lam
+
+
+_cached_partition = functools.cache(_validated_partition)
 
 
 def parse_bracket_list(text: str) -> tuple[int, ...]:
@@ -70,8 +86,9 @@ def format_partition(lam) -> str:
     return "[" + ",".join(str(p) for p in lam) + "]"
 
 
+@functools.cache
 def canonical_key(lam: Partition):
-    """Sort key: by size, then reverse lexicographic ((n) before (n-1,1))."""
+    """Cached sort key: size, then reverse lex ((n) before (n-1,1)); equal tuples share an entry."""
     return (sum(lam), tuple(-p for p in lam))
 
 

@@ -8,9 +8,9 @@ nullspace trivial before exact elimination runs (``residues`` reduces
 rationals for it; ``certify_full_rank`` applies both to a rational matrix).
 Also its one merge kernel for sparse term dicts, ``merge_terms`` and
 ``add_into`` (kernels run them on integers: ``over_common_denominator``), its
-one integrality check, ``integer``, and the number checks of every JSON
-reader, ``json_fraction`` and ``json_int``. And ``Value``, the immutable base
-of the package's value classes, and ``linear_form_det``, its one determinant.
+one integrality check, ``integer``, its coefficient coercion, ``as_fraction``,
+and the number checks of JSON readers, ``json_fraction`` and ``json_int``. And
+``Value``, the immutable base of value classes, and ``linear_form_det``, its one determinant.
 """
 
 from __future__ import annotations
@@ -129,6 +129,11 @@ def integer(v) -> int:
     if n != v and not isinstance(v, str):
         raise ValueError(f"{v!r} is not an integer")
     return n
+
+
+def as_fraction(c) -> Fraction:
+    """c as a Fraction; a Fraction is returned as it is, not rebuilt."""
+    return c if type(c) is Fraction else Fraction(c)
 
 
 def json_fraction(c) -> Fraction:

@@ -46,6 +46,7 @@ from .polyutil import (
     Poly,
     Value,
     add_into,
+    as_fraction,
     binom,
     certify_full_rank,
     factorial,
@@ -130,7 +131,7 @@ class SigmaExpr(Value):
 
     def __init__(self, terms: dict[SigmaKey, Fraction] = {}):
         Value.__init__(self, merge_terms(
-            ((_sigma_key(mu, nu), Fraction(c)) for (mu, nu), c in terms.items()),
+            ((_sigma_key(mu, nu), as_fraction(c)) for (mu, nu), c in terms.items()),
             _sigma_key_sort))
 
     def sigma_degree(self) -> int | None:
@@ -237,7 +238,7 @@ def _tt_key_sort(key: TTKey):
 def tt_terms(*polys) -> TTPoly:
     """Canonical sum of TT polynomials: keys validated, coefficients made
     Fractions, equal keys merged, zeros dropped, keys in canonical order."""
-    return merge_terms((((as_partition(t), as_partition(T)), Fraction(c))
+    return merge_terms((((as_partition(t), as_partition(T)), as_fraction(c))
                         for poly in polys for (t, T), c in poly.items()), _tt_key_sort)
 
 
@@ -561,7 +562,7 @@ def umbral_substitute(p, k: int) -> dict[Partition, Fraction]:
             return tpart
         return key
 
-    mono = merge_terms((as_partition(t_part(key)), Fraction(c)) for key, c in p.items())
+    mono = merge_terms((as_partition(t_part(key)), as_fraction(c)) for key, c in p.items())
     out: dict[Partition, Fraction] = {}
     for alpha, c in mono.items():
         cur: dict[Partition, Fraction] = {(): c}

@@ -27,7 +27,7 @@ from .partitions import (
     transpose,
     z_of,
 )
-from .polyutil import Value, add_into, integer, json_fraction, json_int, merge_terms
+from .polyutil import Value, add_into, as_fraction, integer, json_fraction, json_int, merge_terms
 
 SCHUR = "s"
 POWERSUM = "p"
@@ -56,7 +56,7 @@ def normalize_terms(terms, truncation: int | None) -> dict[Partition, Fraction]:
     made Fractions, terms above `truncation` (None: none) dropped, equal keys
     merged, zeros dropped, keys in canonical order."""
     limit = math.inf if truncation is None else truncation
-    return merge_terms(((lam, c if type(c) is Fraction else Fraction(c))
+    return merge_terms(((lam, as_fraction(c))
                         for lam, c in zip(map(as_partition, terms), terms.values())
                         if sum(lam) <= limit), canonical_key)
 

@@ -27,8 +27,8 @@ from .partitions import (
     partition_factorial,
     partitions_up_to,
 )
-from .polyutil import (Value, add_into, factorial, falling, integer, json_fraction, json_int,
-                       merge_terms, over_common_denominator)
+from .polyutil import (Value, add_into, as_fraction, factorial, falling, integer, json_fraction,
+                       json_int, merge_terms, over_common_denominator)
 from .seriesforms import TSeries
 
 __all__ = [
@@ -68,7 +68,7 @@ class LaurentPoly(Value):
     def __init__(self, d: int, terms: dict[Exponent, Fraction] = {}):
         if d < 0:
             raise ValueError("need d >= 0")
-        terms = merge_terms((_exponent(e, d), Fraction(c)) for e, c in terms.items())
+        terms = merge_terms((_exponent(e, d), as_fraction(c)) for e, c in terms.items())
         Value.__init__(self, d, dict(sorted(terms.items())))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":

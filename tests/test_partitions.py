@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from tcaseries import partitions as partitions_module
 from tcaseries.partitions import (
     _horizontal_strips_above,
+    _validated_partition,
     as_partition,
     canonical_key,
     dim_schur,
@@ -63,6 +65,73 @@ def test_as_partition_strips_zeros():
 def test_as_partition_checks_order_before_stripping_zeros(parts):
     with pytest.raises(ValueError):
         as_partition(parts)
+
+
+def _outcome(validate, parts):
+    """Result and whether each part is an int, or exception class and message."""
+    try:
+        lam = validate(parts)
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+    return lam, [type(p) is int for p in lam]
+
+
+def _equal_valued(parts):
+    """Tuples equal to parts, with every number as a float, a Fraction, a bool."""
+    def each(convert):
+        return tuple(p if isinstance(p, str) else convert(p) for p in parts)
+    out = [each(float), each(Fraction)]
+    if all(isinstance(p, str) or p in (0, 1) for p in parts):
+        out.append(each(bool))
+    return out
+
+
+_PARTS = st.one_of(st.integers(-2, 5), st.booleans(),
+                   st.sampled_from([0.0, 1.0, 2.0, 3.0, -1.0, 1.5, Fraction(2), Fraction(3, 2),
+                                    "2", "01", "-1", "1.5"]))
+
+
+@given(st.lists(st.tuples(st.lists(_PARTS, max_size=4).map(tuple), st.booleans()),
+                min_size=1, max_size=6))
+def test_cached_as_partition_matches_the_validator(cases):
+    # each tuple twice, interleaved with equal tuples of other types, which
+    # share its cache entry; optionally with the cache emptied first
+    for parts, clear in cases:
+        if clear:
+            partitions_module._cached_partition.cache_clear()
+        for t in [parts, *_equal_valued(parts), parts]:
+            assert _outcome(as_partition, t) == _outcome(_validated_partition, t)
+
+
+def test_as_partition_cache_by_hand():
+    cache = partitions_module._cached_partition
+    cache.cache_clear()
+    # an unhashable part is validated uncached and refused as before
+    for _ in range(2):
+        assert _outcome(as_partition, ([1],)) == _outcome(_validated_partition, ([1],))
+        with pytest.raises(TypeError):
+            as_partition(([1],))
+    # the entry filled by (2.0, 1) answers (2, 1) with int parts
+    assert as_partition((2.0, 1)) == (2, 1)
+    hits = cache.cache_info().hits
+    lam = as_partition((2, 1))
+    assert lam == (2, 1) and all(type(p) is int for p in lam)
+    assert cache.cache_info().hits == hits + 1
+    # a refused key stays refused, with its message, after a valid one was cached
+    for bad in [(1, 2), (2, -1), (2, 1.5)]:
+        want = _outcome(_validated_partition, bad)
+        assert want[0] is ValueError
+        assert _outcome(as_partition, bad) == _outcome(as_partition, bad) == want
+    # lists and generators are validated, not cached
+    misses = cache.cache_info().misses
+    assert as_partition([3, 1, 0]) == as_partition(p for p in (3, 1)) == (3, 1)
+    assert cache.cache_info().misses == misses
+
+
+def test_canonical_key_is_cached():
+    canonical_key.cache_clear()
+    assert canonical_key((3, 1)) == canonical_key((3.0, True)) == (4, (-3, -1))
+    assert canonical_key.cache_info()[:2] == (1, 1)  # (hits, misses)
 
 
 def test_enumerate_order_and_counts():

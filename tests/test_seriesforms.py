@@ -12,8 +12,8 @@ from tcaseries.partitions import (
     partitions_up_to,
     sym_character,
 )
-from tcaseries.grassmann import GrClass, bott_pushforward, grclass_from_json
-from tcaseries import seriesforms
+from tcaseries.grassmann import GrClass, bott_pushforward, gessel_enhanced, grclass_from_json
+from tcaseries import partitions, seriesforms
 from tcaseries.polyutil import nullspace
 from tcaseries.symfunc import SCHUR, SymFunc, add, multiply, sym_algebra_character
 from tcaseries.symfunc import from_json as symfunc_from_json
@@ -638,6 +638,19 @@ def test_equal_layer_keys_add(case):
 def test_cancelling_layers_are_dropped():
     assert ExpPoly({1: (1,), "01": (-1,), 2: (1,)}).parts == {2: (1,)}
     assert EnhancedExpr({1: {((1,), ()): 1}, "01": {((1,), ()): -1}}).parts == {}
+
+
+def test_each_distinct_key_validated_once():
+    # a TSeries rebuilt from kernel output reads every key from the caches
+    # of as_partition and canonical_key: each gains a hit per key, no miss
+    s = gessel_enhanced(4, 2, 8)
+    caches = (partitions._cached_partition, partitions.canonical_key)
+    before = [cache.cache_info() for cache in caches]
+    again = TSeries(s.truncation, dict(s.coeffs))
+    for cache, info in zip(caches, before):
+        assert cache.cache_info().misses == info.misses
+        assert cache.cache_info().hits >= info.hits + len(s.coeffs)
+    assert again == s
 
 
 # keys are validated before zero terms are dropped
