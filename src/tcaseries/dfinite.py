@@ -5,7 +5,7 @@ minimal (order, degree) annihilating operator sum_i p_i(t) y^(i) over the
 rationals, with enough surplus equations to make a miss trustworthy. One
 reduction modulo a prime per order skips every (order, degree) pair it proves
 to have a trivial rational nullspace; the prime only filters, and every
-operator returned comes from exact elimination.
+operator returned comes from a basis checked exactly over the rationals.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .polyutil import Poly, echelon, falling, ptrim, residues
+from .polyutil import Poly, cleared, echelon, falling, over_common_denominator, ptrim, residues
 # perfbench/tracing.py wraps dfinite._nullspace by this name
 from .polyutil import nullspace as _nullspace
 from .seriesforms import OdeOperator
@@ -40,17 +40,13 @@ def needed_length(max_order: int, max_degree: int) -> int:
 
 def apply_ode(op: OdeOperator, coeffs: CoeffSeries) -> list[Fraction]:
     """Residual coefficients of sum_i p_i(t) y^(i) at t^m for every m where
-    the truncation of y determines them (m = 0 .. len(coeffs)-1-order)."""
-    r = op.order
-    out = []
-    for m in range(len(coeffs) - r):
-        acc = Fraction(0)
-        for i, p in enumerate(op.coeffs):
-            for j, c in enumerate(p):
-                if c and j <= m:
-                    acc += c * coeffs[m - j + i] * falling(m - j + i, i)
-        out.append(acc)
-    return out
+    the truncation of y determines them (m = 0 .. len(coeffs)-1-order),
+    summed in integers over the common denominator of series and operator."""
+    lp, ps = over_common_denominator(*(dict(enumerate(p)) for p in op.coeffs))
+    ly, ys = cleared(coeffs)
+    return [Fraction(sum(c * ys[m - j + i] * falling(m - j + i, i)
+                         for i, p in enumerate(ps) for j, c in p.items() if c and j <= m), lp * ly)
+            for m in range(len(coeffs) - op.order)]
 
 
 def _frobenius_lift(polys: list[Poly]) -> list[Poly]:
@@ -95,11 +91,12 @@ def guess_ode(coeffs: CoeffSeries, max_order: int = 6, max_degree: int = 8,
     Each order's system at max_degree, unknowns degree-major, is reduced once
     modulo a prime. When its first k columns are pivots, each (r, d) system
     with (r+1)(d+1) <= k, a column prefix, has full column rank there, which
-    proves its rational nullspace trivial; only the other pairs are solved
-    exactly. A dict passed as `certificate` receives that prime under "prime"
-    and the pairs it proved empty under "pairs"; the prime is None when every
-    prime tried divides a denominator of the series, or divides every
-    coefficient of a series that is not zero.
+    proves its rational nullspace trivial; each other pair is solved by a
+    basis checked exactly over the rationals (polyutil.nullspace). A dict
+    passed as `certificate` receives that prime under "prime" and the pairs it
+    proved empty under "pairs"; the prime is None when every prime tried
+    divides a denominator of the series, or divides every coefficient of a
+    series that is not zero.
 
     Output normalization: integer coefficients of content 1, positive leading
     coefficient of the leading polynomial; operators singular at the origin
@@ -112,6 +109,8 @@ def guess_ode(coeffs: CoeffSeries, max_order: int = 6, max_degree: int = 8,
             f"({max_order}, {max_degree}), got {len(coeffs)}")
     coeffs = [Fraction(c) for c in coeffs]
     p, mod = residues(coeffs) or (None, None)
+    # scaling the series scales every system's rows: the nullspaces are unchanged
+    ys = cleared(coeffs)[1]
     certified = []
     if certificate is not None:
         certificate.update(prime=p, pairs=certified)
@@ -125,12 +124,12 @@ def guess_ode(coeffs: CoeffSeries, max_order: int = 6, max_degree: int = 8,
             # order-major unknowns (i, j): a nullspace of dimension above 1
             # yields its basis, and so the operator, by the column order
             cols = [(i, j) for i in range(r + 1) for j in range(d + 1)]
-            for vec in _nullspace(_ode_rows(coeffs, r, cols, Fraction(0)), len(cols)):
+            for vec in _nullspace(_ode_rows(ys, r, cols, 0), len(cols)):
                 polys = [ptrim(vec[i * (d + 1):(i + 1) * (d + 1)]) for i in range(r + 1)]
                 if not polys[-1]:
                     continue
                 op = OdeOperator(_normalize(_frobenius_lift(polys)))
-                if any(apply_ode(op, coeffs)):
+                if any(apply_ode(op, ys)):
                     continue
                 return op
     return None

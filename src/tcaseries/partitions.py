@@ -41,9 +41,9 @@ __all__ = [
 
 def as_partition(parts) -> Partition:
     """Validate and normalize a part sequence: sorted check, zeros stripped.
-    Hashable tuples are cached, refusals are not. Equal tuples such as (2.0, 1)
-    and (2, 1) share an entry: integer() maps equal values to one int (complex
-    aside), so the entry holds the same int tuple whichever tuple filled it."""
+    Hashable tuples are cached, refusals are not. Equal tuples such as (2.0, 1),
+    (2+0j, 1) and (2, 1) share an entry: integer() maps equal values to one
+    int, so the entry holds the same int tuple whichever tuple filled it."""
     if type(parts) is tuple:
         try:
             hash(parts)

@@ -2,12 +2,12 @@
 
 The zero polynomial is the empty tuple; no trailing zeros are stored. Also
 the package's one elimination kernel, ``echelon``: pivot columns and reduced
-row echelon form over the rationals, or modulo a prime. ``nullspace`` reads
-an exact basis off it; modulo a prime, full column rank proves a rational
-nullspace trivial before exact elimination runs (``residues`` reduces
-rationals for it; ``certify_full_rank`` applies both to a rational matrix).
-Also its one merge kernel for sparse term dicts, ``merge_terms`` and
-``add_into`` (kernels run them on integers: ``over_common_denominator``), its
+row echelon form over the rationals, or modulo a prime. ``nullspace`` lifts
+a basis off it modulo a prime and checks it exactly over the rationals;
+modulo a prime, full column rank proves a nullspace trivial (``residues``
+reduces rationals for guess_ode's rank filter). Also its one merge kernel
+for sparse term dicts, ``merge_terms`` and ``add_into`` (kernels run them on
+integers: ``over_common_denominator``, or ``cleared`` for a sequence), its
 one integrality check, ``integer``, its coefficient coercion, ``as_fraction``,
 and the number checks of JSON readers, ``json_fraction`` and ``json_int``. And
 ``Value``, the immutable base of value classes, and ``linear_form_det``, its one determinant.
@@ -123,9 +123,12 @@ def factorial(n: int) -> int:
 
 
 def integer(v) -> int:
-    """v as an int when its value is an integer (a numeral such as "01" too);
-    refused, not truncated, when it is not."""
-    n = int(v)
+    """v as an int when its value is an integer (a numeral such as "01", or a
+    complex number such as 2+0j, too); refused with a ValueError, not
+    truncated, when it is not."""
+    if isinstance(v, complex) and v.imag:
+        raise ValueError(f"{v!r} is not an integer")
+    n = int(v.real if isinstance(v, complex) else v)
     if n != v and not isinstance(v, str):
         raise ValueError(f"{v!r} is not an integer")
     return n
@@ -186,6 +189,13 @@ def over_common_denominator(*dicts) -> tuple[int, list[dict]]:
     return L, [{k: c.numerator * (L // c.denominator) for k, c in t.items()} for t in dicts]
 
 
+def cleared(values) -> tuple[int, list[int]]:
+    """(L, [L * v for v in values]) with int entries, L the lcm of the
+    denominators of the rationals `values` (ints or Fractions)."""
+    L = math.lcm(*(v.denominator for v in values))
+    return L, [v.numerator * (L // v.denominator) for v in values]
+
+
 def linear_form_det(r: int, entry, N: int | None = None) -> dict[tuple[int, ...], int]:
     """det(sum_k s_k M_k) for r x r integer matrices M_k, entry(a, b) = {k: M_k[a][b]}:
     the coefficient of s_{k_1} ... s_{k_r}, keyed by the weakly decreasing tuple
@@ -230,24 +240,58 @@ def echelon(rows: list[list], ncols: int, p: int | None = None) -> tuple[list[in
     return pivots, mat
 
 
-def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right nullspace of the matrix: one vector per free column
-    of the reduced row echelon form."""
-    pivots, mat = echelon(rows, ncols)
-    basis = []
-    for fc in [c for c in range(ncols) if c not in pivots]:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for rix, pc in enumerate(pivots):
-            vec[pc] = -mat[rix][fc]
-        basis.append(vec)
-    return basis
-
-
 # Primes of the rank filter, tried in turn: 2^61-1 first, then larger
 # Mersenne primes for a matrix with a denominator divisible by it, or with
-# every entry divisible by it.
+# every entry divisible by it. nullspace goes on to larger ones, whose
+# reconstruction bound sqrt(p/2) admits larger numerators and denominators.
 RANK_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)
+LIFT_PRIMES = (*RANK_PRIMES, 2**521 - 1, 2**1279 - 1)
+
+
+def nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right nullspace of the rational matrix: one vector per
+    free column of the reduced row echelon form. Modulo each prime of
+    LIFT_PRIMES in turn, the rows cleared to integers have full column rank,
+    so the nullspace is trivial, or give a basis by rational reconstruction,
+    returned only when every vector kills every integer row exactly. After
+    the last prime, exact elimination answers."""
+    # Rank modulo p is at most the rational rank. Checked lifted vectors are
+    # independent kernel vectors, one per free column modulo p, each supported
+    # on the pivots before its own free column: so the rational pivots are
+    # those modulo p, and the basis is the one exact elimination reads off.
+    ints = [cleared(row[:ncols])[1] for row in rows]
+    for p in (*LIFT_PRIMES, None):
+        pivots, mat = echelon(ints if p else [[Fraction(c) for c in row] for row in ints], ncols, p)
+        basis = []
+        for fc in (c for c in range(ncols) if c not in pivots):
+            vec = [Fraction(0)] * ncols
+            vec[fc] = Fraction(1)
+            for rix, pc in enumerate(pivots):
+                vec[pc] = -mat[rix][fc] if p is None else _rational_lift(-mat[rix][fc], p)
+            if p and not _annihilates(ints, vec):
+                break
+            basis.append(vec)
+        else:
+            return basis
+
+
+def _rational_lift(a: int, p: int) -> Fraction | None:
+    """Wang's rational reconstruction: the n/d with |n|, d <= sqrt(p/2) and
+    n = a d modulo p, unique when it exists; None when it does not."""
+    bound = math.isqrt(p // 2)
+    r0, r1, s0, s1 = p, a % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return Fraction(r1, s1) if abs(s1) <= bound and math.gcd(r1, s1) == 1 else None
+
+
+def _annihilates(ints: list[list[int]], vec: list) -> bool:
+    """Whether the lifted vector, cleared to integers, kills every integer row."""
+    if any(v is None for v in vec):
+        return False
+    support = [(j, v) for j, v in enumerate(cleared(vec)[1]) if v]
+    return not any(sum(row[j] * v for j, v in support) for row in ints)
 
 
 def residues(values) -> tuple[int, list[int]] | None:
@@ -262,16 +306,3 @@ def residues(values) -> tuple[int, list[int]] | None:
             if any(mods) or not any(values):
                 return p, mods
     return None
-
-
-def certify_full_rank(rows: list[list[Fraction]], ncols: int) -> int | None:
-    """A prime modulo which the rational matrix has rank ncols, which proves
-    its nullspace trivial (rank modulo p is at most rank over the
-    rationals); None when not certified."""
-    red = residues(c for row in rows for c in row)
-    if red is None:
-        return None
-    p, flat = red
-    cells = iter(flat)
-    pivots, _ = echelon([[next(cells) for _ in row] for row in rows], ncols, p)
-    return p if len(pivots) == ncols else None

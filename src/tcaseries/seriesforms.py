@@ -48,7 +48,6 @@ from .polyutil import (
     add_into,
     as_fraction,
     binom,
-    certify_full_rank,
     factorial,
     falling,
     integer,
@@ -382,9 +381,6 @@ def sigma_recognize(f: SymFunc, r_max: int, s_deg_max: int,
         col = sigma_expand(SigmaExpr({key: Fraction(1)}), N)
         for lam, c in col.terms.items():
             matrix[row_index[lam]][j] = c
-    # full column rank modulo a prime proves the nullspace trivial
-    if certify_full_rank(matrix, len(candidates) + 1) is not None:
-        return None
     basis = nullspace(matrix, len(candidates) + 1)
     if not basis or basis[-1][-1] != 1:
         return None

@@ -10,8 +10,12 @@ weights). Seven oracles call the package: ``sigma_expand_powersum`` uses its
 power-sum routines, which the Pieri kernel of ``sigma_expand`` does not use,
 ``enhanced_from_equivariant_per_partition`` runs one ``weyl_inner`` per
 partition, where the package weights each degree by |Delta|^2 once,
-``guess_ode_per_pair`` certifies and solves each (order, degree) system of
-``guess_ode`` on its own, where the package reduces each order once,
+``guess_ode_per_pair`` certifies (``rank_modulo``) and solves each (order,
+degree) system of ``guess_ode`` on its own by exact elimination
+(``exact_nullspace``), and
+re-checks in Fractions (``apply_ode_fractions``), where the package reduces
+each order once modulo a prime, lifts nullspaces from residues and sums
+residuals in integers,
 ``gessel_enhanced_permutations`` expands the Gessel determinant by
 permutations into series products, where the package forms one integer
 determinant per partition and the power-sum-to-monomial table, and
@@ -349,13 +353,55 @@ def sym_powers_binomial(chi, N: int):
     return [LaurentPoly(d, part) for part in series]
 
 
+def exact_nullspace(rows, ncols: int):
+    """Basis of the right nullspace by exact elimination over the rationals:
+    one vector per free column of the reduced row echelon form."""
+    from tcaseries.polyutil import echelon
+    pivots, mat = echelon([[Fraction(c) for c in row] for row in rows], ncols)
+    basis = []
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for rix, pc in enumerate(pivots):
+            vec[pc] = -mat[rix][fc]
+        basis.append(vec)
+    return basis
+
+
+def rank_modulo(rows, ncols: int):
+    """(p, rank of the rational matrix modulo p), p the prime that
+    polyutil.residues picks for its entries; None when it picks none. Rank
+    ncols there proves the rational nullspace trivial."""
+    from tcaseries.polyutil import echelon, residues
+    red = residues(c for row in rows for c in row)
+    if red is None:
+        return None
+    p, flat = red
+    cells = iter(flat)
+    return p, len(echelon([[next(cells) for _ in row] for row in rows], ncols, p)[0])
+
+
+def apply_ode_fractions(op, coeffs):
+    """dfinite.apply_ode summed term by term in Fractions."""
+    from tcaseries.polyutil import falling
+    out = []
+    for m in range(len(coeffs) - op.order):
+        acc = Fraction(0)
+        for i, p in enumerate(op.coeffs):
+            for j, c in enumerate(p):
+                if c and j <= m:
+                    acc += c * coeffs[m - j + i] * falling(m - j + i, i)
+        out.append(acc)
+    return out
+
+
 def guess_ode_per_pair(coeffs, max_order: int, max_degree: int):
     """guess_ode one (order, degree) pair at a time, unknowns in the order
     (i, j): each pair's system gets its own rank certificate modulo a prime
-    and, when that fails, its own exact nullspace. Returns the operator (or
-    None), the prime and the certified pairs."""
-    from tcaseries.dfinite import _frobenius_lift, _normalize, apply_ode, needed_length
-    from tcaseries.polyutil import certify_full_rank, falling, nullspace, ptrim, residues
+    and, when that fails, its own nullspace by exact elimination. Returns the
+    operator (or None), the prime and the certified pairs."""
+    from tcaseries.dfinite import _frobenius_lift, _normalize, needed_length
+    from tcaseries.polyutil import falling, ptrim, residues
     from tcaseries.seriesforms import OdeOperator
     if len(coeffs) < needed_length(max_order, max_degree):
         raise ValueError("series too short")
@@ -364,17 +410,18 @@ def guess_ode_per_pair(coeffs, max_order: int, max_degree: int):
     certified = []
     for r in range(1, max_order + 1):
         for d in range(max_degree + 1):
+            ncols = (r + 1) * (d + 1)
             rows = [[coeffs[m - j + i] * falling(m - j + i, i) if j <= m else Fraction(0)
                      for i in range(r + 1) for j in range(d + 1)]
                     for m in range(len(coeffs) - r)]
-            if certify_full_rank(rows, (r + 1) * (d + 1)) is not None:
+            if (rank_modulo(rows, ncols) or (None, None))[1] == ncols:
                 certified.append((r, d))
                 continue
-            for vec in nullspace(rows, (r + 1) * (d + 1)):
+            for vec in exact_nullspace(rows, ncols):
                 polys = [ptrim(vec[i * (d + 1):(i + 1) * (d + 1)]) for i in range(r + 1)]
                 if polys[-1]:
                     op = OdeOperator(_normalize(_frobenius_lift(polys)))
-                    if not any(apply_ode(op, coeffs)):
+                    if not any(apply_ode_fractions(op, coeffs)):
                         return op, prime, certified
     return None, prime, certified
 

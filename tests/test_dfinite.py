@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import guess_ode_per_pair
-from tcaseries import dfinite
+from oracles import apply_ode_fractions, exact_nullspace, guess_ode_per_pair, rank_modulo
+from tcaseries import dfinite, polyutil
 from tcaseries.dfinite import (
     apply_ode,
     guess_ode,
@@ -15,7 +16,7 @@ from tcaseries.dfinite import (
     needed_length,
     ode_to_text,
 )
-from tcaseries.polyutil import RANK_PRIMES, certify_full_rank, echelon, factorial, nullspace
+from tcaseries.polyutil import RANK_PRIMES, echelon, factorial, nullspace
 from tcaseries.seriesforms import OdeOperator
 
 F = Fraction
@@ -189,14 +190,14 @@ def test_rank_filter_does_not_certify_singular_residues(monkeypatch):
     # full rank over Q but not modulo P
     assert RANK_PRIMES[0] == P
     singular_mod_p = [[F(1), F(2)], [F(3), F(6 + P)]]  # determinant P
-    assert certify_full_rank(singular_mod_p, 2) is None
+    assert rank_modulo(singular_mod_p, 2) == (P, 1)
     assert nullspace(singular_mod_p, 2) == []
     # entries that all vanish modulo P move the filter to the next prime;
     # a zero matrix keeps the first and certifies nothing
-    assert certify_full_rank([[F(P)]], 1) == RANK_PRIMES[1]
-    assert certify_full_rank([[F(0)]], 1) is None
+    assert rank_modulo([[F(P)]], 1) == (RANK_PRIMES[1], 1)
+    assert rank_modulo([[F(0)]], 1) == (P, 0)
     # a series whose every coefficient is a multiple of P: the hit still
-    # goes to exact elimination, the miss is certified modulo the next prime
+    # goes to nullspace, the miss is certified modulo the next prime
     shapes = _counting_nullspace(monkeypatch)
     cert = {}
     assert guess_ode([F(P, factorial(n)) for n in range(needed_length(1, 0))],
@@ -210,10 +211,10 @@ def test_rank_filter_does_not_certify_singular_residues(monkeypatch):
 
 
 def test_rank_filter_switches_primes_on_denominators():
-    assert certify_full_rank([[F(1, P)]], 1) == RANK_PRIMES[1]
-    assert certify_full_rank([[F(1)], [F(1, RANK_PRIMES[0] * RANK_PRIMES[1])]], 1) == RANK_PRIMES[2]
+    assert rank_modulo([[F(1, P)]], 1) == (RANK_PRIMES[1], 1)
+    assert rank_modulo([[F(1)], [F(1, RANK_PRIMES[0] * RANK_PRIMES[1])]], 1) == (RANK_PRIMES[2], 1)
     every = RANK_PRIMES[0] * RANK_PRIMES[1] * RANK_PRIMES[2]
-    assert certify_full_rank([[F(1, every)]], 1) is None
+    assert rank_modulo([[F(1, every)]], 1) is None
     cert = {}
     assert guess_ode([c / P for c in bell_egf(needed_length(2, 2))],
                      max_order=2, max_degree=2, certificate=cert) is None
@@ -235,7 +236,8 @@ def test_rank_filter_certifies_only_trivial_nullspaces():
             c = F(rng.randint(-2, 2), rng.randint(1, 3))
             for row in rows:
                 row[k] = c * row[(k + 1) % ncols] if ncols > 1 else F(0)
-        prime = certify_full_rank(rows, ncols)
+        prime, rank = rank_modulo(rows, ncols)
+        prime = prime if rank == ncols else None
         trivial = nullspace(rows, ncols) == []
         # certified implies trivial; on this sample the converse holds too
         assert (prime is not None) == trivial and prime in (None, P)
@@ -356,3 +358,128 @@ def test_echelon_pivots_of_a_column_prefix_are_a_prefix():
             # reduced: each pivot column is a unit vector
             for rix, pc in enumerate(pivots):
                 assert [row[pc] for row in mat] == [int(i == rix) for i in range(nrows)]
+
+
+def _counting_echelon(monkeypatch):
+    """The primes of every elimination nullspace runs; None for exact."""
+    primes = []
+
+    def counted(rows, ncols, p=None, _original=polyutil.echelon):
+        primes.append(p)
+        return _original(rows, ncols, p)
+    monkeypatch.setattr(polyutil, "echelon", counted)
+    return primes
+
+
+@st.composite
+def _deficient_matrices(draw):
+    """A rational matrix with a column that depends on the others, entries of
+    up to `bits` bits, and the primes nullspace is to try: its own, or one
+    small prime, under which most lifts fail and exact elimination answers."""
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    bits = draw(st.sampled_from([2, 40, 100, 300, 1000]))
+    entry = st.builds(F, st.integers(-2**bits, 2**bits), st.integers(1, 2**bits))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    k = draw(st.integers(0, ncols - 1))
+    weights = [draw(entry) if j != k else F(0) for j in range(ncols)]
+    for row in rows:
+        row[k] = sum(w * a for w, a in zip(weights, row))
+    return rows, ncols, draw(st.sampled_from([polyutil.LIFT_PRIMES, (5,)]))
+
+
+# a minor of determinant P: the lift modulo P fails its check, the next prime answers
+@example(([[F(1), F(2), F(0)], [F(3), F(6 + P), F(0)]], 3, polyutil.LIFT_PRIMES))
+@example(([[F(1), F(2), F(3)], [F(2), F(4), F(7)]], 3, (5,)))  # -2 does not lift modulo 5
+@settings(max_examples=150, deadline=None)
+@given(_deficient_matrices())
+def test_nullspace_matches_exact_elimination(case):
+    rows, ncols, primes = case
+    with mock.patch.object(polyutil, "LIFT_PRIMES", primes):
+        got = nullspace(rows, ncols)
+    assert got == exact_nullspace(rows, ncols) and got
+    assert all(type(v) is F for vec in got for v in vec)
+
+
+def test_nullspace_escalates_through_the_primes(monkeypatch):
+    cases = [[[F(1), F(2)], [F(3), F(6 + P)]], [[F(1), F(2), F(0)], [F(3), F(6 + P), F(0)]]]
+    # kernel entries of about 40, 100, 200, 600 and 2000 bits: each prime's
+    # reconstruction bound sqrt(p/2) admits only the smaller ones
+    cases += [[[F(1), F(-2**bits - 1, 3)]] for bits in (40, 100, 200, 600, 2000)]
+    want = [exact_nullspace(rows, len(rows[0])) for rows in cases]
+    # full rank over Q, determinant P: the lift modulo P fails its check
+    assert want[:2] == [[], [[0, 0, 1]]]
+    primes = _counting_echelon(monkeypatch)
+    tried = []
+    for rows in cases:
+        primes.clear()
+        assert nullspace(rows, len(rows[0])) == want[len(tried)]
+        tried.append(len(primes))
+    assert tried == [2, 2, 2, 4, 4, 5, 6]
+    assert primes == [*polyutil.LIFT_PRIMES, None]
+
+
+def test_nullspace_falls_back_to_exact_elimination(monkeypatch):
+    cases = [[[F(1), F(1), F(3)], [F(2), F(2), F(7)]], [[F(1), F(2), F(3)], [F(2), F(4), F(7)]]]
+    want = [exact_nullspace(rows, 3) for rows in cases]
+    assert want == [[[-1, 1, 0]], [[-2, 1, 0]]]
+    primes = _counting_echelon(monkeypatch)
+    monkeypatch.setattr(polyutil, "LIFT_PRIMES", (5,))
+    # -1 lifts modulo 5 (|n|, d <= sqrt(5/2)); -2 does not
+    for rows, exact, tried in zip(cases, want, [[5], [5, None]]):
+        primes.clear()
+        assert nullspace(rows, 3) == exact and primes == tried
+
+
+def test_wrong_reconstruction_is_caught(monkeypatch):
+    rows = [[F(1), F(2), F(-1), F(1, 2)], [F(0), F(3), F(1), F(5)], [F(1), F(5), F(0), F(11, 2)]]
+    want = exact_nullspace(rows, 4)
+    assert len(want) == 2
+    lift = polyutil._rational_lift
+    primes = _counting_echelon(monkeypatch)
+    wrong = [
+        # wrong only modulo the first prime: the next one answers
+        (lambda a, p: lift(a, p) + (p == P), [P, RANK_PRIMES[1]]),
+        # wrong modulo every prime, or no rational found: exact elimination answers
+        (lambda a, p: lift(a, p) + 1, [*polyutil.LIFT_PRIMES, None]),
+        (lambda a, p: None, [*polyutil.LIFT_PRIMES, None]),
+    ]
+    for bad_lift, tried in wrong:
+        primes.clear()
+        monkeypatch.setattr(polyutil, "_rational_lift", bad_lift)
+        assert nullspace(rows, 4) == want and primes == tried
+
+
+@st.composite
+def _operators_and_series(draw):
+    fraction = st.builds(F, st.integers(-20, 20), st.sampled_from([1, 1, 2, 3, 7, 12, P]))
+    order = draw(st.integers(0, 3))
+    polys = [[draw(fraction) for _ in range(draw(st.integers(0, 4)))] for _ in range(order)]
+    lead = [draw(fraction) for _ in range(draw(st.integers(0, 3)))] + [draw(fraction.filter(bool))]
+    series = draw(st.lists(fraction | st.integers(-5, 5), max_size=12))
+    return OdeOperator((*polys, lead)), series
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operators_and_series())
+def test_apply_ode_matches_fraction_sums(case):
+    op, series = case
+    got = apply_ode(op, series)
+    assert got == apply_ode_fractions(op, series)
+    assert all(type(v) is F for v in got)
+
+
+def test_guess_ode_hit_does_fraction_arithmetic_per_output_coefficient(monkeypatch):
+    # the systems, their nullspaces and the residual check run on integers;
+    # the Fraction sums and products left are O(coefficients of the operator)
+    coeffs = catalan_egf(needed_length(4, 6))
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
+        def counted(*args, _original=getattr(F, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(F, name, counted)
+    op = guess_ode(coeffs, max_order=4, max_degree=6)
+    monkeypatch.undo()
+    assert op == CATALAN_OP
+    assert len(calls) <= sum(len(p) for p in op.coeffs) + 3

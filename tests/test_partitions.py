@@ -27,6 +27,7 @@ from tcaseries.partitions import (
     transpose,
     z_of,
 )
+from tcaseries.polyutil import integer
 
 from oracles import partition_count, ssyt_bounded, ssyt_fillings
 
@@ -126,6 +127,24 @@ def test_as_partition_cache_by_hand():
     misses = cache.cache_info().misses
     assert as_partition([3, 1, 0]) == as_partition(p for p in (3, 1)) == (3, 1)
     assert cache.cache_info().misses == misses
+
+
+def test_complex_part_answered_whatever_the_cache_holds():
+    # 2+0j == 2 and both hash alike: integer() maps it to 2, so the shared
+    # entry answers (2,) whichever key filled it; any other complex part is
+    # refused with a ValueError, cached or not
+    cache = partitions_module._cached_partition
+    for first, second in [((2 + 0j,), (2,)), ((2,), (2 + 0j,))]:
+        cache.cache_clear()
+        for key in (first, second, (2 + 0j, 1.0 + 0j)):
+            lam = as_partition(key)
+            assert lam == _validated_partition(key) and all(type(p) is int for p in lam)
+        for bad in [(2 + 1j,), (2.5 + 0j,), (3, 1j)]:
+            with pytest.raises(ValueError, match="is not an integer"):
+                as_partition(bad)
+    assert [integer(2 + 0j), integer(-3.0 + 0j)] == [2, -3]
+    with pytest.raises(ValueError):
+        integer(1j)
 
 
 def test_canonical_key_is_cached():

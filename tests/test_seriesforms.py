@@ -13,8 +13,8 @@ from tcaseries.partitions import (
     sym_character,
 )
 from tcaseries.grassmann import GrClass, bott_pushforward, gessel_enhanced, grclass_from_json
-from tcaseries import partitions, seriesforms
-from tcaseries.polyutil import nullspace
+from tcaseries import partitions, polyutil, seriesforms
+from tcaseries.polyutil import RANK_PRIMES, echelon, nullspace
 from tcaseries.symfunc import SCHUR, SymFunc, add, multiply, sym_algebra_character
 from tcaseries.symfunc import from_json as symfunc_from_json
 from tcaseries.seriesforms import (
@@ -212,12 +212,18 @@ def test_sigma_recognize_rejects_non_sigma_series():
 
 
 def test_sigma_recognize_rejects_by_rank_mod_p(monkeypatch):
-    # [A | -b] has full column rank modulo a prime: no exact elimination
-    def refuse(rows, ncols):
-        raise AssertionError("exact elimination of a certified system")
-    monkeypatch.setattr(seriesforms, "nullspace", refuse)
+    # [A | -b] has full column rank modulo the first prime: nullspace proves
+    # it trivial by one modular elimination, with no exact elimination
+    primes = []
+
+    def modular_only(rows, ncols, p=None):
+        assert p is not None, "exact elimination of a certified system"
+        primes.append(p)
+        return echelon(rows, ncols, p)
+    monkeypatch.setattr(polyutil, "echelon", modular_only)
     f = SymFunc(SCHUR, {(n,): F(2 ** n) for n in range(9)}, 8)
     assert sigma_recognize(f, r_max=1, s_deg_max=0, sigma_wt_max=2) is None
+    assert primes == [RANK_PRIMES[0]]
 
 
 def test_sigma_recognize_truncation_guard():
