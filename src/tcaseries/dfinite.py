@@ -73,12 +73,12 @@ def _normalize(polys: list[Poly]) -> tuple[Poly, ...]:
     return tuple(tuple(c * scale for c in p) for p in polys)
 
 
-def _ode_rows(coeffs: list, r: int, cols: list[tuple[int, int]], zero) -> list[list]:
-    """Linear system of sum c_ij t^j y^(i) = 0: one unknown c_ij per (i, j) of
-    `cols` (i <= r), in that order, and one row, whatever the columns, per
-    coefficient of t^m that the truncation determines."""
-    return [[coeffs[m - j + i] * falling(m - j + i, i) if j <= m else zero for i, j in cols]
-            for m in range(len(coeffs) - r)]
+def _ode_rows(ds: list[list[int]], r: int, cols: list[tuple[int, int]]) -> list[list[int]]:
+    """Linear system of sum c_ij t^j y^(i) = 0 from ds[i][n] = (n)_i y_n: one
+    unknown c_ij per (i, j) of `cols` (i <= r), in that order, and one row,
+    whatever the columns, per coefficient of t^m that the truncation determines."""
+    return [[ds[i][m - j + i] if j <= m else 0 for i, j in cols]
+            for m in range(len(ds[0]) - r)]
 
 
 def guess_ode(coeffs: CoeffSeries, max_order: int = 6, max_degree: int = 8,
@@ -108,23 +108,26 @@ def guess_ode(coeffs: CoeffSeries, max_order: int = 6, max_degree: int = 8,
             f"need at least {need} coefficients for caps "
             f"({max_order}, {max_degree}), got {len(coeffs)}")
     coeffs = [Fraction(c) for c in coeffs]
-    p, mod = residues(coeffs) or (None, None)
-    # scaling the series scales every system's rows: the nullspaces are unchanged
+    # the prime divides no denominator, so the common denominator is a unit
+    # modulo it: scaling the series scales every system's rows, and leaves
+    # the nullspaces and the pivots modulo the prime unchanged
+    p = (residues(coeffs) or (None,))[0]
     ys = cleared(coeffs)[1]
+    ds = [[falling(n, i) * y for n, y in enumerate(ys)] for i in range(max_order + 1)]
     certified = []
     if certificate is not None:
         certificate.update(prime=p, pairs=certified)
     for r in range(1, max_order + 1):
         # degree-major unknowns (j, i): each (r, d) system is a column prefix
         cols = [(i, j) for j in range(max_degree + 1) for i in range(r + 1)]
-        pivots = echelon(_ode_rows(mod, r, cols, 0), len(cols), p)[0] if p else []
+        pivots = echelon(_ode_rows(ds, r, cols), len(cols), p)[0] if p else []
         k = sum(c == n for n, c in enumerate(pivots))
         certified += [(r, d) for d in range(k // (r + 1))]
         for d in range(k // (r + 1), max_degree + 1):
             # order-major unknowns (i, j): a nullspace of dimension above 1
             # yields its basis, and so the operator, by the column order
             cols = [(i, j) for i in range(r + 1) for j in range(d + 1)]
-            for vec in _nullspace(_ode_rows(ys, r, cols, 0), len(cols)):
+            for vec in _nullspace(_ode_rows(ds, r, cols), len(cols)):
                 polys = [ptrim(vec[i * (d + 1):(i + 1) * (d + 1)]) for i in range(r + 1)]
                 if not polys[-1]:
                     continue

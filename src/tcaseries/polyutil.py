@@ -5,12 +5,13 @@ the package's one elimination kernel, ``echelon``: pivot columns and reduced
 row echelon form over the rationals, or modulo a prime. ``nullspace`` lifts
 a basis off it modulo a prime and checks it exactly over the rationals;
 modulo a prime, full column rank proves a nullspace trivial (``residues``
-reduces rationals for guess_ode's rank filter). Also its one merge kernel
+picks the prime of guess_ode's rank filter). Also its one merge kernel
 for sparse term dicts, ``merge_terms`` and ``add_into`` (kernels run them on
-integers: ``over_common_denominator``, or ``cleared`` for a sequence), its
-one integrality check, ``integer``, its coefficient coercion, ``as_fraction``,
-and the number checks of JSON readers, ``json_fraction`` and ``json_int``. And
-``Value``, the immutable base of value classes, and ``linear_form_det``, its one determinant.
+integers: ``over_common_denominator``, or ``cleared`` for a sequence), its one
+exponential, ``newton_exp``, its one integrality check, ``integer``, its
+coefficient coercion, ``as_fraction``, and the number checks of JSON readers,
+``json_fraction`` and ``json_int``. And ``Value``, the immutable base of value
+classes, and ``linear_form_det``, its one determinant.
 """
 
 from __future__ import annotations
@@ -194,6 +195,22 @@ def cleared(values) -> tuple[int, list[int]]:
     denominators of the rationals `values` (ints or Fractions)."""
     L = math.lcm(*(v.denominator for v in values))
     return L, [v.numerator * (L // v.denominator) for v in values]
+
+
+def newton_exp(lc: dict[int, dict], L: int, N: int, mul, one: dict) -> list[dict]:
+    """Parts a_0..a_N of exp(sum_k b_k) in the algebra of `mul` with unit `one`,
+    from int term dicts lc[k] = L k b_k: Newton's identity n a_n = sum_k k b_k
+    a_{n-k} (Macdonald I.2), division-free on G_n = L^n n! a_n, one Fraction
+    per output coefficient: G_n = sum_k (n-1)!/(n-k)! L^(k-1) lc[k] G_{n-k}."""
+    gs = [one]
+    for n in range(1, N + 1):
+        acc: dict = {}
+        for k, lk in lc.items():
+            if k <= n:
+                add_into(acc, mul(lk, gs[n - k]), falling(n - 1, k - 1) * L ** (k - 1))
+        gs.append(acc)
+    return [{key: Fraction(c, L ** n * factorial(n)) for key, c in g.items()}
+            for n, g in enumerate(gs)]
 
 
 def linear_form_det(r: int, entry, N: int | None = None) -> dict[tuple[int, ...], int]:

@@ -214,7 +214,9 @@ class TSeries(Value):
 
 
 def ts_exp(s: TSeries, N: int) -> TSeries:
-    """exp of a TSeries with no constant term, truncated at N."""
+    """exp of a TSeries with no constant term, truncated at N <= its truncation."""
+    if s.truncation < N:
+        raise ValueError(f"input truncated at {s.truncation} < {N}")
     return TSeries(N, symfunc.graded_exp(s.coeffs, N))
 
 

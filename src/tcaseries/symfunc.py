@@ -27,7 +27,8 @@ from .partitions import (
     transpose,
     z_of,
 )
-from .polyutil import Value, add_into, as_fraction, integer, json_fraction, json_int, merge_terms
+from .polyutil import (Value, add_into, as_fraction, integer, json_fraction, json_int, merge_terms,
+                       newton_exp, over_common_denominator)
 
 SCHUR = "s"
 POWERSUM = "p"
@@ -128,7 +129,7 @@ def _p_to_s(terms) -> dict[Partition, Fraction]:
 
 
 def _p_mul_terms(a: dict[Partition, Fraction], b: dict[Partition, Fraction],
-                 trunc: int | None) -> dict[Partition, Fraction]:
+                 trunc: int | None = None) -> dict[Partition, Fraction]:
     """Product of two partition-keyed dicts whose keys multiply by multiset
     union (power sums, t-monomials, T-monomials), dropping terms above `trunc`
     (None: keep all). The result has no zero coefficients."""
@@ -149,27 +150,15 @@ def _p_mul_terms(a: dict[Partition, Fraction], b: dict[Partition, Fraction],
 
 def graded_exp(b: dict[Partition, Fraction], N: int) -> dict[Partition, Fraction]:
     """exp(b) through degree N in the algebra of `_p_mul_terms`, for b with no
-    degree-0 term.
-
-    Uses Newton's identity n a_n = sum_{k=1}^n k b_k a_{n-k} on the homogeneous
-    parts a_n of exp(b) and b_k of b (Macdonald, Symmetric Functions, I.2), so
-    each pair of terms of b and exp(b) is multiplied once.
-    """
+    degree-0 term: polyutil.newton_exp on b's parts over their common
+    denominator, each pair of terms of b and exp(b) multiplied once."""
     if () in b:
         raise ValueError("exp of a series with constant term")
-    kb: dict[int, dict[Partition, Fraction]] = {}
-    for mu, c in b.items():
-        k = sum(mu)
-        if k <= N:
-            kb.setdefault(k, {})[mu] = k * c
-    a: list[dict[Partition, Fraction]] = [{(): Fraction(1)}]
-    for n in range(1, N + 1):
-        acc: dict[Partition, Fraction] = {}
-        for k, kb_k in kb.items():
-            if k <= n:
-                add_into(acc, _p_mul_terms(kb_k, a[n - k], None))
-        a.append({mu: v / n for mu, v in acc.items()})
-    return {mu: c for a_n in a for mu, c in a_n.items()}
+    L, (lb,) = over_common_denominator(b)
+    lc: dict[int, dict[Partition, int]] = {}
+    for mu, c in lb.items():
+        lc.setdefault(sum(mu), {})[mu] = sum(mu) * c
+    return {mu: c for a in newton_exp(lc, L, N, _p_mul_terms, {(): 1}) for mu, c in a.items()}
 
 
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:

@@ -27,8 +27,8 @@ from .partitions import (
     partition_factorial,
     partitions_up_to,
 )
-from .polyutil import (Value, add_into, as_fraction, factorial, falling, integer, json_fraction,
-                       json_int, merge_terms, over_common_denominator)
+from .polyutil import (Value, add_into, as_fraction, factorial, integer, json_fraction, json_int,
+                       merge_terms, newton_exp, over_common_denominator)
 from .seriesforms import TSeries
 
 __all__ = [
@@ -192,24 +192,14 @@ def schur_coefficients(f: LaurentPoly) -> dict[Partition, Fraction]:
 
 
 def sym_degree_characters(chi: LaurentPoly, N: int) -> list[LaurentPoly]:
-    """Characters of Sym^n(E) for n <= N from the character of E, by Newton's
-    identity n h_n = sum_{k=1}^{n} p_k h_{n-k} with p_k = chi(alpha^k), run
-    division-free on G_n = L^n n! h_n for L the common denominator of chi:
-    G_n = sum_k (n-1)!/(n-k)! L^{k-1} p_k(L chi) G_{n-k} over the integers."""
+    """Characters of Sym^n(E) for n <= N from the character of E: exp of
+    sum_k p_k / k with p_k = chi(alpha^k), by polyutil.newton_exp on
+    lc[k] = p_k(L chi) for L the common denominator of chi, over the integers."""
     if N < 0:
         raise ValueError("truncation must be >= 0")
-    d = chi.d
     L, (lchi,) = over_common_denominator(chi.terms)
-    pk = [None] + [{tuple(k * x for x in e): c for e, c in lchi.items()}
-                   for k in range(1, N + 1)]
-    gs = [{(0,) * d: 1}]
-    for n in range(1, N + 1):
-        acc: dict[Exponent, int] = {}
-        for k in range(1, n + 1):
-            add_into(acc, _mul_terms(pk[k], gs[n - k]), falling(n - 1, k - 1) * L ** (k - 1))
-        gs.append(acc)
-    return [LaurentPoly(d, {e: Fraction(c, L ** n * factorial(n)) for e, c in g.items()})
-            for n, g in enumerate(gs)]
+    lc = {k: {tuple(k * x for x in e): c for e, c in lchi.items()} for k in range(1, N + 1)}
+    return [LaurentPoly(chi.d, a) for a in newton_exp(lc, L, N, _mul_terms, {(0,) * chi.d: 1})]
 
 
 def _reflect(v: Exponent, spans) -> tuple[Exponent, int]:

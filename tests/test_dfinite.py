@@ -276,6 +276,19 @@ def test_bell_reduces_each_order_once_modulo_p(monkeypatch):
     assert calls == [(60 - r, (r + 1) * 6, P) for r in range(1, 6)]
 
 
+def test_bell_builds_one_derivative_table(monkeypatch):
+    # (n)_i y_n once per n and i <= max_order, not once per cell of every system
+    calls = []
+
+    def counted(m, k):
+        calls.append((m, k))
+        return polyutil.falling(m, k)
+    monkeypatch.setattr(dfinite, "falling", counted)
+    coeffs = bell_egf(60)
+    assert guess_ode(coeffs, max_order=5, max_degree=5) is None
+    assert len(calls) == 6 * len(coeffs)
+
+
 def _hypergeometric(draw, length):
     """a_0 = c0 and a_(n+1) = c (n + a) / (n + b) a_n: D-finite of low order."""
     a, b = draw(st.integers(-3, 3)), draw(st.integers(1, 4))

@@ -102,6 +102,9 @@ def test_ts_exp_of_t1():
 def test_ts_exp_rejects_constant_term():
     with pytest.raises(ValueError):
         ts_exp(TSeries(3, {(): F(1)}), 3)
+    # a series truncated at 2 does not determine exp through degree 5
+    with pytest.raises(ValueError, match="truncated at 2 < 5"):
+        ts_exp(TSeries(2, {(1,): F(1)}), 5)
 
 
 @st.composite

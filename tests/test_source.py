@@ -154,6 +154,18 @@ def test_integral_route_weights_each_degree_once():
     assert "weyl_inner" not in names
 
 
+def test_exponentials_share_the_newton_kernel():
+    # Newton's identity runs once, in polyutil.newton_exp, on integers; the
+    # exponentials of power-sum dicts and of torus characters call it
+    for module, name in (("symfunc.py", "graded_exp"), ("torus.py", "sym_degree_characters")):
+        tree = ast.parse((SRC / module).read_text())
+        func = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+        calls = {node.func.id for node in ast.walk(func)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert "newton_exp" in calls, name
+
+
 def _modular_inverse(node) -> bool:
     """pow(x, -1, p)."""
     if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
