@@ -11,11 +11,14 @@ integers: ``over_common_denominator``, or ``cleared`` for a sequence), its one
 exponential, ``newton_exp``, its one integrality check, ``integer``, its
 coefficient coercion, ``as_fraction``, and the number checks of JSON readers,
 ``json_fraction`` and ``json_int``. And ``Value``, the immutable base of value
-classes, and ``linear_form_det``, its one determinant.
+classes, ``linear_form_det``, its one determinant, and ``multiset_mul``, its one
+product of multisets, on ``multiset_code``s: a union of multisets is one integer
+addition (packed exponent vectors, Monagan and Pearce, CASC 2007).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -213,21 +216,67 @@ def newton_exp(lc: dict[int, dict], L: int, N: int, mul, one: dict) -> list[dict
             for n, g in enumerate(gs)]
 
 
+# A code holds the multiplicity of part p in bits [16 p, 16 p + 16). Codes of
+# fewer than 2^15 parts have digits below 2^15, so a sum of two cannot carry.
+# The caches are bounded: a code is as long as its largest part.
+_DIGIT = 16
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def multiset_code(parts: tuple[int, ...]) -> tuple[int, int]:
+    """(weight, code) of a multiset of nonnegative integers, part 0 at digit 0;
+    refused at 2^15 parts or more, where a sum of two codes could carry."""
+    if len(parts) >= 1 << (_DIGIT - 1):
+        raise ValueError(f"a multiset of {len(parts)} parts is too large to code")
+    return sum(parts), sum(1 << _DIGIT * p for p in parts)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def multiset_parts(code: int, width: int = _DIGIT) -> tuple[int, ...]:
+    """The weakly decreasing tuple of parts of a multiset code of `width`-bit
+    digits, read one distinct part at a time from the lowest set bit."""
+    parts: list[int] = []
+    while code:
+        p = ((code & -code).bit_length() - 1) // width
+        parts += [p] * (m := code >> width * p & (1 << width) - 1)
+        code -= m << width * p
+    return tuple(reversed(parts))
+
+
+def multiset_mul(a, b, limit: int | None, out: dict) -> dict:
+    """out += a * b for iterables of (weight, code, coefficient) triples, b
+    sorted by weight, dropping products of weight above `limit` (None: none);
+    `out` maps a code to [weight, coefficient] and keeps zeros."""
+    limit = math.inf if limit is None else limit
+    for wa, ka, ca in a:
+        room = limit - wa
+        for wb, kb, cb in b:
+            if wb > room:
+                break
+            if (cur := out.get(key := ka + kb)) is None:
+                out[key] = [wa + wb, ca * cb]
+            else:
+                cur[1] += ca * cb
+    return out
+
+
 def linear_form_det(r: int, entry, N: int | None = None) -> dict[tuple[int, ...], int]:
     """det(sum_k s_k M_k) for r x r integer matrices M_k, entry(a, b) = {k: M_k[a][b]}:
     the coefficient of s_{k_1} ... s_{k_r}, keyed by the weakly decreasing tuple
     (k_1, ..., k_r), where k_1 + ... + k_r <= N (None: all). One Laplace expansion
     down the rows; a state is the bit mask of columns taken, whose bits above
-    column b give the sign of taking b, and the multiset of k chosen so far."""
-    states = {(0, ()): 1}
-    for row in ([entry(a, b) for b in range(r)] for a in range(r)):
+    column b give the sign of taking b, and the sum and multiset code of the k
+    chosen, in digits of r.bit_length() bits: a state holds at most r parts."""
+    width = r.bit_length()
+    states = {(0, 0, 0): 1}
+    for row in ([[(k, 1 << width * k, c) for k, c in entry(a, b).items()]
+                 for b in range(r)] for a in range(r)):
         states = merge_terms(
-            ((taken | 1 << b, tuple(sorted((*ks, k), reverse=True))),
-             (-1) ** (taken >> b).bit_count() * c * v)
-            for (taken, ks), v in states.items()
+            ((taken | 1 << b, w + k, code + kc), (-1) ** (taken >> b).bit_count() * c * v)
+            for (taken, w, code), v in states.items()
             for b, forms in enumerate(row) if not taken >> b & 1
-            for k, c in forms.items() if N is None or sum(ks) + k <= N)
-    return {ks: v for (_, ks), v in states.items()}
+            for k, kc, c in forms if N is None or w + k <= N)
+    return {multiset_parts(code, width): v for (_, _, code), v in states.items()}
 
 
 def echelon(rows: list[list], ncols: int, p: int | None = None) -> tuple[list[int], list[list]]:

@@ -18,7 +18,9 @@ The central objects:
 Specializations: ``sigma_expand`` (sigma -> Schur series, by the Pieri rule),
 ``ex_*`` (Hilbert series, sigma_k -> (t^k/k!) e^t), ``phi_*`` (enhanced
 series, p_n -> n t_n, sigma_n -> exp(T_0) sum_{nu |- n} T^nu / nu!).
-``sigma_expand`` and ``enhanced_expand`` work on integers over one common denominator.
+``sigma_expand`` and ``enhanced_expand`` work on integers over one common denominator;
+``enhanced_expand`` multiplies t-monomials as multiset codes (polyutil.multiset_code),
+one integer addition per product, and decodes each output key once.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from types import MappingProxyType
 
 from .partitions import (
     Partition,
@@ -54,6 +55,9 @@ from .polyutil import (
     json_fraction,
     json_int,
     merge_terms,
+    multiset_code,
+    multiset_mul,
+    multiset_parts,
     nullspace,
     over_common_denominator,
     padd,
@@ -435,46 +439,57 @@ def phi_sigma(e: SigmaExpr) -> EnhancedExpr:
     return EnhancedExpr(parts)
 
 
-def _substitute_tails(poly: TTPoly, top: int, trunc: int | None) -> dict[Partition, Fraction]:
+def _substitute_tails(poly: TTPoly, ns: tuple[int, ...], trunc: int | None) -> dict[int, list]:
     """The t-polynomial of `poly` (int or Fraction coefficients) under T_j ->
-    sum_{n=j}^{top} binom(n, j) t_n, dropping terms above `trunc` (None: none).
-    Each term is multiplied once by the expansion of its T-monomial, which
-    `_tails` builds once per (T-part, top, trunc) and process."""
-    out: dict[Partition, Fraction] = {}
+    sum_{n in ns, n >= j} binom(n, j) t_n (ns increasing), t_n = 0 for n outside
+    `ns`, dropping terms above `trunc` (None: none), as multiset_mul's output
+    with t_{ns[i]} coded as part i. Each term is multiplied once by the expansion
+    of its T-monomial, which `_tails` builds once per (T-part, ns, trunc)."""
+    at = {n: i for i, n in enumerate(ns)}
+    out: dict[int, list] = {}
     for (tpart, Tpart), c in poly.items():
-        if trunc is None or sum(tpart) <= trunc:
-            add_into(out, symfunc._p_mul_terms({tpart: c}, _tails(Tpart, top, trunc), trunc))
+        w = sum(tpart)
+        if (trunc is None or w <= trunc) and all(n in at for n in tpart):
+            code = multiset_code(tuple(at[n] for n in tpart))[1]
+            multiset_mul(((w, code, c),), _tails(Tpart, ns, trunc), trunc, out)
     return out
 
 
 @functools.cache
-def _tails(Tpart: Partition, top: int, trunc: int | None) -> MappingProxyType:
-    """prod_{j in Tpart} sum_{n=j}^{top} binom(n, j) t_n through weight `trunc`, on
-    integers, as a read-only mapping; cached, so terms sharing a T-part share it."""
-    cur = {(): 1}
+def _tails(Tpart: Partition, ns: tuple[int, ...],
+           trunc: int | None) -> tuple[tuple[int, int, int], ...]:
+    """prod_{j in Tpart} sum_{n in ns, n >= j} binom(n, j) t_n through weight `trunc`,
+    on integers, as weight-sorted (weight, code, coefficient) triples, zeros dropped,
+    t_{ns[i]} coded as part i; cached, so terms sharing a T-part share it."""
+    cur = ((0, 0, 1),)
     for j in Tpart:
-        cur = symfunc._p_mul_terms(cur, {(n,): binom(n, j) for n in range(j, top + 1)}, trunc)
-    return MappingProxyType(cur)
+        tail = [(n, multiset_code((i,))[1], binom(n, j)) for i, n in enumerate(ns) if n >= j]
+        cur = [(w, code, c) for code, (w, c) in multiset_mul(cur, tail, trunc, {}).items() if c]
+    return tuple(sorted(cur))
 
 
 @functools.cache
-def _exp_kt0(k: int, N: int) -> MappingProxyType:
-    """N! exp(k T_0) = sum_nu N! k^{l(nu)} t^nu / nu! through weight N, cached as a
-    read-only mapping; integers, as nu! = prod_i m_i(nu)! divides l(nu)! and so N!."""
-    return MappingProxyType(merge_terms(
-        (nu, factorial(N) * k ** len(nu) // partition_factorial(nu)) for nu in partitions_up_to(N)))
+def _exp_kt0(k: int, N: int) -> tuple[tuple[int, int, int], ...]:
+    """N! exp(k T_0) = sum_nu N! k^{l(nu)} t^nu / nu! through weight N, cached as
+    weight-sorted (weight, code, coefficient) triples, zeros dropped; integers,
+    as nu! = prod_i m_i(nu)! divides l(nu)! and so N!."""
+    return tuple((*multiset_code(nu), factorial(N) * k ** len(nu) // partition_factorial(nu))
+                 for nu in partitions_up_to(N) if k or not nu)
 
 
 def enhanced_expand(e: EnhancedExpr, N: int) -> TSeries:
-    """Expand T_j and e^{k T_0} into the t variables, truncated at weight N,
-    on integers over L N! (L the common denominator, N! from _exp_kt0)."""
+    """Expand T_j and e^{k T_0} into the t variables, truncated at weight N, on
+    multiset codes and integers over L N! (L the common denominator, N! from _exp_kt0)."""
     if N < 0:
         raise ValueError("truncation must be >= 0")
     L, polys = over_common_denominator(*e.parts.values())
-    total: dict[Partition, int] = {}
+    ns = tuple(range(N + 1))  # t_n coded as part n
+    total: dict[int, list] = {}
     for k, poly in zip(e.parts, polys):
-        add_into(total, symfunc._p_mul_terms(_substitute_tails(poly, N, N), _exp_kt0(k, N), N))
-    return TSeries(N, {lam: Fraction(c, L * factorial(N)) for lam, c in total.items()})
+        terms = [(w, code, c) for code, (w, c) in _substitute_tails(poly, ns, N).items() if c]
+        multiset_mul(terms, _exp_kt0(k, N), N, total)
+    return TSeries(N, {multiset_parts(code): Fraction(c, L * factorial(N))
+                       for code, (_, c) in total.items() if c})
 
 
 def fourier_dual_hilbert(h: ExpPoly, d: int) -> ExpPoly:
@@ -577,17 +592,20 @@ def umbral_substitute(p, k: int) -> dict[Partition, Fraction]:
 
 def character_at(form: CharPolyForm, lam) -> int:
     """Evaluate tr(c_lam | M_{|lam|}) from a character polynomial form. The
-    tails T_j stop at t_{lam_1} (and vanish for lam = ()): a t_n with n > lam_1
-    adds nothing, as m_n(lam) = 0 and the falling factorial (0)_e = 0, e >= 1."""
+    tails T_j run over the distinct parts n of lam alone (and vanish for
+    lam = ()): any other t_n adds nothing, as m_n(lam) = 0 and the falling
+    factorial (0)_e = 0, e >= 1. So the codes stay short whatever the parts."""
     lam = as_partition(lam)
     if sum(lam) <= form.threshold:
         raise ValueError(
             f"|lam| = {sum(lam)} not above validity threshold {form.threshold}")
     mult = multiplicities(lam)
+    ns = tuple(sorted(mult))
     total = Fraction(0)
     for i, poly in form.entries.items():
-        for alpha, v in _substitute_tails(poly, lam[0] if lam else 0, None).items():
-            w = math.prod(falling(mult.get(var, 0), e) for var, e in multiplicities(alpha).items())
+        for code, (_, v) in _substitute_tails(poly, ns, None).items():
+            alpha = multiset_parts(code)  # positions in ns
+            w = math.prod(falling(mult[ns[pos]], e) for pos, e in multiplicities(alpha).items())
             total += v * w * Fraction(i ** len(lam), i ** len(alpha))
     if total.denominator != 1:
         raise AssertionError(f"non-integral trace {total} at {lam}")

@@ -28,7 +28,8 @@ from .partitions import (
     z_of,
 )
 from .polyutil import (Value, add_into, as_fraction, integer, json_fraction, json_int, merge_terms,
-                       newton_exp, over_common_denominator)
+                       multiset_code, multiset_mul, multiset_parts, newton_exp,
+                       over_common_denominator)
 
 SCHUR = "s"
 POWERSUM = "p"
@@ -124,28 +125,22 @@ def _s_to_p(terms) -> dict[Partition, Fraction]:
 
 
 def _p_to_s(terms) -> dict[Partition, Fraction]:
-    return merge_terms((lam, c * sym_character(lam, mu))
-                       for mu, c in terms.items() for lam in enumerate_partitions(sum(mu)))
+    """On integers over one common denominator: one Fraction per output coefficient."""
+    L, (ints,) = over_common_denominator(terms)
+    return {lam: Fraction(c, L) for lam, c in merge_terms(
+        (lam, c * sym_character(lam, mu))
+        for mu, c in ints.items() for lam in enumerate_partitions(sum(mu))).items()}
 
 
 def _p_mul_terms(a: dict[Partition, Fraction], b: dict[Partition, Fraction],
                  trunc: int | None = None) -> dict[Partition, Fraction]:
     """Product of two partition-keyed dicts whose keys multiply by multiset
     union (power sums, t-monomials, T-monomials), dropping terms above `trunc`
-    (None: keep all). The result has no zero coefficients."""
-    out: dict[Partition, Fraction] = {}
-    limit = math.inf if trunc is None else trunc
-    b_items = [(lb, sum(lb), cb) for lb, cb in b.items()]
-    for la, ca in a.items():
-        room = limit - sum(la)
-        for lb, wb, cb in b_items:
-            if wb > room:
-                continue
-            key = tuple(sorted(la + lb, reverse=True))
-            v = ca * cb
-            cur = out.get(key)
-            out[key] = v if cur is None else cur + v
-    return {k: v for k, v in out.items() if v}
+    (None: keep all), by polyutil.multiset_mul on multiset codes. The result
+    has no zero coefficients."""
+    out = multiset_mul([(*multiset_code(k), c) for k, c in a.items()],
+                       sorted((*multiset_code(k), c) for k, c in b.items()), trunc, {})
+    return {multiset_parts(code): c for code, (_, c) in out.items() if c}
 
 
 def graded_exp(b: dict[Partition, Fraction], N: int) -> dict[Partition, Fraction]:

@@ -6,7 +6,10 @@ partition counts come from the pentagonal-number recurrence, Schur expansions
 from monomial enumeration, products from Littlewood-Richardson tableaux, and
 invariant dimensions from constant terms of chi^n |Delta|^2
 (``invariant_dimensions_ct``, vs. the Brauer-Klimyk rule on dominant
-weights). Seven oracles call the package: ``sigma_expand_powersum`` uses its
+weights), products of multisets from sorted concatenations (``p_mul_sorting``,
+vs. sums of multiset codes), and determinants of linear forms from the Leibniz
+sum (``linear_form_det_leibniz``, vs. one Laplace expansion). Seven oracles
+call the package: ``sigma_expand_powersum`` uses its
 power-sum routines, which the Pieri kernel of ``sigma_expand`` does not use,
 ``enhanced_from_equivariant_per_partition`` runs one ``weyl_inner`` per
 partition, where the package weights each degree by |Delta|^2 once,
@@ -18,9 +21,10 @@ each order once modulo a prime, lifts nullspaces from residues and sums
 residuals in integers,
 ``gessel_enhanced_permutations`` expands the Gessel determinant by
 permutations into series products, where the package forms one integer
-determinant per partition and the power-sum-to-monomial table, and
+determinant per partition and the power-sum-to-monomial table,
 ``enhanced_expand_series`` multiplies T-tails and e^{k T_0} as truncated
-series, where the package runs on integer tables, ``theta_r_pairings``
+series, where the package runs on integer tables (both multiply with
+``p_mul_sorting``), ``theta_r_pairings``
 runs one Euler pairing per partition, through the shifted class,
 Littlewood-Richardson products and Bott pushforwards, and
 ``detring_delta_squared`` reads the determinantal-ring character off
@@ -308,26 +312,71 @@ def enhanced_from_equivariant_per_partition(hilb, d: int, N: int):
     return TSeries(N, coeffs)
 
 
+def p_mul_sorting(a: dict, b: dict, trunc: int | None = None) -> dict:
+    """Product of two dicts keyed by weakly decreasing tuples that multiply by
+    multiset union, each key of the product sorted from the concatenation,
+    terms of weight above `trunc` (None: none) and zero terms dropped; where
+    the package adds multiset codes."""
+    out: dict = {}
+    for la, ca in a.items():
+        for lb, cb in b.items():
+            if trunc is None or sum(la) + sum(lb) <= trunc:
+                key = tuple(sorted(la + lb, reverse=True))
+                out[key] = out.get(key, 0) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def linear_form_det_leibniz(r: int, entry, N: int | None = None) -> dict:
+    """polyutil.linear_form_det by the Leibniz sum over the r! permutations, each
+    product of entries expanded over every choice of one k per row; where the
+    package runs one Laplace expansion over bit masks of the columns taken."""
+    import itertools
+    out: dict = {}
+    for perm in itertools.permutations(range(r)):
+        sign = (-1) ** sum(x > y for x, y in itertools.combinations(perm, 2))
+        for choice in itertools.product(*(entry(a, perm[a]).items() for a in range(r))):
+            ks = tuple(sorted((k for k, _ in choice), reverse=True))
+            if N is None or sum(ks) <= N:
+                out[ks] = out.get(ks, 0) + sign * math.prod(c for _, c in choice)
+    return {ks: v for ks, v in out.items() if v}
+
+
 def enhanced_expand_series(e, N: int):
-    """enhanced_expand by series products: each T_j = sum_{n>=j} binom(n, j) t_n
-    (t_0 absent) and e^{k T_0} = ts_exp(k T_0) are TSeries truncated at N, and
-    every monomial c t^tau T^nu of layer k is multiplied out with
-    TSeries.__mul__, where the package runs one integer table of N! e^{k T_0}."""
-    from tcaseries.seriesforms import TSeries, ts_exp
+    """enhanced_expand by series products on sorted tuple keys (p_mul_sorting):
+    each T_j = sum_{n>=j} binom(n, j) t_n (t_0 absent) is truncated at N, and
+    e^{k T_0} is the power series sum_m (k T_0)^m / m!, every monomial
+    c t^tau T^nu of layer k multiplied out term by term; where the package
+    runs integer tables on multiset codes."""
+    from tcaseries.seriesforms import TSeries
 
     def tail(j):
-        return TSeries(N, {(n,): _binom(n, j) for n in range(max(j, 1), N + 1)})
+        return {(n,): _binom(n, j) for n in range(max(j, 1), N + 1)}
 
-    total = TSeries(N, {})
+    def exp_kt0(k):
+        out = power = {(): Fraction(1)}
+        for m in range(1, N + 1):
+            power = p_mul_sorting(power, {key: Fraction(k, m) * c for key, c in tail(0).items()}, N)
+            out = _plus(out, power)
+        return out
+
+    total: dict = {}
     for k, poly in e.parts.items():
-        layer = TSeries(N, {})
+        layer: dict = {}
         for (t, T), c in poly.items():
-            term = TSeries(N, {t: c})
+            term = p_mul_sorting({(): c}, {t: 1}, N)
             for j in T:
-                term = term * tail(j)
-            layer = layer + term
-        total = total + layer * ts_exp(tail(0).scale(k), N)
-    return total
+                term = p_mul_sorting(term, tail(j), N)
+            layer = _plus(layer, term)
+        total = _plus(total, p_mul_sorting(layer, exp_kt0(k), N))
+    return TSeries(N, total)
+
+
+def _plus(a: dict, b: dict) -> dict:
+    """a + b for term dicts, zero terms dropped."""
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
 
 
 def sym_powers_binomial(chi, N: int):
@@ -428,11 +477,11 @@ def guess_ode_per_pair(coeffs, max_order: int, max_degree: int):
 
 def gessel_enhanced_permutations(d: int, r: int, N: int):
     """The r x r determinant det(a_{j-i}) of grassmann.gessel_enhanced,
-    expanded by permutations with r series products per permutation."""
+    expanded by permutations with r series products (p_mul_sorting) per
+    permutation."""
     import itertools
-    from tcaseries import symfunc
     from tcaseries.partitions import enumerate_partitions, partition_factorial
-    from tcaseries.polyutil import add_into, binom
+    from tcaseries.polyutil import binom
     from tcaseries.seriesforms import TSeries
 
     def a_series(i):
@@ -447,9 +496,9 @@ def gessel_enhanced_permutations(d: int, r: int, N: int):
     for perm in itertools.permutations(range(r)):
         prod = {(): Fraction(1)}
         for i in range(r):
-            prod = symfunc._p_mul_terms(prod, series[perm[i] - i], N)
+            prod = p_mul_sorting(prod, series[perm[i] - i], N)
         inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
-        add_into(total, prod, (-1) ** inversions)
+        total = _plus(total, {key: (-1) ** inversions * c for key, c in prod.items()})
     return TSeries(N, total)
 
 

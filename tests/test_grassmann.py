@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,7 @@ from tcaseries.grassmann import (
 from oracles import (
     detring_delta_squared,
     gessel_enhanced_permutations,
+    linear_form_det_leibniz,
     lr_coefficient,
     theta_r_pairings,
 )
@@ -398,6 +400,40 @@ def test_linear_form_det_keys_and_cap():
     assert linear_form_det(2, lambda a, b: {toeplitz[a, b]: 1}) == {(2, 0): 1, (1, 1): -1}
     assert linear_form_det(2, lambda a, b: {toeplitz[a, b]: 1}, 1) == {}
     assert linear_form_det(0, entry, 0) == {(): 1}
+
+
+@st.composite
+def _linear_forms(draw):
+    """(r, entry, N): r <= 4, entries of up to three forms s_k, k in 0..5, with
+    coefficients -3..3 (zero included), and a cap N of None or 0..8."""
+    r = draw(st.integers(0, 4))
+    forms = draw(st.lists(st.dictionaries(st.integers(0, 5), st.integers(-3, 3), max_size=3),
+                          min_size=r * r, max_size=r * r))
+    return r, lambda a, b: forms[a * r + b], draw(st.none() | st.integers(0, 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_linear_forms())
+def test_linear_form_det_matches_leibniz_sum(case):
+    r, entry, N = case
+    got = linear_form_det(r, entry, N)
+    assert got == linear_form_det_leibniz(r, entry, N)
+    assert all(got.values())
+
+
+def test_linear_form_det_large_k_stays_fast():
+    # a state's code has digits of r.bit_length() bits, so large k cost short work:
+    # r = 1 with k up to 20000 (as detring at d = 20000), and sparse k near 2 * 10^5
+    start = time.perf_counter()
+    assert linear_form_det(1, lambda a, b: {k: k + 1 for k in range(20000)}) == {
+        (k,): k + 1 for k in range(20000)}
+    big = 10 ** 5
+    forms = {(0, 0): {0: 1, big: 2}, (0, 1): {big + 1: -1, 3: 1},
+             (1, 0): {7: 1, big: 1}, (1, 1): {0: 2, 2 * big: 1}}
+    got = linear_form_det(2, lambda a, b: forms[a, b])
+    assert got == linear_form_det_leibniz(2, lambda a, b: forms[a, b], None)
+    assert got[2 * big, big] == 2 and got[big + 1, 7] == 1
+    assert time.perf_counter() - start < 2
 
 
 # --- Gessel determinant and rank-1 closed form --------------------------------

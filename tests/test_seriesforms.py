@@ -1,5 +1,6 @@
 """Tests for series forms and the specialization maps between them."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from tcaseries.partitions import (
     sym_character,
 )
 from tcaseries.grassmann import GrClass, bott_pushforward, gessel_enhanced, grclass_from_json
-from tcaseries import partitions, polyutil, seriesforms
+from tcaseries import partitions, polyutil, seriesforms, symfunc
 from tcaseries.polyutil import RANK_PRIMES, echelon, nullspace
 from tcaseries.symfunc import SCHUR, SymFunc, add, multiply, sym_algebra_character
 from tcaseries.symfunc import from_json as symfunc_from_json
@@ -370,6 +371,33 @@ def test_terms_sharing_a_t_part_expand_it_once():
     assert got == enhanced_expand_series(e, 7)
 
 
+def test_tails_carry_the_weight_of_each_code():
+    # multiset_mul carries each product's weight, which the truncation break
+    # relies on, so no code is decoded to learn it
+    for Tpart in ((2, 1), (1, 1, 0), (3,)):
+        triples = seriesforms._tails(Tpart, tuple(range(8)), 7)
+        assert list(triples) == sorted(triples)
+        assert all(w == sum(polyutil.multiset_parts(code)) <= 7 for w, code, _ in triples)
+
+
+def test_enhanced_expand_forms_no_partition_keyed_product(monkeypatch):
+    # enhanced_expand multiplies multiset codes from end to end: neither the
+    # partition-keyed adapter symfunc._p_mul_terms nor TSeries.__mul__ runs
+    e = EnhancedExpr({0: {((1,), (2, 1)): HALF, ((), ()): F(2)}, 3: {((2,), (1, 1)): F(-1, 3)}})
+    seriesforms._tails.cache_clear()
+    seriesforms._exp_kt0.cache_clear()
+    calls = []
+    for owner, name in ((symfunc, "_p_mul_terms"), (TSeries, "__mul__")):
+        def counted(*args, _product=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _product(*args)
+        monkeypatch.setattr(owner, name, counted)
+    got = enhanced_expand(e, 8)
+    assert calls == []
+    monkeypatch.undo()
+    assert got == enhanced_expand_series(e, 8)
+
+
 def test_expansions_refuse_negative_truncation(monkeypatch):
     # refused at entry with the message of TSeries, before any kernel runs
     def kernel(*args):
@@ -495,6 +523,22 @@ def test_character_at_linear_form_value():
     form = char_poly_form(phi_sigma(e), 2)
     for mu in [(1,), (2,), (2, 1), (3, 3, 1), (5,)]:
         assert character_at(form, mu) == sum(mu) + 1
+
+
+def test_character_at_large_parts_stays_fast():
+    # the tails run over the distinct parts of lam alone, coded by position,
+    # so neither the work nor the codes grow with the parts themselves
+    mu = (10 ** 5, 10 ** 5 - 1, 7, 7)
+    start = time.perf_counter()
+    linear = char_poly_form(phi_sigma(sexpr(((), (0,), 1), ((), (1,), 1))), 2)
+    assert character_at(linear, (10 ** 5,)) == 10 ** 5 + 1
+    assert character_at(linear, mu) == sum(mu) + 1
+    # T_1^2 e^{2 T_0}: 2^{l(mu) - 2} (|mu|^2 - sum mu_i^2), as at small mu
+    square = char_poly_form(phi_sigma(sexpr(((), (1, 1), 1))), 3)
+    for nu in ((2, 1), (3, 1, 1), (4, 2, 2, 1)):
+        assert character_at(square, nu) == 2 ** len(nu) * (sum(nu) ** 2 - sum(x * x for x in nu)) // 4
+    assert character_at(square, mu) == 2 ** len(mu) * (sum(mu) ** 2 - sum(x * x for x in mu)) // 4
+    assert time.perf_counter() - start < 2
 
 
 def test_char_poly_form_threshold_and_bounds():

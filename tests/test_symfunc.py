@@ -1,12 +1,14 @@
 """Symmetric function ring: basis changes, products, plethysm, derivations."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tcaseries.partitions import enumerate_partitions, partitions_up_to, transpose
+from tcaseries.partitions import enumerate_partitions, partitions_up_to, sym_character, transpose
+from tcaseries.polyutil import multiset_code, multiset_mul, multiset_parts
 from tcaseries.symfunc import (
     POWERSUM,
     SCHUR,
@@ -29,6 +31,7 @@ from oracles import (
     decompose_schur,
     exp_power_sum_log,
     lr_coefficient,
+    p_mul_sorting,
     poly_mul,
     schur_monomials,
 )
@@ -239,3 +242,78 @@ def test_json_roundtrip():
     assert obj == {"basis": "s", "truncation": 8,
                    "terms": {"[3]": "-1/2", "[2,1]": "1"}}
     assert sf.from_json(obj) == f
+
+
+def test_change_basis_to_schur_runs_on_integers(monkeypatch):
+    # p -> s sums over one common denominator: no Fraction sum or product,
+    # and one Fraction made per output coefficient
+    f = SymFunc(POWERSUM, {(2, 1): Fraction(1, 3), (1, 1, 1): Fraction(-5, 4), (3,): Fraction(2, 5),
+                           (4, 2): Fraction(1, 6), (1,): Fraction(3), (): Fraction(7)}, 8)
+    want: dict = {}
+    for mu, c in f.terms.items():
+        for lam in enumerate_partitions(sum(mu)):
+            want[lam] = want.get(lam, 0) + c * sym_character(lam, mu)
+    calls = []
+    for name in ("__new__", "__add__", "__radd__", "__mul__", "__rmul__"):
+        def counted(*args, _original=getattr(Fraction, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(Fraction, name, counted)
+    got = change_basis(f, SCHUR)
+    monkeypatch.undo()
+    assert got.terms == {lam: c for lam, c in want.items() if c}
+    assert calls == ["__new__"] * len(got.terms)
+
+
+def _multiset_terms():
+    key = st.lists(st.integers(1, 20), max_size=4).map(lambda p: tuple(sorted(p, reverse=True)))
+    coeff = st.integers(-3, 3) | st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    return st.dictionaries(key, coeff, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_multiset_terms(), _multiset_terms(), st.none() | st.integers(0, 40))
+@example({(1,): 1, (2,): 1}, {(2,): 1, (1,): -1}, None)  # the (2, 1) terms cancel
+@example({(3, 1): Fraction(1, 2)}, {}, None)
+@example({}, {(20, 20): 2}, 40)
+def test_p_mul_terms_matches_sorting_oracle(a, b, trunc):
+    got = sf._p_mul_terms(a, b, trunc)
+    assert got == p_mul_sorting(a, b, trunc)
+    assert all(got.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 20), max_size=6), st.lists(st.integers(0, 20), max_size=6))
+def test_multiset_codes_add_as_unions(p, q):
+    (wp, cp), (wq, cq) = multiset_code(tuple(p)), multiset_code(tuple(q))
+    assert (wp, multiset_parts(cp)) == (sum(p), tuple(sorted(p, reverse=True)))
+    assert multiset_parts(cp + cq) == tuple(sorted(p + q, reverse=True))
+    assert multiset_mul([(wp, cp, 2)], [(wq, cq, 3)], None, {}) == {cp + cq: [wp + wq, 6]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda w: st.tuples(
+    st.just(w), st.lists(st.integers(0, 30), max_size=(1 << w) - 1))))
+def test_multiset_parts_reads_digits_of_any_width(case):
+    # linear_form_det codes at most r parts in digits of r.bit_length() bits
+    width, p = case
+    assert multiset_parts(sum(1 << width * k for k in p), width) == tuple(sorted(p, reverse=True))
+
+
+def test_multiset_codes_of_large_parts_decode_fast():
+    # a code is as long as its largest part; decoding steps once per distinct part
+    p = (10 ** 5, 10 ** 5, 3)
+    start = time.perf_counter()
+    w, code = multiset_code(p)
+    assert (w, multiset_parts(code)) == (sum(p), p)
+    assert time.perf_counter() - start < 1
+
+
+def test_multiset_code_refuses_a_multiset_whose_sum_could_carry():
+    # 16-bit digits: under 2^15 parts, a sum of two codes has every digit below 2^16
+    with pytest.raises(ValueError, match="too large"):
+        multiset_code((1,) * 40000)
+    with pytest.raises(ValueError, match="too large"):
+        multiset_code((0,) * 2 ** 15)
+    w, code = multiset_code((1,) * (2 ** 15 - 1))
+    assert w == 2 ** 15 - 1 and multiset_parts(code + code) == (1,) * (2 ** 16 - 2)
