@@ -248,7 +248,7 @@ def _cmd_hilbschur(args):
 
 def _cmd_invariants(args):
     if args.group == "sl2":
-        if args.rep != "standard":
+        if args.rep not in (None, "standard"):
             raise UsageError("group sl2 supports --rep standard")
         factors = [("sl", 2)]
         chi = power_sum_lp(1, 2)
@@ -261,10 +261,12 @@ def _cmd_invariants(args):
     else:  # trivial
         if args.dim is None:
             raise UsageError("group trivial requires --dim")
+        if args.rep is not None:
+            raise UsageError("--rep does not apply to --group trivial")
         factors = []
         chi = LaurentPoly(0, {(): Fraction(args.dim)})
     dims = invariant_dimensions(factors, chi, args.nmax)
-    obj = {"command": "invariants", "group": args.group, "rep": args.rep,
+    obj = {"command": "invariants", "group": args.group, "rep": args.rep or "standard",
            "nmax": args.nmax, "result": {"dims": dims}}
     return obj, " ".join(str(n) for n in dims), 0
 
@@ -479,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="dimension sequence of tensor-power "
                                           "invariants")
     p.add_argument("--group", choices=("sl2", "sl2xsl2", "trivial"), required=True)
-    p.add_argument("--rep", choices=("standard", "tensor"), default="standard")
+    p.add_argument("--rep", choices=("standard", "tensor"))
     p.add_argument("--nmax", type=_non_negative_int, required=True)
     p.add_argument("--dim", type=_non_negative_int)
     common(p)
@@ -532,7 +534,7 @@ def main(argv=None) -> int:
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
         except AssertionError as exc:

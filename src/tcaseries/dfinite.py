@@ -65,9 +65,8 @@ def _frobenius_lift(polys: list[Poly]) -> list[Poly]:
 
 
 def _normalize(polys: list[Poly]) -> tuple[Poly, ...]:
-    coeffs = [c for p in polys for c in p]
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    scale = Fraction(lcm, math.gcd(*(c.numerator * (lcm // c.denominator) for c in coeffs)))
+    L, ints = cleared([c for p in polys for c in p])
+    scale = Fraction(L, math.gcd(*ints))
     if polys[-1][-1] < 0:
         scale = -scale
     return tuple(tuple(c * scale for c in p) for p in polys)

@@ -277,8 +277,11 @@ def detring_formal_character(d: int, r: int) -> SigmaExpr:
     """
     if not (0 <= r <= d):
         raise ValueError(f"need 0 <= r <= d, got r={r}, d={d}")
+    # the row binom(n, j), j = 0..n, by binom(n, j + 1) = binom(n, j) (n - j) / (j + 1)
+    n = d - r
+    row = list(itertools.accumulate(range(n), lambda c, j: c * (n - j) // (j + 1), initial=1))
     return SigmaExpr({((), lam): c for lam, c in linear_form_det(r, lambda a, b: {
-        k: binom(d - r, k + b - a) for k in range(max(0, a - b), d - r + a - b + 1)}).items()})
+        k: row[k + b - a] for k in range(max(0, a - b), n + a - b + 1)}).items()})
 
 
 @functools.cache
@@ -330,26 +333,14 @@ def gessel_enhanced(d: int, r: int, N: int) -> TSeries:
 
 def _bell_polynomials(jmax: int) -> list[dict[Partition, int]]:
     """F_j with exp(f(s))^{(j)} = exp(f(s)) F_j(f', f'', ...); keys are
-    multisets of derivative orders, F_{j+1} = v_1 F_j + sum_k dF_j/dv_k v_{k+1}.
+    multisets of derivative orders, F_{j+1} = v_1 F_j + sum_k dF_j/dv_k v_{k+1}
+    (Comtet 3.3): a term for each part raised by one (m terms for a part of
+    multiplicity m), and v_1 F_j as a part 0 appended and raised.
     """
     fs: list[dict[Partition, int]] = [{(): 1}]
     for _ in range(jmax):
-        cur = fs[-1]
-        nxt: dict[Partition, int] = {}
-        for nu, c in cur.items():
-            key = tuple(sorted(nu + (1,), reverse=True))
-            nxt[key] = nxt.get(key, 0) + c
-            seen = set()
-            for k in nu:
-                if k in seen:
-                    continue
-                seen.add(k)
-                mult = nu.count(k)
-                rest = list(nu)
-                rest.remove(k)
-                key = tuple(sorted(rest + [k + 1], reverse=True))
-                nxt[key] = nxt.get(key, 0) + c * mult
-        fs.append({k: v for k, v in nxt.items() if v})
+        fs.append(merge_terms((tuple(sorted(nu[:i] + (k + 1,) + nu[i + 1:], reverse=True)), c)
+                              for nu, c in fs[-1].items() for i, k in enumerate(nu + (0,))))
     return fs
 
 

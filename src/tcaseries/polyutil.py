@@ -1,4 +1,5 @@
-"""Dense univariate polynomials over Fraction: tuples of ascending coefficients.
+"""Dense univariate polynomials over Fraction: tuples of ascending coefficients,
+with sums, scalings, derivatives and p(t) -> p(-t).
 
 The zero polynomial is the empty tuple; no trailing zeros are stored. Also
 the package's one elimination kernel, ``echelon``: pivot columns and reduced
@@ -85,16 +86,6 @@ def pscale(a: Poly, c) -> Poly:
     if c == 0:
         return ()
     return tuple(x * c for x in a)
-
-
-def pmul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return ptrim(out)
 
 
 def pderiv(a: Poly) -> Poly:

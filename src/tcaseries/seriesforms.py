@@ -64,7 +64,6 @@ from .polyutil import (
     pcompose_neg,
     pderiv,
     pdeg,
-    pmul,
     pscale,
     ptrim,
 )
@@ -579,13 +578,10 @@ def umbral_substitute(p, k: int) -> dict[Partition, Fraction]:
     out: dict[Partition, Fraction] = {}
     for alpha, c in mono.items():
         cur: dict[Partition, Fraction] = {(): c}
-        for var, d in multiplicities(alpha).items():
-            ff: Poly = (Fraction(1),)  # (a_var)_d, ascending in a_var
-            for step in range(d):
-                ff = pmul(ff, (Fraction(-step), Fraction(1)))
-            scale = Fraction(1, k ** d)
+        # (a_var)_d / k^d: the factor (a_var - j) / k for the (j+1)st part var
+        for i, var in enumerate(alpha):
             cur = symfunc._p_mul_terms(
-                cur, {(var,) * e: v * scale for e, v in enumerate(ff) if v}, None)
+                cur, {(var,): Fraction(1, k), (): Fraction(alpha.index(var) - i, k)}, None)
         add_into(out, cur)
     return merge_terms(out.items(), canonical_key)
 

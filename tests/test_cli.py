@@ -195,6 +195,15 @@ EXIT_CODE_CASES = [
     (["invariants", "--group", "sl2xsl2", "--rep", "tensor", "--dim", "3", "--nmax", "4"], 2),
     (["dfinite", "--series", "catalan-egf", "--max-order", "-1000",
       "--max-degree", "-1000"], 3),                                # caps checked before the series is built
+    # --rep does not apply to the trivial group
+    (["invariants", "--group", "trivial", "--rep", "tensor", "--dim", "3", "--nmax", "4"], 2),
+    (["invariants", "--group", "trivial", "--rep", "standard", "--dim", "3", "--nmax", "4"], 2),
+    # sizes above 2^63 overflow before anything is allocated
+    (["dfinite", "--series", "catalan-egf", "--max-order", "100000000000000000000",
+      "--max-degree", "1"], 3),
+    (["dfinite", "--series", "bell-egf", "--max-order", "1", "--max-degree", "0",
+      "--nmax", "100000000000000000000"], 3),
+    (["enhanced", "--d", "2", "--r", "1", "--truncate", "100000000000000000000"], 3),
 ]
 
 

@@ -14,6 +14,7 @@ from tcaseries.partitions import (
     canonical_key,
     dim_schur,
     enumerate_partitions,
+    multiplicities,
     partitions_in_box,
     partitions_up_to,
     transpose,
@@ -336,6 +337,16 @@ def test_detring_matches_kostka_inverse_sum():
             assert detring_formal_character(d, r).terms == want, (d, r)
 
 
+def test_detring_builds_its_binomial_row_without_math_comb(monkeypatch):
+    # the entries binom(d - r, j) come from one row built by the recurrence,
+    # not from a math.comb call per entry and k
+    comb, calls = math.comb, []
+    monkeypatch.setattr(math, "comb", lambda n, k: calls.append((n, k)) or comb(n, k))
+    out = detring_formal_character(40, 1)
+    assert calls == []
+    assert out.terms == {((), (n,)): F(comb(39, n)) for n in range(40)}
+
+
 def test_detring_rank_zero():
     assert detring_formal_character(3, 0).terms == {((), ()): F(1)}
 
@@ -521,6 +532,16 @@ def test_gessel_table_is_read_only():
     # p_2 p_1^2 = m_4 + 2 m_31 + 2 m_22 in two variables
     assert rows[(2, 1, 1)] == (2, {(4,): 1, (3, 1): 2, (2, 2): 2})
     assert rows[()] == (1, {(): 1}) and len(rows) == len(partitions_up_to(4))
+
+
+def test_bell_polynomials_match_closed_form():
+    # [v_lam] F_j = j! / prod_i (m_i! (i!)^{m_i}) over the partitions lam of j (Comtet 3.3)
+    fs = grassmann._bell_polynomials(10)
+    assert len(fs) == 11
+    for j, f in enumerate(fs):
+        assert f == {lam: math.factorial(j) // math.prod(
+            math.factorial(m) * math.factorial(i) ** m for i, m in multiplicities(lam).items())
+            for lam in enumerate_partitions(j)}, j
 
 
 def test_rank1_closed_form_small_d():

@@ -1,5 +1,6 @@
 """Tests for series forms and the specialization maps between them."""
 
+import math
 import time
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from tcaseries.partitions import (
     as_partition,
     dim_schur,
     enumerate_partitions,
+    multiplicities,
     partitions_up_to,
     sym_character,
 )
@@ -476,6 +478,26 @@ def test_umbral_substitute_scaling():
 def test_umbral_substitute_rejects_tail_sums():
     with pytest.raises(ValueError):
         umbral_substitute({((), (1,)): F(1)}, 1)
+
+
+def t_monomials():
+    """t-monomials as partitions: t_v, v <= 4, each to a power up to 5."""
+    return st.dictionaries(st.integers(1, 4), st.integers(1, 5), max_size=3).map(
+        lambda m: tuple(v for v in sorted(m, reverse=True) for _ in range(m[v])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(t_monomials(), st.fractions(-5, 5, max_denominator=4), max_size=4),
+       st.integers(1, 3), st.lists(st.integers(0, 7), min_size=5, max_size=5))
+def test_umbral_substitute_matches_falling_factorials(poly, k, a):
+    # at a_v = a[v], t^alpha goes to prod_v (a_v)_{d_v} / k^{d_v}, d_v = m_v(alpha)
+    out = umbral_substitute(poly, k)
+    assert all(out.values())
+    got = sum(c * math.prod(a[v] for v in key) for key, c in out.items())
+    want = sum(c * math.prod(F(math.perm(a[v], d), k ** d)
+                             for v, d in multiplicities(alpha).items())
+               for alpha, c in poly.items())
+    assert got == want
 
 
 def brute_trace(ch_terms: dict, mu) -> int:

@@ -81,20 +81,13 @@ def _zero_default_get(node) -> bool:
 
 def test_coefficients_merge_only_in_polyutil():
     # `X.get(k, 0) + v` re-implements polyutil.merge_terms / add_into.
-    # _bell_polynomials keeps its own loop: it is the independent route that
-    # `enhanced --r 1` checks phi_sigma against.
-    allowed = {("grassmann.py", "_bell_polynomials")}
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "polyutil.py":
             continue
         tree = ast.parse(path.read_text(), str(path))
-        skip = {id(node) for func in ast.walk(tree)
-                if isinstance(func, ast.FunctionDef) and (path.name, func.name) in allowed
-                for node in ast.walk(func)}
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
-                  and id(node) not in skip
                   and (_zero_default_get(node.left) or _zero_default_get(node.right))]
     assert found == []
 
