@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Every pipeline is exposed as a subcommand with JSON (default) or text output.
-Output is deterministic: identical invocations produce byte-identical bytes.
+Each subcommand is declared once, in `_COMMANDS`, and only the format asked
+for is rendered. Output is deterministic: identical invocations produce
+byte-identical bytes.
 
 Exit codes: 0 success; 1 oracle-suite mismatch; 2 bad flags; 3 precondition
 violation (bad mathematical input, insufficient truncation); 4 not-found /
@@ -152,6 +154,16 @@ def enhanced_text(e: EnhancedExpr) -> str:
 
 
 # --- subcommand handlers --------------------------------------------------------
+#
+# Each handler returns (obj, render, code): the JSON object, a zero-argument
+# callable that builds the text, and the exit code. `main` renders only the
+# format asked for.
+
+
+def _result(obj, value, to_json, to_text):
+    """Store `value` as obj's result, with its text rendered on demand."""
+    obj["result"] = to_json(value)
+    return obj, lambda: to_text(value), 0
 
 
 def _schur_form(obj, e: SigmaExpr, truncate):
@@ -160,35 +172,30 @@ def _schur_form(obj, e: SigmaExpr, truncate):
         raise UsageError("--form s requires --truncate")
     f = sigma_expand(e, truncate)
     obj["truncation"] = truncate
-    obj["result"] = symfunc_to_json(f)
-    return obj, symfunc_text(f), 0
+    return _result(obj, f, symfunc_to_json, symfunc_text)
 
 
 def _enhanced_form(obj, e: EnhancedExpr, truncate):
     """An enhanced series, with its expansion in the t_i when `truncate` is set."""
     obj["result"] = {"series": enhanced_to_json(e)}
-    text = enhanced_text(e)
-    if truncate is not None:
-        ts = enhanced_expand(e, truncate)
-        obj["truncation"] = truncate
-        obj["result"]["expansion"] = tseries_to_json(ts)
-        text += "\n" + tseries_text(ts)
-    return obj, text, 0
+    if truncate is None:
+        return obj, lambda: enhanced_text(e), 0
+    ts = enhanced_expand(e, truncate)
+    obj["truncation"] = truncate
+    obj["result"]["expansion"] = tseries_to_json(ts)
+    return obj, lambda: enhanced_text(e) + "\n" + tseries_text(ts), 0
 
 
 def _cmd_detring(args):
     e = detring_formal_character(args.d, args.r)
     obj = {"command": "detring", "d": args.d, "r": args.r, "form": args.form}
     if args.form == "sigma":
-        obj["result"] = sigma_to_json(e)
-        return obj, sigma_text(e), 0
+        return _result(obj, e, sigma_to_json, sigma_text)
     if args.form == "s":
         return _schur_form(obj, e, args.truncate)
     if args.form == "enhanced":
         return _enhanced_form(obj, phi_sigma(e), args.truncate)
-    h = ex_sigma(e)  # form == "hilbert"
-    obj["result"] = exppoly_to_json(h)
-    return obj, exppoly_text(h), 0
+    return _result(obj, ex_sigma(e), exppoly_to_json, exppoly_text)  # form == "hilbert"
 
 
 def _cmd_theta(args):
@@ -199,8 +206,7 @@ def _cmd_theta(args):
            "form": args.form}
     if args.form == "s":
         return _schur_form(obj, e, args.truncate)
-    obj["result"] = sigma_to_json(e)
-    return obj, sigma_text(e), 0
+    return _result(obj, e, sigma_to_json, sigma_text)
 
 
 def _cmd_hilbert(args):
@@ -209,8 +215,7 @@ def _cmd_hilbert(args):
     obj = {"command": "hilbert", "d": args.d, "r": args.r,
            "result": {"hilbert": exppoly_to_json(h),
                       "annihilator": list(roots)}}
-    text = exppoly_text(h) + f"\nannihilator roots: {list(roots)}"
-    return obj, text, 0
+    return obj, lambda: exppoly_text(h) + f"\nannihilator roots: {list(roots)}", 0
 
 
 def _cmd_enhanced(args):
@@ -225,9 +230,8 @@ def _cmd_enhanced(args):
 
 def _cmd_gessel(args):
     s = gessel_enhanced(args.d, args.r, args.truncate)
-    obj = {"command": "gessel", "d": args.d, "r": args.r,
-           "truncation": args.truncate, "result": tseries_to_json(s)}
-    return obj, tseries_text(s), 0
+    obj = {"command": "gessel", "d": args.d, "r": args.r, "truncation": args.truncate}
+    return _result(obj, s, tseries_to_json, tseries_text)
 
 
 _HILBSCHUR_REPS = {
@@ -241,9 +245,8 @@ _HILBSCHUR_REPS = {
 def _cmd_hilbschur(args):
     coeffs, deg = _HILBSCHUR_REPS[args.rep]
     s = tca_enhanced_exp(TSeries(deg, coeffs), deg, args.truncate)
-    obj = {"command": "hilbschur", "rep": args.rep, "truncation": args.truncate,
-           "result": tseries_to_json(s)}
-    return obj, tseries_text(s), 0
+    obj = {"command": "hilbschur", "rep": args.rep, "truncation": args.truncate}
+    return _result(obj, s, tseries_to_json, tseries_text)
 
 
 def _cmd_invariants(args):
@@ -268,7 +271,7 @@ def _cmd_invariants(args):
     dims = invariant_dimensions(factors, chi, args.nmax)
     obj = {"command": "invariants", "group": args.group, "rep": args.rep or "standard",
            "nmax": args.nmax, "result": {"dims": dims}}
-    return obj, " ".join(str(n) for n in dims), 0
+    return obj, lambda: " ".join(str(n) for n in dims), 0
 
 
 def _cmd_dfinite(args):
@@ -281,19 +284,19 @@ def _cmd_dfinite(args):
     obj = {"command": "dfinite", "series": args.series,
            "max_order": args.max_order, "max_degree": args.max_degree,
            "coefficients_used": length}
+    if op is not None:
+        obj["result"] = {"found": True, "order": op.order, "degree": op.degree,
+                         "operator": ode_to_json(op), "text": ode_to_text(op)}
+        return obj, lambda: obj["result"]["text"], 0
     note = ("no annihilating operator within the search bounds; "
             "this is not a proof that the series is not D-finite")
-    if op is None:
-        certified = len(cert["pairs"]) == args.max_order * (args.max_degree + 1)
-        obj["result"] = {"found": False, "note": note, "certified": certified,
-                         "prime": None if cert["prime"] is None else str(cert["prime"]),
-                         "certified_pairs": [list(pair) for pair in cert["pairs"]]}
-        clause = (f"every (order, degree) pair certified by full rank mod {cert['prime']}"
-                  if certified else "not every (order, degree) pair certified mod a prime")
-        return obj, f"not found: {note}; {clause}", 4
-    obj["result"] = {"found": True, "order": op.order, "degree": op.degree,
-                     "operator": ode_to_json(op), "text": ode_to_text(op)}
-    return obj, ode_to_text(op), 0
+    certified = len(cert["pairs"]) == args.max_order * (args.max_degree + 1)
+    obj["result"] = {"found": False, "note": note, "certified": certified,
+                     "prime": None if cert["prime"] is None else str(cert["prime"]),
+                     "certified_pairs": [list(pair) for pair in cert["pairs"]]}
+    return obj, lambda: f"not found: {note}; " + (
+        f"every (order, degree) pair certified by full rank mod {cert['prime']}"
+        if certified else "not every (order, degree) pair certified mod a prime"), 4
 
 
 def _cmd_fourier(args):
@@ -307,25 +310,26 @@ def _cmd_fourier(args):
     else:
         h = ex_sigma(detring_formal_character(args.d, args.r))
     out = fourier_dual_hilbert(h, args.d)
-    obj = {"command": "fourier", "d": args.d,
-           "result": exppoly_to_json(out)}
+    obj = {"command": "fourier", "d": args.d, "result": exppoly_to_json(out)}
     if args.r is not None:
         obj["r"] = args.r
-    return obj, exppoly_text(out), 0
+    return obj, lambda: exppoly_text(out), 0
+
+
+def _charpoly_text(form) -> str:
+    return f"m={form.m} threshold={form.threshold}\n" + "\n".join(
+        f"[{i}] {_ttpoly_text(p)}" for i, p in form.entries.items())
 
 
 def _cmd_charpoly(args):
     form = char_poly_form(rank1_enhanced_closed(args.d), args.d)
     obj = {"command": "charpoly", "d": args.d}
-    if args.at is not None:
-        value = character_at(form, args.at)
-        obj["at"] = format_partition(args.at)
-        obj["result"] = {"value": value}
-        return obj, f"trace at {format_partition(args.at)} = {value}", 0
-    obj["result"] = charpoly_to_json(form)
-    text = f"m={form.m} threshold={form.threshold}\n" + "\n".join(
-        f"[{i}] {_ttpoly_text(p)}" for i, p in form.entries.items())
-    return obj, text, 0
+    if args.at is None:
+        return _result(obj, form, charpoly_to_json, _charpoly_text)
+    value = character_at(form, args.at)
+    obj["at"] = format_partition(args.at)
+    obj["result"] = {"value": value}
+    return obj, lambda: f"trace at {obj['at']} = {value}", 0
 
 
 # --- oracle suites --------------------------------------------------------------
@@ -388,39 +392,59 @@ _SUITES = {
 
 
 def _cmd_oracle_check(args):
-    cases = _SUITES[args.suite]()
-    rows = []
-    lines = []
-    failed = 0
-    for name, ok, detail in cases:
-        row = {"name": name, "ok": ok}
-        if ok:
-            lines.append(f"ok {name}")
-        else:
-            failed += 1
-            row["detail"] = detail
-            lines.append(f"FAIL {name}: {detail}")
-        rows.append(row)
-    passed = len(cases) - failed
-    lines.append(f"passed {passed} failed {failed}")
+    rows = [{"name": name, "ok": ok} if ok else {"name": name, "ok": ok, "detail": detail}
+            for name, ok, detail in _SUITES[args.suite]()]
+    failed = sum(not row["ok"] for row in rows)
+    passed = len(rows) - failed
     obj = {"command": "oracle-check", "suite": args.suite,
            "result": {"cases": rows, "passed": passed, "failed": failed}}
-    return obj, "\n".join(lines), 1 if failed else 0
+    return obj, lambda: "\n".join(
+        [f"ok {row['name']}" if row["ok"] else f"FAIL {row['name']}: {row['detail']}"
+         for row in rows] + [f"passed {passed} failed {failed}"]), 1 if failed else 0
 
 
-_HANDLERS = {
-    "detring": _cmd_detring,
-    "theta": _cmd_theta,
-    "hilbert": _cmd_hilbert,
-    "enhanced": _cmd_enhanced,
-    "gessel": _cmd_gessel,
-    "hilbschur": _cmd_hilbschur,
-    "invariants": _cmd_invariants,
-    "dfinite": _cmd_dfinite,
-    "fourier": _cmd_fourier,
-    "charpoly": _cmd_charpoly,
-    "oracle-check": _cmd_oracle_check,
+# --- the subcommand table -------------------------------------------------------
+
+_D = ("--d", dict(type=int, required=True))
+_R = ("--r", dict(type=int, required=True))
+_TRUNCATE = ("--truncate", dict(type=_non_negative_int))
+_NEEDS_TRUNCATE = ("--truncate", dict(type=_non_negative_int, required=True))
+
+# name -> (help, handler, flags in usage order as (flag, argparse kwargs));
+# every subcommand also takes --json (default) or --text
+_COMMANDS = {
+    "detring": ("formal character of a determinantal ring", _cmd_detring, [
+        _D, _R, ("--form", dict(choices=("sigma", "s", "enhanced", "hilbert"), default="sigma")),
+        _TRUNCATE]),
+    "theta": ("theta_r of a Grassmannian class", _cmd_theta, [
+        _D, _R, ("--alpha", dict(type=parse_partition, default=())),
+        ("--mu", dict(type=parse_partition, default=())),
+        ("--form", dict(choices=("sigma", "s"), default="sigma")), _TRUNCATE]),
+    "hilbert": ("Hilbert series of a determinantal ring", _cmd_hilbert, [_D, _R]),
+    "enhanced": ("enhanced Hilbert series of a determinantal ring", _cmd_enhanced,
+                 [_D, _R, _TRUNCATE]),
+    "gessel": ("enhanced series via the Gessel determinant", _cmd_gessel,
+               [_D, _R, _NEEDS_TRUNCATE]),
+    "hilbschur": ("enhanced series of Sym of a small object", _cmd_hilbschur, [
+        ("--rep", dict(choices=tuple(_HILBSCHUR_REPS), required=True)), _NEEDS_TRUNCATE]),
+    "invariants": ("dimension sequence of tensor-power invariants", _cmd_invariants, [
+        ("--group", dict(choices=("sl2", "sl2xsl2", "trivial"), required=True)),
+        ("--rep", dict(choices=("standard", "tensor"))),
+        ("--nmax", dict(type=_non_negative_int, required=True)),
+        ("--dim", dict(type=_non_negative_int))]),
+    "dfinite": ("guess an annihilating ODE for a built-in series", _cmd_dfinite, [
+        ("--series", dict(choices=("catalan-egf", "bell-egf", "catalan-sq-ogf"), required=True)),
+        ("--max-order", dict(type=int, default=6)),
+        ("--max-degree", dict(type=int, default=8)),
+        ("--nmax", dict(type=_non_negative_int, help="number of coefficients to generate"))]),
+    "fourier": ("Fourier-dual Hilbert series", _cmd_fourier, [
+        _D, ("--r", dict(type=int)), ("--hilb", dict(help="ExpPoly JSON payload"))]),
+    "charpoly": ("character polynomial form of a rank-1 determinantal ring", _cmd_charpoly, [
+        _D, ("--at", dict(type=parse_partition))]),
+    "oracle-check": ("run a cross-route oracle suite", _cmd_oracle_check, [
+        ("--suite", dict(choices=tuple(_SUITES), required=True))]),
 }
+_HANDLERS = {name: handler for name, (_, handler, _) in _COMMANDS.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -429,88 +453,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact characters, Hilbert series, and invariants of "
                     "modules over twisted commutative algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (help_text, _, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", dest="output", action="store_const",
                          const="json", help="JSON output (default)")
         fmt.add_argument("--text", dest="output", action="store_const",
                          const="text", help="human-readable output")
         p.set_defaults(output="json")
-
-    p = sub.add_parser("detring", help="formal character of a determinantal ring")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--form", choices=("sigma", "s", "enhanced", "hilbert"),
-                   default="sigma")
-    p.add_argument("--truncate", type=_non_negative_int)
-    common(p)
-
-    p = sub.add_parser("theta", help="theta_r of a Grassmannian class")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--alpha", type=parse_partition, default=())
-    p.add_argument("--mu", type=parse_partition, default=())
-    p.add_argument("--form", choices=("sigma", "s"), default="sigma")
-    p.add_argument("--truncate", type=_non_negative_int)
-    common(p)
-
-    p = sub.add_parser("hilbert", help="Hilbert series of a determinantal ring")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("enhanced", help="enhanced Hilbert series of a "
-                                        "determinantal ring")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--truncate", type=_non_negative_int)
-    common(p)
-
-    p = sub.add_parser("gessel", help="enhanced series via the Gessel determinant")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--truncate", type=_non_negative_int, required=True)
-    common(p)
-
-    p = sub.add_parser("hilbschur", help="enhanced series of Sym of a small object")
-    p.add_argument("--rep", choices=tuple(_HILBSCHUR_REPS), required=True)
-    p.add_argument("--truncate", type=_non_negative_int, required=True)
-    common(p)
-
-    p = sub.add_parser("invariants", help="dimension sequence of tensor-power "
-                                          "invariants")
-    p.add_argument("--group", choices=("sl2", "sl2xsl2", "trivial"), required=True)
-    p.add_argument("--rep", choices=("standard", "tensor"))
-    p.add_argument("--nmax", type=_non_negative_int, required=True)
-    p.add_argument("--dim", type=_non_negative_int)
-    common(p)
-
-    p = sub.add_parser("dfinite", help="guess an annihilating ODE for a "
-                                       "built-in series")
-    p.add_argument("--series", choices=("catalan-egf", "bell-egf",
-                                        "catalan-sq-ogf"), required=True)
-    p.add_argument("--max-order", type=int, default=6)
-    p.add_argument("--max-degree", type=int, default=8)
-    p.add_argument("--nmax", type=_non_negative_int, help="number of coefficients to generate")
-    common(p)
-
-    p = sub.add_parser("fourier", help="Fourier-dual Hilbert series")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int)
-    p.add_argument("--hilb", help="ExpPoly JSON payload")
-    common(p)
-
-    p = sub.add_parser("charpoly", help="character polynomial form of a rank-1 "
-                                        "determinantal ring")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--at", type=parse_partition)
-    common(p)
-
-    p = sub.add_parser("oracle-check", help="run a cross-route oracle suite")
-    p.add_argument("--suite", choices=tuple(_SUITES), required=True)
-    common(p)
-
     return parser
 
 
@@ -530,7 +482,8 @@ def main(argv=None) -> int:
                 raise UsageError(f"--truncate does not apply to --form {args.form}")
             if getattr(args, "dim", None) is not None and args.group != "trivial":
                 raise UsageError(f"--dim does not apply to --group {args.group}")
-            obj, text, code = _HANDLERS[args.command](args)
+            obj, render, code = _HANDLERS[args.command](args)
+            payload = render() if args.output == "text" else json.dumps(obj, indent=2)
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2
@@ -540,7 +493,6 @@ def main(argv=None) -> int:
         except AssertionError as exc:
             print(f"internal error: {exc}", file=sys.stderr)
             return 5
-        payload = text if args.output == "text" else json.dumps(obj, indent=2)
         sys.stdout.write(payload + "\n")
         return code
     finally:

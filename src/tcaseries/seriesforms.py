@@ -175,6 +175,8 @@ class ExpPoly(Value):
 
 def exppoly_taylor(h: ExpPoly, N: int) -> list[Fraction]:
     """First N+1 Taylor coefficients of sum_r p_r(t) e^{rt}."""
+    if N < 0:
+        raise ValueError("truncation must be >= 0")
     out = [Fraction(0)] * (N + 1)
     for r, p in h.parts.items():
         for j, c in enumerate(p):
@@ -281,6 +283,8 @@ class PoincareSeries(Value):
     __slots__ = ("d", "truncation", "parts")
 
     def __init__(self, d: int, truncation: int, parts: dict[int, Poly] = {}):
+        if integer(truncation) < 0:
+            raise ValueError("truncation must be >= 0")
         Value.__init__(self, d, truncation,
                        _layers(parts, 0, _psum, "negative homological degree"))
 
@@ -313,6 +317,8 @@ def ex_specialize(f: SymFunc, N: int) -> list[Fraction]:
 
     Returns EGF coefficients [t^0] .. [t^N].
     """
+    if N < 0:
+        raise ValueError("truncation must be >= 0")
     if f.truncation is not None and f.truncation < N:
         raise ValueError(f"input truncated at {f.truncation} < {N}")
     fs = symfunc.change_basis(f, SCHUR)
@@ -493,6 +499,8 @@ def enhanced_expand(e: EnhancedExpr, N: int) -> TSeries:
 
 def fourier_dual_hilbert(h: ExpPoly, d: int) -> ExpPoly:
     """Fourier shadow on Hilbert series: p_r(t) -> p_{d-r}(-t)."""
+    if d < 0:
+        raise ValueError("need d >= 0")
     parts: dict[int, Poly] = {}
     for r, p in h.parts.items():
         if r > d:

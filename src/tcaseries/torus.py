@@ -277,6 +277,8 @@ class KernelSeries(Value):
     __slots__ = ("d", "truncation", "terms")
 
     def __init__(self, d: int, truncation: int, terms: dict[Exponent, TSeries] = {}):
+        if integer(truncation) < 0:
+            raise ValueError("truncation must be >= 0")
         clean: dict[Exponent, TSeries] = {}
         for e, s in terms.items():
             e = _exponent(e, d)
@@ -336,6 +338,8 @@ def hilbert_from_weight_presentation(A, b, N: int) -> list[Fraction]:
             raise ValueError(f"rows must be nonzero and non-negative, got {row}")
     if any(v < 0 for v in b):
         raise ValueError("b must be non-negative")
+    if N < 0:
+        raise ValueError("truncation must be >= 0")
     out = [Fraction(0)] * (N + 1)
 
     def rec(i: int, y: tuple[int, ...]):

@@ -68,6 +68,44 @@ def test_golden(fname, argv, expected):
     assert code2 == expected and out2 == out  # byte-identical reruns
 
 
+_TEXT_RENDERERS = ("sigma_text", "symfunc_text", "tseries_text", "exppoly_text", "enhanced_text")
+# the subcommands whose text goes through one of those renderers
+_RENDERED_COMMANDS = {"detring", "theta", "hilbert", "enhanced", "gessel", "hilbschur", "fourier"}
+
+
+@pytest.mark.parametrize("fname,argv,expected", GOLDEN_RUNS, ids=[c[0] for c in GOLDEN_RUNS])
+def test_text_is_rendered_only_when_asked(monkeypatch, fname, argv, expected):
+    calls = []
+    for name in _TEXT_RENDERERS:
+        render = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda value, name=name, render=render:
+                            calls.append(name) or render(value))
+    json_argv = [a for a in argv if a != "--text"]
+    assert run_cli(json_argv)[0] == expected and calls == []
+    if argv[0] in _RENDERED_COMMANDS:
+        assert run_cli(json_argv + ["--text"])[0] == expected and calls
+
+
+def test_render_error_maps_to_an_exit_code(monkeypatch):
+    def broken(e):
+        raise ValueError("cannot render")
+    monkeypatch.setattr(cli, "sigma_text", broken)
+    code, out, err = run_cli(["detring", "--d", "3", "--r", "1"])
+    assert code == 0 and json.loads(out)["command"] == "detring"
+    code, out, err = run_cli(["detring", "--d", "3", "--r", "1", "--text"])
+    assert (code, out, err) == (3, "", "error: cannot render\n")
+
+
+def test_module_entry_point():
+    root = Path(__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "tcaseries.cli", "hilbert", "--d", "3", "--r", "1", "--text"],
+        capture_output=True, text=True, cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (GOLDEN / "hilbert_d3_r1.txt").read_text()
+
+
 def test_spec_example_detring_sigma():
     code, out, _ = run_cli(["detring", "--d", "3", "--r", "1", "--form", "sigma"])
     assert code == 0
@@ -172,6 +210,7 @@ EXIT_CODE_CASES = [
     (["fourier", "--d", "2", "--hilb", "[\"1\"]"], 2),
     (["fourier", "--d", "2", "--hilb", "{\"1\": \"12\"}"], 2),     # layer not a list
     (["fourier", "--d", "2", "--hilb", "{\"3\": [\"1\"]}"], 3),    # layer > d
+    (["fourier", "--d", "-3", "--hilb", "{}"], 3),                 # d < 0
     (["fourier", "--d", "2", "--hilb", "{\"1\": [\"1/0\"]}"], 2),  # zero denominator
     (["fourier", "--d", "2", "--hilb", "{\"1\": [Infinity]}"], 2),  # not a rational
     (["fourier", "--d", "2", "--hilb", "{\"1\": [0.1]}"], 2),       # float: binary, not 1/10

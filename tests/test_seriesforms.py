@@ -16,7 +16,7 @@ from tcaseries.partitions import (
     sym_character,
 )
 from tcaseries.grassmann import GrClass, bott_pushforward, gessel_enhanced, grclass_from_json
-from tcaseries import partitions, polyutil, seriesforms, symfunc
+from tcaseries import partitions, polyutil, seriesforms, symfunc, torus
 from tcaseries.polyutil import RANK_PRIMES, echelon, nullspace
 from tcaseries.symfunc import SCHUR, SymFunc, add, multiply, sym_algebra_character
 from tcaseries.symfunc import from_json as symfunc_from_json
@@ -414,6 +414,36 @@ def test_expansions_refuse_negative_truncation(monkeypatch):
     monkeypatch.undo()
     assert enhanced_expand(e, 0) == TSeries(0, {(): F(1)})
     assert sigma_expand(sexpr(((), (0,), HALF)), 0) == SymFunc(SCHUR, {(): HALF}, 0)
+
+
+# Every entry that takes a truncation or an ambient dimension refuses a
+# negative one with the same message, rather than answering [] or deferring
+# the error to a later call.
+_NEGATIVE_SIZE_ENTRIES = {
+    "TSeries": ("truncation", lambda: TSeries(-1, {})),
+    "SymFunc": ("truncation", lambda: SymFunc(SCHUR, {}, -1)),
+    "sigma_expand": ("truncation", lambda: sigma_expand(SigmaExpr({}), -1)),
+    "enhanced_expand": ("truncation", lambda: enhanced_expand(EnhancedExpr({}), -1)),
+    "gessel_enhanced": ("truncation", lambda: gessel_enhanced(2, 1, -1)),
+    "phi_enhanced": ("truncation", lambda: phi_enhanced(SymFunc(SCHUR, {(): 1}), -1)),
+    "sym_degree_characters": ("truncation", lambda: torus.sym_degree_characters(
+        torus.power_sum_lp(1, 2), -1)),
+    "fourier_dual_hilbert": ("d", lambda: fourier_dual_hilbert(ExpPoly({}), -3)),
+    "kernel_K": ("truncation", lambda: torus.kernel_K(2, -1)),
+    "PoincareSeries": ("truncation", lambda: PoincareSeries(2, -1, {0: (Fraction(1),)})),
+    "ex_specialize": ("truncation", lambda: ex_specialize(SymFunc(SCHUR, {(): 1}), -1)),
+    "exppoly_taylor": ("truncation", lambda: exppoly_taylor(ExpPoly({1: (Fraction(1),)}), -1)),
+    "hilbert_from_weight_presentation": ("truncation", lambda: (
+        torus.hilbert_from_weight_presentation([[1]], [0], -1))),
+}
+
+
+@pytest.mark.parametrize("name", list(_NEGATIVE_SIZE_ENTRIES))
+def test_negative_sizes_are_refused_at_every_entry(name):
+    size, call = _NEGATIVE_SIZE_ENTRIES[name]
+    message = "need d >= 0" if size == "d" else "truncation must be >= 0"
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # --- Hilbert series shapes ---------------------------------------------------
