@@ -155,15 +155,14 @@ def enhanced_text(e: EnhancedExpr) -> str:
 
 # --- subcommand handlers --------------------------------------------------------
 #
-# Each handler returns (obj, render, code): the JSON object, a zero-argument
-# callable that builds the text, and the exit code. `main` renders only the
-# format asked for.
+# Each handler returns (build, render, code): zero-argument callables that
+# build the JSON object and the text, and the exit code. `main` builds only
+# the format asked for.
 
 
 def _result(obj, value, to_json, to_text):
-    """Store `value` as obj's result, with its text rendered on demand."""
-    obj["result"] = to_json(value)
-    return obj, lambda: to_text(value), 0
+    """`value` as obj's result, in either format on demand."""
+    return lambda: {**obj, "result": to_json(value)}, lambda: to_text(value), 0
 
 
 def _schur_form(obj, e: SigmaExpr, truncate):
@@ -177,13 +176,13 @@ def _schur_form(obj, e: SigmaExpr, truncate):
 
 def _enhanced_form(obj, e: EnhancedExpr, truncate):
     """An enhanced series, with its expansion in the t_i when `truncate` is set."""
-    obj["result"] = {"series": enhanced_to_json(e)}
     if truncate is None:
-        return obj, lambda: enhanced_text(e), 0
+        return _result(obj, e, lambda e: {"series": enhanced_to_json(e)}, enhanced_text)
     ts = enhanced_expand(e, truncate)
-    obj["truncation"] = truncate
-    obj["result"]["expansion"] = tseries_to_json(ts)
-    return obj, lambda: enhanced_text(e) + "\n" + tseries_text(ts), 0
+    # "truncation" follows "result" in this object's wire form
+    return (lambda: {**obj, "result": {"series": enhanced_to_json(e),
+                                       "expansion": tseries_to_json(ts)}, "truncation": truncate},
+            lambda: enhanced_text(e) + "\n" + tseries_text(ts), 0)
 
 
 def _cmd_detring(args):
@@ -212,10 +211,9 @@ def _cmd_theta(args):
 def _cmd_hilbert(args):
     h = ex_sigma(detring_formal_character(args.d, args.r))
     roots = annihilator(h)
-    obj = {"command": "hilbert", "d": args.d, "r": args.r,
-           "result": {"hilbert": exppoly_to_json(h),
-                      "annihilator": list(roots)}}
-    return obj, lambda: exppoly_text(h) + f"\nannihilator roots: {list(roots)}", 0
+    return (lambda: {"command": "hilbert", "d": args.d, "r": args.r,
+                     "result": {"hilbert": exppoly_to_json(h), "annihilator": list(roots)}},
+            lambda: exppoly_text(h) + f"\nannihilator roots: {list(roots)}", 0)
 
 
 def _cmd_enhanced(args):
@@ -271,7 +269,7 @@ def _cmd_invariants(args):
     dims = invariant_dimensions(factors, chi, args.nmax)
     obj = {"command": "invariants", "group": args.group, "rep": args.rep or "standard",
            "nmax": args.nmax, "result": {"dims": dims}}
-    return obj, lambda: " ".join(str(n) for n in dims), 0
+    return lambda: obj, lambda: " ".join(str(n) for n in dims), 0
 
 
 def _cmd_dfinite(args):
@@ -285,16 +283,16 @@ def _cmd_dfinite(args):
            "max_order": args.max_order, "max_degree": args.max_degree,
            "coefficients_used": length}
     if op is not None:
-        obj["result"] = {"found": True, "order": op.order, "degree": op.degree,
-                         "operator": ode_to_json(op), "text": ode_to_text(op)}
-        return obj, lambda: obj["result"]["text"], 0
+        return _result(obj, op, lambda op: {
+            "found": True, "order": op.order, "degree": op.degree,
+            "operator": ode_to_json(op), "text": ode_to_text(op)}, ode_to_text)
     note = ("no annihilating operator within the search bounds; "
             "this is not a proof that the series is not D-finite")
     certified = len(cert["pairs"]) == args.max_order * (args.max_degree + 1)
     obj["result"] = {"found": False, "note": note, "certified": certified,
                      "prime": None if cert["prime"] is None else str(cert["prime"]),
                      "certified_pairs": [list(pair) for pair in cert["pairs"]]}
-    return obj, lambda: f"not found: {note}; " + (
+    return lambda: obj, lambda: f"not found: {note}; " + (
         f"every (order, degree) pair certified by full rank mod {cert['prime']}"
         if certified else "not every (order, degree) pair certified mod a prime"), 4
 
@@ -310,10 +308,9 @@ def _cmd_fourier(args):
     else:
         h = ex_sigma(detring_formal_character(args.d, args.r))
     out = fourier_dual_hilbert(h, args.d)
-    obj = {"command": "fourier", "d": args.d, "result": exppoly_to_json(out)}
-    if args.r is not None:
-        obj["r"] = args.r
-    return obj, lambda: exppoly_text(out), 0
+    r = {} if args.r is None else {"r": args.r}
+    return (lambda: {"command": "fourier", "d": args.d, "result": exppoly_to_json(out), **r},
+            lambda: exppoly_text(out), 0)
 
 
 def _charpoly_text(form) -> str:
@@ -329,7 +326,7 @@ def _cmd_charpoly(args):
     value = character_at(form, args.at)
     obj["at"] = format_partition(args.at)
     obj["result"] = {"value": value}
-    return obj, lambda: f"trace at {obj['at']} = {value}", 0
+    return lambda: obj, lambda: f"trace at {obj['at']} = {value}", 0
 
 
 # --- oracle suites --------------------------------------------------------------
@@ -398,7 +395,7 @@ def _cmd_oracle_check(args):
     passed = len(rows) - failed
     obj = {"command": "oracle-check", "suite": args.suite,
            "result": {"cases": rows, "passed": passed, "failed": failed}}
-    return obj, lambda: "\n".join(
+    return lambda: obj, lambda: "\n".join(
         [f"ok {row['name']}" if row["ok"] else f"FAIL {row['name']}: {row['detail']}"
          for row in rows] + [f"passed {passed} failed {failed}"]), 1 if failed else 0
 
@@ -482,8 +479,8 @@ def main(argv=None) -> int:
                 raise UsageError(f"--truncate does not apply to --form {args.form}")
             if getattr(args, "dim", None) is not None and args.group != "trivial":
                 raise UsageError(f"--dim does not apply to --group {args.group}")
-            obj, render, code = _HANDLERS[args.command](args)
-            payload = render() if args.output == "text" else json.dumps(obj, indent=2)
+            build, render, code = _HANDLERS[args.command](args)
+            payload = render() if args.output == "text" else json.dumps(build(), indent=2)
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2

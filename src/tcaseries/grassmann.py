@@ -21,13 +21,13 @@ from fractions import Fraction
 
 from .partitions import (
     Partition,
+    _power_sum_to_monomial,
     as_partition,
     canonical_key,
     dim_schur,
     enumerate_partitions,
     format_partition,
     parse_partition,
-    partition_factorial,
 )
 from .polyutil import (
     Value, add_into, binom, factorial, integer, json_int, linear_form_det, merge_terms)
@@ -38,6 +38,7 @@ from .seriesforms import (
     SigmaExpr,
     TSeries,
     TTPoly,
+    _sigma_key_sort,
     ex_sigma,
 )
 from .torus import LaurentPoly, schur_coefficients, schur_lp
@@ -229,13 +230,14 @@ def theta_r(c: LambdaGrClass) -> SigmaExpr:
         return SigmaExpr({})
     d, r = c.shape()
     den = math.prod(j - i for i in range(1, r + 1) for j in range(i + 1, d + 1))
-    terms = merge_terms(((mu, lam), ca * D) for mu, g in c.terms.items()
-                        for alpha, ca in g.terms.items() for lam, D in linear_form_det(
-                            r, functools.partial(_bott_differences, d, r, alpha)).items())
+    terms = merge_terms((((mu, lam), ca * D) for mu, g in c.terms.items()
+                         for alpha, ca in g.terms.items() for lam, D in linear_form_det(
+                             r, functools.partial(_bott_differences, d, r, alpha)).items()),
+                        _sigma_key_sort)
     for key, v in terms.items():
         if v % den:
             raise AssertionError(f"pairing {v}/{den} at {key} is not an integer")
-    return SigmaExpr({key: v // den for key, v in terms.items()})
+    return SigmaExpr.trusted({key: Fraction(v, den) for key, v in terms.items()})
 
 
 def mu_r(c: LambdaGrClass) -> ExpPoly:
@@ -258,6 +260,8 @@ def pushforward_module_character(d: int, r: int, alpha, N: int) -> SymFunc:
     alpha = as_partition(alpha)
     if len(alpha) > r:
         raise ValueError(f"alpha={alpha} has more than r={r} rows")
+    if N < 0:
+        raise ValueError("truncation must be >= 0")
     terms: dict[Partition, Fraction] = {}
     for n in range(N + 1):
         for nu in enumerate_partitions(n, max_length=r):
@@ -265,7 +269,7 @@ def pushforward_module_character(d: int, r: int, alpha, N: int) -> SymFunc:
                       for lam, c_lr in _lr_products(alpha, nu, r))
             if chi:
                 terms[nu] = Fraction(chi)
-    return SymFunc(SCHUR, terms, N)
+    return SymFunc.trusted(SCHUR, terms, N)
 
 
 def detring_formal_character(d: int, r: int) -> SigmaExpr:
@@ -280,31 +284,9 @@ def detring_formal_character(d: int, r: int) -> SigmaExpr:
     # the row binom(n, j), j = 0..n, by binom(n, j + 1) = binom(n, j) (n - j) / (j + 1)
     n = d - r
     row = list(itertools.accumulate(range(n), lambda c, j: c * (n - j) // (j + 1), initial=1))
-    return SigmaExpr({((), lam): c for lam, c in linear_form_det(r, lambda a, b: {
-        k: row[k + b - a] for k in range(max(0, a - b), n + a - b + 1)}).items()})
-
-
-@functools.cache
-def _power_sum_to_monomial(r: int, N: int) -> tuple[tuple[Partition, int, tuple], ...]:
-    """(lam, lam!, [m_nu] p_lam in r variables as (nu, coefficient) pairs) for every
-    lam with |lam| <= N, cached in tuples only; the key leaves out d, so the Gessel
-    series of every d share it. With k the last part of lam and lam- the rest,
-    p_lam = p_{lam-} p_k gives [x^nu] p_lam = sum_j [x^{nu - k e_j}] p_{lam-}
-    over the parts nu_j >= k (Macdonald I.6)."""
-    rows: dict[Partition, dict[Partition, int]] = {(): {(): 1}}
-    for n in range(1, N + 1):
-        nus = enumerate_partitions(n, max_length=r)
-        for lam in enumerate_partitions(n):
-            k, prev = lam[-1], rows[lam[:-1]]
-            rows[lam] = merge_terms((nu, prev.get(_take(nu, j, k), 0))
-                                    for nu in nus for j, part in enumerate(nu) if part >= k)
-    return tuple((lam, partition_factorial(lam), tuple(row.items())) for lam, row in rows.items())
-
-
-def _take(nu: Partition, j: int, k: int) -> Partition:
-    """The partition nu - k e_j, for nu_j >= k."""
-    rest = nu[:j] + nu[j + 1:]
-    return tuple(sorted(rest + (nu[j] - k,), reverse=True)) if nu[j] > k else rest
+    dets = linear_form_det(r, lambda a, b: {
+        k: row[k + b - a] for k in range(max(0, a - b), n + a - b + 1)})
+    return SigmaExpr.trusted({((), lam): Fraction(c) for lam, c in dets.items()})
 
 
 def gessel_enhanced(d: int, r: int, N: int) -> TSeries:
@@ -317,8 +299,8 @@ def gessel_enhanced(d: int, r: int, N: int) -> TSeries:
     counts the ways to place the parts of lam, told apart, in r boxes whose sums
     are nu: the power-sum-to-monomial transition [m_nu] p_lam in r variables
     (Macdonald I.6). So [t^lam] = sum_nu [m_nu] p_lam D(nu) / lam!: only D depends
-    on d, the rest is `_power_sum_to_monomial`, built once per (r, N). For r >= d
-    the rank condition is vacuous: the series is the one at r = d.
+    on d, the rest is `partitions._power_sum_to_monomial`, built once per (r, N).
+    For r >= d the rank condition is vacuous: the series is the one at r = d.
     """
     if d < 1 or r < 1:
         raise ValueError(f"need d >= 1 and r >= 1, got d={d}, r={r}")
@@ -327,8 +309,9 @@ def gessel_enhanced(d: int, r: int, N: int) -> TSeries:
     r = min(r, d)
     weights = {tuple(n for n in ks if n): D for ks, D in linear_form_det(r, lambda a, b: {
         n: binom(n + b - a + d - 1, n + b - a) for n in range(max(0, a - b), N + 1)}, N).items()}
-    return TSeries(N, {lam: Fraction(sum(m * weights.get(nu, 0) for nu, m in row), fact)
-                       for lam, fact, row in _power_sum_to_monomial(r, N)})
+    coeffs = ((lam, Fraction(sum(m * weights.get(nu, 0) for nu, m in row), fact))
+              for lam, fact, row in _power_sum_to_monomial(r, N))
+    return TSeries.trusted(N, {lam: c for lam, c in coeffs if c})
 
 
 def _bell_polynomials(jmax: int) -> list[dict[Partition, int]]:

@@ -5,7 +5,8 @@ partition is ``()``. All arithmetic is exact (int / Fraction).
 
 The canonical order on partitions of equal size is reverse lexicographic:
 (n) first, (1,...,1) last. ``enumerate_partitions`` generates in that order.
-``canonical_key`` (size, then reverse-lex) and ``as_partition`` are cached.
+``canonical_key`` (size, then reverse-lex) is cached; ``as_partition`` runs where
+a key enters, and kernels pass the canonical keys they build on unvalidated.
 """
 
 from __future__ import annotations
@@ -40,21 +41,9 @@ __all__ = [
 
 
 def as_partition(parts) -> Partition:
-    """Validate and normalize a part sequence: sorted check, zeros stripped.
-    Hashable tuples are cached, refusals are not. Equal tuples such as (2.0, 1),
-    (2+0j, 1) and (2, 1) share an entry: integer() maps equal values to one
-    int, so the entry holds the same int tuple whichever tuple filled it."""
-    if type(parts) is tuple:
-        try:
-            hash(parts)
-        except TypeError:  # an unhashable part
-            return _validated_partition(parts)
-        return _cached_partition(parts)
-    return _validated_partition(parts)
-
-
-def _validated_partition(parts) -> Partition:
-    # _mn calls this in its recursion: int parts skip the integrality check
+    """Validate and normalize a part sequence: sorted check, zeros stripped;
+    parts equal to integers, such as 2.0 and 2+0j, become ints."""
+    # int parts skip the integrality check
     lam = tuple(p if type(p) is int else integer(p) for p in parts)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError(f"parts not weakly decreasing in {parts!r}")
@@ -62,9 +51,6 @@ def _validated_partition(parts) -> Partition:
     if lam and lam[-1] < 0:
         raise ValueError(f"negative part in {parts!r}")
     return lam[:lam.index(0)] if lam and not lam[-1] else lam
-
-
-_cached_partition = functools.cache(_validated_partition)
 
 
 def parse_bracket_list(text: str) -> tuple[int, ...]:
@@ -185,8 +171,9 @@ def _mn(lam: Partition, mu: Partition) -> int:
             continue
         crossed = sum(1 for c in beta if nb < c < b)
         new_beta = sorted((beta_set - {b}) | {nb}, reverse=True)
-        new_lam = tuple(new_beta[j] - (length - 1 - j) for j in range(length))
-        total += (-1) ** crossed * _mn(as_partition(new_lam), rest)
+        # the parts of new_beta are weakly decreasing: zeros trail
+        new_lam = tuple(p for p in (c - (length - 1 - j) for j, c in enumerate(new_beta)) if p)
+        total += (-1) ** crossed * _mn(new_lam, rest)
     return total
 
 
@@ -236,7 +223,7 @@ def _horizontal_strips_below(lam: Partition, k: int) -> list[Partition]:
     def rec(i: int, remaining: int, prefix: list[int]):
         if i == rows:
             if remaining == 0:
-                out.append(as_partition(prefix))
+                out.append(tuple(p for p in prefix if p))
             return
         lo = lam[i + 1] if i + 1 < rows else 0
         hi = lam[i]
@@ -256,7 +243,7 @@ def _horizontal_strips_above(lam: Partition, k: int) -> tuple[Partition, ...]:
     the complement of lam."""
     rows, cols = len(lam) + 1, (lam[0] if lam else 0) + k
     comp = tuple(cols - p for p in reversed(lam + (0,)))
-    return tuple(as_partition([cols - p for p in reversed(eta + (0,) * (rows - len(eta)))])
+    return tuple(tuple(cols - p for p in reversed(eta + (0,) * (rows - len(eta))) if p < cols)
                  for eta in _horizontal_strips_below(comp, k))
 
 
@@ -273,6 +260,29 @@ def kostka_number(lam: Partition, mu: Partition) -> int:
     k = mu[-1]
     rest = mu[:-1]
     return sum(kostka_number(eta, rest) for eta in _horizontal_strips_below(lam, k))
+
+
+@functools.cache
+def _power_sum_to_monomial(r: int, N: int) -> tuple[tuple[Partition, int, tuple], ...]:
+    """(lam, lam!, [m_nu] p_lam in r variables as (nu, coefficient) pairs) for every
+    lam with |lam| <= N in canonical order, cached in tuples only: Gessel's series
+    reads it at rank r, the integral route and kernel K at r = d. With k the last
+    part of lam and lam- the rest, p_lam = p_{lam-} p_k gives [x^nu] p_lam =
+    sum_j [x^{nu - k e_j}] p_{lam-} over the parts nu_j >= k (Macdonald I.6)."""
+    rows: dict[Partition, dict[Partition, int]] = {(): {(): 1}}
+    for n in range(1, N + 1):
+        nus = enumerate_partitions(n, max_length=r)
+        for lam in enumerate_partitions(n):
+            k, prev = lam[-1], rows[lam[:-1]]
+            rows[lam] = merge_terms((nu, prev.get(_take(nu, j, k), 0))
+                                    for nu in nus for j, part in enumerate(nu) if part >= k)
+    return tuple((lam, partition_factorial(lam), tuple(row.items())) for lam, row in rows.items())
+
+
+def _take(nu: Partition, j: int, k: int) -> Partition:
+    """The partition nu - k e_j, for nu_j >= k."""
+    rest = nu[:j] + nu[j + 1:]
+    return tuple(sorted(rest + (nu[j] - k,), reverse=True)) if nu[j] > k else rest
 
 
 # no route uses it: kept for perfbench/tracing.py (wraps it by name) and test oracles

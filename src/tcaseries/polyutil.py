@@ -9,12 +9,12 @@ modulo a prime, full column rank proves a nullspace trivial (``residues``
 picks the prime of guess_ode's rank filter). Also its one merge kernel
 for sparse term dicts, ``merge_terms`` and ``add_into`` (kernels run them on
 integers: ``over_common_denominator``, or ``cleared`` for a sequence), its one
-exponential, ``newton_exp``, its one integrality check, ``integer``, its
-coefficient coercion, ``as_fraction``, and the number checks of JSON readers,
-``json_fraction`` and ``json_int``. And ``Value``, the immutable base of value
-classes, ``linear_form_det``, its one determinant, and ``multiset_mul``, its one
-product of multisets, on ``multiset_code``s: a union of multisets is one integer
-addition (packed exponent vectors, Monagan and Pearce, CASC 2007).
+exponential, ``newton_exp``, its one integrality check, ``integer``, and the
+number checks of JSON readers, ``json_fraction`` and ``json_int``. And ``Value``,
+the immutable base of value classes, with its one trusted constructor; its one
+determinant, ``linear_form_det``; and ``multiset_mul``, its one product of
+multisets, on ``multiset_code``s, read back in canonical order by ``multiset_terms``:
+a union of multisets is one integer addition (Monagan and Pearce, CASC 2007).
 """
 
 from __future__ import annotations
@@ -40,6 +40,14 @@ class Value:
     def __init__(self, *values, _set=object.__setattr__):
         for name, value in zip(self.__slots__, values):
             _set(self, name, value)
+
+    @classmethod
+    def trusted(cls, *values):
+        """An instance from field values already canonical, without the subclass's
+        __init__: for kernels whose output is canonical by construction."""
+        self = object.__new__(cls)
+        Value.__init__(self, *values)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -127,11 +135,6 @@ def integer(v) -> int:
     if n != v and not isinstance(v, str):
         raise ValueError(f"{v!r} is not an integer")
     return n
-
-
-def as_fraction(c) -> Fraction:
-    """c as a Fraction; a Fraction is returned as it is, not rebuilt."""
-    return c if type(c) is Fraction else Fraction(c)
 
 
 def json_fraction(c) -> Fraction:
@@ -234,6 +237,13 @@ def multiset_parts(code: int, width: int = _DIGIT) -> tuple[int, ...]:
     return tuple(reversed(parts))
 
 
+def multiset_terms(out: dict, den: int | None = None) -> dict:
+    """The nonzero terms of multiset_mul's output, coefficients over `den` (None: as
+    they are), keyed by parts in canonical order: weight, then code decreasing."""
+    return {multiset_parts(-neg): c if den is None else Fraction(c, den)
+            for _, neg, c in sorted((w, -code, c) for code, (w, c) in out.items() if c)}
+
+
 def multiset_mul(a, b, limit: int | None, out: dict) -> dict:
     """out += a * b for iterables of (weight, code, coefficient) triples, b
     sorted by weight, dropping products of weight above `limit` (None: none);
@@ -254,10 +264,10 @@ def multiset_mul(a, b, limit: int | None, out: dict) -> dict:
 def linear_form_det(r: int, entry, N: int | None = None) -> dict[tuple[int, ...], int]:
     """det(sum_k s_k M_k) for r x r integer matrices M_k, entry(a, b) = {k: M_k[a][b]}:
     the coefficient of s_{k_1} ... s_{k_r}, keyed by the weakly decreasing tuple
-    (k_1, ..., k_r), where k_1 + ... + k_r <= N (None: all). One Laplace expansion
-    down the rows; a state is the bit mask of columns taken, whose bits above
-    column b give the sign of taking b, and the sum and multiset code of the k
-    chosen, in digits of r.bit_length() bits: a state holds at most r parts."""
+    (k_1, ..., k_r) in canonical order, where k_1 + ... + k_r <= N (None: all). One
+    Laplace expansion down the rows; a state is the bit mask of columns taken, whose
+    bits above column b give the sign of taking b, and the sum and multiset code of
+    the k chosen, in digits of r.bit_length() bits: a state holds at most r parts."""
     width = r.bit_length()
     states = {(0, 0, 0): 1}
     for row in ([[(k, 1 << width * k, c) for k, c in entry(a, b).items()]
@@ -267,7 +277,8 @@ def linear_form_det(r: int, entry, N: int | None = None) -> dict[tuple[int, ...]
             for (taken, w, code), v in states.items()
             for b, forms in enumerate(row) if not taken >> b & 1
             for k, kc, c in forms if N is None or w + k <= N)
-    return {multiset_parts(code, width): v for (_, _, code), v in states.items()}
+    return {multiset_parts(code, width): v
+            for (_, _, code), v in sorted(states.items(), key=lambda kv: (kv[0][1], -kv[0][2]))}
 
 
 def echelon(rows: list[list], ncols: int, p: int | None = None) -> tuple[list[int], list[list]]:

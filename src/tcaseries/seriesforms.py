@@ -20,7 +20,7 @@ Specializations: ``sigma_expand`` (sigma -> Schur series, by the Pieri rule),
 series, p_n -> n t_n, sigma_n -> exp(T_0) sum_{nu |- n} T^nu / nu!).
 ``sigma_expand`` and ``enhanced_expand`` work on integers over one common denominator;
 ``enhanced_expand`` multiplies t-monomials as multiset codes (polyutil.multiset_code),
-one integer addition per product, and decodes each output key once.
+one integer addition per product, and decodes each output key once, in canonical order.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .polyutil import (
     Poly,
     Value,
     add_into,
-    as_fraction,
     binom,
     factorial,
     falling,
@@ -58,6 +57,7 @@ from .polyutil import (
     multiset_code,
     multiset_mul,
     multiset_parts,
+    multiset_terms,
     nullspace,
     over_common_denominator,
     padd,
@@ -133,7 +133,7 @@ class SigmaExpr(Value):
 
     def __init__(self, terms: dict[SigmaKey, Fraction] = {}):
         Value.__init__(self, merge_terms(
-            ((_sigma_key(mu, nu), as_fraction(c)) for (mu, nu), c in terms.items()),
+            ((_sigma_key(mu, nu), Fraction(c)) for (mu, nu), c in terms.items()),
             _sigma_key_sort))
 
     def sigma_degree(self) -> int | None:
@@ -212,7 +212,7 @@ class TSeries(Value):
 
     def __mul__(self, other: "TSeries") -> "TSeries":
         N = min(self.truncation, other.truncation)
-        return TSeries(N, symfunc._p_mul_terms(self.coeffs, other.coeffs, N))
+        return TSeries.trusted(N, symfunc._p_mul_terms(self.coeffs, other.coeffs, N))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -244,7 +244,7 @@ def _tt_key_sort(key: TTKey):
 def tt_terms(*polys) -> TTPoly:
     """Canonical sum of TT polynomials: keys validated, coefficients made
     Fractions, equal keys merged, zeros dropped, keys in canonical order."""
-    return merge_terms((((as_partition(t), as_partition(T)), as_fraction(c))
+    return merge_terms((((as_partition(t), as_partition(T)), Fraction(c))
                         for poly in polys for (t, T), c in poly.items()), _tt_key_sort)
 
 
@@ -348,8 +348,8 @@ def _sigma_mul(terms: dict[Partition, Fraction], k: int, N: int) -> dict[Partiti
 
 
 def sigma_expand(e: SigmaExpr, N: int) -> SymFunc:
-    """Expand sigma_k -> sum_{n=k}^N binom(n,k) s_n and multiply out in the
-    Schur basis, one Pieri product per sigma factor, over a common denominator."""
+    """Expand sigma_k -> sum_{n=k}^N binom(n,k) s_n and multiply out in the Schur
+    basis through degree N, one Pieri product per sigma factor, over a common denominator."""
     if N < 0:
         raise ValueError("truncation must be >= 0")
     L, (terms,) = over_common_denominator(e.terms)
@@ -359,7 +359,8 @@ def sigma_expand(e: SigmaExpr, N: int) -> SymFunc:
         for k in nu:
             cur = _sigma_mul(cur, k, N)
         add_into(total, cur)
-    return SymFunc(SCHUR, {lam: Fraction(c, L) for lam, c in total.items()}, N)
+    return SymFunc.trusted(SCHUR, {lam: Fraction(c, L) for lam, c in sorted(
+        total.items(), key=lambda kv: canonical_key(kv[0])) if sum(lam) <= N}, N)
 
 
 def sigma_recognize(f: SymFunc, r_max: int, s_deg_max: int,
@@ -441,7 +442,8 @@ def phi_sigma(e: SigmaExpr) -> EnhancedExpr:
     for (mu, nu), c in e.terms.items():
         poly = {(t, T): ct * cT for (t, _), ct in _xlam(mu) for T, cT in _bell_sigma(nu)}
         add_into(parts.setdefault(len(nu), {}), poly, c)
-    return EnhancedExpr(parts)
+    return EnhancedExpr.trusted({k: merge_terms(poly.items(), _tt_key_sort)
+                                 for k, poly in sorted(parts.items()) if poly})
 
 
 def _substitute_tails(poly: TTPoly, ns: tuple[int, ...], trunc: int | None) -> dict[int, list]:
@@ -493,8 +495,7 @@ def enhanced_expand(e: EnhancedExpr, N: int) -> TSeries:
     for k, poly in zip(e.parts, polys):
         terms = [(w, code, c) for code, (w, c) in _substitute_tails(poly, ns, N).items() if c]
         multiset_mul(terms, _exp_kt0(k, N), N, total)
-    return TSeries(N, {multiset_parts(code): Fraction(c, L * factorial(N))
-                       for code, (_, c) in total.items() if c})
+    return TSeries.trusted(N, multiset_terms(total, L * factorial(N)))
 
 
 def fourier_dual_hilbert(h: ExpPoly, d: int) -> ExpPoly:
@@ -582,7 +583,7 @@ def umbral_substitute(p, k: int) -> dict[Partition, Fraction]:
             return tpart
         return key
 
-    mono = merge_terms((as_partition(t_part(key)), as_fraction(c)) for key, c in p.items())
+    mono = merge_terms((as_partition(t_part(key)), Fraction(c)) for key, c in p.items())
     out: dict[Partition, Fraction] = {}
     for alpha, c in mono.items():
         cur: dict[Partition, Fraction] = {(): c}

@@ -27,8 +27,8 @@ from .partitions import (
     transpose,
     z_of,
 )
-from .polyutil import (Value, add_into, as_fraction, integer, json_fraction, json_int, merge_terms,
-                       multiset_code, multiset_mul, multiset_parts, newton_exp,
+from .polyutil import (Value, add_into, integer, json_fraction, json_int, merge_terms,
+                       multiset_code, multiset_mul, multiset_terms, newton_exp,
                        over_common_denominator)
 
 SCHUR = "s"
@@ -58,7 +58,7 @@ def normalize_terms(terms, truncation: int | None) -> dict[Partition, Fraction]:
     made Fractions, terms above `truncation` (None: none) dropped, equal keys
     merged, zeros dropped, keys in canonical order."""
     limit = math.inf if truncation is None else truncation
-    return merge_terms(((lam, as_fraction(c))
+    return merge_terms(((lam, Fraction(c))
                         for lam, c in zip(map(as_partition, terms), terms.values())
                         if sum(lam) <= limit), canonical_key)
 
@@ -116,20 +116,21 @@ def change_basis(f: SymFunc, target: str) -> SymFunc:
     if f.basis == target:
         return f
     terms = _s_to_p(f.terms) if target == POWERSUM else _p_to_s(f.terms)
-    return SymFunc(target, terms, f.truncation)
+    return SymFunc.trusted(target, terms, f.truncation)
 
 
 def _s_to_p(terms) -> dict[Partition, Fraction]:
-    return merge_terms((mu, c * Fraction(sym_character(lam, mu), z_of(mu)))
-                       for lam, c in terms.items() for mu in enumerate_partitions(sum(lam)))
+    return merge_terms(((mu, c * Fraction(sym_character(lam, mu), z_of(mu)))
+                        for lam, c in terms.items() for mu in enumerate_partitions(sum(lam))),
+                       canonical_key)
 
 
 def _p_to_s(terms) -> dict[Partition, Fraction]:
     """On integers over one common denominator: one Fraction per output coefficient."""
     L, (ints,) = over_common_denominator(terms)
-    return {lam: Fraction(c, L) for lam, c in merge_terms(
-        (lam, c * sym_character(lam, mu))
-        for mu, c in ints.items() for lam in enumerate_partitions(sum(mu))).items()}
+    merged = merge_terms(((lam, c * sym_character(lam, mu)) for mu, c in ints.items()
+                          for lam in enumerate_partitions(sum(mu))), canonical_key)
+    return {lam: Fraction(c, L) for lam, c in merged.items()}
 
 
 def _p_mul_terms(a: dict[Partition, Fraction], b: dict[Partition, Fraction],
@@ -137,10 +138,10 @@ def _p_mul_terms(a: dict[Partition, Fraction], b: dict[Partition, Fraction],
     """Product of two partition-keyed dicts whose keys multiply by multiset
     union (power sums, t-monomials, T-monomials), dropping terms above `trunc`
     (None: keep all), by polyutil.multiset_mul on multiset codes. The result
-    has no zero coefficients."""
-    out = multiset_mul([(*multiset_code(k), c) for k, c in a.items()],
-                       sorted((*multiset_code(k), c) for k, c in b.items()), trunc, {})
-    return {multiset_parts(code): c for code, (_, c) in out.items() if c}
+    has no zero coefficients, and its keys are in canonical order."""
+    return multiset_terms(multiset_mul([(*multiset_code(k), c) for k, c in a.items()],
+                                       sorted((*multiset_code(k), c) for k, c in b.items()),
+                                       trunc, {}))
 
 
 def graded_exp(b: dict[Partition, Fraction], N: int) -> dict[Partition, Fraction]:

@@ -21,13 +21,12 @@ from fractions import Fraction
 
 from .partitions import (
     Partition,
+    _power_sum_to_monomial,
     as_partition,
     enumerate_partitions,
     kostka_number,
-    partition_factorial,
-    partitions_up_to,
 )
-from .polyutil import (Value, add_into, as_fraction, factorial, integer, json_fraction, json_int,
+from .polyutil import (Value, add_into, factorial, integer, json_fraction, json_int,
                        merge_terms, newton_exp, over_common_denominator)
 from .seriesforms import TSeries
 
@@ -68,7 +67,7 @@ class LaurentPoly(Value):
     def __init__(self, d: int, terms: dict[Exponent, Fraction] = {}):
         if d < 0:
             raise ValueError("need d >= 0")
-        terms = merge_terms((_exponent(e, d), as_fraction(c)) for e, c in terms.items())
+        terms = merge_terms((_exponent(e, d), Fraction(c)) for e, c in terms.items())
         Value.__init__(self, d, dict(sorted(terms.items())))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -131,17 +130,13 @@ def _weighted(f: LaurentPoly, d: int) -> tuple[int, dict]:
     return L, _mul_terms(terms, {e: int(c) for e, c in delta_squared(d).terms.items()})
 
 
-def _integral(w: dict, g: dict):
-    """CT(w * bar(g)) = sum_e w[e] g[e], without materializing the product."""
-    return sum(c * g.get(e, 0) for e, c in w.items())
-
-
 def weyl_inner(f: LaurentPoly, g: LaurentPoly, d: int) -> Fraction:
     """(1/d!) CT(f * bar(g) * |Delta|^2): the GL(d) invariant inner product."""
     if g.d != d:
         raise ValueError(f"inputs must have {d} variables")
     L, w = _weighted(f, d)
-    return Fraction(_integral(w, g.terms), L * factorial(d))
+    # CT(w * bar(g)) = sum_e w[e] g[e], without forming the product
+    return Fraction(sum(c * g.terms.get(e, 0) for e, c in w.items()), L * factorial(d))
 
 
 def power_sum_lp(k: int, d: int) -> LaurentPoly:
@@ -149,14 +144,6 @@ def power_sum_lp(k: int, d: int) -> LaurentPoly:
         return LaurentPoly(d, {(0,) * d: Fraction(d)})
     return LaurentPoly(d, {tuple(k if j == i else 0 for j in range(d)): Fraction(1)
                            for i in range(d)})
-
-
-@functools.cache
-def _power_sum_of(lam: Partition, d: int) -> dict[Exponent, int]:
-    if not lam:
-        return {(0,) * d: 1}
-    return merge_terms((e[:i] + (e[i] + lam[0],) + e[i + 1:], c)
-                       for e, c in _power_sum_of(lam[1:], d).items() for i in range(d))
 
 
 @functools.cache
@@ -295,31 +282,43 @@ class KernelSeries(Value):
 
 
 def kernel_K(d: int, N: int) -> KernelSeries:
+    """[alpha^e] K = sum_lam [m_nu] p_lam t^lam / lam!, nu the partition of the entries of e."""
+    if d < 0:
+        raise ValueError("need d >= 0")
     terms: dict[Exponent, dict[Partition, Fraction]] = {}
-    for lam in partitions_up_to(N):
-        w = Fraction(1, partition_factorial(lam))
-        for e, c in _power_sum_of(lam, d).items():
-            terms.setdefault(e, {})[lam] = c * w
+    for lam, fact, row in _power_sum_to_monomial(d, N):
+        for nu, c in row:
+            for e in set(itertools.permutations(nu + (0,) * (d - len(nu)))):
+                terms.setdefault(e, {})[lam] = Fraction(c, fact)
     return KernelSeries(d, N, {e: TSeries(N, coeffs) for e, coeffs in terms.items()})
 
 
 def enhanced_from_equivariant(hilb, d: int, N: int) -> TSeries:
     """Integral route to the enhanced Hilbert series: the coefficient of t^lam
-    is weyl_inner(ch, p_lam) / lam! for ch the character of degree |lam|, with
-    L ch * |Delta|^2 formed once per degree on integers and paired with each
-    p_lam, one Fraction over L d! lam! per coefficient.
+    is weyl_inner(ch, p_lam) / lam! for ch the character of degree |lam|: W = L ch
+    |Delta|^2, formed once per degree on integers and summed by the partition of
+    each exponent >= 0 (p_lam has no other), paired with the rows [m_nu] p_lam of
+    partitions._power_sum_to_monomial, one Fraction over L d! lam! per coefficient.
 
     `hilb` is a sequence of LaurentPoly degree-n characters of M(C^d) for
     n = 0..N (entries may be None for zero).
     """
-    coeffs: dict[Partition, Fraction] = {}
+    if d < 0:
+        raise ValueError("need d >= 0")
+    if N < 0:
+        raise ValueError("truncation must be >= 0")
+    folded: dict[int, tuple[int, dict[Partition, int]]] = {}
     for n, ch in enumerate(hilb[:N + 1]):
         if ch is not None:
             L, w = _weighted(ch, d)
-            for lam in enumerate_partitions(n):
-                coeffs[lam] = Fraction(_integral(w, _power_sum_of(lam, d)),
-                                       L * factorial(d) * partition_factorial(lam))
-    return TSeries(N, coeffs)
+            folded[n] = L, merge_terms((tuple(sorted((x for x in e if x), reverse=True)), c)
+                                       for e, c in w.items() if min(e, default=0) >= 0)
+    coeffs: dict[Partition, Fraction] = {}
+    for lam, fact, row in _power_sum_to_monomial(d, N):
+        L, w = folded.get(sum(lam), (1, {}))
+        if c := sum(m * w.get(nu, 0) for nu, m in row):
+            coeffs[lam] = Fraction(c, L * factorial(d) * fact)
+    return TSeries.trusted(N, coeffs)
 
 
 def hilbert_from_weight_presentation(A, b, N: int) -> list[Fraction]:

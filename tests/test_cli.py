@@ -86,6 +86,23 @@ def test_text_is_rendered_only_when_asked(monkeypatch, fname, argv, expected):
         assert run_cli(json_argv + ["--text"])[0] == expected and calls
 
 
+_JSON_CONVERTERS = sorted(name for name in vars(cli) if name.endswith("_to_json"))
+
+
+@pytest.mark.parametrize("fname,argv,expected", GOLDEN_RUNS, ids=[c[0] for c in GOLDEN_RUNS])
+def test_json_is_built_only_when_asked(monkeypatch, fname, argv, expected):
+    assert {"sigma_to_json", "tseries_to_json", "symfunc_to_json"} <= set(_JSON_CONVERTERS)
+    calls = []
+    for name in _JSON_CONVERTERS:
+        convert = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda value, name=name, convert=convert:
+                            calls.append(name) or convert(value))
+    json_argv = [a for a in argv if a != "--text"]
+    assert run_cli(json_argv + ["--text"])[0] == expected and calls == []
+    if argv[0] in _RENDERED_COMMANDS:
+        assert run_cli(json_argv)[0] == expected and calls
+
+
 def test_render_error_maps_to_an_exit_code(monkeypatch):
     def broken(e):
         raise ValueError("cannot render")

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcaseries import grassmann, seriesforms, symfunc
+from tcaseries import grassmann, partitions, seriesforms, symfunc
 from tcaseries.partitions import (
     canonical_key,
     dim_schur,
@@ -508,7 +508,7 @@ def test_gessel_forms_no_series_product(monkeypatch):
 
 def test_gessel_tables_built_once_per_rank_and_truncation():
     # the transition table does not depend on d: one build per new (r, N)
-    table = grassmann._power_sum_to_monomial
+    table = partitions._power_sum_to_monomial
     table.cache_clear()
     for d in (4, 2, 6, 3, 5):
         assert gessel_enhanced(d, 2, 7) == gessel_enhanced_permutations(d, 2, 7)
@@ -525,7 +525,7 @@ def test_gessel_table_is_read_only():
             for v in value:
                 yield from walk(v)
 
-    table = grassmann._power_sum_to_monomial(2, 4)
+    table = partitions._power_sum_to_monomial(2, 4)
     assert all(type(v) in (tuple, int) for v in walk(table))
     rows = {lam: (fact, dict(row)) for lam, fact, row in table}
     assert rows[(1, 1)] == (2, {(2,): 1, (1, 1): 2})  # p_1^2 = m_2 + 2 m_11

@@ -7,10 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from tcaseries import partitions as partitions_module
 from tcaseries.partitions import (
     _horizontal_strips_above,
-    _validated_partition,
     as_partition,
     canonical_key,
     dim_schur,
@@ -92,53 +90,54 @@ _PARTS = st.one_of(st.integers(-2, 5), st.booleans(),
                                     "2", "01", "-1", "1.5"]))
 
 
-@given(st.lists(st.tuples(st.lists(_PARTS, max_size=4).map(tuple), st.booleans()),
-                min_size=1, max_size=6))
-def test_cached_as_partition_matches_the_validator(cases):
-    # each tuple twice, interleaved with equal tuples of other types, which
-    # share its cache entry; optionally with the cache emptied first
-    for parts, clear in cases:
-        if clear:
-            partitions_module._cached_partition.cache_clear()
-        for t in [parts, *_equal_valued(parts), parts]:
-            assert _outcome(as_partition, t) == _outcome(_validated_partition, t)
+def _reference_partition(parts):
+    """Independent reference: the parts as Fractions must be integers, weakly
+    decreasing and >= 0; the zeros are dropped."""
+    values = [Fraction(p) for p in parts]
+    if (any(v.denominator != 1 for v in values) or values != sorted(values, reverse=True)
+            or values and values[-1] < 0):
+        raise ValueError(f"{parts!r} is not a partition")
+    return tuple(int(v) for v in values if v)
+
+
+def _kind(outcome):
+    """An outcome with the message of a refusal dropped."""
+    return outcome if isinstance(outcome[0], tuple) else outcome[0]
+
+
+@given(st.lists(_PARTS, max_size=4).map(tuple))
+def test_cached_as_partition_matches_the_validator(parts):
+    # the tuple and every tuple equal to it with numbers of other types are
+    # answered as the reference answers them: the same int parts, or a ValueError
+    for t in [parts, *_equal_valued(parts)]:
+        assert _kind(_outcome(as_partition, t)) == _kind(_outcome(_reference_partition, t))
 
 
 def test_as_partition_cache_by_hand():
-    cache = partitions_module._cached_partition
-    cache.cache_clear()
-    # an unhashable part is validated uncached and refused as before
+    # every call validates: an unhashable part is refused each time
     for _ in range(2):
-        assert _outcome(as_partition, ([1],)) == _outcome(_validated_partition, ([1],))
         with pytest.raises(TypeError):
             as_partition(([1],))
-    # the entry filled by (2.0, 1) answers (2, 1) with int parts
-    assert as_partition((2.0, 1)) == (2, 1)
-    hits = cache.cache_info().hits
-    lam = as_partition((2, 1))
-    assert lam == (2, 1) and all(type(p) is int for p in lam)
-    assert cache.cache_info().hits == hits + 1
-    # a refused key stays refused, with its message, after a valid one was cached
-    for bad in [(1, 2), (2, -1), (2, 1.5)]:
-        want = _outcome(_validated_partition, bad)
-        assert want[0] is ValueError
-        assert _outcome(as_partition, bad) == _outcome(as_partition, bad) == want
-    # lists and generators are validated, not cached
-    misses = cache.cache_info().misses
+    # (2.0, 1) is answered (2, 1) with int parts, as (2, 1) is
+    for key in [(2.0, 1), (2, 1)]:
+        lam = as_partition(key)
+        assert lam == (2, 1) and all(type(p) is int for p in lam)
+    # a refused key stays refused, with its message, after a valid one was answered
+    for bad, message in [((1, 2), "parts not weakly decreasing in (1, 2)"),
+                         ((2, -1), "negative part in (2, -1)"),
+                         ((2, 1.5), "1.5 is not an integer")]:
+        assert _outcome(as_partition, bad) == _outcome(as_partition, bad) == (ValueError, message)
+    # lists and generators are validated too
     assert as_partition([3, 1, 0]) == as_partition(p for p in (3, 1)) == (3, 1)
-    assert cache.cache_info().misses == misses
 
 
 def test_complex_part_answered_whatever_the_cache_holds():
-    # 2+0j == 2 and both hash alike: integer() maps it to 2, so the shared
-    # entry answers (2,) whichever key filled it; any other complex part is
-    # refused with a ValueError, cached or not
-    cache = partitions_module._cached_partition
-    for first, second in [((2 + 0j,), (2,)), ((2,), (2 + 0j,))]:
-        cache.cache_clear()
-        for key in (first, second, (2 + 0j, 1.0 + 0j)):
+    # 2+0j == 2: integer() maps it to 2, so it is answered as 2 is, in either
+    # order of calls; any other complex part is refused with a ValueError
+    for keys in [((2 + 0j,), (2,)), ((2,), (2 + 0j,))]:
+        for key, want in [*((k, (2,)) for k in keys), ((2 + 0j, 1.0 + 0j), (2, 1))]:
             lam = as_partition(key)
-            assert lam == _validated_partition(key) and all(type(p) is int for p in lam)
+            assert lam == want and all(type(p) is int for p in lam)
         for bad in [(2 + 1j,), (2.5 + 0j,), (3, 1j)]:
             with pytest.raises(ValueError, match="is not an integer"):
                 as_partition(bad)

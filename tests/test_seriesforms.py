@@ -16,7 +16,7 @@ from tcaseries.partitions import (
     sym_character,
 )
 from tcaseries.grassmann import GrClass, bott_pushforward, gessel_enhanced, grclass_from_json
-from tcaseries import partitions, polyutil, seriesforms, symfunc, torus
+from tcaseries import grassmann, partitions, polyutil, seriesforms, symfunc, torus
 from tcaseries.polyutil import RANK_PRIMES, echelon, nullspace
 from tcaseries.symfunc import SCHUR, SymFunc, add, multiply, sym_algebra_character
 from tcaseries.symfunc import from_json as symfunc_from_json
@@ -430,6 +430,10 @@ _NEGATIVE_SIZE_ENTRIES = {
         torus.power_sum_lp(1, 2), -1)),
     "fourier_dual_hilbert": ("d", lambda: fourier_dual_hilbert(ExpPoly({}), -3)),
     "kernel_K": ("truncation", lambda: torus.kernel_K(2, -1)),
+    "kernel_K d": ("d", lambda: torus.kernel_K(-1, 2)),
+    "enhanced_from_equivariant": ("truncation", lambda: torus.enhanced_from_equivariant(
+        [torus.power_sum_lp(0, 2)], 2, -1)),
+    "enhanced_from_equivariant d": ("d", lambda: torus.enhanced_from_equivariant([None], -1, 3)),
     "PoincareSeries": ("truncation", lambda: PoincareSeries(2, -1, {0: (Fraction(1),)})),
     "ex_specialize": ("truncation", lambda: ex_specialize(SymFunc(SCHUR, {(): 1}), -1)),
     "exppoly_taylor": ("truncation", lambda: exppoly_taylor(ExpPoly({1: (Fraction(1),)}), -1)),
@@ -745,17 +749,17 @@ def test_cancelling_layers_are_dropped():
     assert EnhancedExpr({1: {((1,), ()): 1}, "01": {((1,), ()): -1}}).parts == {}
 
 
-def test_each_distinct_key_validated_once():
-    # a TSeries rebuilt from kernel output reads every key from the caches
-    # of as_partition and canonical_key: each gains a hit per key, no miss
-    s = gessel_enhanced(4, 2, 8)
-    caches = (partitions._cached_partition, partitions.canonical_key)
-    before = [cache.cache_info() for cache in caches]
-    again = TSeries(s.truncation, dict(s.coeffs))
-    for cache, info in zip(caches, before):
-        assert cache.cache_info().misses == info.misses
-        assert cache.cache_info().hits >= info.hits + len(s.coeffs)
-    assert again == s
+def test_kernel_output_validates_no_key(monkeypatch):
+    # kernels build their keys canonical and pass them on unvalidated; the
+    # validator runs where a value enters, as in the inputs built here
+    e = EnhancedExpr({0: {((1,), (2,)): HALF}, 2: {((2, 1), (1, 1)): F(-3)}})
+    sigma = sexpr(((2,), (1, 0), HALF), ((1, 1), (3,), F(2)), ((), (2, 2), F(-1)))
+    calls = []
+    for module in (partitions, symfunc, seriesforms, grassmann, torus):
+        monkeypatch.setattr(module, "as_partition",
+                            lambda parts, _check=as_partition: calls.append(parts) or _check(parts))
+    gessel_enhanced(5, 2, 9), enhanced_expand(e, 8), sigma_expand(sigma, 9), phi_sigma(sigma)
+    assert calls == []
 
 
 # keys are validated before zero terms are dropped

@@ -215,3 +215,53 @@ def test_determinant_expansion_only_in_polyutil():
                if isinstance(node, ast.ImportFrom) and node.module == "torus"
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def _callers(tree, attr: str) -> set[str]:
+    """Qualified names of the functions that call `<something>.attr(...)`."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == attr):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+# the kernels whose output is canonical by construction; tests/test_values.py
+# checks each against a rebuild through the validating constructor
+TRUSTED_CALLERS = {
+    ("grassmann.py", "detring_formal_character"),
+    ("grassmann.py", "gessel_enhanced"),
+    ("grassmann.py", "pushforward_module_character"),
+    ("grassmann.py", "theta_r"),
+    ("seriesforms.py", "TSeries.__mul__"),
+    ("seriesforms.py", "enhanced_expand"),
+    ("seriesforms.py", "phi_sigma"),
+    ("seriesforms.py", "sigma_expand"),
+    ("symfunc.py", "change_basis"),
+    ("torus.py", "enhanced_from_equivariant"),
+}
+
+
+def test_only_canonical_kernels_skip_validation():
+    # Value.trusted is the one constructor that skips a value's __init__, and
+    # the one place that makes an instance by __new__
+    callers, makers, definers = set(), set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        callers |= {(path.name, name) for name in _callers(tree, "trusted")}
+        makers |= {(path.name, name) for name in _callers(tree, "__new__")}
+        definers |= {(path.name, node.name) for node in ast.walk(tree)
+                     if isinstance(node, ast.ClassDef) for item in node.body
+                     if isinstance(item, ast.FunctionDef) and item.name == "trusted"}
+    assert callers == TRUSTED_CALLERS
+    assert makers == {("polyutil.py", "Value.trusted")}
+    assert definers == {("polyutil.py", "Value")}

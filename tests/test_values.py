@@ -6,8 +6,11 @@ import pickle
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from tcaseries.grassmann import GrClass, LambdaGrClass
+from tcaseries.grassmann import (GrClass, LambdaGrClass, detring_formal_character,
+                                 gessel_enhanced, pushforward_module_character, theta_r)
+from tcaseries.partitions import enumerate_partitions
 from tcaseries.polyutil import Value
 from tcaseries.seriesforms import (
     CharPolyForm,
@@ -17,9 +20,12 @@ from tcaseries.seriesforms import (
     PoincareSeries,
     SigmaExpr,
     TSeries,
+    enhanced_expand,
+    phi_sigma,
+    sigma_expand,
 )
-from tcaseries.symfunc import SCHUR, SymFunc
-from tcaseries.torus import KernelSeries, LaurentPoly
+from tcaseries.symfunc import POWERSUM, SCHUR, SymFunc, change_basis
+from tcaseries.torus import KernelSeries, LaurentPoly, enhanced_from_equivariant
 
 # class -> (field names in positional order, arguments of one nonzero value)
 CASES = {
@@ -135,3 +141,115 @@ def test_default_fields_not_shared(cls):
     for name in names:
         if isinstance(getattr(a, name), dict):
             assert getattr(a, name) == {} and getattr(a, name) is not getattr(b, name)
+
+
+# --- the trusted constructor --------------------------------------------------
+#
+# Kernels whose output is canonical by construction build it by Value.trusted,
+# which skips the validating __init__. Each one's output must be what __init__
+# would make of it: the same fields, dict items in the same order (Value
+# equality ignores dict order), numbers of the same types.
+
+
+def _shape(x):
+    """x with every dict as its list of items and every number tagged with its type."""
+    if isinstance(x, dict):
+        return [(_shape(k), _shape(v)) for k, v in x.items()]
+    if isinstance(x, tuple):
+        return tuple(map(_shape, x))
+    return type(x).__name__, x
+
+
+def assert_canonical(v):
+    assert _shape(type(v)(*v._fields())._fields()) == _shape(v._fields())
+
+
+_FRACTIONS = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+def _partitions(top):
+    return st.integers(0, top).flatmap(lambda n: st.sampled_from(enumerate_partitions(n)))
+
+
+_TSERIES = st.builds(TSeries, st.integers(0, 6),
+                     st.dictionaries(_partitions(6), _FRACTIONS, max_size=5))
+_SIGMA = st.builds(SigmaExpr, st.dictionaries(
+    st.tuples(_partitions(3), st.lists(st.integers(0, 3), max_size=3).map(tuple)),
+    _FRACTIONS, max_size=4))
+_ENHANCED = st.builds(EnhancedExpr, st.dictionaries(st.integers(0, 2), st.dictionaries(
+    st.tuples(_partitions(4), _partitions(3)), _FRACTIONS, max_size=3), max_size=3))
+
+
+@given(_TSERIES, _TSERIES)
+def test_series_products_are_canonical(a, b):
+    assert_canonical(a * b)
+
+
+@settings(deadline=None)
+@given(_ENHANCED, st.integers(0, 6))
+def test_enhanced_expansions_are_canonical(e, N):
+    assert_canonical(enhanced_expand(e, N))
+
+
+@given(_SIGMA, st.integers(0, 6))
+def test_sigma_expansions_are_canonical(e, N):
+    assert_canonical(sigma_expand(e, N))
+
+
+@given(_SIGMA)
+def test_phi_sigma_is_canonical(e):
+    assert_canonical(phi_sigma(e))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 7))
+def test_gessel_series_are_canonical(d, r, N):
+    assert_canonical(gessel_enhanced(d, r, N))
+
+
+@given(st.integers(0, 3).flatmap(lambda d: st.tuples(st.just(d), st.lists(
+    st.none() | st.builds(LaurentPoly, st.just(d), st.dictionaries(
+        st.lists(st.integers(-1, 3), min_size=d, max_size=d).map(tuple), _FRACTIONS,
+        max_size=4)), max_size=6))), st.integers(0, 5))
+def test_integral_route_is_canonical(case, N):
+    d, hilb = case
+    assert_canonical(enhanced_from_equivariant(hilb, d, N))
+
+
+@st.composite
+def _grassmannian_classes(draw):
+    """(d, r, [{alpha: coefficient}, ...]) with d <= 3 and |alpha| <= 2."""
+    d = draw(st.integers(1, 3))
+    r = draw(st.integers(0, d))
+    alphas = [a for n in range(3) for a in enumerate_partitions(n, max_length=r)]
+    classes = st.dictionaries(st.sampled_from(alphas), st.integers(-2, 2), max_size=3)
+    return d, r, draw(st.lists(classes, min_size=1, max_size=2))
+
+
+@settings(deadline=None)
+@given(_grassmannian_classes(), st.integers(0, 4))
+def test_pushforward_characters_are_canonical(case, N):
+    d, r, classes = case
+    for alpha in classes[0]:
+        assert_canonical(pushforward_module_character(d, r, alpha, N))
+
+
+@settings(deadline=None)
+@given(_grassmannian_classes(), st.lists(_partitions(2), min_size=2, max_size=2, unique=True))
+def test_theta_characters_are_canonical(case, mus):
+    d, r, classes = case
+    assert_canonical(theta_r(LambdaGrClass(
+        {mu: GrClass(d, r, terms) for mu, terms in zip(mus, classes)})))
+
+
+@given(st.integers(0, 6).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d))))
+def test_detring_characters_are_canonical(dr):
+    assert_canonical(detring_formal_character(*dr))
+
+
+@given(st.sampled_from([SCHUR, POWERSUM]), st.sampled_from([SCHUR, POWERSUM]),
+       st.dictionaries(_partitions(5), _FRACTIONS, max_size=5), st.none() | st.integers(0, 5))
+# chi^(2,2) vanishes on a 4-cycle: s_(2,2) is first reached from p_(3,1)
+@example(POWERSUM, SCHUR, {(4,): F(1), (3, 1): F(1)}, None)
+def test_basis_changes_are_canonical(basis, target, terms, truncation):
+    assert_canonical(change_basis(SymFunc(basis, terms, truncation), target))
