@@ -71,6 +71,7 @@ class GrClass(Value):
     __slots__ = ("d", "r", "terms")
 
     def __init__(self, d: int, r: int, terms: dict[Partition, int] = {}):
+        d, r = integer(d), integer(r)
         if not (0 <= r <= d):
             raise ValueError(f"need 0 <= r <= d, got r={r}, d={d}")
         Value.__init__(self, d, r, merge_terms(
@@ -149,6 +150,14 @@ def bott_pushforward(d: int, r: int, a, b) -> tuple[int, Weight] | None:
 
 def euler_schur_q(d: int, r: int, lam: Partition) -> int:
     """chi(Y, S_lam(Q)) for a partition lam with at most r rows."""
+    d, r = integer(d), integer(r)
+    return _euler_table(d, r, as_partition(_check_weight(lam, r, "a")))
+
+
+@functools.cache
+def _euler_table(d: int, r: int, lam: Partition) -> int:
+    """chi(Y, S_lam(Q)) by one Bott step per (d, r, lam), lam a partition with
+    at most r rows; `pairing` and `pushforward_module_character` read it."""
     res = bott_pushforward(d, r, lam, ())
     if res is None:
         return 0
@@ -175,7 +184,7 @@ def _lr_products(alpha: Partition, beta: Partition, r: int) -> tuple[tuple[Parti
 def pairing(poly_class: dict, f: GrClass) -> int:
     """<x, f> = chi(Y, x tensor f) for x an integer combination of [S_mu(Q)]."""
     x = [(as_partition(mu), integer(cm)) for mu, cm in poly_class.items()]
-    return sum(cm * ca * c_lr * euler_schur_q(f.d, f.r, lam)
+    return sum(cm * ca * c_lr * _euler_table(f.d, f.r, lam)
                for mu, cm in x if cm
                for alpha, ca in f.terms.items()
                for lam, c_lr in _lr_products(mu, alpha, f.r))
@@ -255,9 +264,10 @@ def pushforward_module_character(d: int, r: int, alpha, N: int) -> SymFunc:
     """Brute-force character of R pi_*(S_alpha(Q) tensor Sym(Q x V)) to degree N.
 
     Degree-n coefficient of s_nu is chi(S_alpha(Q) tensor S_nu(Q)), computed by
-    Littlewood-Richardson products followed by Bott pushforwards.
+    Littlewood-Richardson products followed by Bott pushforwards, each read off
+    the per-(d, r, lam) table `_euler_table`, shared across alpha and nu.
     """
-    alpha = as_partition(alpha)
+    d, r, alpha = integer(d), integer(r), as_partition(alpha)
     if len(alpha) > r:
         raise ValueError(f"alpha={alpha} has more than r={r} rows")
     if N < 0:
@@ -265,7 +275,7 @@ def pushforward_module_character(d: int, r: int, alpha, N: int) -> SymFunc:
     terms: dict[Partition, Fraction] = {}
     for n in range(N + 1):
         for nu in enumerate_partitions(n, max_length=r):
-            chi = sum(c_lr * euler_schur_q(d, r, lam)
+            chi = sum(c_lr * _euler_table(d, r, lam)
                       for lam, c_lr in _lr_products(alpha, nu, r))
             if chi:
                 terms[nu] = Fraction(chi)

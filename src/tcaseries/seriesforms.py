@@ -191,7 +191,8 @@ class TSeries(Value):
     __slots__ = ("truncation", "coeffs")
 
     def __init__(self, truncation: int, coeffs: dict[Partition, Fraction] = {}):
-        if integer(truncation) < 0:
+        truncation = integer(truncation)
+        if truncation < 0:
             raise ValueError("truncation must be >= 0")
         Value.__init__(self, truncation, symfunc.normalize_terms(coeffs, truncation))
 
@@ -283,7 +284,8 @@ class PoincareSeries(Value):
     __slots__ = ("d", "truncation", "parts")
 
     def __init__(self, d: int, truncation: int, parts: dict[int, Poly] = {}):
-        if integer(truncation) < 0:
+        truncation = integer(truncation)
+        if truncation < 0:
             raise ValueError("truncation must be >= 0")
         Value.__init__(self, d, truncation,
                        _layers(parts, 0, _psum, "negative homological degree"))
@@ -338,13 +340,19 @@ def phi_enhanced(f: SymFunc, N: int) -> TSeries:
     return TSeries(N, {mu: c * math.prod(mu) for mu, c in fp.terms.items() if sum(mu) <= N})
 
 
+@functools.cache
+def _pieri_row(lam: Partition, k: int, N: int) -> tuple[tuple[Partition, int], ...]:
+    """s_lam sigma_k through degree N as (mu, binom(n, k)) pairs, by the Pieri
+    rule: s_lam h_n sums s_mu over the horizontal strips mu/lam of size n
+    (Macdonald, Symmetric Functions, I (5.16)), for k <= n <= N - |lam|."""
+    return tuple((mu, b) for n in range(k, N - sum(lam) + 1)
+                 for b in [binom(n, k)] for mu in _horizontal_strips_above(lam, n))
+
+
 def _sigma_mul(terms: dict[Partition, Fraction], k: int, N: int) -> dict[Partition, Fraction]:
     """Schur-keyed `terms` times sigma_k = sum_{n>=k} binom(n,k) h_n through
-    degree N, by the Pieri rule: s_lam h_n sums s_mu over the horizontal
-    strips mu/lam of size n (Macdonald, Symmetric Functions, I (5.16))."""
-    return merge_terms((mu, c * binom(n, k)) for lam, c in terms.items()
-                       for n in range(k, N - sum(lam) + 1)
-                       for mu in _horizontal_strips_above(lam, n))
+    degree N: one scaled merge of the cached rows `_pieri_row(lam, k, N)`."""
+    return merge_terms((mu, c * b) for lam, c in terms.items() for mu, b in _pieri_row(lam, k, N))
 
 
 def sigma_expand(e: SigmaExpr, N: int) -> SymFunc:

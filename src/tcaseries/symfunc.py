@@ -70,8 +70,10 @@ class SymFunc(Value):
                  truncation: int | None = None):
         if basis not in _BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        if truncation is not None and integer(truncation) < 0:
-            raise ValueError("truncation must be >= 0")
+        if truncation is not None:
+            truncation = integer(truncation)
+            if truncation < 0:
+                raise ValueError("truncation must be >= 0")
         Value.__init__(self, basis, normalize_terms(terms, truncation), truncation)
 
     def coeff(self, lam) -> Fraction:

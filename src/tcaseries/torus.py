@@ -186,7 +186,9 @@ def sym_degree_characters(chi: LaurentPoly, N: int) -> list[LaurentPoly]:
         raise ValueError("truncation must be >= 0")
     L, (lchi,) = over_common_denominator(chi.terms)
     lc = {k: {tuple(k * x for x in e): c for e, c in lchi.items()} for k in range(1, N + 1)}
-    return [LaurentPoly(chi.d, a) for a in newton_exp(lc, L, N, _mul_terms, {(0,) * chi.d: 1})]
+    # newton_exp gives d-tuple int keys and nonzero Fractions: canonical once sorted
+    return [LaurentPoly.trusted(chi.d, dict(sorted(a.items())))
+            for a in newton_exp(lc, L, N, _mul_terms, {(0,) * chi.d: 1})]
 
 
 def _reflect(v: Exponent, spans) -> tuple[Exponent, int]:
@@ -264,7 +266,8 @@ class KernelSeries(Value):
     __slots__ = ("d", "truncation", "terms")
 
     def __init__(self, d: int, truncation: int, terms: dict[Exponent, TSeries] = {}):
-        if integer(truncation) < 0:
+        truncation = integer(truncation)
+        if truncation < 0:
             raise ValueError("truncation must be >= 0")
         clean: dict[Exponent, TSeries] = {}
         for e, s in terms.items():

@@ -34,6 +34,7 @@ from tcaseries.grassmann import (
     _lr_products,
     bott_pushforward,
     detring_formal_character,
+    euler_schur_q,
     gessel_enhanced,
     grclass_from_json,
     grclass_to_json,
@@ -100,6 +101,24 @@ def test_bott_serre_duality_spot_check():
         res = bott_pushforward(2, 1, (0,), (n,))
         got = 0 if res is None else (-1) ** res[0] * dim_schur(res[1], 2)
         assert got == 1 - n
+
+
+def test_euler_table_matches_borel_weil_and_bott():
+    # S_lam(Q) has no higher cohomology and H^0 = S_lam(C^d) (Borel-Weil):
+    # each table entry is dim_schur, and a Bott step of length 0
+    for d in range(1, 7):
+        for r in range(1, d + 1):
+            for lam in partitions_up_to(6, max_length=r):
+                assert grassmann._euler_table(d, r, lam) == dim_schur(lam, d), (d, r, lam)
+                assert bott_pushforward(d, r, lam, ()) == (0, lam + (0,) * (d - len(lam)))
+
+
+def test_euler_schur_q_validates_at_entry():
+    assert euler_schur_q(4, 2, [2, 1]) == euler_schur_q(4, 3, (2, 1, 0)) == dim_schur((2, 1), 4)
+    with pytest.raises(ValueError, match="a has length 3 > 2"):
+        euler_schur_q(4, 2, (1, 1, 1))
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        euler_schur_q(4, 2, (1, 2))
 
 
 # --- pairing -----------------------------------------------------------------
@@ -297,6 +316,40 @@ def test_pushforward_twisted_example():
     for n in range(7):
         key = (n,) if n else ()
         assert f.terms[key] == binom(2 + n, n + 1)  # dim Sym^{n+1}(C^2) ... = n+2
+
+
+def test_pushforward_shares_the_euler_table(monkeypatch):
+    # one Bott step per (d, r, lam): a second alpha steps only for the lam
+    # the first did not reach
+    grassmann._euler_table.cache_clear()
+    stepped = []
+
+    def counted(d, r, a, b, _bott=grassmann.bott_pushforward):
+        stepped.append(a)
+        return _bott(d, r, a, b)
+
+    monkeypatch.setattr(grassmann, "bott_pushforward", counted)
+    first = pushforward_module_character(4, 2, (1,), 10)
+    seen = set(stepped)
+    assert len(stepped) == len(seen)
+    del stepped[:]
+    second = pushforward_module_character(4, 2, (2,), 10)
+    assert stepped and len(stepped) == len(set(stepped)) and not seen & set(stepped)
+    monkeypatch.undo()
+    grassmann._euler_table.cache_clear()
+    assert first == pushforward_module_character(4, 2, (1,), 10)
+    assert second == pushforward_module_character(4, 2, (2,), 10)
+
+
+def test_sizes_reach_the_euler_table_as_ints():
+    # 4.0 == 4 and both hash alike: a size that entered unconverted would
+    # answer by cache order, refused cold and served warm
+    grassmann._euler_table.cache_clear()
+    cold = pushforward_module_character(4.0, 2.0, (1,), 4)
+    assert cold == pushforward_module_character(4, 2, (1,), 4)
+    assert euler_schur_q("5", 2.0, (1,)) == 5
+    g = GrClass(3.0, 1.0, {(1,): 1})
+    assert (type(g.d), type(g.r)) == (int, int) and pairing({(): 1}, g) == 3
 
 
 def test_pushforward_rejects_long_alpha():

@@ -176,6 +176,21 @@ def test_sigma_expand_product_matches_symfunc_multiply():
     assert prod == multiply(a, b)
 
 
+def test_sigma_expand_reads_cached_pieri_rows(monkeypatch):
+    # s_lam sigma_k through degree N is one cached row per (lam, k, N): a
+    # second expansion at the same N builds no row and calls no binom
+    e = sexpr(((1,), (2, 1), HALF), ((), (1, 1, 0), 1))
+    seriesforms._pieri_row.cache_clear()
+    first = sigma_expand(e, 8)
+    hits, misses = seriesforms._pieri_row.cache_info()[:2]
+    monkeypatch.setattr(seriesforms, "binom", lambda *args: pytest.fail("binom called"))
+    assert sigma_expand(e, 8) == first
+    assert seriesforms._pieri_row.cache_info()[:2] == (2 * hits + misses, misses)
+    monkeypatch.undo()
+    seriesforms._pieri_row.cache_clear()
+    assert first == sigma_expand(e, 8) == sigma_expand_powersum(e, 8)
+
+
 @st.composite
 def small_sigma_exprs(draw):
     """s-part of size <= 3, at most 3 sigma factors, indices <= 3."""

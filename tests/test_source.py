@@ -125,6 +125,15 @@ def test_grassmann_reads_schur_products_off_the_bialternant():
     assert names & {"multiply", "change_basis"} == set()
 
 
+def test_pushforward_oracle_reads_chi_through_bott():
+    # pushforward_module_character is the brute-force side of the theta
+    # check: its chi comes through Bott's algorithm, never Borel-Weil directly
+    tree = ast.parse((SRC / "grassmann.py").read_text())
+    func = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "pushforward_module_character")
+    assert "dim_schur" not in {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+
+
 def test_invariant_dimensions_use_no_weyl_integration():
     # invariant dimensions come from the Brauer-Klimyk rule on dominant
     # weights, paired by Schur's lemma with no pruning bound; the
@@ -248,6 +257,7 @@ TRUSTED_CALLERS = {
     ("seriesforms.py", "sigma_expand"),
     ("symfunc.py", "change_basis"),
     ("torus.py", "enhanced_from_equivariant"),
+    ("torus.py", "sym_degree_characters"),
 }
 
 

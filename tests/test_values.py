@@ -2,6 +2,7 @@
 
 import copy
 import inspect
+import json
 import pickle
 from fractions import Fraction as F
 
@@ -23,9 +24,11 @@ from tcaseries.seriesforms import (
     enhanced_expand,
     phi_sigma,
     sigma_expand,
+    tseries_to_json,
 )
 from tcaseries.symfunc import POWERSUM, SCHUR, SymFunc, change_basis
-from tcaseries.torus import KernelSeries, LaurentPoly, enhanced_from_equivariant
+from tcaseries.torus import (KernelSeries, LaurentPoly, enhanced_from_equivariant,
+                            sym_degree_characters)
 
 # class -> (field names in positional order, arguments of one nonzero value)
 CASES = {
@@ -216,6 +219,14 @@ def test_integral_route_is_canonical(case, N):
     assert_canonical(enhanced_from_equivariant(hilb, d, N))
 
 
+@given(st.integers(0, 3).flatmap(lambda d: st.builds(LaurentPoly, st.just(d), st.dictionaries(
+    st.lists(st.integers(-2, 2), min_size=d, max_size=d).map(tuple), _FRACTIONS,
+    max_size=4))), st.integers(0, 5))
+def test_symmetric_power_characters_are_canonical(chi, N):
+    for character in sym_degree_characters(chi, N):
+        assert_canonical(character)
+
+
 @st.composite
 def _grassmannian_classes(draw):
     """(d, r, [{alpha: coefficient}, ...]) with d <= 3 and |alpha| <= 2."""
@@ -253,3 +264,13 @@ def test_detring_characters_are_canonical(dr):
 @example(POWERSUM, SCHUR, {(4,): F(1), (3, 1): F(1)}, None)
 def test_basis_changes_are_canonical(basis, target, terms, truncation):
     assert_canonical(change_basis(SymFunc(basis, terms, truncation), target))
+
+
+@pytest.mark.parametrize("given_truncation", [2.0, "2"])
+def test_truncation_is_stored_as_an_int(given_truncation):
+    # integer() checks a truncation and its int is what is stored
+    for value in (TSeries(given_truncation, {(1,): 1}), PoincareSeries(2, given_truncation),
+                  SymFunc(SCHUR, {}, given_truncation), KernelSeries(1, given_truncation, {})):
+        assert type(value.truncation) is int and value.truncation == 2, type(value).__name__
+    text = json.dumps(tseries_to_json(TSeries(given_truncation, {(1,): 1})))
+    assert '"truncation": 2,' in text
