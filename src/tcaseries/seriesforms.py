@@ -284,7 +284,7 @@ class PoincareSeries(Value):
     __slots__ = ("d", "truncation", "parts")
 
     def __init__(self, d: int, truncation: int, parts: dict[int, Poly] = {}):
-        truncation = integer(truncation)
+        d, truncation = integer(d), integer(truncation)
         if truncation < 0:
             raise ValueError("truncation must be >= 0")
         Value.__init__(self, d, truncation,
@@ -355,20 +355,26 @@ def _sigma_mul(terms: dict[Partition, Fraction], k: int, N: int) -> dict[Partiti
     return merge_terms((mu, c * b) for lam, c in terms.items() for mu, b in _pieri_row(lam, k, N))
 
 
+@functools.cache
+def _sigma_row(mu: Partition, nu: tuple[int, ...], N: int) -> tuple[tuple[Partition, int], ...]:
+    """s_mu sigma^nu through degree N on integers as (lam, coefficient) pairs: the
+    row of nu[:-1] times sigma_{nu[-1]}, by one `_sigma_mul`. Index multisets with a
+    common prefix share its row, as the terms s^lam sigma_0^(r - l(lam)) of theta_r do."""
+    if not nu:
+        return ((mu, 1),) if sum(mu) <= N else ()
+    return tuple(_sigma_mul(dict(_sigma_row(mu, nu[:-1], N)), nu[-1], N).items())
+
+
 def sigma_expand(e: SigmaExpr, N: int) -> SymFunc:
     """Expand sigma_k -> sum_{n=k}^N binom(n,k) s_n and multiply out in the Schur
-    basis through degree N, one Pieri product per sigma factor, over a common denominator."""
+    basis through degree N: one scaled merge of the cached rows s_mu sigma^nu
+    (`_sigma_row`), one per term, over a common denominator."""
     if N < 0:
         raise ValueError("truncation must be >= 0")
     L, (terms,) = over_common_denominator(e.terms)
-    total: dict[Partition, int] = {}
-    for (mu_s, nu), c in terms.items():
-        cur = {mu_s: c}
-        for k in nu:
-            cur = _sigma_mul(cur, k, N)
-        add_into(total, cur)
-    return SymFunc.trusted(SCHUR, {lam: Fraction(c, L) for lam, c in sorted(
-        total.items(), key=lambda kv: canonical_key(kv[0])) if sum(lam) <= N}, N)
+    total = merge_terms(((lam, c * v) for (mu, nu), c in terms.items()
+                         for lam, v in _sigma_row(mu, nu, N)), canonical_key)
+    return SymFunc.trusted(SCHUR, {lam: Fraction(c, L) for lam, c in total.items()}, N)
 
 
 def sigma_recognize(f: SymFunc, r_max: int, s_deg_max: int,

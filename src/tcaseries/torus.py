@@ -11,6 +11,11 @@ the Brauer-Klimyk rule to half the degree, paired with their duals by Schur's
 lemma. Schur coefficients are read off f * x^delta by the same straightening.
 Per-degree characters come from the caller or from `sym_degree_characters`;
 both run on integers over a common denominator.
+
+Products, exponentials and Brauer-Klimyk tables key an exponent e by one signed
+packed code, sum_i e_i 2^(w (d-1-i)) in balanced digits of w bits, w from a
+bound on every exponent met: a product of monomials is one integer addition
+(Monagan and Pearce, ISSAC 2007), and codes order as their exponents do.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ class LaurentPoly(Value):
     __slots__ = ("d", "terms")
 
     def __init__(self, d: int, terms: dict[Exponent, Fraction] = {}):
+        d = integer(d)
         if d < 0:
             raise ValueError("need d >= 0")
         terms = merge_terms((_exponent(e, d), Fraction(c)) for e, c in terms.items())
@@ -93,10 +99,46 @@ class LaurentPoly(Value):
         return sum(self.terms.values(), Fraction(0))
 
 
+def _width(bound: int) -> int:
+    """Bits of a balanced digit that holds every entry of absolute value <= bound."""
+    return bound.bit_length() + 1
+
+
+def _bound(terms: dict) -> int:
+    """The largest absolute value of an entry of an exponent of `terms`."""
+    return max((abs(x) for e in terms for x in e), default=0)
+
+
+def _code(e, w: int) -> int:
+    code = 0
+    for x in e:
+        code = (code << w) + x
+    return code
+
+
+def _codes(terms: dict, w: int) -> dict[int, object]:
+    return {_code(e, w): c for e, c in terms.items()}
+
+
+def _decode(code: int, d: int, w: int) -> Exponent:
+    """The exponent of d entries whose code of width w is `code`."""
+    half, mask, out = 1 << (w - 1), (1 << w) - 1, [0] * d
+    for i in range(d - 1, -1, -1):
+        out[i] = x = ((code + half) & mask) - half
+        code = (code - x) >> w
+    return tuple(out)
+
+
+def _code_mul(a: dict, b: dict) -> dict:
+    """Product of two code-keyed term dicts: one integer addition per pair."""
+    return merge_terms((x + y, c * v) for x, c in a.items() for y, v in b.items())
+
+
 def _mul_terms(a: dict, b: dict) -> dict:
-    """Product of two exponent-keyed term dicts, int or Fraction valued."""
-    return merge_terms((tuple(x + y for x, y in zip(ea, eb)), ca * cb)
-                       for ea, ca in a.items() for eb, cb in b.items())
+    """Product of two exponent-keyed term dicts, int or Fraction valued, on codes."""
+    d, w = len(next(iter(a), ())), _width(_bound(a) + _bound(b))
+    out = _code_mul(_codes(a, w), _codes(b, w))
+    return {_decode(x, d, w): out[x] for x in sorted(out)}
 
 
 def constant_term(f: LaurentPoly) -> Fraction:
@@ -122,21 +164,29 @@ def delta_squared(d: int) -> LaurentPoly:
     return LaurentPoly(d, _mul_terms(dl, {tuple(-x for x in e): c for e, c in dl.items()}))
 
 
-def _weighted(f: LaurentPoly, d: int) -> tuple[int, dict]:
-    """(L, L f |Delta|^2 in int terms), L the common denominator of f."""
+@functools.cache
+def _delta_squared_codes(d: int, w: int) -> dict[int, int]:
+    return {_code(e, w): int(c) for e, c in delta_squared(d).terms.items()}
+
+
+def _weighted(f: LaurentPoly, d: int, bound: int) -> tuple[int, int, dict[int, int]]:
+    """(L, w, W): W = L f |Delta|^2 on integers, L the common denominator of f,
+    keyed by codes of width w that hold every exponent of W (|Delta|^2 has
+    entries in [1-d, d-1]) and any up to `bound`, at which a caller reads W."""
     if f.d != d:
         raise ValueError(f"inputs must have {d} variables")
     L, (terms,) = over_common_denominator(f.terms)
-    return L, _mul_terms(terms, {e: int(c) for e, c in delta_squared(d).terms.items()})
+    w = _width(max(bound, _bound(terms) + max(d - 1, 0)))
+    return L, w, _code_mul(_codes(terms, w), _delta_squared_codes(d, w))
 
 
 def weyl_inner(f: LaurentPoly, g: LaurentPoly, d: int) -> Fraction:
     """(1/d!) CT(f * bar(g) * |Delta|^2): the GL(d) invariant inner product."""
     if g.d != d:
         raise ValueError(f"inputs must have {d} variables")
-    L, w = _weighted(f, d)
-    # CT(w * bar(g)) = sum_e w[e] g[e], without forming the product
-    return Fraction(sum(c * g.terms.get(e, 0) for e, c in w.items()), L * factorial(d))
+    L, w, W = _weighted(f, d, _bound(g.terms))
+    # CT(W * bar(g)) = sum_e W[e] g[e], without forming the product
+    return Fraction(sum(c * W.get(_code(e, w), 0) for e, c in g.terms.items()), L * factorial(d))
 
 
 def power_sum_lp(k: int, d: int) -> LaurentPoly:
@@ -181,14 +231,16 @@ def schur_coefficients(f: LaurentPoly) -> dict[Partition, Fraction]:
 def sym_degree_characters(chi: LaurentPoly, N: int) -> list[LaurentPoly]:
     """Characters of Sym^n(E) for n <= N from the character of E: exp of
     sum_k p_k / k with p_k = chi(alpha^k), by polyutil.newton_exp on
-    lc[k] = p_k(L chi) for L the common denominator of chi, over the integers."""
+    lc[k] = p_k(L chi) for L the common denominator of chi, over the integers, on
+    codes: no entry of Sym^n exceeds n times chi's, and code(k e) = k code(e)."""
     if N < 0:
         raise ValueError("truncation must be >= 0")
     L, (lchi,) = over_common_denominator(chi.terms)
-    lc = {k: {tuple(k * x for x in e): c for e, c in lchi.items()} for k in range(1, N + 1)}
-    # newton_exp gives d-tuple int keys and nonzero Fractions: canonical once sorted
-    return [LaurentPoly.trusted(chi.d, dict(sorted(a.items())))
-            for a in newton_exp(lc, L, N, _mul_terms, {(0,) * chi.d: 1})]
+    w = _width(N * _bound(lchi))
+    lc = {k: {k * x: c for x, c in _codes(lchi, w).items()} for k in range(1, N + 1)}
+    # decoded in code order, the terms are canonical: sorted keys, nonzero Fractions
+    return [LaurentPoly.trusted(chi.d, {_decode(x, chi.d, w): a[x] for x in sorted(a)})
+            for a in newton_exp(lc, L, N, _code_mul, {0: 1})]
 
 
 def _reflect(v: Exponent, spans) -> tuple[Exponent, int]:
@@ -225,6 +277,12 @@ def invariant_dimensions(group: list[tuple[str, int]], weights: LaurentPoly,
     then exactly one, so dims[a + b] = sum_lam m_a[lam] m_b[lam*]: the rule runs
     to ceil(n_max / 2) only. The dual key of v is (k-1) - reversed(v) on each
     block, shifted to end in 0 on an SL block.
+
+    On codes, a step merges the sums of keys and weights and straightens each
+    distinct vector once per call; a dual key is code(top) - v, straightened.
+    With K the largest k - 1 and M the largest weight entry, keys after j steps
+    have entries of absolute value <= K + 2jM (an SL shift adds at most 2M), so
+    2(K + ceil(n_max / 2) M) bounds every vector met, sums and duals included.
     """
     spans, pos = [], 0
     for kind, k in group:
@@ -238,21 +296,30 @@ def invariant_dimensions(group: list[tuple[str, int]], weights: LaurentPoly,
     if weights.d != pos:
         raise ValueError(f"weights must have {pos} variables")
     terms = weights.terms
-    mus = [(e, integer(c)) for e, c in terms.items()]
-    if any(terms.get(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) != c for e, c in mus
+    if any(terms.get(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) != c for e, c in terms.items()
            for lo, hi, _ in spans for i in range(lo, hi - 1)):
         raise ValueError("weights must be invariant under permutations within each block")
     rho = tuple(hi - 1 - i for lo, hi, _ in spans for i in range(lo, hi))
     top = tuple(hi - lo - 1 for lo, hi, _ in spans for _ in range(lo, hi))
-    tables = [{rho: 1}]
-    for _ in range((n_max + 1) // 2):
-        tables.append(merge_terms(
-            (w, sign * c * m) for v, c in tables[-1].items() for mu, m in mus
-            for w, sign in [_reflect(tuple(x + y for x, y in zip(v, mu)), spans)]))
+    steps = (n_max + 1) // 2
+    w = _width(2 * (max(top, default=0) + steps * _bound(terms)))
+
+    @functools.cache
+    def reflect(x: int) -> tuple[int, int]:
+        v, sign = _reflect(_decode(x, pos, w), spans)
+        return _code(v, w), sign
+
+    mus = [(x, integer(c)) for x, c in _codes(terms, w).items()]
+    tables = [{_code(rho, w): 1}]
+    for _ in range(steps):
+        sums = merge_terms((v + mu, c * m) for v, c in tables[-1].items() for mu, m in mus)
+        tables.append(merge_terms((x, sign * c) for v, c in sums.items()
+                                  for x, sign in [reflect(v)]))
+    dual = _code(top, w)
     dims = []
     for n in range(n_max + 1):
         half = tables[n - n // 2]
-        dims.append(sum(c * half.get(_reflect(tuple(t - x for t, x in zip(top, v)), spans)[0], 0)
+        dims.append(sum(c * half.get(reflect(dual - v)[0], 0)
                         for v, c in tables[n // 2].items()))
         if dims[-1] < 0:
             raise ValueError(f"negative invariant dimension {dims[-1]} at n={n}: "
@@ -266,7 +333,7 @@ class KernelSeries(Value):
     __slots__ = ("d", "truncation", "terms")
 
     def __init__(self, d: int, truncation: int, terms: dict[Exponent, TSeries] = {}):
-        truncation = integer(truncation)
+        d, truncation = integer(d), integer(truncation)
         if truncation < 0:
             raise ValueError("truncation must be >= 0")
         clean: dict[Exponent, TSeries] = {}
@@ -299,9 +366,11 @@ def kernel_K(d: int, N: int) -> KernelSeries:
 def enhanced_from_equivariant(hilb, d: int, N: int) -> TSeries:
     """Integral route to the enhanced Hilbert series: the coefficient of t^lam
     is weyl_inner(ch, p_lam) / lam! for ch the character of degree |lam|: W = L ch
-    |Delta|^2, formed once per degree on integers and summed by the partition of
-    each exponent >= 0 (p_lam has no other), paired with the rows [m_nu] p_lam of
-    partitions._power_sum_to_monomial, one Fraction over L d! lam! per coefficient.
+    |Delta|^2, formed once per degree on integers and codes. p_lam has exponents
+    >= 0 only, so W is read only at the codes of the permutations of each
+    partition nu of |lam| in at most d parts, cached per (|lam|, d, w), and
+    paired with the rows [m_nu] p_lam of partitions._power_sum_to_monomial, one
+    Fraction over L d! lam! per coefficient.
 
     `hilb` is a sequence of LaurentPoly degree-n characters of M(C^d) for
     n = 0..N (entries may be None for zero).
@@ -313,15 +382,22 @@ def enhanced_from_equivariant(hilb, d: int, N: int) -> TSeries:
     folded: dict[int, tuple[int, dict[Partition, int]]] = {}
     for n, ch in enumerate(hilb[:N + 1]):
         if ch is not None:
-            L, w = _weighted(ch, d)
-            folded[n] = L, merge_terms((tuple(sorted((x for x in e if x), reverse=True)), c)
-                                       for e, c in w.items() if min(e, default=0) >= 0)
+            L, w, W = _weighted(ch, d, N)
+            folded[n] = L * factorial(d), {nu: sum(W.get(x, 0) for x in codes)
+                                           for nu, codes in _orbit_codes(n, d, w)}
     coeffs: dict[Partition, Fraction] = {}
     for lam, fact, row in _power_sum_to_monomial(d, N):
-        L, w = folded.get(sum(lam), (1, {}))
-        if c := sum(m * w.get(nu, 0) for nu, m in row):
-            coeffs[lam] = Fraction(c, L * factorial(d) * fact)
+        den, fold = folded.get(sum(lam), (1, {}))
+        if c := sum(m * fold.get(nu, 0) for nu, m in row):
+            coeffs[lam] = Fraction(c, den * fact)
     return TSeries.trusted(N, coeffs)
+
+
+@functools.cache
+def _orbit_codes(n: int, d: int, w: int) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
+    """(nu, codes of the permutations of nu padded to d entries) for each nu |- n, l(nu) <= d."""
+    pads = ((nu, nu + (0,) * (d - len(nu))) for nu in enumerate_partitions(n, max_length=d))
+    return tuple((nu, tuple({_code(e, w) for e in itertools.permutations(x)})) for nu, x in pads)
 
 
 def hilbert_from_weight_presentation(A, b, N: int) -> list[Fraction]:

@@ -541,11 +541,11 @@ def detring_delta_squared(d: int, r: int):
     from tcaseries.partitions import partition_factorial, partitions_up_to
     from tcaseries.polyutil import binom
     from tcaseries.seriesforms import SigmaExpr
-    from tcaseries.torus import _delta, _mul_terms
+    from tcaseries.torus import _delta
     g = {e: math.prod(binom(d - r, k) for k in e)
          for e in itertools.product(range(d - r + 1), repeat=r)}
     delta = _delta(r)
-    g_delta = _mul_terms(g, delta)
+    g_delta = poly_mul(g, delta)
     terms = {}
     for lam in partitions_up_to(r * (d - r), max_length=r, max_part=d - 1):
         e = lam + (0,) * (r - len(lam))

@@ -177,16 +177,22 @@ def test_sigma_expand_product_matches_symfunc_multiply():
 
 
 def test_sigma_expand_reads_cached_pieri_rows(monkeypatch):
-    # s_lam sigma_k through degree N is one cached row per (lam, k, N): a
-    # second expansion at the same N builds no row and calls no binom
+    # s_mu sigma^nu through degree N is one cached row per (mu, nu, N), built
+    # from the row of each prefix of nu and cached Pieri rows: a second
+    # expansion at the same N builds no row of either kind and calls no binom
     e = sexpr(((1,), (2, 1), HALF), ((), (1, 1, 0), 1))
+    seriesforms._sigma_row.cache_clear()
     seriesforms._pieri_row.cache_clear()
     first = sigma_expand(e, 8)
-    hits, misses = seriesforms._pieri_row.cache_info()[:2]
+    built = seriesforms._sigma_row.cache_info().misses, seriesforms._pieri_row.cache_info().misses
+    # one row per prefix: (1,) with (), (2,), (2, 1); () with (), (1,), (1, 1), (1, 1, 0)
+    assert built[0] == 7
     monkeypatch.setattr(seriesforms, "binom", lambda *args: pytest.fail("binom called"))
     assert sigma_expand(e, 8) == first
-    assert seriesforms._pieri_row.cache_info()[:2] == (2 * hits + misses, misses)
+    assert (seriesforms._sigma_row.cache_info().misses,
+            seriesforms._pieri_row.cache_info().misses) == built
     monkeypatch.undo()
+    seriesforms._sigma_row.cache_clear()
     seriesforms._pieri_row.cache_clear()
     assert first == sigma_expand(e, 8) == sigma_expand_powersum(e, 8)
 

@@ -97,6 +97,40 @@ def test_mismatched_variable_count_raises():
         LaurentPoly(2, {(1,): F(1)})
 
 
+# Exponent entries for the packed-code kernels: small ones mixed with entries
+# up to +-2^20, where a code narrower than the bound would alias two exponents
+# without any error
+WIDE = st.one_of(st.integers(-2, 2), st.sampled_from([2**20, -2**20, 2**20 - 1, 1 - 2**20]),
+                 st.integers(-2**20, 2**20))
+COEFFS = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def laurent_pairs(draw):
+    """(d, a, b): d <= 3 (0 included) and two term dicts of up to four terms,
+    each possibly empty, with entries from WIDE."""
+    d = draw(st.integers(0, 3))
+    terms = st.dictionaries(st.tuples(*[WIDE] * d), COEFFS, max_size=4)
+    return d, draw(terms), draw(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_pairs())
+def test_laurent_products_match_tuple_keyed_oracle(case):
+    # products run on signed packed codes; the oracle adds exponent tuples.
+    # Terms compare in order: codes order as their exponents do
+    d, a, b = case
+    got, want = LaurentPoly(d, a) * LaurentPoly(d, b), LaurentPoly(d, poly_mul(a, b))
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_laurent_products_keep_far_exponents_apart():
+    # at the 22-bit width that holds the factors' entries, y^(2^21) and
+    # x y^(-2^21) share a code and would cancel: the product needs one bit more
+    f = lp(2, {(0, 2**20): 1, (1, -2**20): -1}) * lp(2, {(0, 2**20): 1, (0, -2**20): 1})
+    assert f.terms == {(0, 2**21): 1, (0, 0): 1, (1, 0): -1, (1, -2**21): -1}
+
+
 # --- Weyl inner product ------------------------------------------------------
 
 
@@ -272,15 +306,16 @@ def _orbit(e, group):
 
 
 @st.composite
-def weyl_invariant_characters(draw):
+def weyl_invariant_characters(draw, entries=st.integers(-1, 1), orbits=st.integers(1, 2)):
     """(group, character, n_max): gl/sl blocks of total rank <= 4 (none: the
-    trivial group) and an integer sum of one or two orbits, some with
-    negative multiplicity, so that some characters are virtual."""
+    trivial group) and an integer sum of `orbits` orbits with exponent entries
+    from `entries`, some with negative multiplicity, so that some characters
+    are virtual."""
     ranks = draw(st.lists(st.integers(1, 4), max_size=4).filter(lambda r: sum(r) <= 4))
     group = [(draw(st.sampled_from(["gl", "sl"])), k) for k in ranks]
     chi: dict = {}
-    for _ in range(draw(st.integers(1, 2))):
-        e = tuple(draw(st.lists(st.integers(-1, 1), min_size=sum(ranks), max_size=sum(ranks))))
+    for _ in range(draw(orbits)):
+        e = tuple(draw(st.lists(entries, min_size=sum(ranks), max_size=sum(ranks))))
         m = draw(st.sampled_from([1, 1, 2, -1]))
         for o in _orbit(e, group):
             chi[o] = chi.get(o, 0) + m
@@ -307,6 +342,44 @@ def test_invariant_dimensions_match_constant_term_oracle(case):
         assert isinstance(got, str) and got.startswith(want)
     else:
         assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(weyl_invariant_characters(WIDE, st.integers(0, 2)))
+def test_invariant_dimensions_with_far_weights_match_constant_term_oracle(case):
+    # the Brauer-Klimyk tables are keyed by codes whose width comes from a
+    # bound on the keys, their sums with weights and their duals; far weights
+    # (and none at all, and the trivial group) against the tuple-keyed oracle
+    group, chi, n_max = case
+    want = _result_or_error(invariant_dimensions_ct, group, chi, min(n_max, 4))
+    got = _result_or_error(invariant_dimensions, group,
+                           LaurentPoly(sum(k for _, k in group), chi), min(n_max, 4))
+    if isinstance(want, str):
+        assert isinstance(got, str) and got.startswith(want)
+    else:
+        assert got == want
+
+
+def test_invariant_dimensions_straighten_each_vector_once(monkeypatch):
+    # each distinct vector (a key plus a weight, or a dual key) is straightened
+    # once per call, however many products and steps reach it
+    import tcaseries.torus as torus
+    chi = lp(4, {(1, 0, 1, 0): 1, (1, 0, 0, 1): 1, (0, 1, 1, 0): 1, (0, 1, 0, 1): 1})
+    calls = []
+
+    def counted(*args, _original=torus._reflect):
+        calls.append(args[0])
+        return _original(*args)
+
+    monkeypatch.setattr(torus, "_reflect", counted)
+    dims = invariant_dimensions([("sl", 2), ("sl", 2)], chi, 36)
+    assert len(calls) == len(set(calls)) > 0
+    calls.clear()
+    assert invariant_dimensions([("sl", 2), ("sl", 2)], chi, 36) == dims
+    assert len(calls) == len(set(calls)) > 0
+    monkeypatch.undo()
+    catalan = [binom(2 * m, m) // (m + 1) for m in range(19)]
+    assert dims == [catalan[n // 2] ** 2 if n % 2 == 0 else 0 for n in range(37)]
 
 
 # --- kernel series -----------------------------------------------------------
@@ -446,6 +519,24 @@ def test_sym_degree_characters_match_binomial_series(case):
     # and dividing Sym^n by L^n would be wrong here
     chi, N = case
     assert sym_degree_characters(chi, N) == sym_powers_binomial(chi, N)
+
+
+@st.composite
+def far_characters(draw):
+    """(chi, N): d <= 3 (0 included), N <= 4, up to three terms, possibly none,
+    with entries from WIDE and signed coefficients of denominator up to 3."""
+    d, N = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    return LaurentPoly(d, draw(st.dictionaries(st.tuples(*[WIDE] * d), COEFFS, max_size=3))), N
+
+
+@settings(max_examples=100, deadline=None)
+@given(far_characters())
+def test_sym_degree_characters_with_far_exponents_match_binomial_series(case):
+    # Newton's recurrence runs on codes wide enough for N times the largest
+    # entry of chi; terms compare in order, as the package decodes in code order
+    chi, N = case
+    got, want = sym_degree_characters(chi, N), sym_powers_binomial(chi, N)
+    assert [list(f.terms.items()) for f in got] == [list(f.terms.items()) for f in want]
 
 
 def test_sym_degree_characters_of_half_a_line():

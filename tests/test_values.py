@@ -27,7 +27,7 @@ from tcaseries.seriesforms import (
     tseries_to_json,
 )
 from tcaseries.symfunc import POWERSUM, SCHUR, SymFunc, change_basis
-from tcaseries.torus import (KernelSeries, LaurentPoly, enhanced_from_equivariant,
+from tcaseries.torus import (KernelSeries, LaurentPoly, enhanced_from_equivariant, lp_to_json,
                             sym_degree_characters)
 
 # class -> (field names in positional order, arguments of one nonzero value)
@@ -274,3 +274,15 @@ def test_truncation_is_stored_as_an_int(given_truncation):
         assert type(value.truncation) is int and value.truncation == 2, type(value).__name__
     text = json.dumps(tseries_to_json(TSeries(given_truncation, {(1,): 1})))
     assert '"truncation": 2,' in text
+
+
+@pytest.mark.parametrize("given_d", [2.0, "2"])
+def test_variable_count_is_stored_as_an_int(given_d):
+    # integer() checks a variable count and its int is what is stored
+    for value in (LaurentPoly(given_d, {(1, 0): 1}), PoincareSeries(given_d, 3),
+                  KernelSeries(given_d, 1, {(1, 0): TSeries(1, {(1,): 1})})):
+        assert type(value.d) is int and value.d == 2, type(value).__name__
+    chi = LaurentPoly(given_d, {(1, 0): 1})
+    assert sym_degree_characters(chi, 2) == [LaurentPoly(2, {(0, 0): 1}), chi,
+                                             LaurentPoly(2, {(2, 0): 1})]
+    assert '"d": 2,' in json.dumps(lp_to_json(chi))
