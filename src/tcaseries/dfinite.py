@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .polyutil import Poly, cleared, echelon, falling, over_common_denominator, ptrim, residues
+from .polyutil import (Poly, cleared, echelon, falling, over_common_denominator, ptrim,
+                       residues, size)
 # perfbench/tracing.py wraps dfinite._nullspace by this name
 from .polyutil import nullspace as _nullspace
 from .seriesforms import OdeOperator
@@ -33,8 +34,7 @@ _MARGIN = 10  # equations beyond the unknowns of the largest system: a miss is t
 
 def needed_length(max_order: int, max_degree: int) -> int:
     """Coefficients required before a failed search may return None."""
-    if max_order < 1 or max_degree < 0:
-        raise ValueError("need max_order >= 1 and max_degree >= 0")
+    max_order, max_degree = size(max_order, "max_order", 1), size(max_degree, "max_degree")
     return (max_order + 1) * (max_degree + 1) + max_order + _MARGIN
 
 
@@ -101,6 +101,7 @@ def guess_ode(coeffs: CoeffSeries, max_order: int = 6, max_degree: int = 8,
     coefficient of the leading polynomial; operators singular at the origin
     are returned in cleared Frobenius form (a polynomial in t*d/dt), which may
     raise the reported degree above that of the raw minimal solution."""
+    max_order, max_degree = size(max_order, "max_order", 1), size(max_degree, "max_degree")
     need = needed_length(max_order, max_degree)
     if len(coeffs) < need:
         raise ValueError(

@@ -30,7 +30,7 @@ from .partitions import (
     parse_partition,
 )
 from .polyutil import (
-    Value, add_into, binom, factorial, integer, json_int, linear_form_det, merge_terms)
+    Value, add_into, binom, factorial, integer, json_int, linear_form_det, merge_terms, size)
 from .symfunc import SCHUR, SymFunc
 from .seriesforms import (
     EnhancedExpr,
@@ -71,11 +71,17 @@ class GrClass(Value):
     __slots__ = ("d", "r", "terms")
 
     def __init__(self, d: int, r: int, terms: dict[Partition, int] = {}):
-        d, r = integer(d), integer(r)
-        if not (0 <= r <= d):
-            raise ValueError(f"need 0 <= r <= d, got r={r}, d={d}")
+        d, r = _shape(d, r)
         Value.__init__(self, d, r, merge_terms(
             ((_class_key(alpha, r), integer(c)) for alpha, c in terms.items()), canonical_key))
+
+
+def _shape(d, r) -> tuple[int, int]:
+    """(d, r) read as sizes, with 0 <= r <= d."""
+    d, r = size(d, "d"), size(r, "r")
+    if r > d:
+        raise ValueError(f"need 0 <= r <= d, got r={r}, d={d}")
+    return d, r
 
 
 def _class_key(alpha, r: int) -> Partition:
@@ -137,6 +143,7 @@ def bott_pushforward(d: int, r: int, a, b) -> tuple[int, Weight] | None:
     GL_d-representation of highest weight w; the Euler characteristic
     contribution is (-1)^l dim S_w(C^d).
     """
+    d, r = _shape(d, r)
     a = _check_weight(a, r, "a")
     b = _check_weight(b, d - r, "b")
     rho = tuple(d - 1 - i for i in range(d))
@@ -150,7 +157,7 @@ def bott_pushforward(d: int, r: int, a, b) -> tuple[int, Weight] | None:
 
 def euler_schur_q(d: int, r: int, lam: Partition) -> int:
     """chi(Y, S_lam(Q)) for a partition lam with at most r rows."""
-    d, r = integer(d), integer(r)
+    d, r = _shape(d, r)
     return _euler_table(d, r, as_partition(_check_weight(lam, r, "a")))
 
 
@@ -203,7 +210,7 @@ def m_shifted_class(lam, r: int, kind: str = "monomial") -> dict[Partition, int]
     S_lam^{(r)} with kind="schur") evaluated at [Q], expanded over [S_mu(Q)]:
     the Schur coefficients of m_lam(x_1 - 1, ..., x_r - 1) (or s_lam).
     """
-    lam = as_partition(lam)
+    lam, r = as_partition(lam), size(r, "r")
     if len(lam) > r:
         raise ValueError(f"partition {lam} has more than r={r} rows")
     if kind == "monomial":
@@ -267,11 +274,9 @@ def pushforward_module_character(d: int, r: int, alpha, N: int) -> SymFunc:
     Littlewood-Richardson products followed by Bott pushforwards, each read off
     the per-(d, r, lam) table `_euler_table`, shared across alpha and nu.
     """
-    d, r, alpha = integer(d), integer(r), as_partition(alpha)
+    (d, r), alpha, N = _shape(d, r), as_partition(alpha), size(N, "truncation")
     if len(alpha) > r:
         raise ValueError(f"alpha={alpha} has more than r={r} rows")
-    if N < 0:
-        raise ValueError("truncation must be >= 0")
     terms: dict[Partition, Fraction] = {}
     for n in range(N + 1):
         for nu in enumerate_partitions(n, max_length=r):
@@ -289,8 +294,7 @@ def detring_formal_character(d: int, r: int) -> SigmaExpr:
     of |Delta|^2 over the rearrangements of lam, multilinearity in the rows makes
     it the coefficient of s^lam in the Toeplitz determinant det(sum_k s_k binom(d-r, k+b-a)).
     """
-    if not (0 <= r <= d):
-        raise ValueError(f"need 0 <= r <= d, got r={r}, d={d}")
+    d, r = _shape(d, r)
     # the row binom(n, j), j = 0..n, by binom(n, j + 1) = binom(n, j) (n - j) / (j + 1)
     n = d - r
     row = list(itertools.accumulate(range(n), lambda c, j: c * (n - j) // (j + 1), initial=1))
@@ -312,10 +316,9 @@ def gessel_enhanced(d: int, r: int, N: int) -> TSeries:
     on d, the rest is `partitions._power_sum_to_monomial`, built once per (r, N).
     For r >= d the rank condition is vacuous: the series is the one at r = d.
     """
-    if d < 1 or r < 1:
+    d, r, N = size(d, "d"), size(r, "r"), size(N, "truncation")
+    if 0 in (d, r):
         raise ValueError(f"need d >= 1 and r >= 1, got d={d}, r={r}")
-    if N < 0:
-        raise ValueError("truncation must be >= 0")
     r = min(r, d)
     weights = {tuple(n for n in ks if n): D for ks, D in linear_form_det(r, lambda a, b: {
         n: binom(n + b - a + d - 1, n + b - a) for n in range(max(0, a - b), N + 1)}, N).items()}
@@ -342,8 +345,7 @@ def rank1_enhanced_closed(d: int) -> EnhancedExpr:
     (s^{d-1}/(d-1)!) exp(s t_1 + s^2 t_2 + ...) at s = 1, as a T-polynomial
     times exp(T_0). Substitutes v_k = f^{(k)}(1) = k! T_k into Bell polynomials.
     """
-    if d < 1:
-        raise ValueError("need d >= 1")
+    d = size(d, "d", 1)
     fs = _bell_polynomials(d - 1)
     poly: TTPoly = {}
     for j in range(d):

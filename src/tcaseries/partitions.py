@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .polyutil import factorial, integer, merge_terms
+from .polyutil import factorial, integer, merge_terms, size
 
 Partition = tuple[int, ...]
 
@@ -80,9 +80,9 @@ def canonical_key(lam: Partition):
 
 def enumerate_partitions(n: int, max_length: int | None = None,
                          max_part: int | None = None) -> list[Partition]:
-    """All partitions of n in reverse lexicographic order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    """All partitions of n in reverse lexicographic order; a negative bound
+    admits no part."""
+    n = size(n, "n")
     bound_len = n if max_length is None else min(max_length, n)
     bound_part = n if max_part is None else min(max_part, n)
     out: list[Partition] = []
@@ -91,7 +91,7 @@ def enumerate_partitions(n: int, max_length: int | None = None,
         if remaining == 0:
             out.append(tuple(prefix))
             return
-        if len(prefix) == bound_len:
+        if len(prefix) >= bound_len:
             return
         for p in range(min(largest, remaining), 0, -1):
             prefix.append(p)
@@ -106,13 +106,14 @@ def partitions_up_to(n: int, max_length: int | None = None,
                      max_part: int | None = None) -> list[Partition]:
     """All partitions of size 0..n, canonically ordered."""
     out: list[Partition] = []
-    for k in range(n + 1):
+    for k in range(size(n, "n") + 1):
         out.extend(enumerate_partitions(k, max_length, max_part))
     return out
 
 
 def partitions_in_box(rows: int, cols: int) -> list[Partition]:
     """All partitions fitting in a rows x cols box, canonically ordered."""
+    rows, cols = size(rows, "rows"), size(cols, "cols")
     return partitions_up_to(rows * cols, max_length=rows, max_part=cols)
 
 
@@ -197,7 +198,7 @@ def dim_schur(weight, d: int) -> int:
     Accepts a partition (padded with zeros) or a full length-d weakly
     decreasing integer vector, possibly with negative entries.
     """
-    w = tuple(weight)
+    w, d = tuple(weight), size(d, "d")
     if len(w) > d:
         if all(x >= 0 for x in w):
             return 0

@@ -9,9 +9,11 @@ modulo a prime, full column rank proves a nullspace trivial (``residues``
 picks the prime of guess_ode's rank filter). Also its one merge kernel
 for sparse term dicts, ``merge_terms`` and ``add_into`` (kernels run them on
 integers: ``over_common_denominator``, or ``cleared`` for a sequence), its one
-exponential, ``newton_exp``, its one integrality check, ``integer``, and the
-number checks of JSON readers, ``json_fraction`` and ``json_int``. And ``Value``,
-the immutable base of value classes, with its one trusted constructor; its one
+exponential, ``newton_exp``, its one integrality check, ``integer``, its one
+size check, ``size``, through which every public entry reads each dimension,
+rank, truncation, count and degree cap it takes, and the number checks of JSON
+readers, ``json_fraction`` and ``json_int``. And ``Value``, the immutable
+base of value classes, with its one trusted constructor; its one
 determinant, ``linear_form_det``; and ``multiset_mul``, its one product of
 multisets, on ``multiset_code``s, read back in canonical order by ``multiset_terms``:
 a union of multisets is one integer addition (Monagan and Pearce, CASC 2007).
@@ -134,6 +136,15 @@ def integer(v) -> int:
     n = int(v.real if isinstance(v, complex) else v)
     if n != v and not isinstance(v, str):
         raise ValueError(f"{v!r} is not an integer")
+    return n
+
+
+def size(v, name: str, low: int = 0) -> int:
+    """The size v (a dimension, rank, truncation, count or degree cap) as an int,
+    read through `integer`, so 2.0 and "2" are 2; refused below `low`."""
+    n = v if type(v) is int else integer(v)
+    if n < low:
+        raise ValueError(f"{name} must be >= {low}")
     return n
 
 

@@ -66,6 +66,7 @@ from .polyutil import (
     pdeg,
     pscale,
     ptrim,
+    size,
 )
 from . import symfunc
 from .symfunc import POWERSUM, SCHUR, SymFunc
@@ -175,8 +176,7 @@ class ExpPoly(Value):
 
 def exppoly_taylor(h: ExpPoly, N: int) -> list[Fraction]:
     """First N+1 Taylor coefficients of sum_r p_r(t) e^{rt}."""
-    if N < 0:
-        raise ValueError("truncation must be >= 0")
+    N = size(N, "truncation")
     out = [Fraction(0)] * (N + 1)
     for r, p in h.parts.items():
         for j, c in enumerate(p):
@@ -191,9 +191,7 @@ class TSeries(Value):
     __slots__ = ("truncation", "coeffs")
 
     def __init__(self, truncation: int, coeffs: dict[Partition, Fraction] = {}):
-        truncation = integer(truncation)
-        if truncation < 0:
-            raise ValueError("truncation must be >= 0")
+        truncation = size(truncation, "truncation")
         Value.__init__(self, truncation, symfunc.normalize_terms(coeffs, truncation))
 
     def coeff(self, lam) -> Fraction:
@@ -221,6 +219,7 @@ class TSeries(Value):
 
 def ts_exp(s: TSeries, N: int) -> TSeries:
     """exp of a TSeries with no constant term, truncated at N <= its truncation."""
+    N = size(N, "truncation")
     if s.truncation < N:
         raise ValueError(f"input truncated at {s.truncation} < {N}")
     return TSeries(N, symfunc.graded_exp(s.coeffs, N))
@@ -284,10 +283,7 @@ class PoincareSeries(Value):
     __slots__ = ("d", "truncation", "parts")
 
     def __init__(self, d: int, truncation: int, parts: dict[int, Poly] = {}):
-        d, truncation = integer(d), integer(truncation)
-        if truncation < 0:
-            raise ValueError("truncation must be >= 0")
-        Value.__init__(self, d, truncation,
+        Value.__init__(self, size(d, "d"), size(truncation, "truncation"),
                        _layers(parts, 0, _psum, "negative homological degree"))
 
 
@@ -302,7 +298,7 @@ class CharPolyForm(Value):
     __slots__ = ("m", "entries", "threshold")
 
     def __init__(self, m: int, entries: dict[int, TTPoly] = {}, threshold: int = -1):
-        entries = _layers(entries, 1, tt_terms, "entries are indexed by i >= 1")
+        m, entries = size(m, "m"), _layers(entries, 1, tt_terms, "entries are indexed by i >= 1")
         for i, poly in entries.items():
             for (_, Tpart) in poly:
                 if sum(Tpart) > i * (m - i):
@@ -319,8 +315,7 @@ def ex_specialize(f: SymFunc, N: int) -> list[Fraction]:
 
     Returns EGF coefficients [t^0] .. [t^N].
     """
-    if N < 0:
-        raise ValueError("truncation must be >= 0")
+    N = size(N, "truncation")
     if f.truncation is not None and f.truncation < N:
         raise ValueError(f"input truncated at {f.truncation} < {N}")
     fs = symfunc.change_basis(f, SCHUR)
@@ -334,6 +329,7 @@ def ex_specialize(f: SymFunc, N: int) -> list[Fraction]:
 
 def phi_enhanced(f: SymFunc, N: int) -> TSeries:
     """Enhanced specialization phi: p_n -> n t_n, so s_lam -> X_lam."""
+    N = size(N, "truncation")
     if f.truncation is not None and f.truncation < N:
         raise ValueError(f"input truncated at {f.truncation} < {N}")
     fp = symfunc.change_basis(f, POWERSUM)
@@ -369,8 +365,7 @@ def sigma_expand(e: SigmaExpr, N: int) -> SymFunc:
     """Expand sigma_k -> sum_{n=k}^N binom(n,k) s_n and multiply out in the Schur
     basis through degree N: one scaled merge of the cached rows s_mu sigma^nu
     (`_sigma_row`), one per term, over a common denominator."""
-    if N < 0:
-        raise ValueError("truncation must be >= 0")
+    N = size(N, "truncation")
     L, (terms,) = over_common_denominator(e.terms)
     total = merge_terms(((lam, c * v) for (mu, nu), c in terms.items()
                          for lam, v in _sigma_row(mu, nu, N)), canonical_key)
@@ -386,7 +381,10 @@ def sigma_recognize(f: SymFunc, r_max: int, s_deg_max: int,
     <= sigma_wt_max. Returns None when no candidate combination fits ("not
     recognized" is a value, not an error). Requires truncation at least
     s_deg_max + sigma_wt_max + r_max + 5 so the system is overdetermined.
+    Each candidate's column is its cached row `_sigma_row`, on integers.
     """
+    r_max, s_deg_max = size(r_max, "r_max"), size(s_deg_max, "s_deg_max")
+    sigma_wt_max = size(sigma_wt_max, "sigma_wt_max")
     if f.truncation is None:
         raise ValueError("input must carry a truncation")
     N = f.truncation
@@ -401,11 +399,9 @@ def sigma_recognize(f: SymFunc, r_max: int, s_deg_max: int,
     candidates = [(mu, nu) for mu in partitions_up_to(s_deg_max) for nu in sigmas]
     # [A | -b]: A x = b is solvable iff the last column is free, and that
     # column's basis vector is (x, 1) with the other free variables 0.
-    matrix = [[Fraction(0)] * len(candidates) + [-fs.terms.get(lam, Fraction(0))]
-              for lam in rows]
-    for j, key in enumerate(candidates):
-        col = sigma_expand(SigmaExpr({key: Fraction(1)}), N)
-        for lam, c in col.terms.items():
+    matrix = [[0] * len(candidates) + [-fs.terms.get(lam, 0)] for lam in rows]
+    for j, (mu, nu) in enumerate(candidates):
+        for lam, c in _sigma_row(mu, nu, N):
             matrix[row_index[lam]][j] = c
     basis = nullspace(matrix, len(candidates) + 1)
     if not basis or basis[-1][-1] != 1:
@@ -501,8 +497,7 @@ def _exp_kt0(k: int, N: int) -> tuple[tuple[int, int, int], ...]:
 def enhanced_expand(e: EnhancedExpr, N: int) -> TSeries:
     """Expand T_j and e^{k T_0} into the t variables, truncated at weight N, on
     multiset codes and integers over L N! (L the common denominator, N! from _exp_kt0)."""
-    if N < 0:
-        raise ValueError("truncation must be >= 0")
+    N = size(N, "truncation")
     L, polys = over_common_denominator(*e.parts.values())
     ns = tuple(range(N + 1))  # t_n coded as part n
     total: dict[int, list] = {}
@@ -514,8 +509,7 @@ def enhanced_expand(e: EnhancedExpr, N: int) -> TSeries:
 
 def fourier_dual_hilbert(h: ExpPoly, d: int) -> ExpPoly:
     """Fourier shadow on Hilbert series: p_r(t) -> p_{d-r}(-t)."""
-    if d < 0:
-        raise ValueError("need d >= 0")
+    d = size(d, "d")
     parts: dict[int, Poly] = {}
     for r, p in h.parts.items():
         if r > d:
@@ -527,6 +521,7 @@ def fourier_dual_hilbert(h: ExpPoly, d: int) -> ExpPoly:
 def sigma_ddag_check(N: int) -> bool:
     """Verify (sum_n sigma_n^ddag u^n)(sum_n sigma_n u^n) = 1 to bidegree (N, N),
     with sigma_a^ddag = sum_{i>=a} (-1)^i binom(i,a) s_{1^i}."""
+    N = size(N, "truncation")
     for m in range(N + 1):
         acc: dict[Partition, Fraction] = {}
         for a in range(m + 1):
@@ -586,8 +581,7 @@ def umbral_substitute(p, k: int) -> dict[Partition, Fraction]:
     Input: a polynomial in the t_i only, either {partition: coeff} or a TTPoly
     with empty T parts. Output keys: partitions encoding prod a_i^{e_i}.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = size(k, "k", 1)
 
     def t_part(key):
         if isinstance(key, tuple) and len(key) == 2 and key and isinstance(key[0], tuple):
@@ -649,9 +643,10 @@ def tca_enhanced_exp(hV: TSeries, d: int, N: int) -> TSeries:
     Equals exp(sum_{n>=1} phi(p_n ∘ ch V)/n); on a monomial c t^mu this weights
     the substitution t^mu -> t^{n mu} by n^{l(mu)-1}.
     """
+    d, N = size(d, "d", 1), size(N, "truncation")
     if hV.is_zero():
         raise ValueError("hV must be nonzero")
-    if any(sum(k) != d for k in hV.coeffs) or d < 1:
+    if any(sum(k) != d for k in hV.coeffs):
         raise ValueError(f"hV must be supported in weighted degree exactly {d}")
     s = merge_terms((tuple(n * p for p in mu), c * n ** (len(mu) - 1))
                     for mu, c in hV.coeffs.items() for n in range(1, N // d + 1))

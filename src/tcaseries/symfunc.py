@@ -27,9 +27,8 @@ from .partitions import (
     transpose,
     z_of,
 )
-from .polyutil import (Value, add_into, integer, json_fraction, json_int, merge_terms,
-                       multiset_code, multiset_mul, multiset_terms, newton_exp,
-                       over_common_denominator)
+from .polyutil import (Value, add_into, json_fraction, json_int, merge_terms, multiset_code,
+                       multiset_mul, multiset_terms, newton_exp, over_common_denominator, size)
 
 SCHUR = "s"
 POWERSUM = "p"
@@ -71,9 +70,7 @@ class SymFunc(Value):
         if basis not in _BASES:
             raise ValueError(f"unknown basis {basis!r}")
         if truncation is not None:
-            truncation = integer(truncation)
-            if truncation < 0:
-                raise ValueError("truncation must be >= 0")
+            truncation = size(truncation, "truncation")
         Value.__init__(self, basis, normalize_terms(terms, truncation), truncation)
 
     def coeff(self, lam) -> Fraction:
@@ -96,6 +93,7 @@ def max_degree(f: SymFunc) -> int:
 
 
 def degree_slice(f: SymFunc, n: int) -> dict[Partition, Fraction]:
+    n = size(n, "n")
     return {lam: c for lam, c in f.terms.items() if sum(lam) == n}
 
 
@@ -170,8 +168,7 @@ def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
 
 def plethysm_power(k: int, f: SymFunc) -> SymFunc:
     """p_k ∘ f: substitute p_j -> p_{jk} on the powersum expansion."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = size(k, "k", 1)
     fp = change_basis(f, POWERSUM)
     terms = {tuple(k * part for part in mu): c for mu, c in fp.terms.items()}
     trunc = None if f.truncation is None else k * f.truncation
@@ -184,7 +181,7 @@ def sym_algebra_character(f: SymFunc, N: int) -> SymFunc:
     Computes exp(sum_{k>=1} (p_k ∘ f)/k) in the powersum basis; f must have
     no degree-0 term. Returns a schur-basis SymFunc truncated at N.
     """
-    fp = change_basis(f, POWERSUM)
+    N, fp = size(N, "truncation"), change_basis(f, POWERSUM)
     if () in fp.terms:
         raise ValueError("character has a degree-0 term")
     if fp.truncation is not None and fp.truncation < N:

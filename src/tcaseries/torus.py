@@ -32,7 +32,7 @@ from .partitions import (
     kostka_number,
 )
 from .polyutil import (Value, add_into, factorial, integer, json_fraction, json_int,
-                       merge_terms, newton_exp, over_common_denominator)
+                       merge_terms, newton_exp, over_common_denominator, size)
 from .seriesforms import TSeries
 
 __all__ = [
@@ -70,9 +70,7 @@ class LaurentPoly(Value):
     __slots__ = ("d", "terms")
 
     def __init__(self, d: int, terms: dict[Exponent, Fraction] = {}):
-        d = integer(d)
-        if d < 0:
-            raise ValueError("need d >= 0")
+        d = size(d, "d")
         terms = merge_terms((_exponent(e, d), Fraction(c)) for e, c in terms.items())
         Value.__init__(self, d, dict(sorted(terms.items())))
 
@@ -89,7 +87,7 @@ class LaurentPoly(Value):
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.d != other.d:
             raise ValueError("variable count mismatch")
-        return LaurentPoly(self.d, _mul_terms(self.terms, other.terms))
+        return LaurentPoly.trusted(self.d, _mul_terms(self.terms, other.terms))
 
     def scale(self, c) -> "LaurentPoly":
         c = Fraction(c)
@@ -135,10 +133,13 @@ def _code_mul(a: dict, b: dict) -> dict:
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
-    """Product of two exponent-keyed term dicts, int or Fraction valued, on codes."""
+    """Product of two exponent-keyed term dicts, int or Fraction valued: canonical
+    terms, on codes and on integers over the product of the two common
+    denominators, one Fraction per output term."""
     d, w = len(next(iter(a), ())), _width(_bound(a) + _bound(b))
-    out = _code_mul(_codes(a, w), _codes(b, w))
-    return {_decode(x, d, w): out[x] for x in sorted(out)}
+    (la, (ia,)), (lb, (ib,)) = over_common_denominator(a), over_common_denominator(b)
+    out = _code_mul(_codes(ia, w), _codes(ib, w))
+    return {_decode(x, d, w): Fraction(out[x], la * lb) for x in sorted(out)}
 
 
 def constant_term(f: LaurentPoly) -> Fraction:
@@ -160,6 +161,7 @@ def _delta(d: int) -> dict[Exponent, int]:
 @functools.cache
 def delta_squared(d: int) -> LaurentPoly:
     """|Delta|^2 = Delta * bar(Delta) with Delta = prod_{i<j} (alpha_i - alpha_j)."""
+    d = size(d, "d")
     dl = _delta(d)
     return LaurentPoly(d, _mul_terms(dl, {tuple(-x for x in e): c for e, c in dl.items()}))
 
@@ -182,6 +184,7 @@ def _weighted(f: LaurentPoly, d: int, bound: int) -> tuple[int, int, dict[int, i
 
 def weyl_inner(f: LaurentPoly, g: LaurentPoly, d: int) -> Fraction:
     """(1/d!) CT(f * bar(g) * |Delta|^2): the GL(d) invariant inner product."""
+    d = size(d, "d")
     if g.d != d:
         raise ValueError(f"inputs must have {d} variables")
     L, w, W = _weighted(f, d, _bound(g.terms))
@@ -190,6 +193,7 @@ def weyl_inner(f: LaurentPoly, g: LaurentPoly, d: int) -> Fraction:
 
 
 def power_sum_lp(k: int, d: int) -> LaurentPoly:
+    k, d = size(k, "k"), size(d, "d")
     if k == 0:
         return LaurentPoly(d, {(0,) * d: Fraction(d)})
     return LaurentPoly(d, {tuple(k if j == i else 0 for j in range(d)): Fraction(1)
@@ -199,7 +203,7 @@ def power_sum_lp(k: int, d: int) -> LaurentPoly:
 @functools.cache
 def schur_lp(lam: Partition, d: int) -> LaurentPoly:
     """s_lam(alpha_1, ..., alpha_d) = sum_mu K_{lam,mu} m_mu(alpha), l(mu) <= d."""
-    lam = as_partition(lam)
+    lam, d = as_partition(lam), size(d, "d")
     terms: dict[Exponent, Fraction] = {}
     for mu in enumerate_partitions(sum(lam), max_length=d):
         k = kostka_number(lam, mu)
@@ -233,8 +237,7 @@ def sym_degree_characters(chi: LaurentPoly, N: int) -> list[LaurentPoly]:
     sum_k p_k / k with p_k = chi(alpha^k), by polyutil.newton_exp on
     lc[k] = p_k(L chi) for L the common denominator of chi, over the integers, on
     codes: no entry of Sym^n exceeds n times chi's, and code(k e) = k code(e)."""
-    if N < 0:
-        raise ValueError("truncation must be >= 0")
+    N = size(N, "truncation")
     L, (lchi,) = over_common_denominator(chi.terms)
     w = _width(N * _bound(lchi))
     lc = {k: {k * x: c for x, c in _codes(lchi, w).items()} for k in range(1, N + 1)}
@@ -284,13 +287,11 @@ def invariant_dimensions(group: list[tuple[str, int]], weights: LaurentPoly,
     have entries of absolute value <= K + 2jM (an SL shift adds at most 2M), so
     2(K + ceil(n_max / 2) M) bounds every vector met, sums and duals included.
     """
-    spans, pos = [], 0
+    spans, pos, n_max = [], 0, size(n_max, "n_max")
     for kind, k in group:
-        k = integer(k)
         if kind not in ("gl", "sl"):
             raise ValueError(f"unknown factor kind {kind!r}")
-        if k < 1:
-            raise ValueError("factor rank must be >= 1")
+        k = size(k, "factor rank", 1)
         spans.append((pos, pos + k, kind == "sl"))
         pos += k
     if weights.d != pos:
@@ -309,11 +310,10 @@ def invariant_dimensions(group: list[tuple[str, int]], weights: LaurentPoly,
         v, sign = _reflect(_decode(x, pos, w), spans)
         return _code(v, w), sign
 
-    mus = [(x, integer(c)) for x, c in _codes(terms, w).items()]
+    mus = {x: integer(c) for x, c in _codes(terms, w).items()}
     tables = [{_code(rho, w): 1}]
     for _ in range(steps):
-        sums = merge_terms((v + mu, c * m) for v, c in tables[-1].items() for mu, m in mus)
-        tables.append(merge_terms((x, sign * c) for v, c in sums.items()
+        tables.append(merge_terms((x, sign * c) for v, c in _code_mul(tables[-1], mus).items()
                                   for x, sign in [reflect(v)]))
     dual = _code(top, w)
     dims = []
@@ -333,9 +333,7 @@ class KernelSeries(Value):
     __slots__ = ("d", "truncation", "terms")
 
     def __init__(self, d: int, truncation: int, terms: dict[Exponent, TSeries] = {}):
-        d, truncation = integer(d), integer(truncation)
-        if truncation < 0:
-            raise ValueError("truncation must be >= 0")
+        d, truncation = size(d, "d"), size(truncation, "truncation")
         clean: dict[Exponent, TSeries] = {}
         for e, s in terms.items():
             e = _exponent(e, d)
@@ -353,8 +351,7 @@ class KernelSeries(Value):
 
 def kernel_K(d: int, N: int) -> KernelSeries:
     """[alpha^e] K = sum_lam [m_nu] p_lam t^lam / lam!, nu the partition of the entries of e."""
-    if d < 0:
-        raise ValueError("need d >= 0")
+    d, N = size(d, "d"), size(N, "truncation")
     terms: dict[Exponent, dict[Partition, Fraction]] = {}
     for lam, fact, row in _power_sum_to_monomial(d, N):
         for nu, c in row:
@@ -375,10 +372,7 @@ def enhanced_from_equivariant(hilb, d: int, N: int) -> TSeries:
     `hilb` is a sequence of LaurentPoly degree-n characters of M(C^d) for
     n = 0..N (entries may be None for zero).
     """
-    if d < 0:
-        raise ValueError("need d >= 0")
-    if N < 0:
-        raise ValueError("truncation must be >= 0")
+    d, N = size(d, "d"), size(N, "truncation")
     folded: dict[int, tuple[int, dict[Partition, int]]] = {}
     for n, ch in enumerate(hilb[:N + 1]):
         if ch is not None:
@@ -416,8 +410,7 @@ def hilbert_from_weight_presentation(A, b, N: int) -> list[Fraction]:
             raise ValueError(f"rows must be nonzero and non-negative, got {row}")
     if any(v < 0 for v in b):
         raise ValueError("b must be non-negative")
-    if N < 0:
-        raise ValueError("truncation must be >= 0")
+    N = size(N, "truncation")
     out = [Fraction(0)] * (N + 1)
 
     def rec(i: int, y: tuple[int, ...]):

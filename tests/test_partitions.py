@@ -164,6 +164,13 @@ def test_enumerate_bounds():
     assert enumerate_partitions(4, max_part=2) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
+def test_negative_bounds_admit_no_part():
+    # a bound below 0 is not "no bound": only the empty partition has no part
+    for bounds in ({"max_length": -1}, {"max_part": -1}):
+        assert enumerate_partitions(3, **bounds) == []
+        assert partitions_up_to(3, **bounds) == [()]
+
+
 def test_partitions_in_box():
     box = partitions_in_box(2, 2)
     assert box == [(), (1,), (2,), (1, 1), (2, 1), (2, 2)]

@@ -16,7 +16,7 @@ from tcaseries.partitions import (
     sym_character,
 )
 from tcaseries.grassmann import GrClass, bott_pushforward, gessel_enhanced, grclass_from_json
-from tcaseries import grassmann, partitions, polyutil, seriesforms, symfunc, torus
+from tcaseries import dfinite, grassmann, partitions, polyutil, seriesforms, symfunc, torus
 from tcaseries.polyutil import RANK_PRIMES, echelon, nullspace
 from tcaseries.symfunc import SCHUR, SymFunc, add, multiply, sym_algebra_character
 from tcaseries.symfunc import from_json as symfunc_from_json
@@ -437,38 +437,119 @@ def test_expansions_refuse_negative_truncation(monkeypatch):
     assert sigma_expand(sexpr(((), (0,), HALF)), 0) == SymFunc(SCHUR, {(): HALF}, 0)
 
 
-# Every entry that takes a truncation or an ambient dimension refuses a
-# negative one with the same message, rather than answering [] or deferring
-# the error to a later call.
+# Every public entry that takes a size (a dimension, rank, truncation, count
+# or degree cap) reads it through polyutil.size: a size below its least value
+# is refused by name, rather than answering [] or deferring the error to a
+# later call; an integral 2.0 or "2" gives the result for 2; 2.5 is refused.
+# Each entry maps to (the size's name, a call taking that size).
+_P1 = torus.power_sum_lp(1, 2)
+_S1 = SymFunc(SCHUR, {(1,): 1})
+_SIGMA_9 = sigma_expand(SigmaExpr({((1,), (0,)): 1}), 9)
+_H = ExpPoly({1: (Fraction(1),)})
+_G = grassmann
 _NEGATIVE_SIZE_ENTRIES = {
-    "TSeries": ("truncation", lambda: TSeries(-1, {})),
-    "SymFunc": ("truncation", lambda: SymFunc(SCHUR, {}, -1)),
-    "sigma_expand": ("truncation", lambda: sigma_expand(SigmaExpr({}), -1)),
-    "enhanced_expand": ("truncation", lambda: enhanced_expand(EnhancedExpr({}), -1)),
-    "gessel_enhanced": ("truncation", lambda: gessel_enhanced(2, 1, -1)),
-    "phi_enhanced": ("truncation", lambda: phi_enhanced(SymFunc(SCHUR, {(): 1}), -1)),
-    "sym_degree_characters": ("truncation", lambda: torus.sym_degree_characters(
-        torus.power_sum_lp(1, 2), -1)),
-    "fourier_dual_hilbert": ("d", lambda: fourier_dual_hilbert(ExpPoly({}), -3)),
-    "kernel_K": ("truncation", lambda: torus.kernel_K(2, -1)),
-    "kernel_K d": ("d", lambda: torus.kernel_K(-1, 2)),
-    "enhanced_from_equivariant": ("truncation", lambda: torus.enhanced_from_equivariant(
-        [torus.power_sum_lp(0, 2)], 2, -1)),
-    "enhanced_from_equivariant d": ("d", lambda: torus.enhanced_from_equivariant([None], -1, 3)),
-    "PoincareSeries": ("truncation", lambda: PoincareSeries(2, -1, {0: (Fraction(1),)})),
-    "ex_specialize": ("truncation", lambda: ex_specialize(SymFunc(SCHUR, {(): 1}), -1)),
-    "exppoly_taylor": ("truncation", lambda: exppoly_taylor(ExpPoly({1: (Fraction(1),)}), -1)),
-    "hilbert_from_weight_presentation": ("truncation", lambda: (
-        torus.hilbert_from_weight_presentation([[1]], [0], -1))),
+    "TSeries": ("truncation", lambda n: TSeries(n, {(1,): 1})),
+    "SymFunc": ("truncation", lambda n: SymFunc(SCHUR, {(1,): 1}, n)),
+    "sigma_expand": ("truncation", lambda n: sigma_expand(SigmaExpr({((1,), (0,)): 1}), n)),
+    "enhanced_expand": ("truncation", lambda n: enhanced_expand(
+        EnhancedExpr({1: {((1,), (1,)): 1}}), n)),
+    "gessel_enhanced": ("truncation", lambda n: gessel_enhanced(2, 1, n)),
+    "gessel_enhanced d": ("d", lambda n: gessel_enhanced(n, 1, 3)),
+    "gessel_enhanced r": ("r", lambda n: gessel_enhanced(3, n, 3)),
+    "phi_enhanced": ("truncation", lambda n: phi_enhanced(_S1, n)),
+    "sym_degree_characters": ("truncation", lambda n: torus.sym_degree_characters(_P1, n)),
+    "fourier_dual_hilbert": ("d", lambda n: fourier_dual_hilbert(_H, n)),
+    "kernel_K": ("truncation", lambda n: torus.kernel_K(2, n)),
+    "kernel_K d": ("d", lambda n: torus.kernel_K(n, 2)),
+    "enhanced_from_equivariant": ("truncation", lambda n: torus.enhanced_from_equivariant(
+        torus.sym_degree_characters(_P1, 3), 2, n)),
+    "enhanced_from_equivariant d": ("d", lambda n: torus.enhanced_from_equivariant(
+        torus.sym_degree_characters(_P1, 3), n, 3)),
+    "PoincareSeries": ("truncation", lambda n: PoincareSeries(2, n, {0: (Fraction(1),)})),
+    "PoincareSeries d": ("d", lambda n: PoincareSeries(n, 2, {0: (Fraction(1),)})),
+    "ex_specialize": ("truncation", lambda n: ex_specialize(_S1, n)),
+    "exppoly_taylor": ("truncation", lambda n: exppoly_taylor(_H, n)),
+    "hilbert_from_weight_presentation": ("truncation", lambda n: (
+        torus.hilbert_from_weight_presentation([[1]], [0], n))),
+    "ts_exp": ("truncation", lambda n: ts_exp(TSeries(3, {(1,): 1}), n)),
+    "sigma_ddag_check": ("truncation", sigma_ddag_check),
+    "umbral_substitute": ("k", lambda n: umbral_substitute({(1, 1): 1}, n)),
+    "CharPolyForm": ("m", lambda n: CharPolyForm(n, {1: {((1,), (1,)): 1}})),
+    "char_poly_form": ("m", lambda n: char_poly_form(EnhancedExpr({1: {((1,), ()): 1}}), n)),
+    "tca_enhanced_exp": ("truncation", lambda n: tca_enhanced_exp(
+        TSeries(2, {(1,): 1}), 1, n)),
+    "tca_enhanced_exp d": ("d", lambda n: tca_enhanced_exp(TSeries(3, {(2,): 1}), n, 3)),
+    "poincare_series": ("truncation", lambda n: poincare_series([(0, _S1)], 1, n)),
+    "poincare_series d": ("d", lambda n: poincare_series([(0, _S1)], n, 2)),
+    "sigma_recognize r_max": ("r_max", lambda n: sigma_recognize(_SIGMA_9, n, 1, 1)),
+    "sigma_recognize s_deg_max": ("s_deg_max", lambda n: sigma_recognize(_SIGMA_9, 1, n, 1)),
+    "sigma_recognize sigma_wt_max": ("sigma_wt_max", lambda n: sigma_recognize(
+        _SIGMA_9, 1, 1, n)),
+    "enumerate_partitions": ("n", partitions.enumerate_partitions),
+    "partitions_up_to": ("n", partitions.partitions_up_to),
+    "partitions_in_box rows": ("rows", lambda n: partitions.partitions_in_box(n, 2)),
+    "partitions_in_box cols": ("cols", lambda n: partitions.partitions_in_box(2, n)),
+    "dim_schur": ("d", lambda n: dim_schur((1,), n)),
+    "kostka_and_inverse": ("n", partitions.kostka_and_inverse),
+    "degree_slice": ("n", lambda n: symfunc.degree_slice(
+        SymFunc(SCHUR, {(2,): 1, (1,): 1}), n)),
+    "plethysm_power": ("k", lambda n: symfunc.plethysm_power(n, _S1)),
+    "sym_algebra_character": ("truncation", lambda n: sym_algebra_character(_S1, n)),
+    "LaurentPoly": ("d", lambda n: torus.LaurentPoly(n, {(1, 0): 1})),
+    "delta_squared": ("d", torus.delta_squared),
+    "weyl_inner": ("d", lambda n: torus.weyl_inner(_P1, _P1, n)),
+    "power_sum_lp k": ("k", lambda n: torus.power_sum_lp(n, 2)),
+    "power_sum_lp d": ("d", lambda n: torus.power_sum_lp(1, n)),
+    "schur_lp": ("d", lambda n: torus.schur_lp((1,), n)),
+    "invariant_dimensions": ("n_max", lambda n: torus.invariant_dimensions(
+        [("sl", 2)], _P1, n)),
+    "invariant_dimensions rank": ("factor rank", lambda n: torus.invariant_dimensions(
+        [("gl", n)], _P1, 4)),
+    "KernelSeries": ("truncation", lambda n: torus.KernelSeries(1, n)),
+    "KernelSeries d": ("d", lambda n: torus.KernelSeries(n, 1)),
+    "GrClass d": ("d", lambda n: GrClass(n, 1, {(1,): 1})),
+    "GrClass r": ("r", lambda n: GrClass(3, n, {(1,): 1})),
+    "bott_pushforward d": ("d", lambda n: bott_pushforward(n, 1, (1,), ())),
+    "bott_pushforward r": ("r", lambda n: bott_pushforward(3, n, (1,), ())),
+    "euler_schur_q d": ("d", lambda n: _G.euler_schur_q(n, 1, (1,))),
+    "euler_schur_q r": ("r", lambda n: _G.euler_schur_q(3, n, (1,))),
+    "m_shifted_class": ("r", lambda n: _G.m_shifted_class((1,), n)),
+    "pushforward_module_character": ("truncation", lambda n: (
+        _G.pushforward_module_character(3, 1, (), n))),
+    "pushforward_module_character d": ("d", lambda n: (
+        _G.pushforward_module_character(n, 1, (), 2))),
+    "pushforward_module_character r": ("r", lambda n: (
+        _G.pushforward_module_character(3, n, (), 2))),
+    "detring_formal_character d": ("d", lambda n: _G.detring_formal_character(n, 1)),
+    "detring_formal_character r": ("r", lambda n: _G.detring_formal_character(3, n)),
+    "rank1_enhanced_closed": ("d", _G.rank1_enhanced_closed),
+    "needed_length max_order": ("max_order", lambda n: dfinite.needed_length(n, 2)),
+    "needed_length max_degree": ("max_degree", lambda n: dfinite.needed_length(2, n)),
+    "guess_ode max_order": ("max_order", lambda n: dfinite.guess_ode([1] * 40, n, 2)),
+    "guess_ode max_degree": ("max_degree", lambda n: dfinite.guess_ode([1] * 40, 2, n)),
 }
 
 
 @pytest.mark.parametrize("name", list(_NEGATIVE_SIZE_ENTRIES))
 def test_negative_sizes_are_refused_at_every_entry(name):
     size, call = _NEGATIVE_SIZE_ENTRIES[name]
-    message = "need d >= 0" if size == "d" else "truncation must be >= 0"
-    with pytest.raises(ValueError, match=message):
-        call()
+    with pytest.raises(ValueError, match=f"^{size} must be >= [01]$"):
+        call(-1)
+
+
+@pytest.mark.parametrize("name", list(_NEGATIVE_SIZE_ENTRIES))
+def test_integral_sizes_give_the_result_for_the_int(name):
+    _, call = _NEGATIVE_SIZE_ENTRIES[name]
+    want = call(2)
+    for given in (2.0, "2"):
+        got = call(given)
+        assert got == want and repr(got) == repr(want), given
+
+
+@pytest.mark.parametrize("name", list(_NEGATIVE_SIZE_ENTRIES))
+def test_non_integral_sizes_are_refused(name):
+    with pytest.raises(ValueError, match="is not an integer"):
+        _NEGATIVE_SIZE_ENTRIES[name][1](2.5)
 
 
 # --- Hilbert series shapes ---------------------------------------------------

@@ -92,6 +92,38 @@ def test_coefficients_merge_only_in_polyutil():
     assert found == []
 
 
+def _bare_size_bounds(node):
+    """The compares `name < 0` and `name < 1` of an expression, outside comprehensions,
+    whose compares bound the elements of a sequence, not a size."""
+    if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp)):
+        return
+    if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+            and isinstance(node.ops[0], ast.Lt) and isinstance(node.comparators[0], ast.Constant)
+            and node.comparators[0].value in (0, 1)):
+        yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _bare_size_bounds(child)
+
+
+def _raises_value_error(body) -> bool:
+    return any(isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+               and getattr(node.exc.func, "id", None) == "ValueError"
+               for stmt in body for node in ast.walk(stmt))
+
+
+def test_sizes_meet_their_bounds_only_in_polyutil():
+    # `if d < 0: raise ValueError(...)` re-implements polyutil.size
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "polyutil.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.If) and _raises_value_error(node.body)
+                  and any(_bare_size_bounds(node.test))]
+    assert found == []
+
+
 def test_names_pinned_by_perfbench_tracing_exist():
     # perfbench/tracing.py wraps library functions by module and name; a
     # rename or deletion here would silently drop them from the traced run
@@ -256,6 +288,7 @@ TRUSTED_CALLERS = {
     ("seriesforms.py", "phi_sigma"),
     ("seriesforms.py", "sigma_expand"),
     ("symfunc.py", "change_basis"),
+    ("torus.py", "LaurentPoly.__mul__"),
     ("torus.py", "enhanced_from_equivariant"),
     ("torus.py", "sym_degree_characters"),
 }

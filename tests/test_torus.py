@@ -547,8 +547,9 @@ def test_sym_degree_characters_of_half_a_line():
 
 
 def test_expansion_routes_do_no_fraction_arithmetic(monkeypatch):
-    # the five expansion routes run on integers over one common denominator
-    # and make one Fraction per output coefficient; no Fraction sum or product
+    # the five expansion routes and the Laurent product run on integers over
+    # one common denominator and make one Fraction per output coefficient; no
+    # Fraction sum or product
     sigma = SigmaExpr({((2, 1), (2, 0)): F(1, 3), ((1,), (1,)): F(-5, 4), ((), (0, 0)): F(1),
                        ((1, 1), ()): F(2, 5)})
     enhanced = phi_sigma(sigma)
@@ -557,7 +558,8 @@ def test_expansion_routes_do_no_fraction_arithmetic(monkeypatch):
     routes = [(sigma_expand, sigma, 9), (enhanced_expand, enhanced, 9),
               (sym_degree_characters, chi, 8), (enhanced_from_equivariant, hilb, 2, 8),
               (ts_exp, TSeries(9, {(1,): F(1, 2), (2,): F(-2, 3), (2, 1): F(3, 4),
-                                   (4,): F(1, 5)}), 9)]
+                                   (4,): F(1, 5)}), 9),
+              (LaurentPoly.__mul__, chi, chi.scale(F(5, 7)) + lp(2, {(0, 2): F(1, 4)}))]
     calls = []
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
         def counted(*args, _original=getattr(F, name), _name=name):

@@ -219,9 +219,17 @@ def test_integral_route_is_canonical(case, N):
     assert_canonical(enhanced_from_equivariant(hilb, d, N))
 
 
-@given(st.integers(0, 3).flatmap(lambda d: st.builds(LaurentPoly, st.just(d), st.dictionaries(
-    st.lists(st.integers(-2, 2), min_size=d, max_size=d).map(tuple), _FRACTIONS,
-    max_size=4))), st.integers(0, 5))
+def _laurent_polys(d):
+    return st.builds(LaurentPoly, st.just(d), st.dictionaries(
+        st.lists(st.integers(-2, 2), min_size=d, max_size=d).map(tuple), _FRACTIONS, max_size=4))
+
+
+@given(st.integers(0, 3).flatmap(lambda d: st.tuples(_laurent_polys(d), _laurent_polys(d))))
+def test_laurent_products_are_canonical(pair):
+    assert_canonical(pair[0] * pair[1])
+
+
+@given(st.integers(0, 3).flatmap(_laurent_polys), st.integers(0, 5))
 def test_symmetric_power_characters_are_canonical(chi, N):
     for character in sym_degree_characters(chi, N):
         assert_canonical(character)
@@ -268,7 +276,7 @@ def test_basis_changes_are_canonical(basis, target, terms, truncation):
 
 @pytest.mark.parametrize("given_truncation", [2.0, "2"])
 def test_truncation_is_stored_as_an_int(given_truncation):
-    # integer() checks a truncation and its int is what is stored
+    # polyutil.size reads a truncation and its int is what is stored
     for value in (TSeries(given_truncation, {(1,): 1}), PoincareSeries(2, given_truncation),
                   SymFunc(SCHUR, {}, given_truncation), KernelSeries(1, given_truncation, {})):
         assert type(value.truncation) is int and value.truncation == 2, type(value).__name__
@@ -278,7 +286,7 @@ def test_truncation_is_stored_as_an_int(given_truncation):
 
 @pytest.mark.parametrize("given_d", [2.0, "2"])
 def test_variable_count_is_stored_as_an_int(given_d):
-    # integer() checks a variable count and its int is what is stored
+    # polyutil.size reads a variable count and its int is what is stored
     for value in (LaurentPoly(given_d, {(1, 0): 1}), PoincareSeries(given_d, 3),
                   KernelSeries(given_d, 1, {(1, 0): TSeries(1, {(1,): 1})})):
         assert type(value.d) is int and value.d == 2, type(value).__name__
