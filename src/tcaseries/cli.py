@@ -68,11 +68,15 @@ class UsageError(Exception):
     """Bad flag combination detected after argparse (exit code 2)."""
 
 
-def _non_negative_int(text: str) -> int:
+def _non_negative_int(text: str, low: int = 0) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _non_negative_int(text, 1)
 
 
 # --- built-in series (generated, never literal tables) ------------------------
@@ -431,8 +435,8 @@ _COMMANDS = {
         ("--dim", dict(type=_non_negative_int))]),
     "dfinite": ("guess an annihilating ODE for a built-in series", _cmd_dfinite, [
         ("--series", dict(choices=("catalan-egf", "bell-egf", "catalan-sq-ogf"), required=True)),
-        ("--max-order", dict(type=int, default=6)),
-        ("--max-degree", dict(type=int, default=8)),
+        ("--max-order", dict(type=_positive_int, default=6)),
+        ("--max-degree", dict(type=_non_negative_int, default=8)),
         ("--nmax", dict(type=_non_negative_int, help="number of coefficients to generate"))]),
     "fourier": ("Fourier-dual Hilbert series", _cmd_fourier, [
         _D, ("--r", dict(type=int)), ("--hilb", dict(help="ExpPoly JSON payload"))]),
@@ -444,13 +448,17 @@ _COMMANDS = {
 _HANDLERS = {name: handler for name, (_, handler, _) in _COMMANDS.items()}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(first: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `first` alone under the same usage line."""
+    only = [first] if first in _COMMANDS else None
     parser = argparse.ArgumentParser(
         prog="tcaseries",
         description="Exact characters, Hilbert series, and invariants of "
                     "modules over twisted commutative algebras.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, flags) in _COMMANDS.items():
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=only and "{" + ",".join(_COMMANDS) + "}")
+    for name in only or _COMMANDS:
+        help_text, _, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
@@ -468,7 +476,8 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        parser = _build_parser()
+        # a named subcommand needs only its own parser; -h and a bad command, all
+        parser = _build_parser(next(iter(sys.argv[1:] if argv is None else argv), None))
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

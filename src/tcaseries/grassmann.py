@@ -30,7 +30,8 @@ from .partitions import (
     parse_partition,
 )
 from .polyutil import (
-    Value, add_into, binom, factorial, integer, json_int, linear_form_det, merge_terms, size)
+    Value, add_into, binom, factorial, integer, json_int, linear_form_det, lowest_terms,
+    merge_terms, size)
 from .symfunc import SCHUR, SymFunc
 from .seriesforms import (
     EnhancedExpr,
@@ -322,9 +323,11 @@ def gessel_enhanced(d: int, r: int, N: int) -> TSeries:
     r = min(r, d)
     weights = {tuple(n for n in ks if n): D for ks, D in linear_form_det(r, lambda a, b: {
         n: binom(n + b - a + d - 1, n + b - a) for n in range(max(0, a - b), N + 1)}, N).items()}
-    coeffs = ((lam, Fraction(sum(m * weights.get(nu, 0) for nu, m in row), fact))
-              for lam, fact, row in _power_sum_to_monomial(r, N))
-    return TSeries.trusted(N, {lam: c for lam, c in coeffs if c})
+    # on integers over N!, which every lam! divides
+    fN = factorial(N)
+    return TSeries.trusted(N, *lowest_terms(fN, {
+        lam: sum(m * weights.get(nu, 0) for nu, m in row) * (fN // fact)
+        for lam, fact, row in _power_sum_to_monomial(r, N)}))
 
 
 def _bell_polynomials(jmax: int) -> list[dict[Partition, int]]:

@@ -8,7 +8,7 @@ a basis off it modulo a prime and checks it exactly over the rationals;
 modulo a prime, full column rank proves a nullspace trivial (``residues``
 picks the prime of guess_ode's rank filter). Also its one merge kernel
 for sparse term dicts, ``merge_terms`` and ``add_into`` (kernels run them on
-integers: ``over_common_denominator``, or ``cleared`` for a sequence), its one
+integers: ``over_common_denominator``, ``cleared``; ``lowest_terms`` keeps them), its one
 exponential, ``newton_exp``, its one integrality check, ``integer``, its one
 size check, ``size``, through which every public entry reads each dimension,
 rank, truncation, count and degree cap it takes, and the number checks of JSON
@@ -35,9 +35,11 @@ class Value:
     field values, in __slots__ order, to Value.__init__; it copies what it is
     given, so a {} default argument is never shared. Values are equal only
     within one class, hash over their fields (TypeError for a dict field),
-    refuse assignment, and copy and pickle through the constructor."""
+    refuse assignment, copy and pickle through `trusted`, and print as a call of
+    the constructor with the arguments named in `_params` (default: the fields)."""
 
     __slots__ = ()
+    _params: tuple[str, ...] = ()
 
     def __init__(self, *values, _set=object.__setattr__):
         for name, value in zip(self.__slots__, values):
@@ -66,11 +68,11 @@ class Value:
         return hash(self._fields())
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self).trusted, self._fields()
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._params or self.__slots__)
+        return f"{type(self).__name__}({args})"
 
 
 def ptrim(coeffs) -> Poly:
@@ -198,6 +200,25 @@ def over_common_denominator(*dicts) -> tuple[int, list[dict]]:
     return L, [{k: c.numerator * (L // c.denominator) for k, c in t.items()} for t in dicts]
 
 
+def lowest_terms(den: int, nums: dict) -> tuple[int, dict]:
+    """The rationals nums[k] / den (den > 0) in lowest terms over one denominator:
+    zero numerators dropped, gcd(den, *nums) == 1, keys in the order given."""
+    nums = nums if all(nums.values()) else {k: c for k, c in nums.items() if c}
+    g = math.gcd(den, *nums.values())
+    return den // g, nums if g == 1 else {k: c // g for k, c in nums.items()}
+
+
+def fraction_terms(den: int, nums: dict) -> dict:
+    """{k: nums[k] / den} as Fractions: one per coefficient, made when it is read."""
+    return {k: Fraction(c, den) for k, c in nums.items()}
+
+
+def fraction_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without making the Fraction."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def cleared(values) -> tuple[int, list[int]]:
     """(L, [L * v for v in values]) with int entries, L the lcm of the
     denominators of the rationals `values` (ints or Fractions)."""
@@ -207,9 +228,9 @@ def cleared(values) -> tuple[int, list[int]]:
 
 def newton_exp(lc: dict[int, dict], L: int, N: int, mul, one: dict) -> list[dict]:
     """Parts a_0..a_N of exp(sum_k b_k) in the algebra of `mul` with unit `one`,
-    from int term dicts lc[k] = L k b_k: Newton's identity n a_n = sum_k k b_k
-    a_{n-k} (Macdonald I.2), division-free on G_n = L^n n! a_n, one Fraction
-    per output coefficient: G_n = sum_k (n-1)!/(n-k)! L^(k-1) lc[k] G_{n-k}."""
+    from int term dicts lc[k] = L k b_k, as the pairs (L^n n!, G_n) of int term
+    dicts G_n = L^n n! a_n: Newton's identity n a_n = sum_k k b_k a_{n-k}
+    (Macdonald I.2), division-free: G_n = sum_k (n-1)!/(n-k)! L^(k-1) lc[k] G_{n-k}."""
     gs = [one]
     for n in range(1, N + 1):
         acc: dict = {}
@@ -217,8 +238,7 @@ def newton_exp(lc: dict[int, dict], L: int, N: int, mul, one: dict) -> list[dict
             if k <= n:
                 add_into(acc, mul(lk, gs[n - k]), falling(n - 1, k - 1) * L ** (k - 1))
         gs.append(acc)
-    return [{key: Fraction(c, L ** n * factorial(n)) for key, c in g.items()}
-            for n, g in enumerate(gs)]
+    return [(L ** n * factorial(n), g) for n, g in enumerate(gs)]
 
 
 # A code holds the multiplicity of part p in bits [16 p, 16 p + 16). Codes of
@@ -248,10 +268,10 @@ def multiset_parts(code: int, width: int = _DIGIT) -> tuple[int, ...]:
     return tuple(reversed(parts))
 
 
-def multiset_terms(out: dict, den: int | None = None) -> dict:
-    """The nonzero terms of multiset_mul's output, coefficients over `den` (None: as
-    they are), keyed by parts in canonical order: weight, then code decreasing."""
-    return {multiset_parts(-neg): c if den is None else Fraction(c, den)
+def multiset_terms(out: dict) -> dict:
+    """The nonzero terms of multiset_mul's output, keyed by parts in canonical
+    order: weight, then code decreasing."""
+    return {multiset_parts(-neg): c
             for _, neg, c in sorted((w, -code, c) for code, (w, c) in out.items() if c)}
 
 

@@ -50,9 +50,12 @@ from .polyutil import (
     binom,
     factorial,
     falling,
+    fraction_terms,
+    fraction_text,
     integer,
     json_fraction,
     json_int,
+    lowest_terms,
     merge_terms,
     multiset_code,
     multiset_mul,
@@ -186,19 +189,26 @@ def exppoly_taylor(h: ExpPoly, N: int) -> list[Fraction]:
 
 
 class TSeries(Value):
-    """Series in t_1, t_2, ... truncated at weighted degree `truncation`."""
+    """Series in t_1, t_2, ... truncated at weighted degree `truncation`, with
+    coefficients nums[lam] / den in polyutil.lowest_terms, read through `coeffs`."""
 
-    __slots__ = ("truncation", "coeffs")
+    __slots__ = ("truncation", "den", "nums")
+    _params = ("truncation", "coeffs")
 
     def __init__(self, truncation: int, coeffs: dict[Partition, Fraction] = {}):
         truncation = size(truncation, "truncation")
-        Value.__init__(self, truncation, symfunc.normalize_terms(coeffs, truncation))
+        den, (nums,) = over_common_denominator(symfunc.normalize_terms(coeffs, truncation))
+        Value.__init__(self, truncation, den, nums)
+
+    @property
+    def coeffs(self) -> dict[Partition, Fraction]:
+        return fraction_terms(self.den, self.nums)
 
     def coeff(self, lam) -> Fraction:
-        return self.coeffs.get(as_partition(lam), Fraction(0))
+        return Fraction(self.nums.get(as_partition(lam), 0), self.den)
 
     def __add__(self, other: "TSeries") -> "TSeries":
-        coeffs = dict(self.coeffs)
+        coeffs = self.coeffs
         add_into(coeffs, other.coeffs)
         return TSeries(min(self.truncation, other.truncation), coeffs)
 
@@ -211,10 +221,11 @@ class TSeries(Value):
 
     def __mul__(self, other: "TSeries") -> "TSeries":
         N = min(self.truncation, other.truncation)
-        return TSeries.trusted(N, symfunc._p_mul_terms(self.coeffs, other.coeffs, N))
+        return TSeries.trusted(N, *lowest_terms(
+            self.den * other.den, symfunc._p_mul_terms(self.nums, other.nums, N)))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
 
 def ts_exp(s: TSeries, N: int) -> TSeries:
@@ -222,16 +233,12 @@ def ts_exp(s: TSeries, N: int) -> TSeries:
     N = size(N, "truncation")
     if s.truncation < N:
         raise ValueError(f"input truncated at {s.truncation} < {N}")
-    return TSeries(N, symfunc.graded_exp(s.coeffs, N))
+    return TSeries.trusted(N, *lowest_terms(*symfunc.graded_exp(s.den, s.nums, N)))
 
 
 def ts_egf(s: TSeries) -> list[Fraction]:
     """Specialize t_1 = t, t_i = 0 (i >= 2): the plain EGF coefficients."""
-    out = [Fraction(0)] * (s.truncation + 1)
-    for lam, c in s.coeffs.items():
-        if all(p == 1 for p in lam):
-            out[len(lam)] += c
-    return out
+    return [Fraction(s.nums.get((1,) * n, 0), s.den) for n in range(s.truncation + 1)]
 
 
 # --- TT polynomials: exact polynomials in t_i and T_i -----------------------
@@ -504,7 +511,7 @@ def enhanced_expand(e: EnhancedExpr, N: int) -> TSeries:
     for k, poly in zip(e.parts, polys):
         terms = [(w, code, c) for code, (w, c) in _substitute_tails(poly, ns, N).items() if c]
         multiset_mul(terms, _exp_kt0(k, N), N, total)
-    return TSeries.trusted(N, multiset_terms(total, L * factorial(N)))
+    return TSeries.trusted(N, *lowest_terms(L * factorial(N), multiset_terms(total)))
 
 
 def fourier_dual_hilbert(h: ExpPoly, d: int) -> ExpPoly:
@@ -683,7 +690,7 @@ def exppoly_from_json(obj: dict) -> ExpPoly:
 def tseries_to_json(s: TSeries) -> dict:
     return {
         "truncation": s.truncation,
-        "coeffs": {format_partition(lam): str(c) for lam, c in s.coeffs.items()},
+        "coeffs": {format_partition(lam): fraction_text(c, s.den) for lam, c in s.nums.items()},
     }
 
 

@@ -27,8 +27,9 @@ from .partitions import (
     transpose,
     z_of,
 )
-from .polyutil import (Value, add_into, json_fraction, json_int, merge_terms, multiset_code,
-                       multiset_mul, multiset_terms, newton_exp, over_common_denominator, size)
+from .polyutil import (Value, add_into, fraction_terms, json_fraction, json_int, merge_terms,
+                       multiset_code, multiset_mul, multiset_terms, newton_exp,
+                       over_common_denominator, size)
 
 SCHUR = "s"
 POWERSUM = "p"
@@ -133,28 +134,29 @@ def _p_to_s(terms) -> dict[Partition, Fraction]:
     return {lam: Fraction(c, L) for lam, c in merged.items()}
 
 
-def _p_mul_terms(a: dict[Partition, Fraction], b: dict[Partition, Fraction],
-                 trunc: int | None = None) -> dict[Partition, Fraction]:
+def _p_mul_terms(a: dict, b: dict, trunc: int | None = None) -> dict:
     """Product of two partition-keyed dicts whose keys multiply by multiset
     union (power sums, t-monomials, T-monomials), dropping terms above `trunc`
-    (None: keep all), by polyutil.multiset_mul on multiset codes. The result
-    has no zero coefficients, and its keys are in canonical order."""
+    (None: keep all), by polyutil.multiset_mul on multiset codes; int or Fraction
+    coefficients. The result has no zero coefficients, and its keys are in
+    canonical order."""
     return multiset_terms(multiset_mul([(*multiset_code(k), c) for k, c in a.items()],
                                        sorted((*multiset_code(k), c) for k, c in b.items()),
                                        trunc, {}))
 
 
-def graded_exp(b: dict[Partition, Fraction], N: int) -> dict[Partition, Fraction]:
-    """exp(b) through degree N in the algebra of `_p_mul_terms`, for b with no
-    degree-0 term: polyutil.newton_exp on b's parts over their common
-    denominator, each pair of terms of b and exp(b) multiplied once."""
+def graded_exp(L: int, b: dict[Partition, int], N: int) -> tuple[int, dict[Partition, int]]:
+    """exp(b / L) through degree N in the algebra of `_p_mul_terms`, for int-valued b
+    with no degree-0 term, as (L^N N!, nums) with keys in canonical order: polyutil.
+    newton_exp on b's parts, each pair of terms of b and exp(b / L) multiplied once."""
     if () in b:
         raise ValueError("exp of a series with constant term")
-    L, (lb,) = over_common_denominator(b)
     lc: dict[int, dict[Partition, int]] = {}
-    for mu, c in lb.items():
+    for mu, c in b.items():
         lc.setdefault(sum(mu), {})[mu] = sum(mu) * c
-    return {mu: c for a in newton_exp(lc, L, N, _p_mul_terms, {(): 1}) for mu, c in a.items()}
+    parts = newton_exp(lc, L, N, _p_mul_terms, {(): 1})
+    den = parts[-1][0]
+    return den, {mu: a[mu] * (den // dn) for dn, a in parts for mu in sorted(a, key=canonical_key)}
 
 
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
@@ -188,7 +190,8 @@ def sym_algebra_character(f: SymFunc, N: int) -> SymFunc:
         raise ValueError(f"input truncated at {fp.truncation} < {N}")
     log_terms = merge_terms((tuple(k * part for part in mu), c / k)
                             for mu, c in fp.terms.items() for k in range(1, N // sum(mu) + 1))
-    return change_basis(SymFunc(POWERSUM, graded_exp(log_terms, N), N), SCHUR)
+    L, (ints,) = over_common_denominator(log_terms)
+    return change_basis(SymFunc(POWERSUM, fraction_terms(*graded_exp(L, ints, N)), N), SCHUR)
 
 
 def dagger(f: SymFunc) -> SymFunc:

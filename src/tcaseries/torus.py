@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from .partitions import (
@@ -31,8 +32,9 @@ from .partitions import (
     enumerate_partitions,
     kostka_number,
 )
-from .polyutil import (Value, add_into, factorial, integer, json_fraction, json_int,
-                       merge_terms, newton_exp, over_common_denominator, size)
+from .polyutil import (Value, add_into, factorial, fraction_terms, fraction_text, integer,
+                       json_fraction, json_int, lowest_terms, merge_terms, newton_exp,
+                       over_common_denominator, size)
 from .seriesforms import TSeries
 
 __all__ = [
@@ -65,19 +67,26 @@ def _exponent(e, d: int) -> Exponent:
 
 
 class LaurentPoly(Value):
-    """Exact Laurent polynomial in d torus variables."""
+    """Exact Laurent polynomial in d torus variables, with coefficients nums[e] / den
+    in polyutil.lowest_terms, exponents sorted, read through `terms`."""
 
-    __slots__ = ("d", "terms")
+    __slots__ = ("d", "den", "nums")
+    _params = ("d", "terms")
 
     def __init__(self, d: int, terms: dict[Exponent, Fraction] = {}):
         d = size(d, "d")
         terms = merge_terms((_exponent(e, d), Fraction(c)) for e, c in terms.items())
-        Value.__init__(self, d, dict(sorted(terms.items())))
+        den, (nums,) = over_common_denominator(terms)
+        Value.__init__(self, d, den, dict(sorted(nums.items())))
+
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        return fraction_terms(self.den, self.nums)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.d != other.d:
             raise ValueError("variable count mismatch")
-        terms = dict(self.terms)
+        terms = self.terms
         add_into(terms, other.terms)
         return LaurentPoly(self.d, terms)
 
@@ -87,14 +96,15 @@ class LaurentPoly(Value):
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.d != other.d:
             raise ValueError("variable count mismatch")
-        return LaurentPoly.trusted(self.d, _mul_terms(self.terms, other.terms))
+        return LaurentPoly.trusted(self.d, *lowest_terms(self.den * other.den,
+                                                        _mul_terms(self.nums, other.nums)))
 
     def scale(self, c) -> "LaurentPoly":
         c = Fraction(c)
         return LaurentPoly(self.d, {e: v * c for e, v in self.terms.items()})
 
     def value_at_one(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
+        return Fraction(sum(self.nums.values()), self.den)
 
 
 def _width(bound: int) -> int:
@@ -133,17 +143,14 @@ def _code_mul(a: dict, b: dict) -> dict:
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
-    """Product of two exponent-keyed term dicts, int or Fraction valued: canonical
-    terms, on codes and on integers over the product of the two common
-    denominators, one Fraction per output term."""
+    """Product of two exponent-keyed int term dicts on codes: sorted keys, no zeros."""
     d, w = len(next(iter(a), ())), _width(_bound(a) + _bound(b))
-    (la, (ia,)), (lb, (ib,)) = over_common_denominator(a), over_common_denominator(b)
-    out = _code_mul(_codes(ia, w), _codes(ib, w))
-    return {_decode(x, d, w): Fraction(out[x], la * lb) for x in sorted(out)}
+    out = _code_mul(_codes(a, w), _codes(b, w))
+    return {_decode(x, d, w): out[x] for x in sorted(out)}
 
 
 def constant_term(f: LaurentPoly) -> Fraction:
-    return f.terms.get((0,) * f.d, Fraction(0))
+    return Fraction(f.nums.get((0,) * f.d, 0), f.den)
 
 
 def bar(f: LaurentPoly) -> LaurentPoly:
@@ -163,12 +170,13 @@ def delta_squared(d: int) -> LaurentPoly:
     """|Delta|^2 = Delta * bar(Delta) with Delta = prod_{i<j} (alpha_i - alpha_j)."""
     d = size(d, "d")
     dl = _delta(d)
-    return LaurentPoly(d, _mul_terms(dl, {tuple(-x for x in e): c for e, c in dl.items()}))
+    return LaurentPoly.trusted(d, 1, _mul_terms(dl, {tuple(-x for x in e): c
+                                                     for e, c in dl.items()}))
 
 
 @functools.cache
 def _delta_squared_codes(d: int, w: int) -> dict[int, int]:
-    return {_code(e, w): int(c) for e, c in delta_squared(d).terms.items()}
+    return _codes(delta_squared(d).nums, w)
 
 
 def _weighted(f: LaurentPoly, d: int, bound: int) -> tuple[int, int, dict[int, int]]:
@@ -177,9 +185,8 @@ def _weighted(f: LaurentPoly, d: int, bound: int) -> tuple[int, int, dict[int, i
     entries in [1-d, d-1]) and any up to `bound`, at which a caller reads W."""
     if f.d != d:
         raise ValueError(f"inputs must have {d} variables")
-    L, (terms,) = over_common_denominator(f.terms)
-    w = _width(max(bound, _bound(terms) + max(d - 1, 0)))
-    return L, w, _code_mul(_codes(terms, w), _delta_squared_codes(d, w))
+    w = _width(max(bound, _bound(f.nums) + max(d - 1, 0)))
+    return f.den, w, _code_mul(_codes(f.nums, w), _delta_squared_codes(d, w))
 
 
 def weyl_inner(f: LaurentPoly, g: LaurentPoly, d: int) -> Fraction:
@@ -187,9 +194,10 @@ def weyl_inner(f: LaurentPoly, g: LaurentPoly, d: int) -> Fraction:
     d = size(d, "d")
     if g.d != d:
         raise ValueError(f"inputs must have {d} variables")
-    L, w, W = _weighted(f, d, _bound(g.terms))
+    L, w, W = _weighted(f, d, _bound(g.nums))
     # CT(W * bar(g)) = sum_e W[e] g[e], without forming the product
-    return Fraction(sum(c * W.get(_code(e, w), 0) for e, c in g.terms.items()), L * factorial(d))
+    return Fraction(sum(c * W.get(_code(e, w), 0) for e, c in g.nums.items()),
+                    L * g.den * factorial(d))
 
 
 def power_sum_lp(k: int, d: int) -> LaurentPoly:
@@ -204,14 +212,9 @@ def power_sum_lp(k: int, d: int) -> LaurentPoly:
 def schur_lp(lam: Partition, d: int) -> LaurentPoly:
     """s_lam(alpha_1, ..., alpha_d) = sum_mu K_{lam,mu} m_mu(alpha), l(mu) <= d."""
     lam, d = as_partition(lam), size(d, "d")
-    terms: dict[Exponent, Fraction] = {}
-    for mu in enumerate_partitions(sum(lam), max_length=d):
-        k = kostka_number(lam, mu)
-        if k:
-            padded = mu + (0,) * (d - len(mu))
-            for e in set(itertools.permutations(padded)):
-                terms[e] = Fraction(k)
-    return LaurentPoly(d, terms)
+    return LaurentPoly(d, {e: k for mu in enumerate_partitions(sum(lam), max_length=d)
+                           if (k := kostka_number(lam, mu))
+                           for e in itertools.permutations(mu + (0,) * (d - len(mu)))})
 
 
 def schur_coefficients(f: LaurentPoly) -> dict[Partition, Fraction]:
@@ -223,10 +226,9 @@ def schur_coefficients(f: LaurentPoly) -> dict[Partition, Fraction]:
     of f adds sign(w) c at mu + delta = w(e + delta), one `_reflect` per term,
     on integers over f's common denominator L.
     """
-    d = f.d
-    L, (terms,) = over_common_denominator(f.terms)
+    d, L = f.d, f.den
     delta = range(d - 1, -1, -1)
-    coeffs = merge_terms((x, c * s) for e, c in terms.items() for x, s in
+    coeffs = merge_terms((x, c * s) for e, c in f.nums.items() for x, s in
                          [_reflect(tuple(a + b for a, b in zip(e, delta)), [(0, d, False)])])
     return {as_partition(x - b for x, b in zip(e, delta)): Fraction(c, L)
             for e, c in sorted(coeffs.items())}
@@ -235,15 +237,15 @@ def schur_coefficients(f: LaurentPoly) -> dict[Partition, Fraction]:
 def sym_degree_characters(chi: LaurentPoly, N: int) -> list[LaurentPoly]:
     """Characters of Sym^n(E) for n <= N from the character of E: exp of
     sum_k p_k / k with p_k = chi(alpha^k), by polyutil.newton_exp on
-    lc[k] = p_k(L chi) for L the common denominator of chi, over the integers, on
-    codes: no entry of Sym^n exceeds n times chi's, and code(k e) = k code(e)."""
+    lc[k] = p_k(L chi) for L the denominator of chi, over the integers, on codes:
+    no entry of Sym^n exceeds n times chi's, and code(k e) = k code(e)."""
     N = size(N, "truncation")
-    L, (lchi,) = over_common_denominator(chi.terms)
-    w = _width(N * _bound(lchi))
-    lc = {k: {k * x: c for x, c in _codes(lchi, w).items()} for k in range(1, N + 1)}
-    # decoded in code order, the terms are canonical: sorted keys, nonzero Fractions
-    return [LaurentPoly.trusted(chi.d, {_decode(x, chi.d, w): a[x] for x in sorted(a)})
-            for a in newton_exp(lc, L, N, _code_mul, {0: 1})]
+    w = _width(N * _bound(chi.nums))
+    lc = {k: {k * x: c for x, c in _codes(chi.nums, w).items()} for k in range(1, N + 1)}
+    # decoded in code order, the keys are sorted
+    return [LaurentPoly.trusted(chi.d, *lowest_terms(den, {_decode(x, chi.d, w): a[x]
+                                                           for x in sorted(a)}))
+            for den, a in newton_exp(lc, chi.den, N, _code_mul, {0: 1})]
 
 
 def _reflect(v: Exponent, spans) -> tuple[Exponent, int]:
@@ -366,8 +368,8 @@ def enhanced_from_equivariant(hilb, d: int, N: int) -> TSeries:
     |Delta|^2, formed once per degree on integers and codes. p_lam has exponents
     >= 0 only, so W is read only at the codes of the permutations of each
     partition nu of |lam| in at most d parts, cached per (|lam|, d, w), and
-    paired with the rows [m_nu] p_lam of partitions._power_sum_to_monomial, one
-    Fraction over L d! lam! per coefficient.
+    paired with the rows [m_nu] p_lam of partitions._power_sum_to_monomial, on
+    integers over M d! N!, M the lcm of the denominators L (lam! divides N!).
 
     `hilb` is a sequence of LaurentPoly degree-n characters of M(C^d) for
     n = 0..N (entries may be None for zero).
@@ -377,14 +379,13 @@ def enhanced_from_equivariant(hilb, d: int, N: int) -> TSeries:
     for n, ch in enumerate(hilb[:N + 1]):
         if ch is not None:
             L, w, W = _weighted(ch, d, N)
-            folded[n] = L * factorial(d), {nu: sum(W.get(x, 0) for x in codes)
-                                           for nu, codes in _orbit_codes(n, d, w)}
-    coeffs: dict[Partition, Fraction] = {}
-    for lam, fact, row in _power_sum_to_monomial(d, N):
-        den, fold = folded.get(sum(lam), (1, {}))
-        if c := sum(m * fold.get(nu, 0) for nu, m in row):
-            coeffs[lam] = Fraction(c, den * fact)
-    return TSeries.trusted(N, coeffs)
+            folded[n] = L, {nu: sum(W.get(x, 0) for x in codes)
+                            for nu, codes in _orbit_codes(n, d, w)}
+    M, fN = math.lcm(*(L for L, _ in folded.values())), factorial(N)
+    nums = {lam: sum(m * fold.get(nu, 0) for nu, m in row) * (M // L) * (fN // fact)
+            for lam, fact, row in _power_sum_to_monomial(d, N)
+            for L, fold in [folded.get(sum(lam), (1, {}))]}
+    return TSeries.trusted(N, *lowest_terms(M * factorial(d) * fN, nums))
 
 
 @functools.cache
@@ -418,10 +419,7 @@ def hilbert_from_weight_presentation(A, b, N: int) -> list[Fraction]:
         if tot > N:
             return
         if i == len(rows):
-            w = Fraction(1)
-            for v in y:
-                w /= factorial(v)
-            out[tot] += w
+            out[tot] += Fraction(1, math.prod(map(factorial, y)))
             return
         cur = y
         while sum(cur) <= N:
@@ -437,7 +435,8 @@ def hilbert_from_weight_presentation(A, b, N: int) -> list[Fraction]:
 
 def lp_to_json(f: LaurentPoly) -> dict:
     return {"d": f.d,
-            "terms": {",".join(str(x) for x in e): str(c) for e, c in f.terms.items()}}
+            "terms": {",".join(str(x) for x in e): fraction_text(c, f.den)
+                      for e, c in f.nums.items()}}
 
 
 def lp_from_json(obj: dict) -> LaurentPoly:

@@ -1,5 +1,6 @@
 """CLI: golden-file regressions, exit codes, and output determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -250,7 +251,9 @@ EXIT_CODE_CASES = [
     (["invariants", "--group", "sl2", "--dim", "3", "--nmax", "4"], 2),
     (["invariants", "--group", "sl2xsl2", "--rep", "tensor", "--dim", "3", "--nmax", "4"], 2),
     (["dfinite", "--series", "catalan-egf", "--max-order", "-1000",
-      "--max-degree", "-1000"], 3),                                # caps checked before the series is built
+      "--max-degree", "-1000"], 2),                                # caps refused by argparse
+    (["dfinite", "--series", "bell-egf", "--max-degree", "-1"], 2),
+    (["dfinite", "--series", "bell-egf", "--max-order", "0"], 2),
     # --rep does not apply to the trivial group
     (["invariants", "--group", "trivial", "--rep", "tensor", "--dim", "3", "--nmax", "4"], 2),
     (["invariants", "--group", "trivial", "--rep", "standard", "--dim", "3", "--nmax", "4"], 2),
@@ -268,6 +271,35 @@ EXIT_CODE_CASES = [
 def test_exit_codes(argv, expected):
     code, _, _ = run_cli(argv)
     assert code == expected
+
+
+def test_dfinite_caps_are_refused_by_argparse():
+    code, out, err = run_cli(["dfinite", "--series", "bell-egf", "--max-order", "0"])
+    assert (code, out) == (2, "")
+    assert err.endswith("tcaseries dfinite: error: argument --max-order: must be >= 1, got 0\n")
+    code, out, err = run_cli(["dfinite", "--series", "bell-egf", "--max-degree", "-1"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --max-degree: must be >= 0, got -1\n")
+
+
+def test_a_named_subcommand_builds_only_its_own_parser(monkeypatch):
+    built, add = [], argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kwargs: built.append(name) or add(self, name, **kwargs))
+    assert run_cli(["hilbert", "--d", "3", "--r", "1"])[0] == 0 and built == ["hilbert"]
+    for argv in ([], ["-h"], ["nosuchcommand"], ["--text", "hilbert"]):
+        built.clear()
+        run_cli(argv)
+        assert built == list(cli._COMMANDS), argv
+
+
+@pytest.mark.parametrize("argv", [[name, *extra] for name in cli._COMMANDS
+                                  for extra in (["-h"], ["--no-such-flag"], ["--text", "x"])])
+def test_one_subcommand_parser_prints_as_all_of_them(monkeypatch, argv):
+    # usage, help and error text are those of the parser of every subcommand
+    got = run_cli(argv)
+    monkeypatch.setattr(cli, "_build_parser", lambda only, build=cli._build_parser: build())
+    assert got == run_cli(argv)
 
 
 def test_integers_print_in_full_beyond_the_default_digit_limit():

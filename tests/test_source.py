@@ -287,8 +287,10 @@ TRUSTED_CALLERS = {
     ("seriesforms.py", "enhanced_expand"),
     ("seriesforms.py", "phi_sigma"),
     ("seriesforms.py", "sigma_expand"),
+    ("seriesforms.py", "ts_exp"),
     ("symfunc.py", "change_basis"),
     ("torus.py", "LaurentPoly.__mul__"),
+    ("torus.py", "delta_squared"),
     ("torus.py", "enhanced_from_equivariant"),
     ("torus.py", "sym_degree_characters"),
 }

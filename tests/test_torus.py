@@ -15,6 +15,7 @@ from oracles import (
     schur_monomials,
     sym_powers_binomial,
 )
+from tcaseries.grassmann import gessel_enhanced
 from tcaseries.partitions import (
     enumerate_partitions,
     partition_factorial,
@@ -571,6 +572,30 @@ def test_expansion_routes_do_no_fraction_arithmetic(monkeypatch):
         assert route(*args)
         assert calls == [], route.__name__
     assert HALF + 1 == F(3, 2) and calls == ["__add__"]
+
+
+def test_enhanced_routes_make_no_fraction(monkeypatch):
+    # Gessel's determinant, the expansion of an enhanced form, the integral route
+    # and the symmetric powers store integer numerators over one denominator:
+    # they make no Fraction at all, not even one per output coefficient
+    enhanced = phi_sigma(SigmaExpr({((2, 1), (2, 0)): F(1, 3), ((1,), (1,)): F(-5, 4),
+                                    ((), (0, 0)): F(1), ((1, 1), ()): F(2, 5)}))
+    chi = lp(2, {(1, 0): HALF, (0, 1): HALF, (1, -1): F(-2, 3)})
+    hilb = sym_degree_characters(power_sum_lp(1, 2).scale(F(3, 2)), 8)
+    routes = [(gessel_enhanced, 3, 2, 9), (enhanced_expand, enhanced, 9),
+              (enhanced_from_equivariant, hilb, 2, 8), (sym_degree_characters, chi, 8)]
+    made = []
+
+    def counted(cls, *args, _original=F.__new__, **kwargs):
+        made.append(args)
+        return _original(cls, *args, **kwargs)
+    monkeypatch.setattr(F, "__new__", staticmethod(counted))
+    for route, *args in routes:
+        route(*args)
+        assert made == [], route.__name__
+    assert HALF + 1 and len(made) == 1  # the count sees a Fraction made
+    monkeypatch.undo()
+    assert F(1, 2) and len(made) == 1
 
 
 def test_schur_coefficients_do_no_fraction_arithmetic(monkeypatch):

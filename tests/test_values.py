@@ -3,8 +3,9 @@
 import copy
 import inspect
 import json
+import math
 import pickle
-from fractions import Fraction as F
+from fractions import Fraction, Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,13 +25,14 @@ from tcaseries.seriesforms import (
     enhanced_expand,
     phi_sigma,
     sigma_expand,
+    ts_exp,
     tseries_to_json,
 )
 from tcaseries.symfunc import POWERSUM, SCHUR, SymFunc, change_basis
-from tcaseries.torus import (KernelSeries, LaurentPoly, enhanced_from_equivariant, lp_to_json,
-                            sym_degree_characters)
+from tcaseries.torus import (KernelSeries, LaurentPoly, delta_squared,
+                            enhanced_from_equivariant, lp_to_json, sym_degree_characters)
 
-# class -> (field names in positional order, arguments of one nonzero value)
+# class -> (constructor parameters in positional order, arguments of one nonzero value)
 CASES = {
     SymFunc: (("basis", "terms", "truncation"), (SCHUR, {(2, 1): F(1)}, 3)),
     TSeries: (("truncation", "coeffs"), (3, {(1,): F(1, 2)})),
@@ -47,6 +49,10 @@ CASES = {
 }
 CLASSES = list(CASES)
 IDS = [cls.__name__ for cls in CLASSES]
+# the fields of the classes that store their coefficients as integer numerators
+# over one denominator (polyutil.lowest_terms); every other class stores its
+# constructor's parameters
+FIELDS = {TSeries: ("truncation", "den", "nums"), LaurentPoly: ("d", "den", "nums")}
 
 
 def _value(cls):
@@ -57,7 +63,7 @@ def _value(cls):
 def test_fields_and_signature_pinned(cls):
     # perfbench and the tests construct these positionally and by keyword
     names = CASES[cls][0]
-    assert issubclass(cls, Value) and cls.__slots__ == names
+    assert issubclass(cls, Value) and cls.__slots__ == FIELDS.get(cls, names)
     assert tuple(inspect.signature(cls).parameters) == names
 
 
@@ -122,9 +128,16 @@ def test_copy_and_pickle_round_trip(cls):
 
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
 def test_repr_names_class_and_fields(cls):
+    # a call of the constructor, with the value's arguments by name
     v = _value(cls)
-    fields = ", ".join(f"{name}={getattr(v, name)!r}" for name in cls.__slots__)
-    assert repr(v) == f"{cls.__name__}({fields})"
+    args = ", ".join(f"{name}={getattr(v, name)!r}" for name in CASES[cls][0])
+    assert repr(v) == f"{cls.__name__}({args})"
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_repr_round_trips(cls):
+    v = _value(cls)
+    assert eval(repr(v), {c.__name__: c for c in CLASSES} | {"Fraction": Fraction}) == v
 
 
 def test_repr_form():
@@ -141,7 +154,7 @@ def test_default_fields_not_shared(cls):
                     if p.default is inspect.Parameter.empty])
     a, b = cls(*args[:required]), cls(*args[:required])
     assert a == b
-    for name in names:
+    for name in cls.__slots__:
         if isinstance(getattr(a, name), dict):
             assert getattr(a, name) == {} and getattr(a, name) is not getattr(b, name)
 
@@ -164,7 +177,14 @@ def _shape(x):
 
 
 def assert_canonical(v):
-    assert _shape(type(v)(*v._fields())._fields()) == _shape(v._fields())
+    """v equals its rebuild through the validating constructor, field by field, with
+    numbers of the same types and dict items in the same order; its coefficients,
+    when stored over one denominator, are in lowest terms."""
+    rebuilt = type(v)(*(getattr(v, name) for name in inspect.signature(type(v)).parameters))
+    assert _shape(rebuilt._fields()) == _shape(v._fields())
+    if type(v) in FIELDS:
+        assert type(v.den) is int and v.den >= 1 and math.gcd(v.den, *v.nums.values()) == 1
+        assert all(type(c) is int and c for c in v.nums.values())
 
 
 _FRACTIONS = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
@@ -186,6 +206,13 @@ _ENHANCED = st.builds(EnhancedExpr, st.dictionaries(st.integers(0, 2), st.dictio
 @given(_TSERIES, _TSERIES)
 def test_series_products_are_canonical(a, b):
     assert_canonical(a * b)
+
+
+@given(_TSERIES, st.integers(0, 6))
+def test_series_exponentials_are_canonical(s, N):
+    s = s - TSeries(s.truncation, {(): s.coeff(())})
+    if N <= s.truncation:
+        assert_canonical(ts_exp(s, N))
 
 
 @settings(deadline=None)
@@ -224,9 +251,20 @@ def _laurent_polys(d):
         st.lists(st.integers(-2, 2), min_size=d, max_size=d).map(tuple), _FRACTIONS, max_size=4))
 
 
+@given(_TSERIES, st.integers(0, 3).flatmap(_laurent_polys))
+def test_validated_values_are_canonical(s, f):
+    assert_canonical(s)
+    assert_canonical(f)
+
+
 @given(st.integers(0, 3).flatmap(lambda d: st.tuples(_laurent_polys(d), _laurent_polys(d))))
 def test_laurent_products_are_canonical(pair):
     assert_canonical(pair[0] * pair[1])
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_weyl_weights_are_canonical(d):
+    assert_canonical(delta_squared(d))
 
 
 @given(st.integers(0, 3).flatmap(_laurent_polys), st.integers(0, 5))
