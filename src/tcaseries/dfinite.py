@@ -120,8 +120,7 @@ def guess_ode(coeffs: CoeffSeries, max_order: int = 6, max_degree: int = 8,
     for r in range(1, max_order + 1):
         # degree-major unknowns (j, i): each (r, d) system is a column prefix
         cols = [(i, j) for j in range(max_degree + 1) for i in range(r + 1)]
-        pivots = echelon(_ode_rows(ds, r, cols), len(cols), p)[0] if p else []
-        k = sum(c == n for n, c in enumerate(pivots))
+        k = len(echelon(_ode_rows(ds, r, cols), len(cols), p, prefix=True)[0]) if p else 0
         certified += [(r, d) for d in range(k // (r + 1))]
         for d in range(k // (r + 1), max_degree + 1):
             # order-major unknowns (i, j): a nullspace of dimension above 1

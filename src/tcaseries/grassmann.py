@@ -1,5 +1,5 @@
 """K-theory of the Grassmannian over a point: Bott pushforwards, the Euler
-pairing, the character maps theta_r / mu_r, and determinantal-ring formulas.
+pairing, the character map theta_r, and determinantal-ring formulas.
 
 Conventions: Y = Gr_r(C^d) carries the rank-r tautological quotient bundle Q
 and the rank d-r subbundle R (0 -> R -> O^d -> Q -> 0). K(Y) classes are
@@ -35,12 +35,10 @@ from .polyutil import (
 from .symfunc import SCHUR, SymFunc
 from .seriesforms import (
     EnhancedExpr,
-    ExpPoly,
     SigmaExpr,
     TSeries,
     TTPoly,
     _sigma_key_sort,
-    ex_sigma,
 )
 from .torus import LaurentPoly, schur_coefficients, schur_lp
 
@@ -56,7 +54,6 @@ __all__ = [
     "lambda_grclass_from_json",
     "lambda_grclass_to_json",
     "m_shifted_class",
-    "mu_r",
     "pairing",
     "pushforward_module_character",
     "rank1_enhanced_closed",
@@ -255,17 +252,6 @@ def theta_r(c: LambdaGrClass) -> SigmaExpr:
         if v % den:
             raise AssertionError(f"pairing {v}/{den} at {key} is not an integer")
     return SigmaExpr.trusted({key: Fraction(v, den) for key, v in terms.items()})
-
-
-def mu_r(c: LambdaGrClass) -> ExpPoly:
-    """Hilbert-series map: ex_sigma(theta_r(c)), supported on e^{rt} alone."""
-    if not c.terms:
-        return ExpPoly({})
-    _, r = c.shape()
-    h = ex_sigma(theta_r(c))
-    if not set(h.parts) <= {r}:
-        raise AssertionError(f"mu_r output not concentrated on e^{{{r}t}}")
-    return h
 
 
 def pushforward_module_character(d: int, r: int, alpha, N: int) -> SymFunc:

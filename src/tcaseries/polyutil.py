@@ -180,6 +180,18 @@ def merge_terms(pairs, order=None) -> dict:
     return dict(items)
 
 
+def product_terms(a: dict, b: dict) -> dict:
+    """The product of two term dicts whose keys multiply by adding, such as
+    packed exponent codes: {x + y: sum of a[x] b[y]}, zero terms dropped."""
+    out: dict = {}
+    get = out.get
+    for x, c in a.items():
+        for y, v in b.items():
+            cur = get(k := x + y)
+            out[k] = c * v if cur is None else cur + c * v
+    return {k: c for k, c in out.items() if c}
+
+
 def add_into(dst: dict, src: dict, c=1) -> None:
     """dst += c * src, dropping zero coefficients."""
     for k, v in src.items():
@@ -312,17 +324,22 @@ def linear_form_det(r: int, entry, N: int | None = None) -> dict[tuple[int, ...]
             for (_, _, code), v in sorted(states.items(), key=lambda kv: (kv[0][1], -kv[0][2]))}
 
 
-def echelon(rows: list[list], ncols: int, p: int | None = None) -> tuple[list[int], list[list]]:
+def echelon(rows: list[list], ncols: int, p: int | None = None,
+            prefix: bool = False) -> tuple[list[int], list[list]]:
     """Pivot columns and reduced row echelon form of the matrix, pivoting on
     its first ncols columns: over the rationals for Fraction entries, or
     modulo the prime p, when one is given, for integer entries. A column is
     a pivot exactly when it is independent of the columns before it, so the
-    pivots of a column prefix are a prefix of the pivots."""
+    pivots of a column prefix are a prefix of the pivots. With `prefix`, only
+    the leading run of pivots 0, ..., k-1 (all a rank filter reads): it stops
+    at the first column that is not a pivot and leaves the matrix unreduced."""
     mat = [row[:] if p is None else [a % p for a in row] for row in rows]
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
         sel = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if sel is None and prefix:
+            break
         if sel is None:
             continue
         mat[rank], mat[sel] = mat[sel], mat[rank]
@@ -332,7 +349,7 @@ def echelon(rows: list[list], ncols: int, p: int | None = None) -> tuple[list[in
         tail = mat[rank][col:] = [v * inv if p is None else v * inv % p for v in tail]
         for i, row in enumerate(mat):
             f = row[col]
-            if f and i != rank:
+            if f and (i > rank or i < rank and not prefix):
                 row[col:] = ([a - f * b for a, b in zip(row[col:], tail)] if p is None
                              else [(a - f * b) % p for a, b in zip(row[col:], tail)])
         pivots.append(col)
@@ -395,10 +412,10 @@ def _annihilates(ints: list[list[int]], vec: list) -> bool:
 
 def residues(values) -> tuple[int, list[int]] | None:
     """The first prime of RANK_PRIMES that divides no denominator of the
-    rationals `values` and leaves some residue nonzero, with their residues
-    modulo it; None when there is none. Values that are all zero keep the
-    first prime: modulo any prime their residues all vanish."""
-    values = [Fraction(v) for v in values]
+    rationals `values` (ints or Fractions) and leaves some residue nonzero,
+    with their residues modulo it; None when there is none. Values that are
+    all zero keep the first prime: modulo any prime their residues all vanish."""
+    values = list(values)
     for p in RANK_PRIMES:
         if all(v.denominator % p for v in values):
             mods = [v.numerator * pow(v.denominator, -1, p) % p for v in values]

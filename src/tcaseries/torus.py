@@ -1,14 +1,16 @@
 """Exact Laurent-polynomial torus calculus.
 
 Constant terms, Weyl integration against |Delta|^2, invariant-ring dimension
-sequences for products of GL(k)/SL(k) factors, the kernel K(t, alpha), the
-integral route to enhanced Hilbert series, and the lattice-point EGF.
+sequences for products of GL(k)/SL(k) factors, the kernel K(t, alpha) and the
+integral route to enhanced Hilbert series.
 
 All integration is exact: CT(F * bar(g)) is the sparse dot product of F and g,
 and the enhanced route forms ch_n * |Delta|^2 once per degree n. Invariant
 dimensions need no integral: integer multiplicities on dominant weights by
 the Brauer-Klimyk rule to half the degree, paired with their duals by Schur's
-lemma. Schur coefficients are read off f * x^delta by the same straightening.
+lemma; a character f (x) g, whose integer coefficient matrix over a first
+block and the rest has rank 1, runs block by block (Goodman-Wallach, 4.2).
+Schur coefficients are read off f * x^delta by the same straightening.
 Per-degree characters come from the caller or from `sym_degree_characters`;
 both run on integers over a common denominator.
 
@@ -34,7 +36,7 @@ from .partitions import (
 )
 from .polyutil import (Value, add_into, factorial, fraction_terms, fraction_text, integer,
                        json_fraction, json_int, lowest_terms, merge_terms, newton_exp,
-                       over_common_denominator, size)
+                       over_common_denominator, product_terms, size)
 from .seriesforms import TSeries
 
 __all__ = [
@@ -44,7 +46,6 @@ __all__ = [
     "constant_term",
     "delta_squared",
     "enhanced_from_equivariant",
-    "hilbert_from_weight_presentation",
     "invariant_dimensions",
     "kernel_K",
     "lp_from_json",
@@ -137,15 +138,10 @@ def _decode(code: int, d: int, w: int) -> Exponent:
     return tuple(out)
 
 
-def _code_mul(a: dict, b: dict) -> dict:
-    """Product of two code-keyed term dicts: one integer addition per pair."""
-    return merge_terms((x + y, c * v) for x, c in a.items() for y, v in b.items())
-
-
 def _mul_terms(a: dict, b: dict) -> dict:
     """Product of two exponent-keyed int term dicts on codes: sorted keys, no zeros."""
     d, w = len(next(iter(a), ())), _width(_bound(a) + _bound(b))
-    out = _code_mul(_codes(a, w), _codes(b, w))
+    out = product_terms(_codes(a, w), _codes(b, w))
     return {_decode(x, d, w): out[x] for x in sorted(out)}
 
 
@@ -186,7 +182,7 @@ def _weighted(f: LaurentPoly, d: int, bound: int) -> tuple[int, int, dict[int, i
     if f.d != d:
         raise ValueError(f"inputs must have {d} variables")
     w = _width(max(bound, _bound(f.nums) + max(d - 1, 0)))
-    return f.den, w, _code_mul(_codes(f.nums, w), _delta_squared_codes(d, w))
+    return f.den, w, product_terms(_codes(f.nums, w), _delta_squared_codes(d, w))
 
 
 def weyl_inner(f: LaurentPoly, g: LaurentPoly, d: int) -> Fraction:
@@ -202,10 +198,8 @@ def weyl_inner(f: LaurentPoly, g: LaurentPoly, d: int) -> Fraction:
 
 def power_sum_lp(k: int, d: int) -> LaurentPoly:
     k, d = size(k, "k"), size(d, "d")
-    if k == 0:
-        return LaurentPoly(d, {(0,) * d: Fraction(d)})
-    return LaurentPoly(d, {tuple(k if j == i else 0 for j in range(d)): Fraction(1)
-                           for i in range(d)})
+    return LaurentPoly(d, merge_terms((tuple(k if j == i else 0 for j in range(d)), 1)
+                                      for i in range(d)))
 
 
 @functools.cache
@@ -245,7 +239,7 @@ def sym_degree_characters(chi: LaurentPoly, N: int) -> list[LaurentPoly]:
     # decoded in code order, the keys are sorted
     return [LaurentPoly.trusted(chi.d, *lowest_terms(den, {_decode(x, chi.d, w): a[x]
                                                            for x in sorted(a)}))
-            for den, a in newton_exp(lc, chi.den, N, _code_mul, {0: 1})]
+            for den, a in newton_exp(lc, chi.den, N, product_terms, {0: 1})]
 
 
 def _reflect(v: Exponent, spans) -> tuple[Exponent, int]:
@@ -272,22 +266,12 @@ def invariant_dimensions(group: list[tuple[str, int]], weights: LaurentPoly,
     """dim (E^{tensor n})^G for n = 0..n_max, G a product of GL(k)/SL(k) factors.
 
     `weights` is the character of E on the ambient GL tori, with integer
-    multiplicities and invariant under permutations within each block. Each
-    irreducible V_lam of E^{tensor n} is counted under the key lam + rho and
-    tensored with E by the Brauer-Klimyk rule V_lam (x) E = sum_mu sign(w)
-    V_{w(lam+mu+rho)-rho} over the weights mu of E (Humphreys section 24,
-    Fulton-Harris section 25), SL weights taken modulo (1, ..., 1).
-
-    By Schur's lemma V_lam (x) V_nu has an invariant only for nu = lam*, and
-    then exactly one, so dims[a + b] = sum_lam m_a[lam] m_b[lam*]: the rule runs
-    to ceil(n_max / 2) only. The dual key of v is (k-1) - reversed(v) on each
-    block, shifted to end in 0 on an SL block.
-
-    On codes, a step merges the sums of keys and weights and straightens each
-    distinct vector once per call; a dual key is code(top) - v, straightened.
-    With K the largest k - 1 and M the largest weight entry, keys after j steps
-    have entries of absolute value <= K + 2jM (an SL shift adds at most 2M), so
-    2(K + ceil(n_max / 2) M) bounds every vector met, sums and duals included.
+    multiplicities and invariant under permutations within each block.
+    For E = E_1 (x) E_2 on G_1 x G_2, (E^{tensor n})^G = (E_1^{tensor n})^{G_1}
+    (x) (E_2^{tensor n})^{G_2} (Goodman-Wallach, section 4.2), so the first
+    block peels off, its dims multiplying the rest's, when chi's integer matrix
+    M[a][b] (a the first block's exponent) has rank 1, tested exactly by
+    _split_block. Each distinct (blocks, character) runs _brauer_klimyk once.
     """
     spans, pos, n_max = [], 0, size(n_max, "n_max")
     for kind, k in group:
@@ -298,35 +282,84 @@ def invariant_dimensions(group: list[tuple[str, int]], weights: LaurentPoly,
         pos += k
     if weights.d != pos:
         raise ValueError(f"weights must have {pos} variables")
-    terms = weights.terms
-    if any(terms.get(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) != c for e, c in terms.items()
+    nums, spans, parts = weights.nums, tuple(spans), []
+    if any(nums.get(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) != c for e, c in nums.items()
            for lo, hi, _ in spans for i in range(lo, hi - 1)):
         raise ValueError("weights must be invariant under permutations within each block")
+    if weights.den != 1:  # some multiplicity is not an integer: `integer` refuses it
+        list(map(integer, weights.terms.values()))
+    while len(spans) > 1 and nums and (fg := _split_block(k := spans[0][1], nums)):
+        parts.append((spans[:1], fg[0]))
+        spans, nums = tuple((lo - k, hi - k, sl) for lo, hi, sl in spans[1:]), fg[1]
+    run = functools.cache(_brauer_klimyk)
+    dims = [math.prod(col) for col in zip(*(run(s, frozenset(f.items()), n_max)
+                                            for s, f in parts + [(spans, nums)]))]
+    for n in range(n_max + 1):
+        if dims[n] < 0:
+            raise ValueError(f"negative invariant dimension {dims[n]} at n={n}: "
+                             "weights is a virtual character")
+    return dims
+
+
+def _split_block(k: int, nums: dict) -> tuple[dict, dict] | None:
+    """(f, g) with f on the first k variables, g primitive and nums = f g: each row
+    M[a] = {b: nums[a + b]} is f[a] g, key set included; None at rank > 1. An
+    integral rational multiple q g of a primitive integer row g has q integral."""
+    rows: dict = {}
+    for e, c in nums.items():
+        rows.setdefault(e[:k], {})[e[k:]] = c
+    pivot = next(iter(rows.values()))
+    content = math.gcd(*pivot.values())
+    g = {b: c // content for b, c in pivot.items()}
+    b0, c0 = next(iter(g.items()))
+    f = {a: row.get(b0, 0) // c0 for a, row in rows.items()}
+    exact = all(row == {b: f[a] * c for b, c in g.items()} for a, row in rows.items())
+    return (f, g) if exact else None
+
+
+def _brauer_klimyk(spans: tuple[tuple[int, int, bool], ...], terms: frozenset,
+                   n_max: int) -> list[int]:
+    """The joint kernel: the dimensions for n <= n_max of the invariants of the
+    character with integer terms (e, c) on the blocks (lo, hi, sl), negative ones
+    (of a virtual character) returned, not refused.
+
+    Each irreducible V_lam of E^{tensor n} is counted under the key lam + rho and
+    tensored with E by the Brauer-Klimyk rule V_lam (x) E = sum_mu sign(w)
+    V_{w(lam+mu+rho)-rho} over the weights mu of E (Humphreys section 24,
+    Fulton-Harris section 25), SL weights taken modulo (1, ..., 1).
+
+    By Schur's lemma V_lam (x) V_nu has an invariant only for nu = lam*, and
+    then exactly one, so dims[a + b] = sum_lam m_a[lam] m_b[lam*]: the rule runs
+    to ceil(n_max / 2) only. The dual key of v is (k-1) - reversed(v) on each
+    block, shifted to end in 0 on an SL block.
+
+    On codes, a step merges the sums of keys and weights and straightens each
+    distinct vector once per call; the dual key of each key, code(top) - v
+    straightened, is read once per table. With K the largest k - 1 and M the
+    largest weight entry, keys after j steps have entries of absolute value
+    <= K + 2jM (an SL shift adds at most 2M), so 2(K + ceil(n_max / 2) M)
+    bounds every vector met, sums and duals included.
+    """
+    pos, nums = sum(hi - lo for lo, hi, _ in spans), dict(terms)
     rho = tuple(hi - 1 - i for lo, hi, _ in spans for i in range(lo, hi))
     top = tuple(hi - lo - 1 for lo, hi, _ in spans for _ in range(lo, hi))
     steps = (n_max + 1) // 2
-    w = _width(2 * (max(top, default=0) + steps * _bound(terms)))
+    w = _width(2 * (max(top, default=0) + steps * _bound(nums)))
 
     @functools.cache
     def reflect(x: int) -> tuple[int, int]:
         v, sign = _reflect(_decode(x, pos, w), spans)
         return _code(v, w), sign
 
-    mus = {x: integer(c) for x, c in _codes(terms, w).items()}
+    mus = _codes(nums, w)
     tables = [{_code(rho, w): 1}]
     for _ in range(steps):
-        tables.append(merge_terms((x, sign * c) for v, c in _code_mul(tables[-1], mus).items()
+        tables.append(merge_terms((x, sign * c) for v, c in product_terms(tables[-1], mus).items()
                                   for x, sign in [reflect(v)]))
     dual = _code(top, w)
-    dims = []
-    for n in range(n_max + 1):
-        half = tables[n - n // 2]
-        dims.append(sum(c * half.get(reflect(dual - v)[0], 0)
-                        for v, c in tables[n // 2].items()))
-        if dims[-1] < 0:
-            raise ValueError(f"negative invariant dimension {dims[-1]} at n={n}: "
-                             "weights is a virtual character")
-    return dims
+    duals = [[(reflect(dual - v)[0], c) for v, c in t.items()] for t in tables[:n_max // 2 + 1]]
+    return [sum(c * tables[n - n // 2].get(x, 0) for x, c in duals[n // 2])
+            for n in range(n_max + 1)]
 
 
 class KernelSeries(Value):
@@ -393,41 +426,6 @@ def _orbit_codes(n: int, d: int, w: int) -> tuple[tuple[Partition, tuple[int, ..
     """(nu, codes of the permutations of nu padded to d entries) for each nu |- n, l(nu) <= d."""
     pads = ((nu, nu + (0,) * (d - len(nu))) for nu in enumerate_partitions(n, max_length=d))
     return tuple((nu, tuple({_code(e, w) for e in itertools.permutations(x)})) for nu, x in pads)
-
-
-def hilbert_from_weight_presentation(A, b, N: int) -> list[Fraction]:
-    """EGF coefficients of sum_x t^{|xA+b|} / (xA+b)! over x in Z_{>=0}^n.
-
-    A is an n x d matrix of non-negative integers with no zero row; b is a
-    non-negative integer d-tuple; |y| = sum(y), y! = prod(y_i!).
-    """
-    rows = [tuple(map(integer, row)) for row in A]
-    b = tuple(map(integer, b))
-    width = len(b)
-    for row in rows:
-        if len(row) != width:
-            raise ValueError("matrix width must match len(b)")
-        if any(v < 0 for v in row) or not any(row):
-            raise ValueError(f"rows must be nonzero and non-negative, got {row}")
-    if any(v < 0 for v in b):
-        raise ValueError("b must be non-negative")
-    N = size(N, "truncation")
-    out = [Fraction(0)] * (N + 1)
-
-    def rec(i: int, y: tuple[int, ...]):
-        tot = sum(y)
-        if tot > N:
-            return
-        if i == len(rows):
-            out[tot] += Fraction(1, math.prod(map(factorial, y)))
-            return
-        cur = y
-        while sum(cur) <= N:
-            rec(i + 1, cur)
-            cur = tuple(a + c for a, c in zip(cur, rows[i]))
-
-    rec(0, b)
-    return out
 
 
 # --- JSON wire format --------------------------------------------------------

@@ -32,6 +32,9 @@ g |Delta|^2, where the package reads both off one determinant of linear
 forms. ``sym_powers_binomial``
 reads Sym^n off generalized binomial series, against the Newton recurrence
 of ``sym_degree_characters``; it only builds LaurentPoly values.
+``hilbert_from_weight_presentation`` sums a lattice-point EGF one point at a
+time, and ``mu_r`` is the Hilbert-series map ex_sigma(theta_r(c)); no package
+route calls either, so they live here with their tests.
 """
 
 from __future__ import annotations
@@ -573,6 +576,53 @@ def exp_power_sum_log(N: int) -> dict[tuple[int, ...], Fraction]:
             rec(prefix + [k], k, left - k)
 
     rec([], N, N)
+    return out
+
+
+def mu_r(c):
+    """The Hilbert-series map ex_sigma(theta_r(c)) on a LambdaGrClass,
+    supported on e^{rt} alone."""
+    from tcaseries.grassmann import theta_r
+    from tcaseries.seriesforms import ExpPoly, ex_sigma
+    if not c.terms:
+        return ExpPoly({})
+    _, r = c.shape()
+    h = ex_sigma(theta_r(c))
+    if not set(h.parts) <= {r}:
+        raise AssertionError(f"mu_r output not concentrated on e^{{{r}t}}")
+    return h
+
+
+def hilbert_from_weight_presentation(A, b, N: int) -> list[Fraction]:
+    """EGF coefficients of sum_x t^{|xA+b|} / (xA+b)! over x in Z_{>=0}^n, one
+    lattice point at a time.
+
+    A is an n x d matrix of non-negative integers with no zero row; b is a
+    non-negative integer d-tuple; |y| = sum(y), y! = prod(y_i!).
+    """
+    rows = [tuple(row) for row in A]
+    b = tuple(b)
+    for row in rows:
+        if len(row) != len(b):
+            raise ValueError("matrix width must match len(b)")
+        if any(v < 0 for v in row) or not any(row):
+            raise ValueError(f"rows must be nonzero and non-negative, got {row}")
+    if any(v < 0 for v in b):
+        raise ValueError("b must be non-negative")
+    out = [Fraction(0)] * (N + 1)
+
+    def rec(i: int, y: tuple[int, ...]):
+        if sum(y) > N:
+            return
+        if i == len(rows):
+            out[sum(y)] += Fraction(1, math.prod(map(math.factorial, y)))
+            return
+        cur = y
+        while sum(cur) <= N:
+            rec(i + 1, cur)
+            cur = tuple(a + c for a, c in zip(cur, rows[i]))
+
+    rec(0, b)
     return out
 
 

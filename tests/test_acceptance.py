@@ -189,7 +189,7 @@ CATALAN_OP = OdeOperator(((F(0), F(0), F(-4)), (F(0), F(3)), (F(0), F(0), F(1)))
 
 
 def test_criterion_07_catalan_invariants_and_ode():
-    # dim (Sym^n C^2)^{SL_2} interleaves the Catalan numbers; the EGF of the
+    # dim ((C^2)^{(x) n})^{SL_2} interleaves the Catalan numbers; the EGF of the
     # same pipeline is annihilated by exactly t^2 y'' + 3t y' - 4t^2 y.
     std = LaurentPoly(2, {(1, 0): F(1), (0, 1): F(1)})
     length = needed_length(6, 8)
@@ -203,7 +203,7 @@ def test_criterion_07_catalan_invariants_and_ode():
 
 
 def test_criterion_08_catalan_square_invariants_and_ode():
-    # dim (Sym^n (C^2 (x) C^2))^{SL_2 x SL_2} = C_{n/2}^2; an annihilator within
+    # dim ((C^2 (x) C^2)^{(x) n})^{SL_2 x SL_2} = C_{n/2}^2; an annihilator within
     # order 4, degree 8 is guessed from 80 coefficients of the matching OGF and
     # verified on 40 held-out ones.
     w = LaurentPoly(4, {

@@ -270,9 +270,9 @@ def test_bell_reduces_each_order_once_modulo_p(monkeypatch):
     # one modular elimination per order, not one per (order, degree) pair
     calls = []
 
-    def counted(rows, ncols, p=None):
+    def counted(rows, ncols, p=None, **kw):
         calls.append((len(rows), ncols, p))
-        return echelon(rows, ncols, p)
+        return echelon(rows, ncols, p, **kw)
     monkeypatch.setattr(dfinite, "echelon", counted)
     assert guess_ode(bell_egf(60), max_order=5, max_degree=5) is None
     assert calls == [(60 - r, (r + 1) * 6, P) for r in range(1, 6)]
@@ -373,6 +373,18 @@ def test_echelon_pivots_of_a_column_prefix_are_a_prefix():
             # reduced: each pivot column is a unit vector
             for rix, pc in enumerate(pivots):
                 assert [row[pc] for row in mat] == [int(i == rix) for i in range(nrows)]
+
+
+def test_echelon_prefix_gives_the_leading_run_of_pivots():
+    # the rank filter reads only k, the number of leading pivot columns
+    rng = random.Random(62)
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(nrows)]
+        for p in (3, P):
+            pivots = echelon(rows, ncols, p)[0]
+            k = sum(c == n for n, c in enumerate(pivots))
+            assert echelon(rows, ncols, p, prefix=True)[0] == list(range(k))
 
 
 def _counting_echelon(monkeypatch):

@@ -41,7 +41,6 @@ from tcaseries.grassmann import (
     lambda_grclass_from_json,
     lambda_grclass_to_json,
     m_shifted_class,
-    mu_r,
     pairing,
     pushforward_module_character,
     rank1_enhanced_closed,
@@ -53,6 +52,7 @@ from oracles import (
     gessel_enhanced_permutations,
     linear_form_det_leibniz,
     lr_coefficient,
+    mu_r,
     theta_r_pairings,
 )
 

@@ -62,7 +62,6 @@ from tcaseries.seriesforms import (
 from tcaseries.torus import (
     KernelSeries,
     LaurentPoly,
-    hilbert_from_weight_presentation,
     invariant_dimensions,
     lp_from_json,
 )
@@ -469,8 +468,6 @@ _NEGATIVE_SIZE_ENTRIES = {
     "PoincareSeries d": ("d", lambda n: PoincareSeries(n, 2, {0: (Fraction(1),)})),
     "ex_specialize": ("truncation", lambda n: ex_specialize(_S1, n)),
     "exppoly_taylor": ("truncation", lambda n: exppoly_taylor(_H, n)),
-    "hilbert_from_weight_presentation": ("truncation", lambda n: (
-        torus.hilbert_from_weight_presentation([[1]], [0], n))),
     "ts_exp": ("truncation", lambda n: ts_exp(TSeries(3, {(1,): 1}), n)),
     "sigma_ddag_check": ("truncation", sigma_ddag_check),
     "umbral_substitute": ("k", lambda n: umbral_substitute({(1, 1): 1}, n)),
@@ -893,7 +890,6 @@ NON_INTEGER_CASES = {
     "invariant_dimensions rank": lambda: invariant_dimensions([("gl", 1.5)], LaurentPoly(1), 2),
     "bott_pushforward weight": lambda: bott_pushforward(3, 1, (1.5,), ()),
     "ExpPoly layer": lambda: ExpPoly({1.5: (1,)}),
-    "weight presentation row": lambda: hilbert_from_weight_presentation([[1.5]], [0], 3),
 }
 
 

@@ -168,14 +168,16 @@ def test_pushforward_oracle_reads_chi_through_bott():
 
 def test_invariant_dimensions_use_no_weyl_integration():
     # invariant dimensions come from the Brauer-Klimyk rule on dominant
-    # weights, paired by Schur's lemma with no pruning bound; the
-    # constant-term route is the oracle in tests/oracles.py
+    # weights, paired by Schur's lemma with no pruning bound, block by block
+    # where the character splits, on integers; the constant-term route is the
+    # oracle in tests/oracles.py
     tree = ast.parse((SRC / "torus.py").read_text())
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert {"_sl_reduce", "_size"} & set(funcs) == set()
-    body = funcs["invariant_dimensions"]
-    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
-    assert names & {"delta_squared", "_ct_dot", "_weighted", "_integral", "Fraction"} == set()
+    for name in ("invariant_dimensions", "_split_block", "_brauer_klimyk"):
+        names = {node.id for node in ast.walk(funcs[name]) if isinstance(node, ast.Name)}
+        assert names & {"delta_squared", "_ct_dot", "_weighted", "_integral",
+                        "Fraction"} == set(), name
 
 
 def test_integral_route_weights_each_degree_once():

@@ -1,5 +1,6 @@
 """Torus constant terms, Weyl inner products, invariant dimensions, the
-kernel series, the integral route to enhanced series, and lattice EGFs."""
+kernel series, the integral route to enhanced series, and the lattice-EGF
+oracle of tests/oracles.py."""
 
 import itertools
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     decompose_schur,
     enhanced_from_equivariant_per_partition,
+    hilbert_from_weight_presentation,
     invariant_dimensions_ct,
     poly_mul,
     schur_monomials,
@@ -38,7 +40,6 @@ from tcaseries.torus import (
     constant_term,
     delta_squared,
     enhanced_from_equivariant,
-    hilbert_from_weight_presentation,
     invariant_dimensions,
     kernel_K,
     lp_from_json,
@@ -383,6 +384,107 @@ def test_invariant_dimensions_straighten_each_vector_once(monkeypatch):
     assert dims == [catalan[n // 2] ** 2 if n % 2 == 0 else 0 for n in range(37)]
 
 
+def _spans(group):
+    out, pos = [], 0
+    for kind, k in group:
+        out.append((pos, pos + k, kind == "sl"))
+        pos += k
+    return tuple(out)
+
+
+def _joint_or_error(group, chi, n_max):
+    """The joint Brauer-Klimyk kernel on every block at once, refused as
+    invariant_dimensions refuses a virtual character."""
+    import tcaseries.torus as torus
+    dims = torus._brauer_klimyk(_spans(group), frozenset(chi.items()), n_max)
+    for n, x in enumerate(dims):
+        if x < 0:
+            return f"negative invariant dimension {x} at n={n}: weights is a virtual character"
+    return dims
+
+
+def _block_character(draw, group):
+    """An integer sum of up to two orbits (none: the zero character) on `group`,
+    some with negative multiplicity."""
+    d, chi = sum(k for _, k in group), {}
+    for _ in range(draw(st.integers(0, 2))):
+        e = tuple(draw(st.lists(st.integers(-1, 1), min_size=d, max_size=d)))
+        m = draw(st.sampled_from([1, 1, 2, -1]))
+        for o in _orbit(e, group):
+            chi[o] = chi.get(o, 0) + m
+    return {e: c for e, c in chi.items() if c}
+
+
+def _external(f, g, c=1):
+    return {a + b: c * x * y for a, x in f.items() for b, y in g.items()}
+
+
+@st.composite
+def block_products(draw):
+    """(group, chi, n_max): chi = c (f (x) g) on gl/sl blocks of rank <= 2 each
+    side, with identical sides, (-f) (x) (-g), content c and, sometimes, a
+    second product added, whose sum has rank 2 in general."""
+    def blocks():
+        ranks = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)
+                     .filter(lambda r: sum(r) <= 2))
+        return [(draw(st.sampled_from(["gl", "sl"])), k) for k in ranks]
+
+    g1 = blocks()
+    f = _block_character(draw, g1)
+    if draw(st.booleans()):  # the same block and character on both sides
+        g2, g = g1, f
+    else:
+        g2 = blocks()
+        g = _block_character(draw, g2)
+    if draw(st.booleans()):
+        f, g = ({e: -c for e, c in f.items()}, {e: -c for e, c in g.items()})
+    chi = _external(f, g, draw(st.sampled_from([1, 2, -1])))
+    if draw(st.booleans()):
+        for e, c in _external(_block_character(draw, g1), _block_character(draw, g2)).items():
+            chi[e] = chi.get(e, 0) + c
+    return g1 + g2, {e: c for e, c in chi.items() if c}, draw(st.integers(0, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_products())
+def test_block_split_matches_the_joint_kernel(case):
+    # dims of f (x) g block by block against one joint Brauer-Klimyk run; a
+    # virtual character fails at the same n with the same message
+    group, chi, n_max = case
+    got = _result_or_error(invariant_dimensions, group,
+                           LaurentPoly(sum(k for _, k in group), chi), n_max)
+    assert got == _joint_or_error(group, chi, n_max)
+
+
+@pytest.mark.parametrize("group,chi,n_max", [
+    ([("sl", 2), ("sl", 2)], {}, 6),                                   # zero
+    ([("gl", 1), ("gl", 1)], {(1, 1): 1, (-1, -1): 1}, 8),             # rank 2
+    ([("gl", 1), ("gl", 1)], _external({(1,): 1, (-1,): 1}, {(1,): 1, (-1,): 1}, 2), 8),
+    ([("gl", 1), ("gl", 1)], {(0, 0): -1}, 4),                         # virtual
+    ([("gl", 1), ("sl", 2), ("gl", 1)], _external(_external(           # three blocks
+        {(1,): 1, (-1,): 1}, {(1, 0): 1, (0, 1): 1}), {(2,): 1, (-2,): 1}), 8),
+])
+def test_block_split_edge_cases_match_the_joint_kernel(group, chi, n_max):
+    got = _result_or_error(invariant_dimensions, group,
+                           LaurentPoly(sum(k for _, k in group), chi), n_max)
+    assert got == _joint_or_error(group, chi, n_max)
+
+
+def test_block_split_compares_key_sets_not_row_lengths():
+    # rows {(1,): 1} and {(-1,): 1} have one entry each but no common key: rank 2
+    import tcaseries.torus as torus
+    assert torus._split_block(1, {(-1, -1): 1, (1, 1): 1}) is None
+    assert torus._split_block(1, {(-1, -1): 2, (-1, 1): 2, (1, -1): 3, (1, 1): 3}) == (
+        {(-1,): 2, (1,): 3}, {(-1,): 1, (1,): 1})
+
+
+def test_sl2_x_sl2_tensor_to_120_gives_catalan_squares():
+    chi = lp(4, {(1, 0, 1, 0): 1, (1, 0, 0, 1): 1, (0, 1, 1, 0): 1, (0, 1, 0, 1): 1})
+    catalan = [binom(2 * m, m) // (m + 1) for m in range(61)]
+    assert invariant_dimensions([("sl", 2), ("sl", 2)], chi, 120) == [
+        catalan[n // 2] ** 2 if n % 2 == 0 else 0 for n in range(121)]
+
+
 # --- kernel series -----------------------------------------------------------
 
 
@@ -654,7 +756,7 @@ def test_enhanced_integral_sees_length_truncation():
     assert integral != phi_enhanced(full, N)
 
 
-# --- lattice EGF -------------------------------------------------------------
+# --- lattice EGF (the oracle in tests/oracles.py) ----------------------------
 
 
 def test_weight_presentation_free_rank_one():
