@@ -42,11 +42,18 @@ def apply_ode(op: OdeOperator, coeffs: CoeffSeries) -> list[Fraction]:
     """Residual coefficients of sum_i p_i(t) y^(i) at t^m for every m where
     the truncation of y determines them (m = 0 .. len(coeffs)-1-order),
     summed in integers over the common denominator of series and operator."""
-    lp, ps = over_common_denominator(*(dict(enumerate(p)) for p in op.coeffs))
     ly, ys = cleared(coeffs)
-    return [Fraction(sum(c * ys[m - j + i] * falling(m - j + i, i)
-                         for i, p in enumerate(ps) for j, c in p.items() if c and j <= m), lp * ly)
-            for m in range(len(coeffs) - op.order)]
+    lp, sums = _residual_sums(op, ys)
+    return [Fraction(n, lp * ly) for n in sums]
+
+
+def _residual_sums(op: OdeOperator, ys: list[int]) -> tuple[int, list[int]]:
+    """(lp, lp times the residuals of the integer series ys), lp the common
+    denominator of the operator's coefficients."""
+    lp, ps = over_common_denominator(*(dict(enumerate(p)) for p in op.coeffs))
+    return lp, [sum(c * ys[m - j + i] * falling(m - j + i, i)
+                    for i, p in enumerate(ps) for j, c in p.items() if c and j <= m)
+                for m in range(len(ys) - op.order)]
 
 
 def _frobenius_lift(polys: list[Poly]) -> list[Poly]:
@@ -131,7 +138,7 @@ def guess_ode(coeffs: CoeffSeries, max_order: int = 6, max_degree: int = 8,
                 if not polys[-1]:
                     continue
                 op = OdeOperator(_normalize(_frobenius_lift(polys)))
-                if any(apply_ode(op, ys)):
+                if any(_residual_sums(op, ys)[1]):
                     continue
                 return op
     return None

@@ -26,11 +26,9 @@ from .partitions import (
     canonical_key,
     dim_schur,
     enumerate_partitions,
-    format_partition,
-    parse_partition,
 )
 from .polyutil import (
-    Value, add_into, binom, factorial, integer, json_int, linear_form_det, lowest_terms,
+    Value, add_into, binom, factorial, integer, linear_form_det, lowest_terms,
     merge_terms, size)
 from .symfunc import SCHUR, SymFunc
 from .seriesforms import (
@@ -47,12 +45,7 @@ __all__ = [
     "LambdaGrClass",
     "bott_pushforward",
     "detring_formal_character",
-    "euler_schur_q",
     "gessel_enhanced",
-    "grclass_from_json",
-    "grclass_to_json",
-    "lambda_grclass_from_json",
-    "lambda_grclass_to_json",
     "m_shifted_class",
     "pairing",
     "pushforward_module_character",
@@ -151,12 +144,6 @@ def bott_pushforward(d: int, r: int, a, b) -> tuple[int, Weight] | None:
     ell = sum(1 for i in range(d) for j in range(i + 1, d) if v[i] < v[j])
     w = tuple(x - y for x, y in zip(sorted(v, reverse=True), rho))
     return ell, w
-
-
-def euler_schur_q(d: int, r: int, lam: Partition) -> int:
-    """chi(Y, S_lam(Q)) for a partition lam with at most r rows."""
-    d, r = _shape(d, r)
-    return _euler_table(d, r, as_partition(_check_weight(lam, r, "a")))
 
 
 @functools.cache
@@ -342,26 +329,3 @@ def rank1_enhanced_closed(d: int) -> EnhancedExpr:
         weighted = {((), nu): c * math.prod(factorial(k) for k in nu) for nu, c in fs[j].items()}
         add_into(poly, weighted, Fraction(binom(d - 1, i), factorial(j)))
     return EnhancedExpr({1: poly})
-
-
-# --- JSON wire formats -------------------------------------------------------
-
-
-def grclass_to_json(g: GrClass) -> dict:
-    return {"d": g.d, "r": g.r,
-            "terms": {format_partition(a): c for a, c in g.terms.items()}}
-
-
-def grclass_from_json(obj: dict) -> GrClass:
-    return GrClass(json_int(obj["d"]), json_int(obj["r"]),
-                   merge_terms((parse_partition(k), json_int(v)) for k, v in obj["terms"].items()))
-
-
-def lambda_grclass_to_json(c: LambdaGrClass) -> dict:
-    return {"terms": {format_partition(mu): grclass_to_json(g)
-                      for mu, g in c.terms.items()}}
-
-
-def lambda_grclass_from_json(obj: dict) -> LambdaGrClass:
-    return LambdaGrClass(_unique_keys((parse_partition(k), grclass_from_json(v))
-                                      for k, v in obj["terms"].items()))

@@ -415,10 +415,11 @@ def residues(values) -> tuple[int, list[int]] | None:
     rationals `values` (ints or Fractions) and leaves some residue nonzero,
     with their residues modulo it; None when there is none. Values that are
     all zero keep the first prime: modulo any prime their residues all vanish."""
-    values = list(values)
+    L, ints = cleared(list(values))
     for p in RANK_PRIMES:
-        if all(v.denominator % p for v in values):
-            mods = [v.numerator * pow(v.denominator, -1, p) % p for v in values]
-            if any(mods) or not any(values):
+        if L % p:
+            inv = pow(L, -1, p)
+            mods = [x * inv % p for x in ints]
+            if any(mods) or not any(ints):
                 return p, mods
     return None

@@ -101,7 +101,6 @@ __all__ = [
     "tca_enhanced_exp",
     "ts_egf",
     "ts_exp",
-    "umbral_substitute",
 ]
 
 SigmaKey = tuple[Partition, tuple[int, ...]]  # (s-partition, sigma index multiset)
@@ -580,34 +579,6 @@ def apply_diff_shadow(h: ExpPoly, c) -> ExpPoly:
     for r, p in h.parts.items():
         parts[r] = padd(pderiv(p), pscale(p, r - c))
     return ExpPoly(parts)
-
-
-def umbral_substitute(p, k: int) -> dict[Partition, Fraction]:
-    """down_k: prod t_i^{d_i} -> prod k^{-d_i} (a_i)_{d_i}, expanded in the a_i.
-
-    Input: a polynomial in the t_i only, either {partition: coeff} or a TTPoly
-    with empty T parts. Output keys: partitions encoding prod a_i^{e_i}.
-    """
-    k = size(k, "k", 1)
-
-    def t_part(key):
-        if isinstance(key, tuple) and len(key) == 2 and key and isinstance(key[0], tuple):
-            tpart, Tpart = key
-            if Tpart:
-                raise ValueError("input must be a polynomial in the t_i only")
-            return tpart
-        return key
-
-    mono = merge_terms((as_partition(t_part(key)), Fraction(c)) for key, c in p.items())
-    out: dict[Partition, Fraction] = {}
-    for alpha, c in mono.items():
-        cur: dict[Partition, Fraction] = {(): c}
-        # (a_var)_d / k^d: the factor (a_var - j) / k for the (j+1)st part var
-        for i, var in enumerate(alpha):
-            cur = symfunc._p_mul_terms(
-                cur, {(var,): Fraction(1, k), (): Fraction(alpha.index(var) - i, k)}, None)
-        add_into(out, cur)
-    return merge_terms(out.items(), canonical_key)
 
 
 def character_at(form: CharPolyForm, lam) -> int:

@@ -24,7 +24,6 @@ from .partitions import (
     format_partition,
     parse_partition,
     sym_character,
-    transpose,
     z_of,
 )
 from .polyutil import (Value, add_into, fraction_terms, json_fraction, json_int, merge_terms,
@@ -41,14 +40,10 @@ __all__ = [
     "SymFunc",
     "add",
     "change_basis",
-    "dagger",
-    "ddag",
     "degree_slice",
     "max_degree",
     "multiply",
-    "plethysm_power",
     "scale",
-    "schur_derivative",
     "sym_algebra_character",
 ]
 
@@ -168,15 +163,6 @@ def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
     return change_basis(SymFunc(POWERSUM, prod, trunc), f.basis)
 
 
-def plethysm_power(k: int, f: SymFunc) -> SymFunc:
-    """p_k ∘ f: substitute p_j -> p_{jk} on the powersum expansion."""
-    k = size(k, "k", 1)
-    fp = change_basis(f, POWERSUM)
-    terms = {tuple(k * part for part in mu): c for mu, c in fp.terms.items()}
-    trunc = None if f.truncation is None else k * f.truncation
-    return change_basis(SymFunc(POWERSUM, terms, trunc), f.basis)
-
-
 def sym_algebra_character(f: SymFunc, N: int) -> SymFunc:
     """Character of Sym(V) truncated at degree N, for V with character f.
 
@@ -192,28 +178,6 @@ def sym_algebra_character(f: SymFunc, N: int) -> SymFunc:
                             for mu, c in fp.terms.items() for k in range(1, N // sum(mu) + 1))
     L, (ints,) = over_common_denominator(log_terms)
     return change_basis(SymFunc(POWERSUM, fraction_terms(*graded_exp(L, ints, N)), N), SCHUR)
-
-
-def dagger(f: SymFunc) -> SymFunc:
-    """Transpose every indexing partition (schur basis)."""
-    fs = change_basis(f, SCHUR)
-    return SymFunc(SCHUR, {transpose(lam): c for lam, c in fs.terms.items()}, f.truncation)
-
-
-def ddag(f: SymFunc) -> SymFunc:
-    """s_lam -> (-1)^{|lam|} s_{lam'}: the involution behind sigma inversion."""
-    fs = change_basis(f, SCHUR)
-    terms = {transpose(lam): (-1) ** sum(lam) * c for lam, c in fs.terms.items()}
-    return SymFunc(SCHUR, terms, f.truncation)
-
-
-def schur_derivative(f: SymFunc) -> SymFunc:
-    """d/dp_1: the shift functor's effect on characters (degree drops by 1)."""
-    fp = change_basis(f, POWERSUM)
-    # d/dp_1 (p_1^m p_nu) = m p_1^{m-1} p_nu; parts descend, so the 1s are last
-    out = merge_terms((mu[:-1], mu.count(1) * c) for mu, c in fp.terms.items())
-    trunc = None if f.truncation is None else max(f.truncation - 1, 0)
-    return change_basis(SymFunc(POWERSUM, out, trunc), f.basis)
 
 
 def to_json(f: SymFunc) -> dict:

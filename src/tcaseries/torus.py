@@ -34,22 +34,18 @@ from .partitions import (
     enumerate_partitions,
     kostka_number,
 )
-from .polyutil import (Value, add_into, factorial, fraction_terms, fraction_text, integer,
-                       json_fraction, json_int, lowest_terms, merge_terms, newton_exp,
-                       over_common_denominator, product_terms, size)
+from .polyutil import (Value, add_into, factorial, fraction_terms, integer, lowest_terms,
+                       merge_terms, newton_exp, over_common_denominator, product_terms, size)
 from .seriesforms import TSeries
 
 __all__ = [
     "KernelSeries",
     "LaurentPoly",
-    "bar",
     "constant_term",
     "delta_squared",
     "enhanced_from_equivariant",
     "invariant_dimensions",
     "kernel_K",
-    "lp_from_json",
-    "lp_to_json",
     "power_sum_lp",
     "schur_lp",
     "sym_degree_characters",
@@ -147,11 +143,6 @@ def _mul_terms(a: dict, b: dict) -> dict:
 
 def constant_term(f: LaurentPoly) -> Fraction:
     return Fraction(f.nums.get((0,) * f.d, 0), f.den)
-
-
-def bar(f: LaurentPoly) -> LaurentPoly:
-    """alpha_i -> alpha_i^{-1}: negate all exponent tuples."""
-    return LaurentPoly(f.d, {tuple(-x for x in e): c for e, c in f.terms.items()})
 
 
 @functools.cache
@@ -426,18 +417,3 @@ def _orbit_codes(n: int, d: int, w: int) -> tuple[tuple[Partition, tuple[int, ..
     """(nu, codes of the permutations of nu padded to d entries) for each nu |- n, l(nu) <= d."""
     pads = ((nu, nu + (0,) * (d - len(nu))) for nu in enumerate_partitions(n, max_length=d))
     return tuple((nu, tuple({_code(e, w) for e in itertools.permutations(x)})) for nu, x in pads)
-
-
-# --- JSON wire format --------------------------------------------------------
-
-
-def lp_to_json(f: LaurentPoly) -> dict:
-    return {"d": f.d,
-            "terms": {",".join(str(x) for x in e): fraction_text(c, f.den)
-                      for e, c in f.nums.items()}}
-
-
-def lp_from_json(obj: dict) -> LaurentPoly:
-    return LaurentPoly(json_int(obj["d"]), merge_terms(
-        (tuple(int(tok) for tok in key.split(",")) if key else (), json_fraction(c))
-        for key, c in obj["terms"].items()))

@@ -169,6 +169,17 @@ def test_frobenius_lift_at_singular_origin():
         assert all(c == 0 for c in p[:i])
 
 
+def test_guess_ode_checks_candidates_on_integers(monkeypatch):
+    # each candidate's residuals are tested as the integer sums apply_ode
+    # forms, without one Fraction per residual
+    def refuse(op, coeffs):
+        raise AssertionError("guess_ode reached apply_ode")
+    monkeypatch.setattr(dfinite, "apply_ode", refuse)
+    assert guess_ode(catalan_egf(50), max_order=3, max_degree=3) == CATALAN_OP
+    assert guess_ode([F(1, factorial(n)) for n in range(40)], 1, 1) == EXP_OP
+    assert guess_ode(bell_egf(needed_length(2, 2)), max_order=2, max_degree=2) is None
+
+
 def test_apply_ode_respects_truncation_window():
     # residuals only for indices the truncation determines
     assert len(apply_ode(CATALAN_OP, catalan_egf(10))) == 8
@@ -217,6 +228,11 @@ def test_rank_filter_switches_primes_on_denominators():
     assert rank_modulo([[F(1)], [F(1, RANK_PRIMES[0] * RANK_PRIMES[1])]], 1) == (RANK_PRIMES[2], 1)
     every = RANK_PRIMES[0] * RANK_PRIMES[1] * RANK_PRIMES[2]
     assert rank_modulo([[F(1, every)]], 1) is None
+    # mixed denominators: one inverse of their lcm gives each value's residue
+    mixed = [F(1, 2), F(-2, 3), F(5, 12), 7, F(0), F(-9, 10)]
+    assert polyutil.residues(mixed) == (P, [v.numerator * pow(v.denominator, -1, P) % P
+                                            for v in map(F, mixed)])
+    assert polyutil.residues(mixed + [F(1, 6 * P)])[0] == RANK_PRIMES[1]
     cert = {}
     assert guess_ode([c / P for c in bell_egf(needed_length(2, 2))],
                      max_order=2, max_degree=2, certificate=cert) is None

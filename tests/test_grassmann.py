@@ -24,7 +24,6 @@ from tcaseries.symfunc import SCHUR, SymFunc, scale, sym_algebra_character
 from tcaseries.seriesforms import (
     EnhancedExpr,
     enhanced_expand,
-    phi_enhanced,
     phi_sigma,
     sigma_expand,
 )
@@ -34,12 +33,7 @@ from tcaseries.grassmann import (
     _lr_products,
     bott_pushforward,
     detring_formal_character,
-    euler_schur_q,
     gessel_enhanced,
-    grclass_from_json,
-    grclass_to_json,
-    lambda_grclass_from_json,
-    lambda_grclass_to_json,
     m_shifted_class,
     pairing,
     pushforward_module_character,
@@ -111,14 +105,6 @@ def test_euler_table_matches_borel_weil_and_bott():
             for lam in partitions_up_to(6, max_length=r):
                 assert grassmann._euler_table(d, r, lam) == dim_schur(lam, d), (d, r, lam)
                 assert bott_pushforward(d, r, lam, ()) == (0, lam + (0,) * (d - len(lam)))
-
-
-def test_euler_schur_q_validates_at_entry():
-    assert euler_schur_q(4, 2, [2, 1]) == euler_schur_q(4, 3, (2, 1, 0)) == dim_schur((2, 1), 4)
-    with pytest.raises(ValueError, match="a has length 3 > 2"):
-        euler_schur_q(4, 2, (1, 1, 1))
-    with pytest.raises(ValueError, match="not weakly decreasing"):
-        euler_schur_q(4, 2, (1, 2))
 
 
 # --- pairing -----------------------------------------------------------------
@@ -347,7 +333,6 @@ def test_sizes_reach_the_euler_table_as_ints():
     grassmann._euler_table.cache_clear()
     cold = pushforward_module_character(4.0, 2.0, (1,), 4)
     assert cold == pushforward_module_character(4, 2, (1,), 4)
-    assert euler_schur_q("5", 2.0, (1,)) == 5
     g = GrClass(3.0, 1.0, {(1,): 1})
     assert (type(g.d), type(g.r)) == (int, int) and pairing({(): 1}, g) == 3
 
@@ -633,19 +618,7 @@ def test_rank1_closed_form_matches_routes(d):
     assert closed == enhanced_expand(phi_sigma(detring_formal_character(d, 1)), N)
 
 
-# --- JSON --------------------------------------------------------------------
-
-
-def test_grclass_json_roundtrip():
-    g = GrClass(4, 2, {(1,): 1, (): -1})
-    obj = grclass_to_json(g)
-    assert obj == {"d": 4, "r": 2, "terms": {"[]": -1, "[1]": 1}}
-    assert grclass_from_json(obj) == g
-
-
-def test_lambda_grclass_json_roundtrip():
-    c = LambdaGrClass({(2,): GrClass(3, 1, {(1,): 2}), (): GrClass(3, 1, {(): 1})})
-    assert lambda_grclass_from_json(lambda_grclass_to_json(c)) == c
+# --- value validation --------------------------------------------------------
 
 
 def test_grclass_validation():
@@ -672,6 +645,3 @@ def test_lambda_grclass_rejects_one_partition_twice():
     g, h = GrClass(3, 1, {(): 1}), GrClass(3, 1, {(1,): 1})
     with pytest.raises(ValueError):
         LambdaGrClass({(1,): g, (1, 0): h})
-    obj = {"terms": {"[1]": grclass_to_json(g), "[1,0]": grclass_to_json(h)}}
-    with pytest.raises(ValueError):
-        lambda_grclass_from_json(obj)

@@ -1,6 +1,5 @@
 """Tests for series forms and the specialization maps between them."""
 
-import math
 import time
 from fractions import Fraction
 
@@ -11,11 +10,10 @@ from tcaseries.partitions import (
     as_partition,
     dim_schur,
     enumerate_partitions,
-    multiplicities,
     partitions_up_to,
     sym_character,
 )
-from tcaseries.grassmann import GrClass, bott_pushforward, gessel_enhanced, grclass_from_json
+from tcaseries.grassmann import GrClass, bott_pushforward, gessel_enhanced
 from tcaseries import dfinite, grassmann, partitions, polyutil, seriesforms, symfunc, torus
 from tcaseries.polyutil import RANK_PRIMES, echelon, nullspace
 from tcaseries.symfunc import SCHUR, SymFunc, add, multiply, sym_algebra_character
@@ -57,13 +55,11 @@ from tcaseries.seriesforms import (
     ts_exp,
     tseries_from_json,
     tseries_to_json,
-    umbral_substitute,
 )
 from tcaseries.torus import (
     KernelSeries,
     LaurentPoly,
     invariant_dimensions,
-    lp_from_json,
 )
 
 from oracles import enhanced_expand_series, exp_power_sum_log, sigma_expand_powersum
@@ -470,7 +466,6 @@ _NEGATIVE_SIZE_ENTRIES = {
     "exppoly_taylor": ("truncation", lambda n: exppoly_taylor(_H, n)),
     "ts_exp": ("truncation", lambda n: ts_exp(TSeries(3, {(1,): 1}), n)),
     "sigma_ddag_check": ("truncation", sigma_ddag_check),
-    "umbral_substitute": ("k", lambda n: umbral_substitute({(1, 1): 1}, n)),
     "CharPolyForm": ("m", lambda n: CharPolyForm(n, {1: {((1,), (1,)): 1}})),
     "char_poly_form": ("m", lambda n: char_poly_form(EnhancedExpr({1: {((1,), ()): 1}}), n)),
     "tca_enhanced_exp": ("truncation", lambda n: tca_enhanced_exp(
@@ -490,7 +485,6 @@ _NEGATIVE_SIZE_ENTRIES = {
     "kostka_and_inverse": ("n", partitions.kostka_and_inverse),
     "degree_slice": ("n", lambda n: symfunc.degree_slice(
         SymFunc(SCHUR, {(2,): 1, (1,): 1}), n)),
-    "plethysm_power": ("k", lambda n: symfunc.plethysm_power(n, _S1)),
     "sym_algebra_character": ("truncation", lambda n: sym_algebra_character(_S1, n)),
     "LaurentPoly": ("d", lambda n: torus.LaurentPoly(n, {(1, 0): 1})),
     "delta_squared": ("d", torus.delta_squared),
@@ -508,8 +502,6 @@ _NEGATIVE_SIZE_ENTRIES = {
     "GrClass r": ("r", lambda n: GrClass(3, n, {(1,): 1})),
     "bott_pushforward d": ("d", lambda n: bott_pushforward(n, 1, (1,), ())),
     "bott_pushforward r": ("r", lambda n: bott_pushforward(3, n, (1,), ())),
-    "euler_schur_q d": ("d", lambda n: _G.euler_schur_q(n, 1, (1,))),
-    "euler_schur_q r": ("r", lambda n: _G.euler_schur_q(3, n, (1,))),
     "m_shifted_class": ("r", lambda n: _G.m_shifted_class((1,), n)),
     "pushforward_module_character": ("truncation", lambda n: (
         _G.pushforward_module_character(3, 1, (), n))),
@@ -595,42 +587,6 @@ def test_poincare_koszul_rank_one():
 
 
 # --- umbral evaluation and character polynomials -----------------------------
-
-
-def test_umbral_substitute_t1_squared():
-    out = umbral_substitute({(1, 1): F(1)}, 1)
-    assert out == {(1, 1): F(1), (1,): F(-1)}  # a_1 (a_1 - 1)
-
-
-def test_umbral_substitute_scaling():
-    assert umbral_substitute({(2,): F(1)}, 2) == {(2,): HALF}
-    assert umbral_substitute({(2, 1): F(1)}, 1) == {(2, 1): F(1)}
-    assert umbral_substitute({(): F(5)}, 3) == {(): F(5)}
-
-
-def test_umbral_substitute_rejects_tail_sums():
-    with pytest.raises(ValueError):
-        umbral_substitute({((), (1,)): F(1)}, 1)
-
-
-def t_monomials():
-    """t-monomials as partitions: t_v, v <= 4, each to a power up to 5."""
-    return st.dictionaries(st.integers(1, 4), st.integers(1, 5), max_size=3).map(
-        lambda m: tuple(v for v in sorted(m, reverse=True) for _ in range(m[v])))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.dictionaries(t_monomials(), st.fractions(-5, 5, max_denominator=4), max_size=4),
-       st.integers(1, 3), st.lists(st.integers(0, 7), min_size=5, max_size=5))
-def test_umbral_substitute_matches_falling_factorials(poly, k, a):
-    # at a_v = a[v], t^alpha goes to prod_v (a_v)_{d_v} / k^{d_v}, d_v = m_v(alpha)
-    out = umbral_substitute(poly, k)
-    assert all(out.values())
-    got = sum(c * math.prod(a[v] for v in key) for key, c in out.items())
-    want = sum(c * math.prod(F(math.perm(a[v], d), k ** d)
-                             for v, d in multiplicities(alpha).items())
-               for alpha, c in poly.items())
-    assert got == want
 
 
 def brute_trace(ch_terms: dict, mu) -> int:
@@ -806,9 +762,6 @@ MERGE_CASES = {
     "tseries_from_json": lambda: tseries_from_json({"truncation": 3, "coeffs": _ONE_TWICE}).coeffs,
     "enhanced_from_json": lambda: enhanced_from_json({"parts": {"1": [
         {"t": t, "T": "[]", "coeff": "1"} for t in _ONE_TWICE]}}).parts[1],
-    "grclass_from_json": lambda: grclass_from_json(
-        {"d": 3, "r": 1, "terms": {"[1]": 1, "[1,0]": 1}}).terms,
-    "lp_from_json": lambda: lp_from_json({"d": 2, "terms": {"1,0": "1", "1, 0": "1"}}).terms,
 }
 
 
@@ -903,28 +856,29 @@ def test_non_integers_refused_not_truncated(case):
 # 3602879701896397/36028797018963968) and bool is an int subclass: coefficients
 # and integer fields refuse both, and integer fields refuse fractions; a
 # truncation also refuses negatives
-_GR = {"d": 3, "r": 1, "terms": {"[1]": 1}}
 BAD_NUMBER_CASES = {
     "symfunc coefficient float": lambda: symfunc_from_json(
         {"basis": "s", "truncation": 2, "terms": {"[1]": 0.1}}),
     "symfunc truncation float": lambda: symfunc_from_json(
         {"basis": "s", "truncation": 2.5, "terms": {"[1]": "1"}}),
+    "symfunc truncation integral float": lambda: symfunc_from_json(
+        {"basis": "s", "truncation": 1.0, "terms": {"[1]": "1"}}),
+    "symfunc truncation bool": lambda: symfunc_from_json(
+        {"basis": "s", "truncation": True, "terms": {"[1]": "1"}}),
+    "symfunc truncation fraction": lambda: symfunc_from_json(
+        {"basis": "s", "truncation": "3/2", "terms": {"[1]": "1"}}),
     "symfunc truncation negative": lambda: symfunc_from_json(
         {"basis": "s", "truncation": -3, "terms": {"[1]": "1"}}),
     "sigma coefficient float": lambda: sigma_from_json({"terms": {"[]": {"[0]": 0.5}}}),
     "tseries coefficient float": lambda: tseries_from_json(
         {"truncation": 2, "coeffs": {"[1]": 0.1}}),
+    "tseries truncation integral float": lambda: tseries_from_json(
+        {"truncation": 2.0, "coeffs": {}}),
     "tseries truncation bool": lambda: tseries_from_json({"truncation": True, "coeffs": {}}),
     "tseries truncation fraction": lambda: tseries_from_json({"truncation": "5/2", "coeffs": {}}),
     "enhanced coefficient float": lambda: enhanced_from_json(
         {"parts": {"1": [{"t": "[1]", "T": "[]", "coeff": 0.1}]}}),
     "ode coefficient float": lambda: ode_from_json([["1", 0.5]]),
-    "laurent coefficient float": lambda: lp_from_json({"d": 1, "terms": {"1": 0.1}}),
-    "laurent d float": lambda: lp_from_json({"d": 1.0, "terms": {"1": "1"}}),
-    "grclass coefficient float": lambda: grclass_from_json({**_GR, "terms": {"[1]": 2.7}}),
-    "grclass coefficient fraction": lambda: grclass_from_json({**_GR, "terms": {"[1]": "1/2"}}),
-    "grclass d bool": lambda: grclass_from_json({**_GR, "d": True, "r": True}),
-    "grclass r float": lambda: grclass_from_json({**_GR, "r": 1.0}),
 }
 
 

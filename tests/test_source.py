@@ -312,3 +312,67 @@ def test_only_canonical_kernels_skip_validation():
     assert callers == TRUSTED_CALLERS
     assert makers == {("polyutil.py", "Value.trusted")}
     assert definers == {("polyutil.py", "Value")}
+
+
+def test_src_line_budget():
+    # the package stays at or below 2600 non-blank, non-comment lines, counted
+    # as `grep -hvE '^\s*(#|$)' src/tcaseries/*.py | wc -l` does; a change that
+    # raises the budget says so in CHANGES.md
+    lines = [line for path in SRC.glob("*.py") for line in path.read_text().splitlines()
+             if line.strip() and not line.lstrip().startswith("#")]
+    assert len(lines) <= 2600
+
+
+# exported names that only their unit tests read, each with the reason it stays
+UNIT_TESTED_API = {
+    "hadamard": "closes the D-finite class under coefficient-wise products",
+    "constant_term": "the CT operation of Weyl integration",
+    "sigma_recognize": "the sigma-form recognizer that the ideal quotients will route",
+}
+
+
+def _exports(tree) -> list[str]:
+    """A module's __all__, or [] when it has none."""
+    return next((ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "__all__"), [])
+
+
+def _reads(tree, skip=None, strings=False) -> set[str]:
+    """Names a module reads: loaded names, attributes and imported names, outside
+    the top-level definition of `skip`; with `strings`, also the dotted parts of
+    string constants, by which perfbench/tracing.py wraps its targets."""
+    found = set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name == skip:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                found |= {alias.name for alias in node.names}
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found |= set(node.value.split("."))
+    return found
+
+
+def test_every_export_has_a_reader():
+    # a public name that no route, CLI subcommand, benchmark, oracle or
+    # acceptance test reads is unused API, unless UNIT_TESTED_API keeps it;
+    # the package __init__ only re-exports, so it reads nothing
+    root = Path(__file__).parent
+    outside = set()
+    for path in [root / "oracles.py", root / "test_acceptance.py",
+                 *sorted((root.parent / "perfbench").glob("*.py"))]:
+        outside |= _reads(ast.parse(path.read_text(), str(path)),
+                          strings=path.parent.name == "perfbench")
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    reads = {module: _reads(tree) for module, tree in trees.items()}
+    unread = set()
+    for module, tree in trees.items():
+        others = outside.union(*(r for m, r in reads.items() if m != module))
+        unread |= {name for name in _exports(tree)
+                   if name not in others | _reads(tree, skip=name)}
+    assert unread == set(UNIT_TESTED_API)

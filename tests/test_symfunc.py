@@ -1,28 +1,21 @@
-"""Symmetric function ring: basis changes, products, plethysm, derivations."""
+"""Symmetric function ring: basis changes, products, exponentials."""
 
-import math
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tcaseries.partitions import enumerate_partitions, partitions_up_to, sym_character, transpose
+from tcaseries.partitions import enumerate_partitions, partitions_up_to, sym_character
 from tcaseries.polyutil import multiset_code, multiset_mul, multiset_parts
 from tcaseries.symfunc import (
     POWERSUM,
     SCHUR,
     SymFunc,
-    add,
     change_basis,
-    dagger,
-    ddag,
     degree_slice,
     max_degree,
     multiply,
-    plethysm_power,
-    scale,
-    schur_derivative,
     sym_algebra_character,
 )
 import tcaseries.symfunc as sf
@@ -32,7 +25,6 @@ from oracles import (
     exp_power_sum_log,
     lr_coefficient,
     p_mul_sorting,
-    poly_mul,
     schur_monomials,
 )
 
@@ -95,24 +87,6 @@ def test_multiply_truncation():
     assert h.truncation == 3
 
 
-def test_plethysm_power_examples():
-    # p_2 ∘ s_(2) = s_(4) - s_(3,1) + s_(2,2)  (frozen from the monomial oracle)
-    f = plethysm_power(2, s_one((2,)))
-    assert f.basis == SCHUR
-    assert f.terms == {(4,): Fraction(1), (3, 1): Fraction(-1), (2, 2): Fraction(1)}
-    # oracle: s_2(x^2) in 4 variables
-    sq = {tuple(2 * e for e in k): c for k, c in schur_monomials((2,), 4).items()}
-    assert decompose_schur(sq, 4) == {(4,): 1, (3, 1): -1, (2, 2): 1}
-    # p_k ∘ p_mu concatenates scaled parts
-    g = plethysm_power(3, SymFunc(POWERSUM, {(2, 1): Fraction(5)}))
-    assert g.terms == {(6, 3): Fraction(5)}
-
-
-def test_plethysm_truncation_scales():
-    f = SymFunc(SCHUR, {(1,): Fraction(1)}, truncation=3)
-    assert plethysm_power(2, f).truncation == 6
-
-
 def _sym_square_oracle(gen_weights, nvars):
     """Monomial dict of Sym^2 of a space with the given monomial basis."""
     out = {}
@@ -170,62 +144,12 @@ def test_complete_homogeneous_oracle():
     assert change_basis(f, POWERSUM).terms == exp_power_sum_log(10)
 
 
-def test_dagger_and_ddag():
-    assert dagger(s_one((3,))).terms == {(1, 1, 1): Fraction(1)}
-    assert ddag(s_one((3,))).terms == {(1, 1, 1): Fraction(-1)}
-    assert ddag(s_one((2, 1))).terms == {(2, 1): Fraction(-1)}
-    for n in range(5):
-        for lam in enumerate_partitions(n):
-            f = s_one(lam)
-            assert ddag(ddag(f)) == f
-            assert dagger(dagger(f)) == f
-
-
-def test_ddag_in_powersum_negates_generators():
-    # On powersums, ddag is p_k -> -p_k
-    for n in range(1, 6):
-        for mu in enumerate_partitions(n):
-            f = SymFunc(POWERSUM, {mu: Fraction(1)})
-            g = change_basis(ddag(f), POWERSUM)
-            assert g.terms == {mu: Fraction((-1) ** len(mu))}
-
-
-def test_ddag_multiplicative():
-    for lam in partitions_up_to(3):
-        for mu in partitions_up_to(3):
-            lhs = ddag(multiply(s_one(lam), s_one(mu)))
-            rhs = multiply(ddag(s_one(lam)), ddag(s_one(mu)))
-            assert lhs == rhs
-
-
-def test_schur_derivative_branching():
-    # corner-removal oracle
-    for n in range(1, 7):
-        for lam in enumerate_partitions(n):
-            expected = {}
-            for i in range(len(lam)):
-                if i == len(lam) - 1 or lam[i] > lam[i + 1]:
-                    mu = tuple(p for p in lam[:i] + (lam[i] - 1,) + lam[i + 1:] if p)
-                    expected[mu] = expected.get(mu, Fraction(0)) + 1
-            assert schur_derivative(s_one(lam)).terms == expected
-    assert schur_derivative(s_one((2, 1))).terms == {(2,): Fraction(1), (1, 1): Fraction(1)}
-    assert schur_derivative(s_one(())).terms == {}
-
-
 @st.composite
 def small_symfunc(draw):
     terms = {}
     for lam in draw(st.lists(st.sampled_from(partitions_up_to(3)), min_size=1, max_size=3)):
         terms[lam] = Fraction(draw(st.integers(min_value=-3, max_value=3)))
     return SymFunc(SCHUR, terms)
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_symfunc(), small_symfunc())
-def test_derivative_leibniz(f, g):
-    lhs = schur_derivative(multiply(f, g))
-    rhs = add(multiply(schur_derivative(f), g), multiply(f, schur_derivative(g)))
-    assert lhs == rhs
 
 
 @settings(max_examples=40, deadline=None)

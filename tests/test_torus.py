@@ -36,14 +36,11 @@ from tcaseries.seriesforms import (
 from tcaseries.torus import (
     KernelSeries,
     LaurentPoly,
-    bar,
     constant_term,
     delta_squared,
     enhanced_from_equivariant,
     invariant_dimensions,
     kernel_K,
-    lp_from_json,
-    lp_to_json,
     power_sum_lp,
     schur_coefficients,
     schur_lp,
@@ -73,15 +70,6 @@ def test_zero_coefficients_dropped():
     f = lp(1, {(1,): 1}) - lp(1, {(1,): 1})
     assert f.terms == {}
     assert constant_term(f) == 0
-
-
-def test_bar_is_ring_involution():
-    f = lp(2, {(1, 0): 2, (0, -1): 3, (2, 2): F(1, 2)})
-    g = lp(2, {(1, 1): 1, (-1, 0): 5})
-    assert bar(bar(f)) == f
-    assert bar(f + g) == bar(f) + bar(g)
-    assert bar(f * g) == bar(f) * bar(g)
-    assert constant_term(bar(f)) == constant_term(f)
 
 
 def test_value_at_one_counts_dimension():
@@ -799,20 +787,3 @@ def test_weight_presentation_sym2_fibers():
                     fiber += 1
             expected[y1 + y2] += F(fiber, factorial(y1) * factorial(y2))
     assert coeffs == expected
-
-
-# --- JSON --------------------------------------------------------------------
-
-
-def test_laurent_json_roundtrip():
-    f = lp(2, {(1, -1): 1, (0, 0): F(-3, 2)})
-    obj = lp_to_json(f)
-    assert obj == {"d": 2, "terms": {"0,0": "-3/2", "1,-1": "1"}}
-    assert lp_from_json(obj) == f
-
-
-def test_laurent_json_zero_variables():
-    f = LaurentPoly(0, {(): F(5)})
-    obj = lp_to_json(f)
-    assert obj == {"d": 0, "terms": {"": "5"}}
-    assert lp_from_json(obj) == f

@@ -30,7 +30,7 @@ from tcaseries.seriesforms import (
 )
 from tcaseries.symfunc import POWERSUM, SCHUR, SymFunc, change_basis
 from tcaseries.torus import (KernelSeries, LaurentPoly, delta_squared,
-                            enhanced_from_equivariant, lp_to_json, sym_degree_characters)
+                            enhanced_from_equivariant, sym_degree_characters)
 
 # class -> (constructor parameters in positional order, arguments of one nonzero value)
 CASES = {
@@ -331,4 +331,3 @@ def test_variable_count_is_stored_as_an_int(given_d):
     chi = LaurentPoly(given_d, {(1, 0): 1})
     assert sym_degree_characters(chi, 2) == [LaurentPoly(2, {(0, 0): 1}), chi,
                                              LaurentPoly(2, {(2, 0): 1})]
-    assert '"d": 2,' in json.dumps(lp_to_json(chi))
