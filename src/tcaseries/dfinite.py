@@ -118,8 +118,8 @@ def guess_ode(coeffs: CoeffSeries, max_order: int = 6, max_degree: int = 8,
     # the prime divides no denominator, so the common denominator is a unit
     # modulo it: scaling the series scales every system's rows, and leaves
     # the nullspaces and the pivots modulo the prime unchanged
-    p = (residues(coeffs) or (None,))[0]
-    ys = cleared(coeffs)[1]
+    L, ys = cleared(coeffs)
+    p = (residues(L, ys) or (None,))[0]
     ds = [[falling(n, i) * y for n, y in enumerate(ys)] for i in range(max_order + 1)]
     certified = []
     if certificate is not None:

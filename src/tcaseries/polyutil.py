@@ -11,7 +11,8 @@ for sparse term dicts, ``merge_terms`` and ``add_into`` (kernels run them on
 integers: ``over_common_denominator``, ``cleared``; ``lowest_terms`` keeps them), its one
 exponential, ``newton_exp``, its one integrality check, ``integer``, its one
 size check, ``size``, through which every public entry reads each dimension,
-rank, truncation, count and degree cap it takes, and the number checks of JSON
+rank, truncation, count and degree cap it takes, its one precondition on an
+input's truncation, ``truncated_at_least``, and the number checks of JSON
 readers, ``json_fraction`` and ``json_int``. And ``Value``, the immutable
 base of value classes, with its one trusted constructor; its one
 determinant, ``linear_form_det``; and ``multiset_mul``, its one product of
@@ -148,6 +149,12 @@ def size(v, name: str, low: int = 0) -> int:
     if n < low:
         raise ValueError(f"{name} must be >= {low}")
     return n
+
+
+def truncated_at_least(truncation: int | None, N: int) -> None:
+    """Refuse an input truncated at `truncation` (None: exact) below the N asked of it."""
+    if truncation is not None and truncation < N:
+        raise ValueError(f"input truncated at {truncation} < {N}")
 
 
 def json_fraction(c) -> Fraction:
@@ -410,12 +417,11 @@ def _annihilates(ints: list[list[int]], vec: list) -> bool:
     return not any(sum(row[j] * v for j, v in support) for row in ints)
 
 
-def residues(values) -> tuple[int, list[int]] | None:
+def residues(L: int, ints: list[int]) -> tuple[int, list[int]] | None:
     """The first prime of RANK_PRIMES that divides no denominator of the
-    rationals `values` (ints or Fractions) and leaves some residue nonzero,
-    with their residues modulo it; None when there is none. Values that are
-    all zero keep the first prime: modulo any prime their residues all vanish."""
-    L, ints = cleared(list(values))
+    rationals ints[i] / L, as `cleared` gives them, and leaves some residue
+    nonzero, with their residues modulo it; None when there is none. Values that
+    are all zero keep the first prime: modulo any prime their residues all vanish."""
     for p in RANK_PRIMES:
         if L % p:
             inv = pow(L, -1, p)

@@ -70,6 +70,7 @@ from .polyutil import (
     pscale,
     ptrim,
     size,
+    truncated_at_least,
 )
 from . import symfunc
 from .symfunc import POWERSUM, SCHUR, SymFunc
@@ -139,11 +140,6 @@ class SigmaExpr(Value):
             ((_sigma_key(mu, nu), Fraction(c)) for (mu, nu), c in terms.items()),
             _sigma_key_sort))
 
-    def sigma_degree(self) -> int | None:
-        """Common sigma-degree (count of sigma factors), None if mixed/empty."""
-        degs = {len(nu) for (_, nu) in self.terms}
-        return degs.pop() if len(degs) == 1 else None
-
 
 def _layers(parts, low: int, total, error: str) -> dict:
     """Canonical copy of a dict of layers: keys made ints (so "1" and "01" name
@@ -203,21 +199,6 @@ class TSeries(Value):
     def coeffs(self) -> dict[Partition, Fraction]:
         return fraction_terms(self.den, self.nums)
 
-    def coeff(self, lam) -> Fraction:
-        return Fraction(self.nums.get(as_partition(lam), 0), self.den)
-
-    def __add__(self, other: "TSeries") -> "TSeries":
-        coeffs = self.coeffs
-        add_into(coeffs, other.coeffs)
-        return TSeries(min(self.truncation, other.truncation), coeffs)
-
-    def __sub__(self, other: "TSeries") -> "TSeries":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "TSeries":
-        c = Fraction(c)
-        return TSeries(self.truncation, {k: v * c for k, v in self.coeffs.items()})
-
     def __mul__(self, other: "TSeries") -> "TSeries":
         N = min(self.truncation, other.truncation)
         return TSeries.trusted(N, *lowest_terms(
@@ -230,8 +211,7 @@ class TSeries(Value):
 def ts_exp(s: TSeries, N: int) -> TSeries:
     """exp of a TSeries with no constant term, truncated at N <= its truncation."""
     N = size(N, "truncation")
-    if s.truncation < N:
-        raise ValueError(f"input truncated at {s.truncation} < {N}")
+    truncated_at_least(s.truncation, N)
     return TSeries.trusted(N, *lowest_terms(*symfunc.graded_exp(s.den, s.nums, N)))
 
 
@@ -322,8 +302,7 @@ def ex_specialize(f: SymFunc, N: int) -> list[Fraction]:
     Returns EGF coefficients [t^0] .. [t^N].
     """
     N = size(N, "truncation")
-    if f.truncation is not None and f.truncation < N:
-        raise ValueError(f"input truncated at {f.truncation} < {N}")
+    truncated_at_least(f.truncation, N)
     fs = symfunc.change_basis(f, SCHUR)
     out = [Fraction(0)] * (N + 1)
     for lam, c in fs.terms.items():
@@ -336,8 +315,7 @@ def ex_specialize(f: SymFunc, N: int) -> list[Fraction]:
 def phi_enhanced(f: SymFunc, N: int) -> TSeries:
     """Enhanced specialization phi: p_n -> n t_n, so s_lam -> X_lam."""
     N = size(N, "truncation")
-    if f.truncation is not None and f.truncation < N:
-        raise ValueError(f"input truncated at {f.truncation} < {N}")
+    truncated_at_least(f.truncation, N)
     fp = symfunc.change_basis(f, POWERSUM)
     return TSeries(N, {mu: c * math.prod(mu) for mu, c in fp.terms.items() if sum(mu) <= N})
 

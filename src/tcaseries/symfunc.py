@@ -28,7 +28,7 @@ from .partitions import (
 )
 from .polyutil import (Value, add_into, fraction_terms, json_fraction, json_int, merge_terms,
                        multiset_code, multiset_mul, multiset_terms, newton_exp,
-                       over_common_denominator, size)
+                       over_common_denominator, size, truncated_at_least)
 
 SCHUR = "s"
 POWERSUM = "p"
@@ -41,9 +41,7 @@ __all__ = [
     "add",
     "change_basis",
     "degree_slice",
-    "max_degree",
     "multiply",
-    "scale",
     "sym_algebra_character",
 ]
 
@@ -69,12 +67,6 @@ class SymFunc(Value):
             truncation = size(truncation, "truncation")
         Value.__init__(self, basis, normalize_terms(terms, truncation), truncation)
 
-    def coeff(self, lam) -> Fraction:
-        return self.terms.get(as_partition(lam), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 def _min_trunc(a: int | None, b: int | None) -> int | None:
     if a is None:
@@ -82,10 +74,6 @@ def _min_trunc(a: int | None, b: int | None) -> int | None:
     if b is None:
         return a
     return min(a, b)
-
-
-def max_degree(f: SymFunc) -> int:
-    return max((sum(lam) for lam in f.terms), default=0)
 
 
 def degree_slice(f: SymFunc, n: int) -> dict[Partition, Fraction]:
@@ -99,11 +87,6 @@ def add(f: SymFunc, g: SymFunc) -> SymFunc:
     terms = dict(f.terms)
     add_into(terms, g.terms)
     return SymFunc(f.basis, terms, _min_trunc(f.truncation, g.truncation))
-
-
-def scale(f: SymFunc, c) -> SymFunc:
-    c = Fraction(c)
-    return SymFunc(f.basis, {lam: v * c for lam, v in f.terms.items()}, f.truncation)
 
 
 def change_basis(f: SymFunc, target: str) -> SymFunc:
@@ -172,8 +155,7 @@ def sym_algebra_character(f: SymFunc, N: int) -> SymFunc:
     N, fp = size(N, "truncation"), change_basis(f, POWERSUM)
     if () in fp.terms:
         raise ValueError("character has a degree-0 term")
-    if fp.truncation is not None and fp.truncation < N:
-        raise ValueError(f"input truncated at {fp.truncation} < {N}")
+    truncated_at_least(fp.truncation, N)
     log_terms = merge_terms((tuple(k * part for part in mu), c / k)
                             for mu, c in fp.terms.items() for k in range(1, N // sum(mu) + 1))
     L, (ints,) = over_common_denominator(log_terms)

@@ -35,7 +35,8 @@ from .partitions import (
     kostka_number,
 )
 from .polyutil import (Value, add_into, factorial, fraction_terms, integer, lowest_terms,
-                       merge_terms, newton_exp, over_common_denominator, product_terms, size)
+                       merge_terms, newton_exp, over_common_denominator, product_terms, size,
+                       truncated_at_least)
 from .seriesforms import TSeries
 
 __all__ = [
@@ -80,16 +81,6 @@ class LaurentPoly(Value):
     def terms(self) -> dict[Exponent, Fraction]:
         return fraction_terms(self.den, self.nums)
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.d != other.d:
-            raise ValueError("variable count mismatch")
-        terms = self.terms
-        add_into(terms, other.terms)
-        return LaurentPoly(self.d, terms)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + other.scale(-1)
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.d != other.d:
             raise ValueError("variable count mismatch")
@@ -99,9 +90,6 @@ class LaurentPoly(Value):
     def scale(self, c) -> "LaurentPoly":
         c = Fraction(c)
         return LaurentPoly(self.d, {e: v * c for e, v in self.terms.items()})
-
-    def value_at_one(self) -> Fraction:
-        return Fraction(sum(self.nums.values()), self.den)
 
 
 def _width(bound: int) -> int:
@@ -360,16 +348,15 @@ class KernelSeries(Value):
 
     def __init__(self, d: int, truncation: int, terms: dict[Exponent, TSeries] = {}):
         d, truncation = size(d, "d"), size(truncation, "truncation")
-        clean: dict[Exponent, TSeries] = {}
+        clean: dict[Exponent, dict[Partition, Fraction]] = {}
         for e, s in terms.items():
             e = _exponent(e, d)
             if any(abs(x) > truncation for x in e):
                 raise ValueError(f"exponent {e} out of bound {truncation}")
-            if s.truncation != truncation:
-                s = TSeries(truncation, s.coeffs)
-            clean[e] = clean[e] + s if e in clean else s
-        Value.__init__(self, d, truncation,
-                       {e: s for e, s in sorted(clean.items()) if not s.is_zero()})
+            truncated_at_least(s.truncation, truncation)
+            add_into(clean.setdefault(e, {}), s.coeffs)
+        series = ((e, TSeries(truncation, coeffs)) for e, coeffs in sorted(clean.items()))
+        Value.__init__(self, d, truncation, {e: s for e, s in series if not s.is_zero()})
 
     def coefficient(self, e) -> TSeries:
         return self.terms.get(tuple(e), TSeries(self.truncation, {}))
@@ -383,7 +370,8 @@ def kernel_K(d: int, N: int) -> KernelSeries:
         for nu, c in row:
             for e in set(itertools.permutations(nu + (0,) * (d - len(nu)))):
                 terms.setdefault(e, {})[lam] = Fraction(c, fact)
-    return KernelSeries(d, N, {e: TSeries(N, coeffs) for e, coeffs in terms.items()})
+    # canonical by construction: entries of e at most |lam| <= N, rows with no zeros
+    return KernelSeries.trusted(d, N, {e: TSeries(N, terms[e]) for e in sorted(terms)})
 
 
 def enhanced_from_equivariant(hilb, d: int, N: int) -> TSeries:

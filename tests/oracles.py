@@ -424,8 +424,8 @@ def rank_modulo(rows, ncols: int):
     """(p, rank of the rational matrix modulo p), p the prime that
     polyutil.residues picks for its entries; None when it picks none. Rank
     ncols there proves the rational nullspace trivial."""
-    from tcaseries.polyutil import echelon, residues
-    red = residues(c for row in rows for c in row)
+    from tcaseries.polyutil import cleared, echelon, residues
+    red = residues(*cleared([c for row in rows for c in row]))
     if red is None:
         return None
     p, flat = red
@@ -453,12 +453,12 @@ def guess_ode_per_pair(coeffs, max_order: int, max_degree: int):
     and, when that fails, its own nullspace by exact elimination. Returns the
     operator (or None), the prime and the certified pairs."""
     from tcaseries.dfinite import _frobenius_lift, _normalize, needed_length
-    from tcaseries.polyutil import falling, ptrim, residues
+    from tcaseries.polyutil import cleared, falling, ptrim, residues
     from tcaseries.seriesforms import OdeOperator
     if len(coeffs) < needed_length(max_order, max_degree):
         raise ValueError("series too short")
     coeffs = [Fraction(c) for c in coeffs]
-    prime = (residues(coeffs) or (None,))[0]
+    prime = (residues(*cleared(coeffs)) or (None,))[0]
     certified = []
     for r in range(1, max_order + 1):
         for d in range(max_degree + 1):

@@ -16,7 +16,7 @@ from tcaseries.dfinite import (
     needed_length,
     ode_to_text,
 )
-from tcaseries.polyutil import RANK_PRIMES, echelon, factorial, nullspace
+from tcaseries.polyutil import RANK_PRIMES, cleared, echelon, factorial, nullspace
 from tcaseries.seriesforms import OdeOperator
 
 F = Fraction
@@ -230,9 +230,9 @@ def test_rank_filter_switches_primes_on_denominators():
     assert rank_modulo([[F(1, every)]], 1) is None
     # mixed denominators: one inverse of their lcm gives each value's residue
     mixed = [F(1, 2), F(-2, 3), F(5, 12), 7, F(0), F(-9, 10)]
-    assert polyutil.residues(mixed) == (P, [v.numerator * pow(v.denominator, -1, P) % P
-                                            for v in map(F, mixed)])
-    assert polyutil.residues(mixed + [F(1, 6 * P)])[0] == RANK_PRIMES[1]
+    assert polyutil.residues(*cleared(mixed)) == (
+        P, [v.numerator * pow(v.denominator, -1, P) % P for v in map(F, mixed)])
+    assert polyutil.residues(*cleared(mixed + [F(1, 6 * P)]))[0] == RANK_PRIMES[1]
     cert = {}
     assert guess_ode([c / P for c in bell_egf(needed_length(2, 2))],
                      max_order=2, max_degree=2, certificate=cert) is None

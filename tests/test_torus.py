@@ -67,20 +67,18 @@ def test_constant_term_examples():
 
 
 def test_zero_coefficients_dropped():
-    f = lp(1, {(1,): 1}) - lp(1, {(1,): 1})
+    f = lp(1, {(1,): 1, ("01",): -1, (2,): 0})
     assert f.terms == {}
     assert constant_term(f) == 0
 
 
 def test_value_at_one_counts_dimension():
-    assert schur_lp((2, 1), 3).value_at_one() == 8
-    assert power_sum_lp(5, 4).value_at_one() == 4
-    assert power_sum_lp(0, 4).value_at_one() == 4
+    assert sum(schur_lp((2, 1), 3).terms.values()) == 8
+    assert sum(power_sum_lp(5, 4).terms.values()) == 4
+    assert sum(power_sum_lp(0, 4).terms.values()) == 4
 
 
 def test_mismatched_variable_count_raises():
-    with pytest.raises(ValueError):
-        lp(1, {(1,): 1}) + lp(2, {(1, 0): 1})
     with pytest.raises(ValueError):
         lp(1, {(1,): 1}) * lp(2, {(1, 0): 1})
     with pytest.raises(ValueError):
@@ -526,6 +524,14 @@ def test_kernel_exponent_bound_enforced():
         KernelSeries(1, 2, {(3,): TSeries(2, {(1,): F(1)})})
 
 
+def test_kernel_coefficients_are_cut_to_its_truncation():
+    # a coefficient truncated above the kernel is cut to it (one truncated
+    # below is refused); coefficients that cancel are dropped
+    ker = KernelSeries(1, 2, {(1,): TSeries(4, {(1,): F(1), (3,): F(1)})})
+    assert ker.coefficient((1,)) == TSeries(2, {(1,): F(1)})
+    assert KernelSeries(1, 2, {(1,): TSeries(2, {(1,): 1}), ("01",): TSeries(3, {(1,): -1})}).terms == {}
+
+
 # --- enhanced series via the integral ----------------------------------------
 
 
@@ -650,7 +656,8 @@ def test_expansion_routes_do_no_fraction_arithmetic(monkeypatch):
               (sym_degree_characters, chi, 8), (enhanced_from_equivariant, hilb, 2, 8),
               (ts_exp, TSeries(9, {(1,): F(1, 2), (2,): F(-2, 3), (2, 1): F(3, 4),
                                    (4,): F(1, 5)}), 9),
-              (LaurentPoly.__mul__, chi, chi.scale(F(5, 7)) + lp(2, {(0, 2): F(1, 4)}))]
+              (LaurentPoly.__mul__, chi, lp(2, {(1, 0): F(5, 14), (0, 1): F(5, 14),
+                                              (1, -1): F(-10, 21), (0, 2): F(1, 4)}))]
     calls = []
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
         def counted(*args, _original=getattr(F, name), _name=name):
@@ -691,7 +698,7 @@ def test_enhanced_routes_make_no_fraction(monkeypatch):
 def test_schur_coefficients_do_no_fraction_arithmetic(monkeypatch):
     # integers over one common denominator, one Fraction per coefficient
     cases = [(schur_lp((2, 1), 3) * schur_lp((1,), 3), {(3, 1): 1, (2, 2): 1, (2, 1, 1): 1}),
-             (schur_lp((2,), 2).scale(F(1, 3)) - schur_lp((1, 1), 2), {(2,): F(1, 3), (1, 1): -1}),
+             (lp(2, {(2, 0): F(1, 3), (1, 1): F(-2, 3), (0, 2): F(1, 3)}), {(2,): F(1, 3), (1, 1): -1}),
              (lp(0, {(): 4}), {(): 4})]
     calls = []
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):

@@ -30,7 +30,7 @@ from tcaseries.seriesforms import (
 )
 from tcaseries.symfunc import POWERSUM, SCHUR, SymFunc, change_basis
 from tcaseries.torus import (KernelSeries, LaurentPoly, delta_squared,
-                            enhanced_from_equivariant, sym_degree_characters)
+                            enhanced_from_equivariant, kernel_K, sym_degree_characters)
 
 # class -> (constructor parameters in positional order, arguments of one nonzero value)
 CASES = {
@@ -210,7 +210,7 @@ def test_series_products_are_canonical(a, b):
 
 @given(_TSERIES, st.integers(0, 6))
 def test_series_exponentials_are_canonical(s, N):
-    s = s - TSeries(s.truncation, {(): s.coeff(())})
+    s = TSeries(s.truncation, {lam: c for lam, c in s.coeffs.items() if lam})
     if N <= s.truncation:
         assert_canonical(ts_exp(s, N))
 
@@ -265,6 +265,11 @@ def test_laurent_products_are_canonical(pair):
 @pytest.mark.parametrize("d", range(5))
 def test_weyl_weights_are_canonical(d):
     assert_canonical(delta_squared(d))
+
+
+@pytest.mark.parametrize("d,N", [(0, 3), (1, 4), (2, 4), (3, 5)])
+def test_kernel_series_are_canonical(d, N):
+    assert_canonical(kernel_K(d, N))
 
 
 @given(st.integers(0, 3).flatmap(_laurent_polys), st.integers(0, 5))
