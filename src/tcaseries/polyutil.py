@@ -14,10 +14,10 @@ size check, ``size``, through which every public entry reads each dimension,
 rank, truncation, count and degree cap it takes, its one precondition on an
 input's truncation, ``truncated_at_least``, and the number checks of JSON
 readers, ``json_fraction`` and ``json_int``. And ``Value``, the immutable
-base of value classes, with its one trusted constructor; its one
-determinant, ``linear_form_det``; and ``multiset_mul``, its one product of
-multisets, on ``multiset_code``s, read back in canonical order by ``multiset_terms``:
-a union of multisets is one integer addition (Monagan and Pearce, CASC 2007).
+base of value classes, with its one trusted constructor; and ``multiset_mul``,
+its one product of multisets, on ``multiset_code``s, read back in canonical order
+by ``multiset_terms`` (a union of multisets is one integer addition: Monagan and
+Pearce, CASC 2007), on which its one determinant, ``linear_form_det``, runs.
 """
 
 from __future__ import annotations
@@ -287,10 +287,10 @@ def multiset_parts(code: int, width: int = _DIGIT) -> tuple[int, ...]:
     return tuple(reversed(parts))
 
 
-def multiset_terms(out: dict) -> dict:
-    """The nonzero terms of multiset_mul's output, keyed by parts in canonical
-    order: weight, then code decreasing."""
-    return {multiset_parts(-neg): c
+def multiset_terms(out: dict, width: int = _DIGIT) -> dict:
+    """The nonzero terms of multiset_mul's output on `width`-bit digits, keyed by
+    parts in canonical order: weight, then code decreasing."""
+    return {multiset_parts(-neg, width): c
             for _, neg, c in sorted((w, -code, c) for code, (w, c) in out.items() if c)}
 
 
@@ -314,21 +314,21 @@ def multiset_mul(a, b, limit: int | None, out: dict) -> dict:
 def linear_form_det(r: int, entry, N: int | None = None) -> dict[tuple[int, ...], int]:
     """det(sum_k s_k M_k) for r x r integer matrices M_k, entry(a, b) = {k: M_k[a][b]}:
     the coefficient of s_{k_1} ... s_{k_r}, keyed by the weakly decreasing tuple
-    (k_1, ..., k_r) in canonical order, where k_1 + ... + k_r <= N (None: all). One
-    Laplace expansion down the rows; a state is the bit mask of columns taken, whose
-    bits above column b give the sign of taking b, and the sum and multiset code of
-    the k chosen, in digits of r.bit_length() bits: a state holds at most r parts."""
-    width = r.bit_length()
-    states = {(0, 0, 0): 1}
-    for row in ([[(k, 1 << width * k, c) for k, c in entry(a, b).items()]
-                 for b in range(r)] for a in range(r)):
-        states = merge_terms(
-            ((taken | 1 << b, w + k, code + kc), (-1) ** (taken >> b).bit_count() * c * v)
-            for (taken, w, code), v in states.items()
-            for b, forms in enumerate(row) if not taken >> b & 1
-            for k, kc, c in forms if N is None or w + k <= N)
-    return {multiset_parts(code, width): v
-            for (_, _, code), v in sorted(states.items(), key=lambda kv: (kv[0][1], -kv[0][2]))}
+    (k_1, ..., k_r) in canonical order, where k_1 + ... + k_r <= N (None: all). Laplace
+    expansion down the rows: a mask of columns taken (bits above b: the sign of taking
+    b) holds a multiset_mul output in r.bit_length()-bit digits (at most r parts);
+    taking b multiplies it by entry(a, b) sorted by k, so products above N break off."""
+    width, states = r.bit_length(), {0: {0: [0, 1]}}
+    for a in range(r):
+        forms = [sorted((k, 1 << width * k, c) for k, c in entry(a, b).items()) for b in range(r)]
+        forms = [(f, [(k, kc, -c) for k, kc, c in f]) for f in forms]
+        states, prev = {}, states
+        for taken, out in prev.items():
+            terms = [(w, code, c) for code, (w, c) in out.items() if c]
+            for b in (b for b in range(r) if not taken >> b & 1):
+                multiset_mul(terms, forms[b][(taken >> b).bit_count() & 1], N,
+                             states.setdefault(taken | 1 << b, {}))
+    return multiset_terms(states[(1 << r) - 1], width)
 
 
 def echelon(rows: list[list], ncols: int, p: int | None = None,

@@ -453,10 +453,11 @@ def test_linear_form_det_keys_and_cap():
 
 @st.composite
 def _linear_forms(draw):
-    """(r, entry, N): r <= 4, entries of up to three forms s_k, k in 0..5, with
-    coefficients -3..3 (zero included), and a cap N of None or 0..8."""
+    """(r, entry, N): r <= 4, entries of up to three forms s_k, k in 0..12 in any
+    insertion order, with coefficients -3..3 (zero included), and a cap N of None
+    or 0..8, so that k above N reaches the weight cut."""
     r = draw(st.integers(0, 4))
-    forms = draw(st.lists(st.dictionaries(st.integers(0, 5), st.integers(-3, 3), max_size=3),
+    forms = draw(st.lists(st.dictionaries(st.integers(0, 12), st.integers(-3, 3), max_size=3),
                           min_size=r * r, max_size=r * r))
     return r, lambda a, b: forms[a * r + b], draw(st.none() | st.integers(0, 8))
 
@@ -468,6 +469,7 @@ def test_linear_form_det_matches_leibniz_sum(case):
     got = linear_form_det(r, entry, N)
     assert got == linear_form_det_leibniz(r, entry, N)
     assert all(got.values())
+    assert list(got) == sorted(got, key=canonical_key)
 
 
 def test_linear_form_det_large_k_stays_fast():

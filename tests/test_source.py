@@ -190,16 +190,29 @@ def test_integral_route_weights_each_degree_once():
     assert "weyl_inner" not in names
 
 
+def _called_names(module: str, name: str) -> set[str]:
+    """Names called as plain functions in the top-level function `name` of `module`."""
+    tree = ast.parse((SRC / module).read_text())
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+    return {node.func.id for node in ast.walk(func)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
 def test_exponentials_share_the_newton_kernel():
     # Newton's identity runs once, in polyutil.newton_exp, on integers; the
     # exponentials of power-sum dicts and of torus characters call it
     for module, name in (("symfunc.py", "graded_exp"), ("torus.py", "sym_degree_characters")):
-        tree = ast.parse((SRC / module).read_text())
-        func = next(node for node in tree.body
-                    if isinstance(node, ast.FunctionDef) and node.name == name)
-        calls = {node.func.id for node in ast.walk(func)
-                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-        assert "newton_exp" in calls, name
+        assert "newton_exp" in _called_names(module, name), name
+
+
+def test_multiset_products_share_multiset_mul():
+    # products of keys that multiply by multiset union run once, in
+    # polyutil.multiset_mul on packed codes: the determinant's Laplace
+    # expansion, power-sum products and the t-expansions of enhanced series
+    for module, name in (("polyutil.py", "linear_form_det"), ("symfunc.py", "_p_mul_terms"),
+                         ("seriesforms.py", "_tails"), ("seriesforms.py", "enhanced_expand")):
+        assert "multiset_mul" in _called_names(module, name), name
 
 
 def _modular_inverse(node) -> bool:
