@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import comb, factorial
 
 from .dfinite import _join_terms, _poly_times, guess_ode, needed_length, ode_to_text
 from .grassmann import (
@@ -28,7 +29,6 @@ from .grassmann import (
     theta_r,
 )
 from .partitions import format_partition, parse_partition
-from .polyutil import binom, factorial
 from .seriesforms import (
     EnhancedExpr,
     ExpPoly,
@@ -94,7 +94,7 @@ def builtin_series(name: str, length: int) -> list[Fraction]:
         # e^{e^t - 1}: B_{m+1} = sum_k binom(m, k) B_k
         bell = [1]
         for m in range(length - 1):
-            bell.append(sum(binom(m, k) * bell[k] for k in range(m + 1)))
+            bell.append(sum(comb(m, k) * bell[k] for k in range(m + 1)))
         out = [Fraction(b, factorial(i)) for i, b in enumerate(bell[:length])]
     elif name == "catalan-sq-ogf":
         # OGF of SL(2)xSL(2) invariant dimensions: C_k^2 t^{2k}

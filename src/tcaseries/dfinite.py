@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import perm
 
-from .polyutil import (Poly, cleared, echelon, falling, over_common_denominator, ptrim,
-                       residues, size)
+from .polyutil import Poly, cleared, echelon, over_common_denominator, ptrim, residues, size
 # perfbench/tracing.py wraps dfinite._nullspace by this name
 from .polyutil import nullspace as _nullspace
 from .seriesforms import OdeOperator
@@ -51,7 +51,7 @@ def _residual_sums(op: OdeOperator, ys: list[int]) -> tuple[int, list[int]]:
     """(lp, lp times the residuals of the integer series ys), lp the common
     denominator of the operator's coefficients."""
     lp, ps = over_common_denominator(*(dict(enumerate(p)) for p in op.coeffs))
-    return lp, [sum(c * ys[m - j + i] * falling(m - j + i, i)
+    return lp, [sum(c * ys[m - j + i] * perm(m - j + i, i)
                     for i, p in enumerate(ps) for j, c in p.items() if c and j <= m)
                 for m in range(len(ys) - op.order)]
 
@@ -120,7 +120,7 @@ def guess_ode(coeffs: CoeffSeries, max_order: int = 6, max_degree: int = 8,
     # the nullspaces and the pivots modulo the prime unchanged
     L, ys = cleared(coeffs)
     p = (residues(L, ys) or (None,))[0]
-    ds = [[falling(n, i) * y for n, y in enumerate(ys)] for i in range(max_order + 1)]
+    ds = [[perm(n, i) * y for n, y in enumerate(ys)] for i in range(max_order + 1)]
     certified = []
     if certificate is not None:
         certificate.update(prime=p, pairs=certified)

@@ -27,15 +27,12 @@ from .partitions import (
     dim_schur,
     enumerate_partitions,
 )
-from .polyutil import (
-    Value, add_into, binom, factorial, integer, linear_form_det, lowest_terms,
-    merge_terms, size)
+from .polyutil import Value, integer, linear_form_det, lowest_terms, merge_terms, size
 from .symfunc import SCHUR, SymFunc
 from .seriesforms import (
     EnhancedExpr,
     SigmaExpr,
     TSeries,
-    TTPoly,
     _sigma_key_sort,
 )
 from .torus import LaurentPoly, schur_coefficients, schur_lp
@@ -185,7 +182,7 @@ def pairing(poly_class: dict, f: GrClass) -> int:
 def _shift_down(f: LaurentPoly) -> LaurentPoly:
     """Substitute x_i -> x_i - 1 in a polynomial f."""
     return LaurentPoly(f.d, merge_terms(
-        (evec, coeff * math.prod(binom(a, k) * (-1) ** (a - k) for a, k in zip(e, evec)))
+        (evec, coeff * math.prod(math.comb(a, k) * (-1) ** (a - k) for a, k in zip(e, evec)))
         for e, coeff in f.terms.items()
         for evec in itertools.product(*(range(a + 1) for a in e))))
 
@@ -212,7 +209,7 @@ def _bott_differences(d: int, r: int, alpha: Partition, a: int, b: int) -> dict[
     p_b(x) = x^{r-1-b} (x+1) (x+2) ... (x+d-r), of degree d-1-b."""
     x = (alpha[a] if a < len(alpha) else 0) + r - 1 - a
     p = [y ** (r - 1 - b) * math.prod(range(y + 1, y + d - r + 1)) for y in range(x, x + d - b)]
-    return {k: sum((-1) ** (k - j) * binom(k, j) * p[j] for j in range(k + 1))
+    return {k: sum((-1) ** (k - j) * math.comb(k, j) * p[j] for j in range(k + 1))
             for k in range(d - b)}
 
 
@@ -295,9 +292,9 @@ def gessel_enhanced(d: int, r: int, N: int) -> TSeries:
         raise ValueError(f"need d >= 1 and r >= 1, got d={d}, r={r}")
     r = min(r, d)
     weights = {tuple(n for n in ks if n): D for ks, D in linear_form_det(r, lambda a, b: {
-        n: binom(n + b - a + d - 1, n + b - a) for n in range(max(0, a - b), N + 1)}, N).items()}
+        n: math.comb(n + b - a + d - 1, d - 1) for n in range(max(0, a - b), N + 1)}, N).items()}
     # on integers over N!, which every lam! divides
-    fN = factorial(N)
+    fN = math.factorial(N)
     return TSeries.trusted(N, *lowest_terms(fN, {
         lam: sum(m * weights.get(nu, 0) for nu, m in row) * (fN // fact)
         for lam, fact, row in _power_sum_to_monomial(r, N)}))
@@ -323,9 +320,7 @@ def rank1_enhanced_closed(d: int) -> EnhancedExpr:
     """
     d = size(d, "d", 1)
     fs = _bell_polynomials(d - 1)
-    poly: TTPoly = {}
-    for j in range(d):
-        i = d - 1 - j
-        weighted = {((), nu): c * math.prod(factorial(k) for k in nu) for nu, c in fs[j].items()}
-        add_into(poly, weighted, Fraction(binom(d - 1, i), factorial(j)))
-    return EnhancedExpr({1: poly})
+    return EnhancedExpr({1: merge_terms(
+        (((), nu), Fraction(math.comb(d - 1, j) * c * math.prod(map(math.factorial, nu)),
+                            math.factorial(j)))
+        for j in range(d) for nu, c in fs[j].items())})

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .polyutil import factorial, integer, merge_terms, size
+from .polyutil import integer, merge_terms, size
 
 Partition = tuple[int, ...]
 
@@ -186,7 +186,7 @@ def dim_specht(lam: Partition) -> int:
     for i, row in enumerate(lam):
         for j in range(row):
             denom *= row - j + tr[j] - i - 1
-    num = factorial(n)
+    num = math.factorial(n)
     if num % denom:
         raise AssertionError(f"hook product {denom} does not divide {n}! for {lam}")
     return num // denom

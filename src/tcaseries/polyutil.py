@@ -7,8 +7,8 @@ row echelon form over the rationals, or modulo a prime. ``nullspace`` lifts
 a basis off it modulo a prime and checks it exactly over the rationals;
 modulo a prime, full column rank proves a nullspace trivial (``residues``
 picks the prime of guess_ode's rank filter). Also its one merge kernel
-for sparse term dicts, ``merge_terms`` and ``add_into`` (kernels run them on
-integers: ``over_common_denominator``, ``cleared``; ``lowest_terms`` keeps them), its one
+for sparse term dicts, ``merge_terms`` (kernels run it on integers:
+``over_common_denominator``, ``cleared``; ``lowest_terms`` keeps them), its one
 exponential, ``newton_exp``, its one integrality check, ``integer``, its one
 size check, ``size``, through which every public entry reads each dimension,
 rank, truncation, count and degree cap it takes, its one precondition on an
@@ -23,6 +23,7 @@ Pearce, CASC 2007), on which its one determinant, ``linear_form_det``, runs.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -83,11 +84,6 @@ def ptrim(coeffs) -> Poly:
     return tuple(cs)
 
 
-def pdeg(p: Poly) -> int:
-    """Degree; -1 for the zero polynomial."""
-    return len(p) - 1
-
-
 def padd(a: Poly, b: Poly) -> Poly:
     n = max(len(a), len(b))
     return ptrim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
@@ -108,26 +104,6 @@ def pderiv(a: Poly) -> Poly:
 def pcompose_neg(a: Poly) -> Poly:
     """p(t) -> p(-t)."""
     return tuple((-1) ** i * c for i, c in enumerate(a))
-
-
-def falling(m: int, k: int) -> int:
-    """Falling factorial (m)_k = m (m-1) ... (m-k+1)."""
-    out = 1
-    for i in range(k):
-        out *= m - i
-    return out
-
-
-def binom(n: int, k: int) -> int:
-    if k < 0 or k > n >= 0:
-        return 0
-    if n >= 0:
-        return math.comb(n, k)
-    raise ValueError("negative upper index")
-
-
-def factorial(n: int) -> int:
-    return math.factorial(n)
 
 
 def integer(v) -> int:
@@ -177,14 +153,14 @@ def merge_terms(pairs, order=None) -> dict:
     summed and zero terms dropped; keys in first-seen order, or sorted by the
     key function `order`."""
     out: dict = {}
+    get = out.get
     for k, c in pairs:
         if c:
-            cur = out.get(k)
+            cur = get(k)
             out[k] = c if cur is None else cur + c
-    items = [kv for kv in out.items() if kv[1]]
-    if order is not None:
-        items.sort(key=lambda kv: order(kv[0]))
-    return dict(items)
+    if order is None:
+        return out if all(out.values()) else {k: c for k, c in out.items() if c}
+    return dict(sorted(((k, c) for k, c in out.items() if c), key=lambda kv: order(kv[0])))
 
 
 def product_terms(a: dict, b: dict) -> dict:
@@ -197,19 +173,6 @@ def product_terms(a: dict, b: dict) -> dict:
             cur = get(k := x + y)
             out[k] = c * v if cur is None else cur + c * v
     return {k: c for k, c in out.items() if c}
-
-
-def add_into(dst: dict, src: dict, c=1) -> None:
-    """dst += c * src, dropping zero coefficients."""
-    for k, v in src.items():
-        if c != 1:
-            v = c * v
-        cur = dst.get(k)
-        val = v if cur is None else cur + v
-        if val:
-            dst[k] = val
-        else:
-            dst.pop(k, None)
 
 
 def over_common_denominator(*dicts) -> tuple[int, list[dict]]:
@@ -252,12 +215,10 @@ def newton_exp(lc: dict[int, dict], L: int, N: int, mul, one: dict) -> list[dict
     (Macdonald I.2), division-free: G_n = sum_k (n-1)!/(n-k)! L^(k-1) lc[k] G_{n-k}."""
     gs = [one]
     for n in range(1, N + 1):
-        acc: dict = {}
-        for k, lk in lc.items():
-            if k <= n:
-                add_into(acc, mul(lk, gs[n - k]), falling(n - 1, k - 1) * L ** (k - 1))
-        gs.append(acc)
-    return [(L ** n * factorial(n), g) for n, g in enumerate(gs)]
+        gs.append(merge_terms(itertools.chain.from_iterable(
+            mul({x: f * c for x, c in lk.items()}, gs[n - k]).items()
+            for k, lk in lc.items() if k <= n for f in [math.perm(n - 1, k - 1) * L ** (k - 1)])))
+    return [(L ** n * math.factorial(n), g) for n, g in enumerate(gs)]
 
 
 # A code holds the multiplicity of part p in bits [16 p, 16 p + 16). Codes of

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from math import comb, factorial, perm
 
 from .partitions import (
     Partition,
@@ -46,10 +47,6 @@ from .partitions import (
 from .polyutil import (
     Poly,
     Value,
-    add_into,
-    binom,
-    factorial,
-    falling,
     fraction_terms,
     fraction_text,
     integer,
@@ -66,7 +63,6 @@ from .polyutil import (
     padd,
     pcompose_neg,
     pderiv,
-    pdeg,
     pscale,
     ptrim,
     size,
@@ -260,7 +256,7 @@ class OdeOperator(Value):
 
     @property
     def degree(self) -> int:
-        return max(pdeg(p) for p in self.coeffs)
+        return max(len(p) for p in self.coeffs) - 1
 
 
 class PoincareSeries(Value):
@@ -290,7 +286,7 @@ class CharPolyForm(Value):
                 if sum(Tpart) > i * (m - i):
                     raise ValueError(
                         f"T-degree {sum(Tpart)} of entry {i} exceeds bound i(m-i) = {i * (m - i)}")
-        Value.__init__(self, m, entries, threshold)
+        Value.__init__(self, m, entries, size(threshold, "threshold", -1))
 
 
 # --- specializations of Lambda and Lambda-tilde ------------------------------
@@ -326,7 +322,7 @@ def _pieri_row(lam: Partition, k: int, N: int) -> tuple[tuple[Partition, int], .
     rule: s_lam h_n sums s_mu over the horizontal strips mu/lam of size n
     (Macdonald, Symmetric Functions, I (5.16)), for k <= n <= N - |lam|."""
     return tuple((mu, b) for n in range(k, N - sum(lam) + 1)
-                 for b in [binom(n, k)] for mu in _horizontal_strips_above(lam, n))
+                 for b in [comb(n, k)] for mu in _horizontal_strips_above(lam, n))
 
 
 def _sigma_mul(terms: dict[Partition, Fraction], k: int, N: int) -> dict[Partition, Fraction]:
@@ -432,12 +428,12 @@ def _bell_sigma(nu: tuple[int, ...]) -> tuple[tuple[Partition, Fraction], ...]:
 
 def phi_sigma(e: SigmaExpr) -> EnhancedExpr:
     """Enhanced specialization on Lambda-tilde."""
-    parts: dict[int, TTPoly] = {}
+    layers: dict[int, list] = {}
     for (mu, nu), c in e.terms.items():
-        poly = {(t, T): ct * cT for (t, _), ct in _xlam(mu) for T, cT in _bell_sigma(nu)}
-        add_into(parts.setdefault(len(nu), {}), poly, c)
-    return EnhancedExpr.trusted({k: merge_terms(poly.items(), _tt_key_sort)
-                                 for k, poly in sorted(parts.items()) if poly})
+        layers.setdefault(len(nu), []).extend(
+            ((t, T), c * ct * cT) for (t, _), ct in _xlam(mu) for T, cT in _bell_sigma(nu))
+    return EnhancedExpr.trusted({k: poly for k, pairs in sorted(layers.items())
+                                 if (poly := merge_terms(pairs, _tt_key_sort))})
 
 
 def _substitute_tails(poly: TTPoly, ns: tuple[int, ...], trunc: int | None) -> dict[int, list]:
@@ -464,7 +460,7 @@ def _tails(Tpart: Partition, ns: tuple[int, ...],
     t_{ns[i]} coded as part i; cached, so terms sharing a T-part share it."""
     cur = ((0, 0, 1),)
     for j in Tpart:
-        tail = [(n, multiset_code((i,))[1], binom(n, j)) for i, n in enumerate(ns) if n >= j]
+        tail = [(n, multiset_code((i,))[1], comb(n, j)) for i, n in enumerate(ns) if n >= j]
         cur = [(w, code, c) for code, (w, c) in multiset_mul(cur, tail, trunc, {}).items() if c]
     return tuple(sorted(cur))
 
@@ -507,10 +503,8 @@ def sigma_ddag_check(N: int) -> bool:
     with sigma_a^ddag = sum_{i>=a} (-1)^i binom(i,a) s_{1^i}."""
     N = size(N, "truncation")
     for m in range(N + 1):
-        acc: dict[Partition, Fraction] = {}
-        for a in range(m + 1):
-            dd = {(1,) * i: (-1) ** i * binom(i, a) for i in range(a, N + 1)}
-            add_into(acc, _sigma_mul(dd, m - a, N))
+        acc = merge_terms(kv for a in range(m + 1) for kv in _sigma_mul(
+            {(1,) * i: (-1) ** i * comb(i, a) for i in range(a, N + 1)}, m - a, N).items())
         expected: dict[Partition, Fraction] = {(): Fraction(1)} if m == 0 else {}
         if acc != expected:
             return False
@@ -540,7 +534,7 @@ def annihilator(h: ExpPoly) -> tuple[int, ...]:
     """
     roots: list[int] = []
     for r, p in h.parts.items():
-        roots.extend([r] * (pdeg(p) + 1))
+        roots.extend([r] * len(p))
     roots.sort()
     cur = h
     for c in roots:
@@ -574,7 +568,7 @@ def character_at(form: CharPolyForm, lam) -> int:
     for i, poly in form.entries.items():
         for code, (_, v) in _substitute_tails(poly, ns, None).items():
             alpha = multiset_parts(code)  # positions in ns
-            w = math.prod(falling(mult[ns[pos]], e) for pos, e in multiplicities(alpha).items())
+            w = math.prod(perm(mult[ns[pos]], e) for pos, e in multiplicities(alpha).items())
             total += v * w * Fraction(i ** len(lam), i ** len(alpha))
     if total.denominator != 1:
         raise AssertionError(f"non-integral trace {total} at {lam}")

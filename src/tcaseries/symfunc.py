@@ -26,7 +26,7 @@ from .partitions import (
     sym_character,
     z_of,
 )
-from .polyutil import (Value, add_into, fraction_terms, json_fraction, json_int, merge_terms,
+from .polyutil import (Value, fraction_terms, json_fraction, json_int, merge_terms,
                        multiset_code, multiset_mul, multiset_terms, newton_exp,
                        over_common_denominator, size, truncated_at_least)
 
@@ -84,8 +84,7 @@ def degree_slice(f: SymFunc, n: int) -> dict[Partition, Fraction]:
 def add(f: SymFunc, g: SymFunc) -> SymFunc:
     if f.basis != g.basis:
         g = change_basis(g, f.basis)
-    terms = dict(f.terms)
-    add_into(terms, g.terms)
+    terms = merge_terms([*f.terms.items(), *g.terms.items()])
     return SymFunc(f.basis, terms, _min_trunc(f.truncation, g.truncation))
 
 

@@ -34,9 +34,8 @@ from .partitions import (
     enumerate_partitions,
     kostka_number,
 )
-from .polyutil import (Value, add_into, factorial, fraction_terms, integer, lowest_terms,
-                       merge_terms, newton_exp, over_common_denominator, product_terms, size,
-                       truncated_at_least)
+from .polyutil import (Value, fraction_terms, integer, lowest_terms, merge_terms, newton_exp,
+                       over_common_denominator, product_terms, size, truncated_at_least)
 from .seriesforms import TSeries
 
 __all__ = [
@@ -172,7 +171,7 @@ def weyl_inner(f: LaurentPoly, g: LaurentPoly, d: int) -> Fraction:
     L, w, W = _weighted(f, d, _bound(g.nums))
     # CT(W * bar(g)) = sum_e W[e] g[e], without forming the product
     return Fraction(sum(c * W.get(_code(e, w), 0) for e, c in g.nums.items()),
-                    L * g.den * factorial(d))
+                    L * g.den * math.factorial(d))
 
 
 def power_sum_lp(k: int, d: int) -> LaurentPoly:
@@ -348,18 +347,18 @@ class KernelSeries(Value):
 
     def __init__(self, d: int, truncation: int, terms: dict[Exponent, TSeries] = {}):
         d, truncation = size(d, "d"), size(truncation, "truncation")
-        clean: dict[Exponent, dict[Partition, Fraction]] = {}
+        clean: dict[Exponent, list] = {}
         for e, s in terms.items():
             e = _exponent(e, d)
             if any(abs(x) > truncation for x in e):
                 raise ValueError(f"exponent {e} out of bound {truncation}")
             truncated_at_least(s.truncation, truncation)
-            add_into(clean.setdefault(e, {}), s.coeffs)
-        series = ((e, TSeries(truncation, coeffs)) for e, coeffs in sorted(clean.items()))
+            clean.setdefault(e, []).extend(s.coeffs.items())
+        series = ((e, TSeries(truncation, merge_terms(ps))) for e, ps in sorted(clean.items()))
         Value.__init__(self, d, truncation, {e: s for e, s in series if not s.is_zero()})
 
     def coefficient(self, e) -> TSeries:
-        return self.terms.get(tuple(e), TSeries(self.truncation, {}))
+        return self.terms.get(_exponent(e, self.d), TSeries(self.truncation, {}))
 
 
 def kernel_K(d: int, N: int) -> KernelSeries:
@@ -393,11 +392,11 @@ def enhanced_from_equivariant(hilb, d: int, N: int) -> TSeries:
             L, w, W = _weighted(ch, d, N)
             folded[n] = L, {nu: sum(W.get(x, 0) for x in codes)
                             for nu, codes in _orbit_codes(n, d, w)}
-    M, fN = math.lcm(*(L for L, _ in folded.values())), factorial(N)
+    M, fN = math.lcm(*(L for L, _ in folded.values())), math.factorial(N)
     nums = {lam: sum(m * fold.get(nu, 0) for nu, m in row) * (M // L) * (fN // fact)
             for lam, fact, row in _power_sum_to_monomial(d, N)
             for L, fold in [folded.get(sum(lam), (1, {}))]}
-    return TSeries.trusted(N, *lowest_terms(M * factorial(d) * fN, nums))
+    return TSeries.trusted(N, *lowest_terms(M * math.factorial(d) * fN, nums))
 
 
 @functools.cache

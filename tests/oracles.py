@@ -435,14 +435,13 @@ def rank_modulo(rows, ncols: int):
 
 def apply_ode_fractions(op, coeffs):
     """dfinite.apply_ode summed term by term in Fractions."""
-    from tcaseries.polyutil import falling
     out = []
     for m in range(len(coeffs) - op.order):
         acc = Fraction(0)
         for i, p in enumerate(op.coeffs):
             for j, c in enumerate(p):
                 if c and j <= m:
-                    acc += c * coeffs[m - j + i] * falling(m - j + i, i)
+                    acc += c * coeffs[m - j + i] * math.perm(m - j + i, i)
         out.append(acc)
     return out
 
@@ -453,7 +452,7 @@ def guess_ode_per_pair(coeffs, max_order: int, max_degree: int):
     and, when that fails, its own nullspace by exact elimination. Returns the
     operator (or None), the prime and the certified pairs."""
     from tcaseries.dfinite import _frobenius_lift, _normalize, needed_length
-    from tcaseries.polyutil import cleared, falling, ptrim, residues
+    from tcaseries.polyutil import cleared, ptrim, residues
     from tcaseries.seriesforms import OdeOperator
     if len(coeffs) < needed_length(max_order, max_degree):
         raise ValueError("series too short")
@@ -463,7 +462,7 @@ def guess_ode_per_pair(coeffs, max_order: int, max_degree: int):
     for r in range(1, max_order + 1):
         for d in range(max_degree + 1):
             ncols = (r + 1) * (d + 1)
-            rows = [[coeffs[m - j + i] * falling(m - j + i, i) if j <= m else Fraction(0)
+            rows = [[coeffs[m - j + i] * math.perm(m - j + i, i) if j <= m else Fraction(0)
                      for i in range(r + 1) for j in range(d + 1)]
                     for m in range(len(coeffs) - r)]
             if (rank_modulo(rows, ncols) or (None, None))[1] == ncols:
@@ -484,12 +483,11 @@ def gessel_enhanced_permutations(d: int, r: int, N: int):
     permutation."""
     import itertools
     from tcaseries.partitions import enumerate_partitions, partition_factorial
-    from tcaseries.polyutil import binom
     from tcaseries.seriesforms import TSeries
 
     def a_series(i):
         """a_i = sum over |lam| >= -i of binom(|lam|+i+d-1, |lam|+i) t^lam / lam!."""
-        return {lam: Fraction(binom(n + i + d - 1, n + i), partition_factorial(lam))
+        return {lam: Fraction(math.comb(n + i + d - 1, n + i), partition_factorial(lam))
                 for n in range(max(0, -i), N + 1) for lam in enumerate_partitions(n)}
 
     if d < 1 or r < 1:
@@ -542,10 +540,9 @@ def detring_delta_squared(d: int, r: int):
     """
     import itertools
     from tcaseries.partitions import partition_factorial, partitions_up_to
-    from tcaseries.polyutil import binom
     from tcaseries.seriesforms import SigmaExpr
     from tcaseries.torus import _delta
-    g = {e: math.prod(binom(d - r, k) for k in e)
+    g = {e: math.prod(math.comb(d - r, k) for k in e)
          for e in itertools.product(range(d - r + 1), repeat=r)}
     delta = _delta(r)
     g_delta = poly_mul(g, delta)

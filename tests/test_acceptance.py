@@ -10,6 +10,7 @@ per-guarantee pass/fail report.
 import itertools
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 from tcaseries.partitions import (
     dim_schur,
@@ -20,7 +21,6 @@ from tcaseries.partitions import (
     sym_character,
     transpose,
 )
-from tcaseries.polyutil import binom, factorial
 from tcaseries.symfunc import SCHUR, SymFunc, degree_slice, sym_algebra_character
 from tcaseries.seriesforms import (
     EnhancedExpr,
@@ -72,7 +72,7 @@ def test_criterion_01_rank_one_character_three_routes():
     # Theta_{A/a_1} = sum_n binom(d-1, n) sigma_n, d = 1..5, three routes at N = 8.
     N = 8
     for d in range(1, 6):
-        closed = SigmaExpr({((), (n,)): F(binom(d - 1, n)) for n in range(d)})
+        closed = SigmaExpr({((), (n,)): F(comb(d - 1, n)) for n in range(d)})
         assert detring_formal_character(d, 1) == closed
         brute = pushforward_module_character(d, 1, (), N)
         assert sigma_expand(closed, N) == brute
@@ -80,7 +80,7 @@ def test_criterion_01_rank_one_character_three_routes():
         # the rank-<=1 quotient is Sym^n of the d-dimensional fiber
         segre = SymFunc(
             SCHUR,
-            {(n,) if n else (): F(binom(d + n - 1, n)) for n in range(N + 1)},
+            {(n,) if n else (): F(comb(d + n - 1, n)) for n in range(N + 1)},
             N,
         )
         assert brute == segre

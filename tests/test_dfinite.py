@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb, factorial, perm
 from unittest import mock
 
 import pytest
@@ -16,7 +17,7 @@ from tcaseries.dfinite import (
     needed_length,
     ode_to_text,
 )
-from tcaseries.polyutil import RANK_PRIMES, cleared, echelon, factorial, nullspace
+from tcaseries.polyutil import RANK_PRIMES, cleared, echelon, nullspace
 from tcaseries.seriesforms import OdeOperator
 
 F = Fraction
@@ -39,10 +40,9 @@ def catalan_egf(n):
 
 def bell_egf(n):
     # e^{e^t - 1}: B_{m+1} = sum_k binom(m, k) B_k
-    from tcaseries.polyutil import binom
     bell = [1]
     for m in range(n - 1):
-        bell.append(sum(binom(m, k) * bell[k] for k in range(m + 1)))
+        bell.append(sum(comb(m, k) * bell[k] for k in range(m + 1)))
     return [F(b, factorial(i)) for i, b in enumerate(bell)]
 
 
@@ -300,8 +300,8 @@ def test_bell_builds_one_derivative_table(monkeypatch):
 
     def counted(m, k):
         calls.append((m, k))
-        return polyutil.falling(m, k)
-    monkeypatch.setattr(dfinite, "falling", counted)
+        return perm(m, k)
+    monkeypatch.setattr(dfinite, "perm", counted)
     coeffs = bell_egf(60)
     assert guess_ode(coeffs, max_order=5, max_degree=5) is None
     assert len(calls) == 6 * len(coeffs)

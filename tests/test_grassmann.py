@@ -19,7 +19,7 @@ from tcaseries.partitions import (
     partitions_up_to,
     transpose,
 )
-from tcaseries.polyutil import binom, linear_form_det
+from tcaseries.polyutil import linear_form_det
 from tcaseries.symfunc import SCHUR, SymFunc, sym_algebra_character
 from tcaseries.seriesforms import (
     EnhancedExpr,
@@ -119,7 +119,7 @@ def test_pairing_symmetric_powers_rank_one():
     for d in (2, 3, 4):
         for n in range(5):
             key = (n,) if n else ()
-            assert pairing({key: 1}, GrClass(d, 1, {(): 1})) == binom(d + n - 1, n)
+            assert pairing({key: 1}, GrClass(d, 1, {(): 1})) == math.comb(d + n - 1, n)
 
 
 def test_lr_products_match_lr_tableaux():
@@ -181,7 +181,7 @@ def test_shifted_schur_row_coefficients():
             got = m_shifted_class((n,) if n else (), r, "schur")
             want = {}
             for i in range(n + 1):
-                c = (-1) ** (n - i) * binom(n + r - 1, i + r - 1)
+                c = (-1) ** (n - i) * math.comb(n + r - 1, i + r - 1)
                 if c:
                     want[(i,) if i else ()] = c
             assert got == want
@@ -216,7 +216,7 @@ def test_theta_rank_zero_is_unit():
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_theta_structure_sheaf_rank_one(d):
     out = theta_r(unit_class(d, 1))
-    want = {((), (n,)): F(binom(d - 1, n)) for n in range(d)}
+    want = {((), (n,)): F(math.comb(d - 1, n)) for n in range(d)}
     assert out.terms == want
 
 
@@ -301,7 +301,7 @@ def test_pushforward_twisted_example():
     assert f.terms[(1,)] == 3  # chi(Q tensor Q) on P^1, d=2
     for n in range(7):
         key = (n,) if n else ()
-        assert f.terms[key] == binom(2 + n, n + 1)  # dim Sym^{n+1}(C^2) ... = n+2
+        assert f.terms[key] == math.comb(2 + n, n + 1)  # dim Sym^{n+1}(C^2) ... = n+2
 
 
 def test_pushforward_shares_the_euler_table(monkeypatch):
@@ -348,7 +348,7 @@ def test_pushforward_rejects_long_alpha():
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_detring_rank_one_binomials(d):
     out = detring_formal_character(d, 1)
-    assert out.terms == {((), (n,)): F(binom(d - 1, n)) for n in range(d)}
+    assert out.terms == {((), (n,)): F(math.comb(d - 1, n)) for n in range(d)}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
@@ -414,7 +414,7 @@ def test_detring_rank_one_schur_expansion():
         f = sigma_expand(detring_formal_character(d, 1), 7)
         for n in range(8):
             key = (n,) if n else ()
-            assert f.terms[key] == binom(d + n - 1, d - 1)
+            assert f.terms[key] == math.comb(d + n - 1, d - 1)
 
 
 # --- the determinant kernel ----------------------------------------------------
@@ -496,7 +496,7 @@ def test_gessel_rank_one_coefficients():
     s = gessel_enhanced(d, 1, N)
     for lam in partitions_up_to(N):
         n = sum(lam)
-        assert s.coeffs[lam] == F(binom(n + d - 1, n), partition_factorial(lam))
+        assert s.coeffs[lam] == F(math.comb(n + d - 1, n), partition_factorial(lam))
 
 
 def test_gessel_full_rank_d2():

@@ -191,7 +191,7 @@ def test_sigma_expand_product_matches_symfunc_multiply():
 def test_sigma_expand_reads_cached_pieri_rows(monkeypatch):
     # s_mu sigma^nu through degree N is one cached row per (mu, nu, N), built
     # from the row of each prefix of nu and cached Pieri rows: a second
-    # expansion at the same N builds no row of either kind and calls no binom
+    # expansion at the same N builds no row of either kind and calls no comb
     e = sexpr(((1,), (2, 1), HALF), ((), (1, 1, 0), 1))
     seriesforms._sigma_row.cache_clear()
     seriesforms._pieri_row.cache_clear()
@@ -199,7 +199,7 @@ def test_sigma_expand_reads_cached_pieri_rows(monkeypatch):
     built = seriesforms._sigma_row.cache_info().misses, seriesforms._pieri_row.cache_info().misses
     # one row per prefix: (1,) with (), (2,), (2, 1); () with (), (1,), (1, 1), (1, 1, 0)
     assert built[0] == 7
-    monkeypatch.setattr(seriesforms, "binom", lambda *args: pytest.fail("binom called"))
+    monkeypatch.setattr(seriesforms, "comb", lambda *args: pytest.fail("comb called"))
     assert sigma_expand(e, 8) == first
     assert (seriesforms._sigma_row.cache_info().misses,
             seriesforms._pieri_row.cache_info().misses) == built
@@ -634,8 +634,8 @@ def test_character_at_tensor_powers():
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_character_at_matches_schur_route(d):
     # binomial sigma expression: q_1 carries tail sums up to T_{d-1}
-    from tcaseries.polyutil import binom
-    e = sexpr(*((() , (k,), binom(d - 1, k)) for k in range(d)))
+    from math import comb
+    e = sexpr(*((() , (k,), comb(d - 1, k)) for k in range(d)))
     form = char_poly_form(phi_sigma(e), d)
     assert form.threshold == -1
     ch = sigma_expand(e, 6)
@@ -677,6 +677,11 @@ def test_char_poly_form_threshold_and_bounds():
     with pytest.raises(ValueError):
         character_at(form, (1, 1))  # |lam| = 2 not above threshold
     assert character_at(form, (2, 1)) == 1
+    # the threshold is a size read through polyutil.size, from -1 (no i = 0 layer)
+    assert CharPolyForm(3, {}, "2") == CharPolyForm(3, {}, 2.0) == CharPolyForm(3, {}, 2)
+    assert CharPolyForm(3).threshold == -1
+    with pytest.raises(ValueError, match="^threshold must be >= -1$"):
+        CharPolyForm(3, {}, -2)
 
 
 # --- tca exponentials --------------------------------------------------------
@@ -895,6 +900,9 @@ BAD_NUMBER_CASES = {
     "enhanced coefficient float": lambda: enhanced_from_json(
         {"parts": {"1": [{"t": "[1]", "T": "[]", "coeff": 0.1}]}}),
     "ode coefficient float": lambda: ode_from_json([["1", 0.5]]),
+    "charpoly threshold text": lambda: CharPolyForm(2, {}, "x"),
+    "charpoly threshold float": lambda: CharPolyForm(2, {}, 2.5),
+    "charpoly threshold below -1": lambda: CharPolyForm(2, {}, -7),
 }
 
 

@@ -80,7 +80,7 @@ def _zero_default_get(node) -> bool:
 
 
 def test_coefficients_merge_only_in_polyutil():
-    # `X.get(k, 0) + v` re-implements polyutil.merge_terms / add_into.
+    # `X.get(k, 0) + v` re-implements polyutil.merge_terms.
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "polyutil.py":
@@ -329,12 +329,12 @@ def test_only_canonical_kernels_skip_validation():
 
 
 def test_src_line_budget():
-    # the package stays at or below 2542 non-blank, non-comment lines, counted
+    # the package stays at or below 2500 non-blank, non-comment lines, counted
     # as `grep -hvE '^\s*(#|$)' src/tcaseries/*.py | wc -l` does; a change that
     # raises the budget says so in CHANGES.md
     lines = [line for path in SRC.glob("*.py") for line in path.read_text().splitlines()
              if line.strip() and not line.lstrip().startswith("#")]
-    assert len(lines) <= 2542
+    assert len(lines) <= 2500
 
 
 # public names that only their unit tests read, each with the reason it stays

@@ -4,6 +4,7 @@ oracle of tests/oracles.py."""
 
 import itertools
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,6 @@ from tcaseries.partitions import (
     partition_factorial,
     partitions_up_to,
 )
-from tcaseries.polyutil import binom, factorial
 from tcaseries.seriesforms import (
     SigmaExpr,
     TSeries,
@@ -228,7 +228,7 @@ def test_trivial_group_gives_powers_of_dimension():
 def test_gl1_torus_weights():
     chi = lp(1, {(1,): 1, (-1,): 1})
     dims = invariant_dimensions([("gl", 1)], chi, 8)
-    assert dims == [binom(n, n // 2) if n % 2 == 0 else 0 for n in range(9)]
+    assert dims == [comb(n, n // 2) if n % 2 == 0 else 0 for n in range(9)]
 
 
 def test_gl2_standard_has_no_invariants():
@@ -249,7 +249,7 @@ def test_invariant_dimensions_far_weight_returns_in_one_step():
     # dims[4b] = C(4b, b); the key 3 returns to 0 in one step, so the
     # half-length tables keep every key, however far from 0
     dims = invariant_dimensions([("gl", 1)], lp(1, {(1,): 1, (-3,): 1}), 12)
-    assert dims == [binom(n, n // 4) if n % 4 == 0 else 0 for n in range(13)]
+    assert dims == [comb(n, n // 4) if n % 4 == 0 else 0 for n in range(13)]
 
 
 @pytest.mark.parametrize("group,chi,n_max", [
@@ -366,7 +366,7 @@ def test_invariant_dimensions_straighten_each_vector_once(monkeypatch):
     assert invariant_dimensions([("sl", 2), ("sl", 2)], chi, 36) == dims
     assert len(calls) == len(set(calls)) > 0
     monkeypatch.undo()
-    catalan = [binom(2 * m, m) // (m + 1) for m in range(19)]
+    catalan = [comb(2 * m, m) // (m + 1) for m in range(19)]
     assert dims == [catalan[n // 2] ** 2 if n % 2 == 0 else 0 for n in range(37)]
 
 
@@ -466,7 +466,7 @@ def test_block_split_compares_key_sets_not_row_lengths():
 
 def test_sl2_x_sl2_tensor_to_120_gives_catalan_squares():
     chi = lp(4, {(1, 0, 1, 0): 1, (1, 0, 0, 1): 1, (0, 1, 1, 0): 1, (0, 1, 0, 1): 1})
-    catalan = [binom(2 * m, m) // (m + 1) for m in range(61)]
+    catalan = [comb(2 * m, m) // (m + 1) for m in range(61)]
     assert invariant_dimensions([("sl", 2), ("sl", 2)], chi, 120) == [
         catalan[n // 2] ** 2 if n % 2 == 0 else 0 for n in range(121)]
 
@@ -515,7 +515,7 @@ def test_kernel_egf_specialization_is_exponential():
             continue
         m = sum(e)
         expected = [F(0)] * (N + 1)
-        expected[m] = F(binom(m, e[0]), factorial(m))
+        expected[m] = F(comb(m, e[0]), factorial(m))
         assert ts_egf(ker.coefficient(e)) == expected
 
 
@@ -530,6 +530,18 @@ def test_kernel_coefficients_are_cut_to_its_truncation():
     ker = KernelSeries(1, 2, {(1,): TSeries(4, {(1,): F(1), (3,): F(1)})})
     assert ker.coefficient((1,)) == TSeries(2, {(1,): F(1)})
     assert KernelSeries(1, 2, {(1,): TSeries(2, {(1,): 1}), ("01",): TSeries(3, {(1,): -1})}).terms == {}
+
+
+@pytest.mark.parametrize("e", [(1,), (1, 0, 0), "ab", (1, 0.5)])
+def test_kernel_coefficient_refuses_a_malformed_exponent(e):
+    # the exponent is read as the constructor reads it: d integer entries
+    with pytest.raises(ValueError):
+        kernel_K(2, 3).coefficient(e)
+
+
+def test_kernel_coefficient_reads_integral_entries():
+    ker = kernel_K(2, 3)
+    assert ker.coefficient(("1", 1.0)) == ker.coefficient((1, 1)) != TSeries(3, {})
 
 
 # --- enhanced series via the integral ----------------------------------------
