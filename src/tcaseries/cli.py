@@ -501,6 +501,9 @@ def main(argv=None) -> int:
             return 5
         sys.stdout.write(payload + "\n")
         return code
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     finally:
         sys.set_int_max_str_digits(limit)
 

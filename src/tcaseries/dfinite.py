@@ -3,9 +3,9 @@
 Given a truncated coefficient series, search for the lexicographically
 minimal (order, degree) annihilating operator sum_i p_i(t) y^(i) over the
 rationals, with enough surplus equations to make a miss trustworthy. One
-reduction modulo a prime per order skips every (order, degree) pair it proves
-to have a trivial rational nullspace; the prime only filters, and every
-operator returned comes from a basis checked exactly over the rationals.
+elimination modulo a prime per order proves pairs' rational nullspaces trivial
+and reads the first other pair's kernel vector off its pivots, returned only
+when lifted and checked exactly; exact elimination answers when it is not.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import math
 from fractions import Fraction
 from math import perm
 
-from .polyutil import Poly, cleared, echelon, over_common_denominator, ptrim, residues, size
+from .polyutil import (Poly, annihilates, cleared, insert_row, lifted_kernel_vector,
+                       over_common_denominator, ptrim, residues, size)
 # perfbench/tracing.py wraps dfinite._nullspace by this name
 from .polyutil import nullspace as _nullspace
 from .seriesforms import OdeOperator
@@ -79,12 +80,21 @@ def _normalize(polys: list[Poly]) -> tuple[Poly, ...]:
     return tuple(tuple(c * scale for c in p) for p in polys)
 
 
-def _ode_rows(ds: list[list[int]], r: int, cols: list[tuple[int, int]]) -> list[list[int]]:
-    """Linear system of sum c_ij t^j y^(i) = 0 from ds[i][n] = (n)_i y_n: one
-    unknown c_ij per (i, j) of `cols` (i <= r), in that order, and one row,
-    whatever the columns, per coefficient of t^m that the truncation determines."""
-    return [[ds[i][m - j + i] if j <= m else 0 for i, j in cols]
-            for m in range(len(ds[0]) - r)]
+def _ode_rows(ds: list[list[int]], r: int, cols: list[tuple[int, int]]):
+    """Rows of the linear system of sum c_ij t^j y^(i) = 0 from ds[i][n] = (n)_i y_n,
+    one at a time: one unknown c_ij per (i, j) of `cols` (i <= r), in that order, and
+    one row, whatever the columns, per coefficient of t^m that the truncation determines."""
+    for m in range(len(ds[0]) - r):
+        yield [ds[i][m - j + i] if j <= m else 0 for i, j in cols]
+
+
+def _operator(polys: list[Poly], ys: list[int]) -> OdeOperator | None:
+    """The normalized operator sum_i polys[i] y^(i) when polys[-1] is not zero and
+    it annihilates the integer series ys exactly; None otherwise."""
+    if not polys[-1]:
+        return None
+    op = OdeOperator(_normalize(_frobenius_lift(polys)))
+    return None if any(_residual_sums(op, ys)[1]) else op
 
 
 def guess_ode(coeffs: CoeffSeries, max_order: int = 6, max_degree: int = 8,
@@ -94,15 +104,19 @@ def guess_ode(coeffs: CoeffSeries, max_order: int = 6, max_degree: int = 8,
     within the caps fits the data. Raises ValueError for caps below (1, 0)
     and when the series is too short for a None to be meaningful.
 
-    Each order's system at max_degree, unknowns degree-major, is reduced once
-    modulo a prime. When its first k columns are pivots, each (r, d) system
-    with (r+1)(d+1) <= k, a column prefix, has full column rank there, which
-    proves its rational nullspace trivial; each other pair is solved by a
-    basis checked exactly over the rationals (polyutil.nullspace). A dict
-    passed as `certificate` receives that prime under "prime" and the pairs it
-    proved empty under "pairs"; the prime is None when every prime tried
-    divides a denominator of the series, or divides every coefficient of a
-    series that is not zero.
+    Each order's system at max_degree, unknowns degree-major so that each
+    (r, d) system is a column prefix, is reduced modulo a prime one row at a
+    time until every column is a pivot or the rows run out. When its first k
+    columns are pivots, each pair with (r+1)(d+1) <= k has full column rank
+    there, which proves its rational nullspace trivial. When a row leaves the
+    first other column c the only free one of its degree block d, c's kernel
+    vector, lifted and checked exactly on the rows of (r, d), proves k = c and
+    spans that pair's nullspace: it gives the operator. If none passes, each
+    pair from k on is solved by a basis checked exactly over the rationals
+    (polyutil.nullspace). A dict passed as `certificate` receives that prime
+    under "prime" and the pairs it proved empty under "pairs"; the prime is
+    None when every prime tried divides a denominator of the series, or
+    divides every coefficient of a series that is not zero.
 
     Output normalization: integer coefficients of content 1, positive leading
     coefficient of the leading polynomial; operators singular at the origin
@@ -121,26 +135,39 @@ def guess_ode(coeffs: CoeffSeries, max_order: int = 6, max_degree: int = 8,
     L, ys = cleared(coeffs)
     p = (residues(L, ys) or (None,))[0]
     ds = [[perm(n, i) * y for n, y in enumerate(ys)] for i in range(max_order + 1)]
+    mods = [[x % p for x in row] for row in ds] if p else []
     certified = []
     if certificate is not None:
         certificate.update(prime=p, pairs=certified)
     for r in range(1, max_order + 1):
-        # degree-major unknowns (j, i): each (r, d) system is a column prefix
-        cols = [(i, j) for j in range(max_degree + 1) for i in range(r + 1)]
-        k = len(echelon(_ode_rows(ds, r, cols), len(cols), p, prefix=True)[0]) if p else 0
-        certified += [(r, d) for d in range(k // (r + 1))]
-        for d in range(k // (r + 1), max_degree + 1):
+        w, pivots, c, tried = r + 1, {}, 0, None
+        cols = [(i, j) for j in range(max_degree + 1) for i in range(w)]
+        for row in _ode_rows(mods, r, cols) if p else ():
+            col = insert_row(pivots, row, p)
+            while c in pivots:
+                c += 1
+                if c % w == 0:
+                    certified.append((r, c // w - 1))
+            if c == len(cols):
+                break
+            # a row that leaves no pivot before the end of c's block is killed
+            # by c's kernel vector modulo p: only then is the vector lifted
+            end = c - c % w + w
+            if c == tried or col is not None and col < end or any(
+                    j not in pivots for j in range(c + 1, end)):
+                continue
+            tried, vec = c, lifted_kernel_vector(pivots, c, p)
+            if annihilates(_ode_rows(ds, r, cols[:c + 1]), vec) and (
+                    op := _operator([ptrim(vec[i::w]) for i in range(w)], ys)):
+                return op
+        for d in range(c // w, max_degree + 1):
             # order-major unknowns (i, j): a nullspace of dimension above 1
             # yields its basis, and so the operator, by the column order
-            cols = [(i, j) for i in range(r + 1) for j in range(d + 1)]
-            for vec in _nullspace(_ode_rows(ds, r, cols), len(cols)):
-                polys = [ptrim(vec[i * (d + 1):(i + 1) * (d + 1)]) for i in range(r + 1)]
-                if not polys[-1]:
-                    continue
-                op = OdeOperator(_normalize(_frobenius_lift(polys)))
-                if any(_residual_sums(op, ys)[1]):
-                    continue
-                return op
+            cols = [(i, j) for i in range(w) for j in range(d + 1)]
+            for vec in _nullspace(list(_ode_rows(ds, r, cols)), len(cols)):
+                if op := _operator([ptrim(vec[i * (d + 1):(i + 1) * (d + 1)])
+                                    for i in range(w)], ys):
+                    return op
     return None
 
 

@@ -3,10 +3,11 @@ with sums, scalings, derivatives and p(t) -> p(-t).
 
 The zero polynomial is the empty tuple; no trailing zeros are stored. Also
 the package's one elimination kernel, ``echelon``: pivot columns and reduced
-row echelon form over the rationals, or modulo a prime. ``nullspace`` lifts
-a basis off it modulo a prime and checks it exactly over the rationals;
-modulo a prime, full column rank proves a nullspace trivial (``residues``
-picks the prime of guess_ode's rank filter). Also its one merge kernel
+row echelon form over the rationals, or modulo a prime, one row at a time with
+``insert_row``. ``nullspace`` lifts a basis off it modulo a prime and checks it
+exactly over the rationals (``annihilates``), as guess_ode does with the vector
+of ``lifted_kernel_vector``; modulo a prime, full column rank proves a nullspace
+trivial (``residues`` picks the prime of guess_ode's rank filter). Also its one merge kernel
 for sparse term dicts, ``merge_terms`` (kernels run it on integers:
 ``over_common_denominator``, ``cleared``; ``lowest_terms`` keeps them), its one
 exponential, ``newton_exp``, its one integrality check, ``integer``, its one
@@ -120,7 +121,9 @@ def integer(v) -> int:
 
 def size(v, name: str, low: int = 0) -> int:
     """The size v (a dimension, rank, truncation, count or degree cap) as an int,
-    read through `integer`, so 2.0 and "2" are 2; refused below `low`."""
+    read through `integer`, so 2.0 and "2" are 2; refused below `low` or as a bool."""
+    if isinstance(v, bool):
+        raise ValueError(f"{name} must be an integer, not {v!r}")
     n = v if type(v) is int else integer(v)
     if n < low:
         raise ValueError(f"{name} must be >= {low}")
@@ -292,22 +295,17 @@ def linear_form_det(r: int, entry, N: int | None = None) -> dict[tuple[int, ...]
     return multiset_terms(states[(1 << r) - 1], width)
 
 
-def echelon(rows: list[list], ncols: int, p: int | None = None,
-            prefix: bool = False) -> tuple[list[int], list[list]]:
+def echelon(rows: list[list], ncols: int, p: int | None = None) -> tuple[list[int], list[list]]:
     """Pivot columns and reduced row echelon form of the matrix, pivoting on
     its first ncols columns: over the rationals for Fraction entries, or
     modulo the prime p, when one is given, for integer entries. A column is
     a pivot exactly when it is independent of the columns before it, so the
-    pivots of a column prefix are a prefix of the pivots. With `prefix`, only
-    the leading run of pivots 0, ..., k-1 (all a rank filter reads): it stops
-    at the first column that is not a pivot and leaves the matrix unreduced."""
+    pivots of a column prefix are a prefix of the pivots."""
     mat = [row[:] if p is None else [a % p for a in row] for row in rows]
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
         sel = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if sel is None and prefix:
-            break
         if sel is None:
             continue
         mat[rank], mat[sel] = mat[sel], mat[rank]
@@ -317,11 +315,34 @@ def echelon(rows: list[list], ncols: int, p: int | None = None,
         tail = mat[rank][col:] = [v * inv if p is None else v * inv % p for v in tail]
         for i, row in enumerate(mat):
             f = row[col]
-            if f and (i > rank or i < rank and not prefix):
+            if f and i != rank:
                 row[col:] = ([a - f * b for a, b in zip(row[col:], tail)] if p is None
                              else [(a - f * b) % p for a, b in zip(row[col:], tail)])
         pivots.append(col)
     return pivots, mat
+
+
+def insert_row(pivots: dict[int, list[int]], row: list[int], p: int) -> int | None:
+    """echelon modulo p one row at a time: the row of residues, reduced by the pivot
+    rows (pivots[c]: the row from column c on, led by 1), becomes the pivot row of its
+    first nonzero column, which is returned; None when it reduces to zero."""
+    for col in range(len(row)):
+        if a := row[col]:
+            if (tail := pivots.get(col)) is None:
+                inv = pow(a, -1, p)
+                pivots[col] = [x * inv % p for x in row[col:]]
+                return col
+            row[col:] = [(x - a * y) % p for x, y in zip(row[col:], tail)]
+    return None
+
+
+def lifted_kernel_vector(pivots: dict[int, list[int]], c: int, p: int) -> list:
+    """Entries 0..c, lifted as _rational_lift does (None: no lift), of the v with v[c] = 1,
+    zeros beyond, that insert_row's pivot rows of every column before c kill modulo p."""
+    res = [0] * c + [1]
+    for pc in range(c - 1, -1, -1):
+        res[pc] = -sum(a * b for a, b in zip(pivots[pc][1:], res[pc + 1:])) % p
+    return [_rational_lift(x, p) for x in res]
 
 
 # Primes of the rank filter, tried in turn: 2^61-1 first, then larger
@@ -352,7 +373,7 @@ def nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
             vec[fc] = Fraction(1)
             for rix, pc in enumerate(pivots):
                 vec[pc] = -mat[rix][fc] if p is None else _rational_lift(-mat[rix][fc], p)
-            if p and not _annihilates(ints, vec):
+            if p and not annihilates(ints, vec):
                 break
             basis.append(vec)
         else:
@@ -370,8 +391,9 @@ def _rational_lift(a: int, p: int) -> Fraction | None:
     return Fraction(r1, s1) if abs(s1) <= bound and math.gcd(r1, s1) == 1 else None
 
 
-def _annihilates(ints: list[list[int]], vec: list) -> bool:
-    """Whether the lifted vector, cleared to integers, kills every integer row."""
+def annihilates(ints, vec: list) -> bool:
+    """Whether the lifted vector (None: an entry that did not lift), cleared to
+    integers, kills every integer row of `ints`, read up to the first it does not."""
     if any(v is None for v in vec):
         return False
     support = [(j, v) for j, v in enumerate(cleared(vec)[1]) if v]

@@ -57,7 +57,10 @@ Exponent = tuple[int, ...]
 
 def _exponent(e, d: int) -> Exponent:
     """The exponent e as a tuple of d ints."""
-    e = tuple(map(integer, e))
+    try:
+        e = tuple(map(integer, e))
+    except TypeError:
+        raise ValueError(f"exponent {e!r} is not a sequence of integers") from None
     if len(e) != d:
         raise ValueError(f"exponent {e} has length != {d}")
     return e

@@ -114,6 +114,13 @@ def test_render_error_maps_to_an_exit_code(monkeypatch):
     assert (code, out, err) == (3, "", "error: cannot render\n")
 
 
+def test_interrupt_exits_130_without_a_traceback(monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+    monkeypatch.setitem(cli._HANDLERS, "hilbert", interrupted)
+    assert run_cli(["hilbert", "--d", "3", "--r", "1"]) == (130, "", "interrupted\n")
+
+
 def test_module_entry_point():
     root = Path(__file__).parent.parent
     proc = subprocess.run(

@@ -17,7 +17,9 @@ from tcaseries.dfinite import (
     needed_length,
     ode_to_text,
 )
-from tcaseries.polyutil import RANK_PRIMES, cleared, echelon, nullspace
+from tcaseries.cli import builtin_series
+from tcaseries.polyutil import (RANK_PRIMES, cleared, echelon, insert_row,
+                                lifted_kernel_vector, nullspace)
 from tcaseries.seriesforms import OdeOperator
 
 F = Fraction
@@ -209,13 +211,13 @@ def test_rank_filter_does_not_certify_singular_residues(monkeypatch):
     # a zero matrix keeps the first and certifies nothing
     assert rank_modulo([[F(P)]], 1) == (RANK_PRIMES[1], 1)
     assert rank_modulo([[F(0)]], 1) == (P, 0)
-    # a series whose every coefficient is a multiple of P: the hit still
-    # goes to nullspace, the miss is certified modulo the next prime
+    # a series whose every coefficient is a multiple of P: the hit is read off
+    # the elimination modulo the next prime, and the miss is certified there
     shapes = _counting_nullspace(monkeypatch)
     cert = {}
     assert guess_ode([F(P, factorial(n)) for n in range(needed_length(1, 0))],
                      max_order=1, max_degree=0, certificate=cert) == EXP_OP
-    assert shapes == [(12, 2)] and cert == {"prime": RANK_PRIMES[1], "pairs": []}
+    assert shapes == [] and cert == {"prime": RANK_PRIMES[1], "pairs": []}
     shapes.clear()
     assert guess_ode([P * c for c in bell_egf(needed_length(2, 2))],
                      max_order=2, max_degree=2, certificate=cert) is None
@@ -273,25 +275,31 @@ def test_bell_miss_certified_without_exact_elimination(monkeypatch):
     assert cert == {"prime": P, "pairs": [(r, d) for r in range(1, 6) for d in range(6)]}
 
 
-def test_catalan_reaches_exact_elimination_at_first_deficient_pair(monkeypatch):
+def test_catalan_reads_its_operator_off_the_first_deficient_pair(monkeypatch):
+    # the kernel vector of pair (2, 1), read off the elimination modulo P and
+    # checked exactly, is the operator: no exact elimination runs
     shapes = _counting_nullspace(monkeypatch)
     cert = {}
     coeffs = catalan_egf(needed_length(3, 3))
     assert guess_ode(coeffs, max_order=3, max_degree=3, certificate=cert) == CATALAN_OP
     assert cert["pairs"] == [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0)]
-    assert shapes == [(len(coeffs) - 2, 3 * 2)]  # pair (2, 1) only
+    assert shapes == []
 
 
 def test_bell_reduces_each_order_once_modulo_p(monkeypatch):
-    # one modular elimination per order, not one per (order, degree) pair
-    calls = []
+    # one lazy elimination modulo P per order, not one per (order, degree)
+    # pair: its rows enter only until every column is a pivot
+    eliminations = {}
 
-    def counted(rows, ncols, p=None, **kw):
-        calls.append((len(rows), ncols, p))
-        return echelon(rows, ncols, p, **kw)
-    monkeypatch.setattr(dfinite, "echelon", counted)
+    def counted(pivots, row, p):
+        assert p == P
+        eliminations.setdefault(id(pivots), [pivots, len(row), 0])[2] += 1
+        return insert_row(pivots, row, p)
+    monkeypatch.setattr(dfinite, "insert_row", counted)
     assert guess_ode(bell_egf(60), max_order=5, max_degree=5) is None
-    assert calls == [(60 - r, (r + 1) * 6, P) for r in range(1, 6)]
+    assert [ncols for _, ncols, _ in eliminations.values()] == [(r + 1) * 6 for r in range(1, 6)]
+    for r, (pivots, ncols, rows) in enumerate(eliminations.values(), 1):
+        assert sorted(pivots) == list(range(ncols)) and rows < 60 - r
 
 
 def test_bell_builds_one_derivative_table(monkeypatch):
@@ -375,6 +383,34 @@ def test_polynomial_series_match_per_pair_route():
         assert (op, cert["prime"], cert["pairs"]) == guess_ode_per_pair(coeffs, R, D)
 
 
+# the invariants-ode points of the session benchmark, and the CLI's default caps
+@pytest.mark.parametrize("series, R, D", [
+    *[("catalan-egf", R, D) for R, D in ((2, 2), (2, 3), (3, 2), (3, 3))],
+    ("catalan-sq-ogf", 3, 4), ("catalan-sq-ogf", 3, 5),
+    ("catalan-egf", 6, 8), ("catalan-sq-ogf", 6, 8)])
+def test_invariant_series_read_their_operator_off_one_elimination(monkeypatch, series, R, D):
+    coeffs = builtin_series(series, needed_length(R, D))
+    shapes = _counting_nullspace(monkeypatch)
+    cert = {}
+    op = guess_ode(coeffs, max_order=R, max_degree=D, certificate=cert)
+    assert shapes == [] and op is not None
+    assert (op, cert["prime"], cert["pairs"]) == guess_ode_per_pair(coeffs, R, D)
+
+
+@pytest.mark.parametrize("coeffs, R, D", [
+    # a (3, 2) nullspace of dimension above 1 modulo P
+    ([F(c, P) for c in (-3, 3, -2, 3, 2, 0, 2)] + [F(0)] * 18, 3, 2),
+    # exp(a t): y' - a y, with a beyond the lift bound 2^30 of P, lifts modulo 2^89-1
+    ([F((2**31 + 1) ** n, factorial(n)) for n in range(needed_length(1, 1))], 1, 1),
+])
+def test_guess_ode_falls_back_to_nullspace(monkeypatch, coeffs, R, D):
+    shapes = _counting_nullspace(monkeypatch)
+    cert = {}
+    op = guess_ode(coeffs, max_order=R, max_degree=D, certificate=cert)
+    assert shapes and op is not None
+    assert (op, cert["prime"], cert["pairs"]) == guess_ode_per_pair(coeffs, R, D)
+
+
 def test_echelon_pivots_of_a_column_prefix_are_a_prefix():
     rng = random.Random(61)
     for _ in range(100):
@@ -391,16 +427,31 @@ def test_echelon_pivots_of_a_column_prefix_are_a_prefix():
                 assert [row[pc] for row in mat] == [int(i == rix) for i in range(nrows)]
 
 
-def test_echelon_prefix_gives_the_leading_run_of_pivots():
-    # the rank filter reads only k, the number of leading pivot columns
-    rng = random.Random(62)
+def test_insert_row_finds_the_pivots_of_echelon_row_by_row():
+    rng = random.Random(63)
+    lifted = 0
     for _ in range(200):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(nrows)]
         for p in (3, P):
-            pivots = echelon(rows, ncols, p)[0]
-            k = sum(c == n for n, c in enumerate(pivots))
-            assert echelon(rows, ncols, p, prefix=True)[0] == list(range(k))
+            pivots = {}
+            for n, row in enumerate(rows, 1):
+                before = set(pivots)
+                col = insert_row(pivots, [a % p for a in row], p)
+                assert set(pivots) - before == ({col} if col is not None else set())
+                assert sorted(pivots) == echelon(rows[:n], ncols, p)[0]
+            # the kernel vector of the first column that is not a pivot kills
+            # every row modulo p, when each of its entries lifts
+            c = next((c for c in range(ncols) if c not in pivots), None)
+            if c is None:
+                continue
+            vec = lifted_kernel_vector(pivots, c, p)
+            if all(v is not None for v in vec):
+                res = [v.numerator * pow(v.denominator, -1, p) % p for v in vec]
+                assert res[c] == 1
+                assert all(sum(a * b for a, b in zip(row, res)) % p == 0 for row in rows)
+                lifted += 1
+    assert lifted > 50
 
 
 def _counting_echelon(monkeypatch):

@@ -903,6 +903,9 @@ BAD_NUMBER_CASES = {
     "charpoly threshold text": lambda: CharPolyForm(2, {}, "x"),
     "charpoly threshold float": lambda: CharPolyForm(2, {}, 2.5),
     "charpoly threshold below -1": lambda: CharPolyForm(2, {}, -7),
+    # bool is an int subclass, and no size
+    "charpoly threshold bool": lambda: CharPolyForm(2, {}, True),
+    "size bool": lambda: polyutil.size(True, "d"),
 }
 
 

@@ -532,11 +532,16 @@ def test_kernel_coefficients_are_cut_to_its_truncation():
     assert KernelSeries(1, 2, {(1,): TSeries(2, {(1,): 1}), ("01",): TSeries(3, {(1,): -1})}).terms == {}
 
 
-@pytest.mark.parametrize("e", [(1,), (1, 0, 0), "ab", (1, 0.5)])
+@pytest.mark.parametrize("e", [(1,), (1, 0, 0), "ab", (1, 0.5), 5, None])
 def test_kernel_coefficient_refuses_a_malformed_exponent(e):
     # the exponent is read as the constructor reads it: d integer entries
     with pytest.raises(ValueError):
         kernel_K(2, 3).coefficient(e)
+
+
+def test_kernel_refuses_an_exponent_that_is_not_a_sequence():
+    with pytest.raises(ValueError, match="not a sequence of integers"):
+        KernelSeries(1, 2, {5: TSeries(2, {})})
 
 
 def test_kernel_coefficient_reads_integral_entries():
