@@ -7,7 +7,8 @@ byte-identical bytes.
 
 Exit codes: 0 success; 1 oracle-suite mismatch; 2 bad flags; 3 precondition
 violation (bad mathematical input, insufficient truncation); 4 not-found /
-not-recognized verdicts; 5 internal error (a failed runtime invariant).
+not-recognized verdicts; 5 internal error (a failed runtime invariant); 6 out of
+memory or recursion depth; 130 interrupted.
 """
 
 from __future__ import annotations
@@ -504,6 +505,9 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
+    except (MemoryError, RecursionError) as exc:
+        print(f"out of resources: {type(exc).__name__}", file=sys.stderr)
+        return 6
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -24,10 +24,11 @@ from .partitions import (
     _power_sum_to_monomial,
     as_partition,
     canonical_key,
+    canonical_positions,
     dim_schur,
-    enumerate_partitions,
+    partitions_up_to,
 )
-from .polyutil import Value, integer, linear_form_det, lowest_terms, merge_terms, size
+from .polyutil import Value, integer, linear_form_det, lowest_terms, merge_terms, scatter, size
 from .symfunc import SCHUR, SymFunc
 from .seriesforms import (
     EnhancedExpr,
@@ -243,19 +244,24 @@ def pushforward_module_character(d: int, r: int, alpha, N: int) -> SymFunc:
 
     Degree-n coefficient of s_nu is chi(S_alpha(Q) tensor S_nu(Q)), computed by
     Littlewood-Richardson products followed by Bott pushforwards, each read off
-    the per-(d, r, lam) table `_euler_table`, shared across alpha and nu.
+    the per-(d, r, lam) table `_euler_table`, shared across alpha and nu; the
+    shapes nu come from one cached tuple per (N, r), `_shapes`.
     """
     (d, r), alpha, N = _shape(d, r), as_partition(alpha), size(N, "truncation")
     if len(alpha) > r:
         raise ValueError(f"alpha={alpha} has more than r={r} rows")
     terms: dict[Partition, Fraction] = {}
-    for n in range(N + 1):
-        for nu in enumerate_partitions(n, max_length=r):
-            chi = sum(c_lr * _euler_table(d, r, lam)
-                      for lam, c_lr in _lr_products(alpha, nu, r))
-            if chi:
-                terms[nu] = Fraction(chi)
+    for nu in _shapes(N, r):
+        chi = sum(c_lr * _euler_table(d, r, lam) for lam, c_lr in _lr_products(alpha, nu, r))
+        if chi:
+            terms[nu] = Fraction(chi)
     return SymFunc.trusted(SCHUR, terms, N)
+
+
+@functools.cache
+def _shapes(N: int, r: int) -> tuple[Partition, ...]:
+    # the partitions of size <= N with at most r parts, in canonical order
+    return tuple(partitions_up_to(N, max_length=r))
 
 
 def detring_formal_character(d: int, r: int) -> SigmaExpr:
@@ -283,21 +289,19 @@ def gessel_enhanced(d: int, r: int, N: int) -> TSeries:
     D(nu) read off one linear_form_det capped at weight N. [t^lam / lam!] E_nu
     counts the ways to place the parts of lam, told apart, in r boxes whose sums
     are nu: the power-sum-to-monomial transition [m_nu] p_lam in r variables
-    (Macdonald I.6). So [t^lam] = sum_nu [m_nu] p_lam D(nu) / lam!: only D depends
-    on d, the rest is `partitions._power_sum_to_monomial`, built once per (r, N).
+    (Macdonald I.6). So N! [t^lam] = sum_nu (N! / lam!) [m_nu] p_lam D(nu): only D
+    depends on d, the rest is the scatter table `partitions._power_sum_to_monomial`, per (r, N).
     For r >= d the rank condition is vacuous: the series is the one at r = d.
     """
     d, r, N = size(d, "d"), size(r, "r"), size(N, "truncation")
     if 0 in (d, r):
         raise ValueError(f"need d >= 1 and r >= 1, got d={d}, r={r}")
     r = min(r, d)
-    weights = {tuple(n for n in ks if n): D for ks, D in linear_form_det(r, lambda a, b: {
-        n: math.comb(n + b - a + d - 1, d - 1) for n in range(max(0, a - b), N + 1)}, N).items()}
-    # on integers over N!, which every lam! divides
-    fN = math.factorial(N)
-    return TSeries.trusted(N, *lowest_terms(fN, {
-        lam: sum(m * weights.get(nu, 0) for nu, m in row) * (fN // fact)
-        for lam, fact, row in _power_sum_to_monomial(r, N)}))
+    weights = ((tuple(n for n in ks if n), D) for ks, D in linear_form_det(r, lambda a, b: {
+        n: math.comb(n + b - a + d - 1, d - 1) for n in range(max(0, a - b), N + 1)}, N).items())
+    parts, _ = canonical_positions(N)
+    nums = scatter(_power_sum_to_monomial(r, N), weights, [0] * len(parts))
+    return TSeries.trusted(N, *lowest_terms(math.factorial(N), dict(zip(parts, nums))))
 
 
 def _bell_polynomials(jmax: int) -> list[dict[Partition, int]]:

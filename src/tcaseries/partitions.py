@@ -5,7 +5,8 @@ partition is ``()``. All arithmetic is exact (int / Fraction).
 
 The canonical order on partitions of equal size is reverse lexicographic:
 (n) first, (1,...,1) last. ``enumerate_partitions`` generates in that order.
-``canonical_key`` (size, then reverse-lex) is cached; ``as_partition`` runs where
+``canonical_key`` (size, then reverse-lex) is cached, and so are the positions in
+that order by multiset code (``canonical_positions``); ``as_partition`` runs where
 a key enters, and kernels pass the canonical keys they build on unvalidated.
 """
 
@@ -13,8 +14,9 @@ from __future__ import annotations
 
 import functools
 import math
+from types import MappingProxyType
 
-from .polyutil import integer, merge_terms, size
+from .polyutil import integer, merge_terms, multiset_code, size
 
 Partition = tuple[int, ...]
 
@@ -22,6 +24,7 @@ __all__ = [
     "Partition",
     "as_partition",
     "canonical_key",
+    "canonical_positions",
     "dim_schur",
     "dim_specht",
     "enumerate_partitions",
@@ -141,6 +144,14 @@ def partition_factorial(lam: Partition) -> int:
 def z_of(lam: Partition) -> int:
     """Centralizer order z_lam = lam! * prod_i i^{m_i(lam)} = lam! * prod(lam)."""
     return partition_factorial(lam) * math.prod(lam)
+
+
+@functools.cache
+def canonical_positions(N: int) -> tuple[tuple[Partition, ...], MappingProxyType]:
+    """(the partitions of size <= N in canonical order, read-only {multiset code:
+    position}): a scatter table's output list holds the coefficient of parts[i] at i."""
+    parts = tuple(partitions_up_to(N))
+    return parts, MappingProxyType({multiset_code(lam)[1]: i for i, lam in enumerate(parts)})
 
 
 @functools.cache
@@ -264,12 +275,12 @@ def kostka_number(lam: Partition, mu: Partition) -> int:
 
 
 @functools.cache
-def _power_sum_to_monomial(r: int, N: int) -> tuple[tuple[Partition, int, tuple], ...]:
-    """(lam, lam!, [m_nu] p_lam in r variables as (nu, coefficient) pairs) for every
-    lam with |lam| <= N in canonical order, cached in tuples only: Gessel's series
-    reads it at rank r, the integral route and kernel K at r = d. With k the last
-    part of lam and lam- the rest, p_lam = p_{lam-} p_k gives [x^nu] p_lam =
-    sum_j [x^{nu - k e_j}] p_{lam-} over the parts nu_j >= k (Macdonald I.6)."""
+def _power_sum_to_monomial(r: int, N: int) -> MappingProxyType:
+    """Read-only scatter table (polyutil.scatter) of [m_nu] p_lam in r variables: per nu,
+    l(nu) <= r, |nu| <= N, the (canonical position of lam, N! / lam! [m_nu] p_lam) pairs,
+    integers; Gessel's series reads it at rank r, the integral route and kernel K at
+    r = d. With k the last part of lam and lam- the rest, p_lam = p_{lam-} p_k gives
+    [x^nu] p_lam = sum_j [x^{nu - k e_j}] p_{lam-} over parts nu_j >= k (Macdonald I.6)."""
     rows: dict[Partition, dict[Partition, int]] = {(): {(): 1}}
     for n in range(1, N + 1):
         nus = enumerate_partitions(n, max_length=r)
@@ -277,7 +288,12 @@ def _power_sum_to_monomial(r: int, N: int) -> tuple[tuple[Partition, int, tuple]
             k, prev = lam[-1], rows[lam[:-1]]
             rows[lam] = merge_terms((nu, prev.get(_take(nu, j, k), 0))
                                     for nu in nus for j, part in enumerate(nu) if part >= k)
-    return tuple((lam, partition_factorial(lam), tuple(row.items())) for lam, row in rows.items())
+    # rows holds the lam in the order of partitions_up_to(N), so its index is the position
+    fN, columns = math.factorial(N), {}
+    for i, (lam, row) in enumerate(rows.items()):
+        for nu, c in row.items():
+            columns.setdefault(nu, []).append((i, fN // partition_factorial(lam) * c))
+    return MappingProxyType({nu: tuple(col) for nu, col in columns.items()})
 
 
 def _take(nu: Partition, j: int, k: int) -> Partition:

@@ -19,6 +19,10 @@ base of value classes, with its one trusted constructor; and ``multiset_mul``,
 its one product of multisets, on ``multiset_code``s, read back in canonical order
 by ``multiset_terms`` (a union of multisets is one integer addition: Monagan and
 Pearce, CASC 2007), on which its one determinant, ``linear_form_det``, runs.
+And its one accumulator of a fixed linear map, ``scatter``, which applies a
+scatter table (per input key, the positions and coefficients it adds into) into
+a list in canonical order (partitions.canonical_positions), so no sort or
+decode follows; ``LazyRows`` builds a table's rows when they are first read.
 """
 
 from __future__ import annotations
@@ -121,10 +125,13 @@ def integer(v) -> int:
 
 def size(v, name: str, low: int = 0) -> int:
     """The size v (a dimension, rank, truncation, count or degree cap) as an int,
-    read through `integer`, so 2.0 and "2" are 2; refused below `low` or as a bool."""
+    read through `integer`, so 2.0 and "2" are 2; refused below `low`, as a bool or as None."""
     if isinstance(v, bool):
         raise ValueError(f"{name} must be an integer, not {v!r}")
-    n = v if type(v) is int else integer(v)
+    try:
+        n = v if type(v) is int else integer(v)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {v!r}") from None
     if n < low:
         raise ValueError(f"{name} must be >= {low}")
     return n
@@ -256,6 +263,29 @@ def multiset_terms(out: dict, width: int = _DIGIT) -> dict:
     parts in canonical order: weight, then code decreasing."""
     return {multiset_parts(-neg, width): c
             for _, neg, c in sorted((w, -code, c) for code, (w, c) in out.items() if c)}
+
+
+def scatter(table, pairs, out: list) -> list:
+    """out[i] += c * v for each (key, c) of `pairs`, c nonzero, and (i, v) of table[key]: a
+    linear map stored as a scatter table, per key the (position, coefficient) pairs it adds."""
+    for key, c in pairs:
+        if c:
+            for i, v in table[key]:
+                out[i] += c * v
+    return out
+
+
+class LazyRows(dict):
+    """A scatter table that builds and keeps the row build(key) of a key when first read."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        row = self[key] = self.build(key)
+        return row
 
 
 def multiset_mul(a, b, limit: int | None, out: dict) -> dict:

@@ -20,7 +20,8 @@ Specializations: ``sigma_expand`` (sigma -> Schur series, by the Pieri rule),
 series, p_n -> n t_n, sigma_n -> exp(T_0) sum_{nu |- n} T^nu / nu!).
 ``sigma_expand`` and ``enhanced_expand`` work on integers over one common denominator;
 ``enhanced_expand`` multiplies t-monomials as multiset codes (polyutil.multiset_code),
-one integer addition per product, and decodes each output key once, in canonical order.
+one integer addition per product, and applies N! exp(k T_0) as a cached scatter table
+into a list in canonical order (partitions.canonical_positions), with no key decoded.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .partitions import (
     _horizontal_strips_above,
     as_partition,
     canonical_key,
+    canonical_positions,
     dim_specht,
     enumerate_partitions,
     format_partition,
@@ -45,6 +47,7 @@ from .partitions import (
     partitions_up_to,
 )
 from .polyutil import (
+    LazyRows,
     Poly,
     Value,
     fraction_terms,
@@ -57,7 +60,6 @@ from .polyutil import (
     multiset_code,
     multiset_mul,
     multiset_parts,
-    multiset_terms,
     nullspace,
     over_common_denominator,
     padd,
@@ -65,6 +67,7 @@ from .polyutil import (
     pderiv,
     pscale,
     ptrim,
+    scatter,
     size,
     truncated_at_least,
 )
@@ -465,26 +468,38 @@ def _tails(Tpart: Partition, ns: tuple[int, ...],
     return tuple(sorted(cur))
 
 
+def _exp_row(kt0: tuple, N: int, code: int) -> tuple[tuple[int, int], ...]:
+    """The row of the t-monomial `code` (t_n as part n) in the scatter table of N! exp(k T_0):
+    its products with kt0 through weight N, by one multiset_mul, at their positions."""
+    parts, positions = canonical_positions(N)
+    out = multiset_mul(((sum(parts[positions[code]]), code, 1),), kt0, N, {})
+    return tuple((positions[x], c) for x, (_, c) in out.items())
+
+
 @functools.cache
-def _exp_kt0(k: int, N: int) -> tuple[tuple[int, int, int], ...]:
-    """N! exp(k T_0) = sum_nu N! k^{l(nu)} t^nu / nu! through weight N, cached as
-    weight-sorted (weight, code, coefficient) triples, zeros dropped; integers,
-    as nu! = prod_i m_i(nu)! divides l(nu)! and so N!."""
-    return tuple((*multiset_code(nu), factorial(N) * k ** len(nu) // partition_factorial(nu))
-                 for nu in partitions_up_to(N) if k or not nu)
+def _exp_rows(k: int, N: int) -> LazyRows:
+    """The scatter table of N! exp(k T_0) by t-monomial code, each row built when first read,
+    from the weight-sorted (weight, code, coefficient) triples of N! exp(k T_0) = sum_nu
+    N! k^{l(nu)} t^nu / nu! through weight N: integers, as nu! divides l(nu)! and so N!."""
+    parts, positions = canonical_positions(N)
+    kt0 = tuple((sum(nu), code, factorial(N) * k ** len(nu) // partition_factorial(nu))
+                for code, nu in zip(positions, parts) if k or not nu)
+    return LazyRows(functools.partial(_exp_row, kt0, N))
 
 
 def enhanced_expand(e: EnhancedExpr, N: int) -> TSeries:
     """Expand T_j and e^{k T_0} into the t variables, truncated at weight N, on
-    multiset codes and integers over L N! (L the common denominator, N! from _exp_kt0)."""
+    integers over L N! (L the common denominator): the T-tails on multiset codes, then
+    the scatter table _exp_rows(k, N) applied into one list in canonical order."""
     N = size(N, "truncation")
     L, polys = over_common_denominator(*e.parts.values())
-    ns = tuple(range(N + 1))  # t_n coded as part n
-    total: dict[int, list] = {}
+    ns = tuple(range(N + 1))  # t_n coded as part n; OverflowError when N is past any memory
+    parts, _ = canonical_positions(N)
+    total = [0] * len(parts)
     for k, poly in zip(e.parts, polys):
-        terms = [(w, code, c) for code, (w, c) in _substitute_tails(poly, ns, N).items() if c]
-        multiset_mul(terms, _exp_kt0(k, N), N, total)
-    return TSeries.trusted(N, *lowest_terms(L * factorial(N), multiset_terms(total)))
+        scatter(_exp_rows(k, N), ((code, c) for code, (_, c) in
+                                  _substitute_tails(poly, ns, N).items()), total)
+    return TSeries.trusted(N, *lowest_terms(L * factorial(N), dict(zip(parts, total))))
 
 
 def fourier_dual_hilbert(h: ExpPoly, d: int) -> ExpPoly:

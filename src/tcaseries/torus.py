@@ -31,11 +31,13 @@ from .partitions import (
     Partition,
     _power_sum_to_monomial,
     as_partition,
+    canonical_positions,
     enumerate_partitions,
     kostka_number,
 )
 from .polyutil import (Value, fraction_terms, integer, lowest_terms, merge_terms, newton_exp,
-                       over_common_denominator, product_terms, size, truncated_at_least)
+                       over_common_denominator, product_terms, scatter, size,
+                       truncated_at_least)
 from .seriesforms import TSeries
 
 __all__ = [
@@ -365,15 +367,15 @@ class KernelSeries(Value):
 
 
 def kernel_K(d: int, N: int) -> KernelSeries:
-    """[alpha^e] K = sum_lam [m_nu] p_lam t^lam / lam!, nu the partition of the entries of e."""
+    """[alpha^e] K = sum_lam [m_nu] p_lam t^lam / lam!, nu the partition of the entries of e:
+    the column of nu in the scatter table partitions._power_sum_to_monomial, over N!."""
     d, N = size(d, "d"), size(N, "truncation")
-    terms: dict[Exponent, dict[Partition, Fraction]] = {}
-    for lam, fact, row in _power_sum_to_monomial(d, N):
-        for nu, c in row:
-            for e in set(itertools.permutations(nu + (0,) * (d - len(nu)))):
-                terms.setdefault(e, {})[lam] = Fraction(c, fact)
-    # canonical by construction: entries of e at most |lam| <= N, rows with no zeros
-    return KernelSeries.trusted(d, N, {e: TSeries(N, terms[e]) for e in sorted(terms)})
+    parts, fN = canonical_positions(N)[0], math.factorial(N)
+    terms = {e: series for nu, column in _power_sum_to_monomial(d, N).items()
+             for series in [TSeries.trusted(N, *lowest_terms(fN, {parts[i]: v for i, v in column}))]
+             for e in set(itertools.permutations(nu + (0,) * (d - len(nu))))}
+    # canonical by construction: entries of e at most |nu| <= N, columns in canonical order
+    return KernelSeries.trusted(d, N, dict(sorted(terms.items())))
 
 
 def enhanced_from_equivariant(hilb, d: int, N: int) -> TSeries:
@@ -381,25 +383,25 @@ def enhanced_from_equivariant(hilb, d: int, N: int) -> TSeries:
     is weyl_inner(ch, p_lam) / lam! for ch the character of degree |lam|: W = L ch
     |Delta|^2, formed once per degree on integers and codes. p_lam has exponents
     >= 0 only, so W is read only at the codes of the permutations of each
-    partition nu of |lam| in at most d parts, cached per (|lam|, d, w), and
-    paired with the rows [m_nu] p_lam of partitions._power_sum_to_monomial, on
-    integers over M d! N!, M the lcm of the denominators L (lam! divides N!).
+    partition nu of |lam| in at most d parts, cached per (|lam|, d, w), and the
+    scatter table partitions._power_sum_to_monomial applied to these sums, on
+    integers over M d! N!, M the lcm of the denominators L.
 
     `hilb` is a sequence of LaurentPoly degree-n characters of M(C^d) for
     n = 0..N (entries may be None for zero).
     """
     d, N = size(d, "d"), size(N, "truncation")
-    folded: dict[int, tuple[int, dict[Partition, int]]] = {}
+    folded: list[tuple[int, dict[Partition, int]]] = []
     for n, ch in enumerate(hilb[:N + 1]):
         if ch is not None:
             L, w, W = _weighted(ch, d, N)
-            folded[n] = L, {nu: sum(W.get(x, 0) for x in codes)
-                            for nu, codes in _orbit_codes(n, d, w)}
-    M, fN = math.lcm(*(L for L, _ in folded.values())), math.factorial(N)
-    nums = {lam: sum(m * fold.get(nu, 0) for nu, m in row) * (M // L) * (fN // fact)
-            for lam, fact, row in _power_sum_to_monomial(d, N)
-            for L, fold in [folded.get(sum(lam), (1, {}))]}
-    return TSeries.trusted(N, *lowest_terms(M * math.factorial(d) * fN, nums))
+            folded.append((L, {nu: sum(W.get(x, 0) for x in codes)
+                               for nu, codes in _orbit_codes(n, d, w)}))
+    M, parts = math.lcm(*(L for L, _ in folded)), canonical_positions(N)[0]
+    nums = scatter(_power_sum_to_monomial(d, N), ((nu, v * (M // L)) for L, fold in folded
+                                                  for nu, v in fold.items()), [0] * len(parts))
+    return TSeries.trusted(N, *lowest_terms(M * math.factorial(d) * math.factorial(N),
+                                            dict(zip(parts, nums))))
 
 
 @functools.cache

@@ -7,8 +7,11 @@ from monomial enumeration, products from Littlewood-Richardson tableaux, and
 invariant dimensions from constant terms of chi^n |Delta|^2
 (``invariant_dimensions_ct``, vs. the Brauer-Klimyk rule on dominant
 weights), products of multisets from sorted concatenations (``p_mul_sorting``,
-vs. sums of multiset codes), and determinants of linear forms from the Leibniz
-sum (``linear_form_det_leibniz``, vs. one Laplace expansion). Seven oracles
+vs. sums of multiset codes), determinants of linear forms from the Leibniz
+sum (``linear_form_det_leibniz``, vs. one Laplace expansion), and the
+power-sum-to-monomial transition [x^nu] p_lam from placements of parts in
+boxes (``power_sum_monomial_boxes``, vs. the recursion p_lam = p_{lam-} p_k
+of the package's scatter table). Seven oracles
 call the package: ``sigma_expand_powersum`` uses its
 power-sum routines, which the Pieri kernel of ``sigma_expand`` does not use,
 ``enhanced_from_equivariant_per_partition`` runs one ``weyl_inner`` per
@@ -327,6 +330,22 @@ def p_mul_sorting(a: dict, b: dict, trunc: int | None = None) -> dict:
                 key = tuple(sorted(la + lb, reverse=True))
                 out[key] = out.get(key, 0) + ca * cb
     return {k: v for k, v in out.items() if v}
+
+
+def power_sum_monomial_boxes(lam, r: int) -> dict[tuple[int, ...], int]:
+    """{nu: [x^nu] p_lam} in r variables over the partitions nu: the parts of lam,
+    told apart, placed in r boxes in every one of the r^l(lam) ways, each placement
+    counted at its box sums when these are weakly decreasing (the monomial x^nu)."""
+    import itertools
+    out: dict = {}
+    for boxes in itertools.product(range(r), repeat=len(lam)):
+        sums = [0] * r
+        for part, box in zip(lam, boxes):
+            sums[box] += part
+        if all(a >= b for a, b in zip(sums, sums[1:])):
+            nu = tuple(s for s in sums if s)
+            out[nu] = out.get(nu, 0) + 1
+    return out
 
 
 def linear_form_det_leibniz(r: int, entry, N: int | None = None) -> dict:

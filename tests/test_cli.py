@@ -121,6 +121,15 @@ def test_interrupt_exits_130_without_a_traceback(monkeypatch):
     assert run_cli(["hilbert", "--d", "3", "--r", "1"]) == (130, "", "interrupted\n")
 
 
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_resource_errors_exit_6_without_a_traceback(monkeypatch, error):
+    def exhausted(args):
+        raise error
+    monkeypatch.setitem(cli._HANDLERS, "hilbert", exhausted)
+    assert run_cli(["hilbert", "--d", "3", "--r", "1"]) == \
+        (6, "", f"out of resources: {error.__name__}\n")
+
+
 def test_module_entry_point():
     root = Path(__file__).parent.parent
     proc = subprocess.run(

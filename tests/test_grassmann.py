@@ -527,6 +527,14 @@ def test_gessel_matches_permutation_expansion(d, r, N):
     assert gessel_enhanced(d, r, N) == gessel_enhanced_permutations(d, r, N)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 8), st.lists(st.integers(1, 5), min_size=2, max_size=3))
+def test_gessel_on_a_warm_scatter_table_matches_permutation_expansion(r, N, ds):
+    # every d at one (r, N) reads the one scatter table [m_nu] p_lam of that shape
+    for d in ds:
+        assert gessel_enhanced(d, r, N) == gessel_enhanced_permutations(d, r, N)
+
+
 def test_gessel_rank_above_d_is_rank_d():
     # a rank <= r condition on maps out of C^d is vacuous once r >= d
     for d in (1, 2, 3):
@@ -547,7 +555,7 @@ def test_gessel_forms_no_series_product(monkeypatch):
 
 
 def test_gessel_tables_built_once_per_rank_and_truncation():
-    # the transition table does not depend on d: one build per new (r, N)
+    # the scatter table does not depend on d: one build per new (r, N)
     table = partitions._power_sum_to_monomial
     table.cache_clear()
     for d in (4, 2, 6, 3, 5):
@@ -566,12 +574,19 @@ def test_gessel_table_is_read_only():
                 yield from walk(v)
 
     table = partitions._power_sum_to_monomial(2, 4)
-    assert all(type(v) in (tuple, int) for v in walk(table))
-    rows = {lam: (fact, dict(row)) for lam, fact, row in table}
-    assert rows[(1, 1)] == (2, {(2,): 1, (1, 1): 2})  # p_1^2 = m_2 + 2 m_11
-    # p_2 p_1^2 = m_4 + 2 m_31 + 2 m_22 in two variables
-    assert rows[(2, 1, 1)] == (2, {(4,): 1, (3, 1): 2, (2, 2): 2})
-    assert rows[()] == (1, {(): 1}) and len(rows) == len(partitions_up_to(4))
+    with pytest.raises(TypeError):
+        table[(5,)] = ()
+    assert all(type(v) in (tuple, int) for col in table.values() for v in walk(col))
+    parts, _ = partitions.canonical_positions(4)
+    # column nu: {lam: 4! / lam! [m_nu] p_lam}
+    cols = {nu: {parts[i]: v for i, v in col} for nu, col in table.items()}
+    # p_1^2 = m_2 + 2 m_11, and lam! = 2
+    assert cols[(2,)][(1, 1)] == 12 * 1 and cols[(1, 1)][(1, 1)] == 12 * 2
+    # p_2 p_1^2 = m_4 + 2 m_31 + 2 m_22 in two variables, and lam! = 2
+    assert {nu: col[(2, 1, 1)] for nu, col in cols.items() if (2, 1, 1) in col} == \
+        {(4,): 12 * 1, (3, 1): 12 * 2, (2, 2): 12 * 2}
+    assert cols[()] == {(): 24} and set(cols) == set(partitions_up_to(4, max_length=2))
+    assert all(list(col) == sorted(col, key=parts.index) for col in cols.values())
 
 
 def test_bell_polynomials_match_closed_form():

@@ -9,8 +9,10 @@ from hypothesis import example, given, strategies as st
 
 from tcaseries.partitions import (
     _horizontal_strips_above,
+    _power_sum_to_monomial,
     as_partition,
     canonical_key,
+    canonical_positions,
     dim_schur,
     dim_specht,
     enumerate_partitions,
@@ -25,9 +27,9 @@ from tcaseries.partitions import (
     transpose,
     z_of,
 )
-from tcaseries.polyutil import integer
+from tcaseries.polyutil import integer, multiset_code, multiset_parts
 
-from oracles import partition_count, ssyt_bounded, ssyt_fillings
+from oracles import partition_count, power_sum_monomial_boxes, ssyt_bounded, ssyt_fillings
 
 
 @st.composite
@@ -324,3 +326,28 @@ def test_kostka_inverse_row_known():
     assert order == [(2,), (1, 1)]
     assert Kinv[0] == [1, -1]
     assert Kinv[1] == [0, 1]
+
+
+def test_canonical_positions_index_partitions_up_to():
+    for N in range(9):
+        parts, positions = canonical_positions(N)
+        assert parts == tuple(partitions_up_to(N))
+        assert {multiset_parts(code): i for code, i in positions.items()} == \
+            {lam: i for i, lam in enumerate(parts)}
+        assert all(positions[multiset_code(lam)[1]] == i for i, lam in enumerate(parts))
+    with pytest.raises(TypeError):
+        positions[0] = 1
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_power_sum_scatter_table_matches_box_placements(r):
+    # column nu of the table holds (position of lam, N! / lam! [x^nu] p_lam) for
+    # every lam with a nonzero entry, in canonical order
+    brute = {lam: power_sum_monomial_boxes(lam, r) for lam in partitions_up_to(8)}
+    for N in range(9):
+        parts, _ = canonical_positions(N)
+        table = _power_sum_to_monomial(r, N)
+        got = {(parts[i], nu): v for nu, col in table.items() for i, v in col}
+        assert got == {(lam, nu): math.factorial(N) // partition_factorial(lam) * c
+                       for lam in parts for nu, c in brute[lam].items()}
+        assert all([i for i, _ in col] == sorted(i for i, _ in col) for col in table.values())

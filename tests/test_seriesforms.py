@@ -378,10 +378,10 @@ def _partitions(top):
 
 
 @st.composite
-def enhanced_exprs(draw):
-    """(e, N): layers k = 0..3, coefficients of denominator up to 6, t-parts
-    of weight up to 3(N + 2), so some lie above N, and T_j with j <= N + 1."""
-    N = draw(st.integers(0, 7))
+def enhanced_exprs(draw, N=None):
+    """(e, N): N <= 7 unless given, layers k = 0..3, coefficients of denominator
+    up to 6, t-parts of weight up to 3(N + 2), so some lie above N, and T_j with j <= N + 1."""
+    N = draw(st.integers(0, 7)) if N is None else N
     term = st.tuples(_partitions(N + 2), _partitions(N + 1))
     c = st.builds(F, st.integers(-5, 5), st.integers(1, 6))
     layer = st.dictionaries(term, c, min_size=1, max_size=3)
@@ -393,6 +393,32 @@ def enhanced_exprs(draw):
 def test_enhanced_expand_matches_series_products(case):
     e, N = case
     assert enhanced_expand(e, N) == enhanced_expand_series(e, N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda N: st.lists(enhanced_exprs(N=N), min_size=2, max_size=2)))
+def test_enhanced_expand_on_warm_scatter_tables_matches_series_products(cases):
+    # two expressions of one truncation: the second reads the rows of N! exp(k T_0)
+    # that the first built, and the rows it adds
+    for e, N in cases:
+        assert enhanced_expand(e, N) == enhanced_expand_series(e, N)
+
+
+def test_exp_table_builds_only_the_rows_it_applies():
+    # t_1 T_2 through weight 6 is sum_{n=2..5} binom(n, 2) t_n t_1: four rows of
+    # N! exp(2 T_0), one per t-monomial, each built by one multiset_mul
+    seriesforms._exp_rows.cache_clear()
+    e = EnhancedExpr({2: {((1,), (2,)): F(1)}})
+    assert enhanced_expand(e, 6) == enhanced_expand_series(e, 6)
+    assert seriesforms._exp_rows.cache_info().currsize == 1
+    rows = seriesforms._exp_rows(2, 6)
+    assert set(rows) == {polyutil.multiset_code((n, 1))[1] for n in range(2, 6)}
+    # the row of t_n t_1 holds t_n t_1 t^nu for every nu with |nu| <= 5 - n
+    parts, _ = partitions.canonical_positions(6)
+    for n in range(2, 6):
+        row = rows[polyutil.multiset_code((n, 1))[1]]
+        assert sorted(parts[i] for i, _ in row) == sorted(
+            tuple(sorted((n, 1) + nu, reverse=True)) for nu in partitions_up_to(5 - n))
 
 
 def test_terms_sharing_a_t_part_expand_it_once():
@@ -419,7 +445,7 @@ def test_enhanced_expand_forms_no_partition_keyed_product(monkeypatch):
     # partition-keyed adapter symfunc._p_mul_terms nor TSeries.__mul__ runs
     e = EnhancedExpr({0: {((1,), (2, 1)): HALF, ((), ()): F(2)}, 3: {((2,), (1, 1)): F(-1, 3)}})
     seriesforms._tails.cache_clear()
-    seriesforms._exp_kt0.cache_clear()
+    seriesforms._exp_rows.cache_clear()
     calls = []
     for owner, name in ((symfunc, "_p_mul_terms"), (TSeries, "__mul__")):
         def counted(*args, _product=getattr(owner, name), _name=name):
@@ -437,7 +463,8 @@ def test_expansions_refuse_negative_truncation(monkeypatch):
     def kernel(*args):
         raise AssertionError("a kernel ran at negative truncation")
 
-    for name in ("over_common_denominator", "_substitute_tails", "_sigma_mul", "_exp_kt0"):
+    for name in ("over_common_denominator", "_substitute_tails", "_sigma_mul", "_exp_rows",
+                 "canonical_positions"):
         monkeypatch.setattr(seriesforms, name, kernel)
     e = EnhancedExpr({0: {((), ()): F(1)}, 1: {((1,), (2,)): HALF}})
     for route, arg in ((enhanced_expand, e), (sigma_expand, sexpr(((1,), (1,), HALF)))):
@@ -906,6 +933,10 @@ BAD_NUMBER_CASES = {
     # bool is an int subclass, and no size
     "charpoly threshold bool": lambda: CharPolyForm(2, {}, True),
     "size bool": lambda: polyutil.size(True, "d"),
+    # neither a number nor a numeral: a ValueError, not the TypeError of int()
+    "size None": lambda: polyutil.size(None, "d"),
+    "needed_length None": lambda: dfinite.needed_length(None, 2),
+    "guess_ode list order": lambda: dfinite.guess_ode([1] * 40, [2], 2),
 }
 
 

@@ -209,9 +209,10 @@ def test_exponentials_share_the_newton_kernel():
 def test_multiset_products_share_multiset_mul():
     # products of keys that multiply by multiset union run once, in
     # polyutil.multiset_mul on packed codes: the determinant's Laplace
-    # expansion, power-sum products and the t-expansions of enhanced series
+    # expansion, power-sum products, the t-expansions of enhanced series and the
+    # rows of the scatter table of exp(k T_0)
     for module, name in (("polyutil.py", "linear_form_det"), ("symfunc.py", "_p_mul_terms"),
-                         ("seriesforms.py", "_tails"), ("seriesforms.py", "enhanced_expand")):
+                         ("seriesforms.py", "_tails"), ("seriesforms.py", "_exp_row")):
         assert "multiset_mul" in _called_names(module, name), name
 
 
@@ -329,12 +330,12 @@ def test_only_canonical_kernels_skip_validation():
 
 
 def test_src_line_budget():
-    # the package stays at or below 2548 non-blank, non-comment lines, counted
+    # the package stays at or below 2605 non-blank, non-comment lines, counted
     # as `grep -hvE '^\s*(#|$)' src/tcaseries/*.py | wc -l` does; a change that
     # raises the budget says so in CHANGES.md
     lines = [line for path in SRC.glob("*.py") for line in path.read_text().splitlines()
              if line.strip() and not line.lstrip().startswith("#")]
-    assert len(lines) <= 2548
+    assert len(lines) <= 2605
 
 
 # public names that only their unit tests read, each with the reason it stays

@@ -565,12 +565,12 @@ def test_zero_module_enhanced():
 
 
 @st.composite
-def degree_characters(draw):
-    """(hilb, d, N): d <= 3, N <= 6, a list of up to N + 2 degree characters,
-    each None or a few terms with signed fractional coefficients, mostly of
-    total degree n so that the integrals do not all vanish; sometimes one
-    entry has the wrong number of variables."""
-    d, N = draw(st.integers(0, 3)), draw(st.integers(0, 6))
+def degree_characters(draw, shape=None):
+    """(hilb, d, N): d <= 3, N <= 6 unless `shape` gives (d, N), a list of up to
+    N + 2 degree characters, each None or a few terms with signed fractional
+    coefficients, mostly of total degree n so that the integrals do not all
+    vanish; sometimes one entry has the wrong number of variables."""
+    d, N = shape or (draw(st.integers(0, 3)), draw(st.integers(0, 6)))
     wrong_d = draw(st.booleans())
 
     def character(n):
@@ -596,6 +596,16 @@ def test_enhanced_integral_matches_per_partition_oracle(case):
     hilb, d, N = case
     assert _result_or_error(enhanced_from_equivariant, hilb, d, N) == \
         _result_or_error(enhanced_from_equivariant_per_partition, hilb, d, N)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(st.integers(0, 3), st.integers(0, 8)).flatmap(
+    lambda shape: st.lists(degree_characters(shape), min_size=2, max_size=2)))
+def test_enhanced_integral_on_a_warm_scatter_table_matches_per_partition_oracle(cases):
+    # two characters of one (d, N) read the one scatter table [m_nu] p_lam of that shape
+    for hilb, d, N in cases:
+        assert _result_or_error(enhanced_from_equivariant, hilb, d, N) == \
+            _result_or_error(enhanced_from_equivariant_per_partition, hilb, d, N)
 
 
 def test_enhanced_integral_refuses_wrong_variable_count():
