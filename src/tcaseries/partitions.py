@@ -13,6 +13,7 @@ a key enters, and kernels pass the canonical keys they build on unvalidated.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from types import MappingProxyType
 
@@ -108,10 +109,8 @@ def enumerate_partitions(n: int, max_length: int | None = None,
 def partitions_up_to(n: int, max_length: int | None = None,
                      max_part: int | None = None) -> list[Partition]:
     """All partitions of size 0..n, canonically ordered."""
-    out: list[Partition] = []
-    for k in range(size(n, "n") + 1):
-        out.extend(enumerate_partitions(k, max_length, max_part))
-    return out
+    return list(itertools.chain.from_iterable(enumerate_partitions(k, max_length, max_part)
+                                              for k in range(size(n, "n") + 1)))
 
 
 def partitions_in_box(rows: int, cols: int) -> list[Partition]:
@@ -282,13 +281,14 @@ def _power_sum_to_monomial(r: int, N: int) -> MappingProxyType:
     r = d. With k the last part of lam and lam- the rest, p_lam = p_{lam-} p_k gives
     [x^nu] p_lam = sum_j [x^{nu - k e_j}] p_{lam-} over parts nu_j >= k (Macdonald I.6)."""
     rows: dict[Partition, dict[Partition, int]] = {(): {(): 1}}
-    for n in range(1, N + 1):
-        nus = enumerate_partitions(n, max_length=r)
-        for lam in enumerate_partitions(n):
+    for same in (list(g) for _, g in itertools.groupby(canonical_positions(N)[0][1:], sum)):
+        nus = [nu for nu in same if len(nu) <= r]
+        for lam in same:
             k, prev = lam[-1], rows[lam[:-1]]
             rows[lam] = merge_terms((nu, prev.get(_take(nu, j, k), 0))
                                     for nu in nus for j, part in enumerate(nu) if part >= k)
-    # rows holds the lam in the order of partitions_up_to(N), so its index is the position
+    # lam and nu come in canonical order from canonical_positions(N), so the index
+    # of lam in rows is its position
     fN, columns = math.factorial(N), {}
     for i, (lam, row) in enumerate(rows.items()):
         for nu, c in row.items():

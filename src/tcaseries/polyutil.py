@@ -10,11 +10,10 @@ of ``lifted_kernel_vector``; modulo a prime, full column rank proves a nullspace
 trivial (``residues`` picks the prime of guess_ode's rank filter). Also its one merge kernel
 for sparse term dicts, ``merge_terms`` (kernels run it on integers:
 ``over_common_denominator``, ``cleared``; ``lowest_terms`` keeps them), its one
-exponential, ``newton_exp``, its one integrality check, ``integer``, its one
-size check, ``size``, through which every public entry reads each dimension,
-rank, truncation, count and degree cap it takes, its one precondition on an
-input's truncation, ``truncated_at_least``, and the number checks of JSON
-readers, ``json_fraction`` and ``json_int``. And ``Value``, the immutable
+integrality check, ``integer``, its one size check, ``size``, through which every
+public entry reads each dimension, rank, truncation, count and degree cap it takes,
+its one precondition on an input's truncation, ``truncated_at_least``, and the
+number checks of JSON readers, ``json_fraction`` and ``json_int``. And ``Value``, the immutable
 base of value classes, with its one trusted constructor; and ``multiset_mul``,
 its one product of multisets, on ``multiset_code``s, read back in canonical order
 by ``multiset_terms`` (a union of multisets is one integer addition: Monagan and
@@ -28,7 +27,6 @@ decode follows; ``LazyRows`` builds a table's rows when they are first read.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 
@@ -216,19 +214,6 @@ def cleared(values) -> tuple[int, list[int]]:
     denominators of the rationals `values` (ints or Fractions)."""
     L = math.lcm(*(v.denominator for v in values))
     return L, [v.numerator * (L // v.denominator) for v in values]
-
-
-def newton_exp(lc: dict[int, dict], L: int, N: int, mul, one: dict) -> list[dict]:
-    """Parts a_0..a_N of exp(sum_k b_k) in the algebra of `mul` with unit `one`,
-    from int term dicts lc[k] = L k b_k, as the pairs (L^n n!, G_n) of int term
-    dicts G_n = L^n n! a_n: Newton's identity n a_n = sum_k k b_k a_{n-k}
-    (Macdonald I.2), division-free: G_n = sum_k (n-1)!/(n-k)! L^(k-1) lc[k] G_{n-k}."""
-    gs = [one]
-    for n in range(1, N + 1):
-        gs.append(merge_terms(itertools.chain.from_iterable(
-            mul({x: f * c for x, c in lk.items()}, gs[n - k]).items()
-            for k, lk in lc.items() if k <= n for f in [math.perm(n - 1, k - 1) * L ** (k - 1)])))
-    return [(L ** n * math.factorial(n), g) for n, g in enumerate(gs)]
 
 
 # A code holds the multiplicity of part p in bits [16 p, 16 p + 16). Codes of

@@ -13,6 +13,7 @@ only as a test oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from .partitions import (
     z_of,
 )
 from .polyutil import (Value, fraction_terms, json_fraction, json_int, merge_terms,
-                       multiset_code, multiset_mul, multiset_terms, newton_exp,
+                       multiset_code, multiset_mul, multiset_terms,
                        over_common_denominator, size, truncated_at_least)
 
 SCHUR = "s"
@@ -124,16 +125,22 @@ def _p_mul_terms(a: dict, b: dict, trunc: int | None = None) -> dict:
 
 def graded_exp(L: int, b: dict[Partition, int], N: int) -> tuple[int, dict[Partition, int]]:
     """exp(b / L) through degree N in the algebra of `_p_mul_terms`, for int-valued b
-    with no degree-0 term, as (L^N N!, nums) with keys in canonical order: polyutil.
-    newton_exp on b's parts, each pair of terms of b and exp(b / L) multiplied once."""
+    with no degree-0 term, as (L^N N!, nums) with keys in canonical order, by Newton's
+    identity n a_n = sum_k k b_k a_(n-k) (Macdonald I.2) division-free on G_n = L^n n! a_n:
+    G_n = sum_k (n-1)!/(n-k)! L^(k-1) lc[k] G_(n-k), lc[k] the degree-k part of k b."""
     if () in b:
         raise ValueError("exp of a series with constant term")
     lc: dict[int, dict[Partition, int]] = {}
     for mu, c in b.items():
         lc.setdefault(sum(mu), {})[mu] = sum(mu) * c
-    parts = newton_exp(lc, L, N, _p_mul_terms, {(): 1})
-    den = parts[-1][0]
-    return den, {mu: a[mu] * (den // dn) for dn, a in parts for mu in sorted(a, key=canonical_key)}
+    gs = [{(): 1}]
+    for n in range(1, N + 1):
+        gs.append(merge_terms(itertools.chain.from_iterable(
+            _p_mul_terms({x: f * c for x, c in lk.items()}, gs[n - k]).items()
+            for k, lk in lc.items() if k <= n for f in [math.perm(n - 1, k - 1) * L ** (k - 1)])))
+    den = L ** N * math.factorial(N)
+    return den, {mu: a[mu] * (den // (L ** n * math.factorial(n)))
+                 for n, a in enumerate(gs) for mu in sorted(a, key=canonical_key)}
 
 
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:

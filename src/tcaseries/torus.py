@@ -11,10 +11,11 @@ the Brauer-Klimyk rule to half the degree, paired with their duals by Schur's
 lemma; a character f (x) g, whose integer coefficient matrix over a first
 block and the rest has rank 1, runs block by block (Goodman-Wallach, 4.2).
 Schur coefficients are read off f * x^delta by the same straightening.
-Per-degree characters come from the caller or from `sym_degree_characters`;
-both run on integers over a common denominator.
+Per-degree characters come from the caller or from `sym_degree_characters`,
+the Euler product prod_e (1 - x^e u)^(-m_e) of chi = sum_e m_e x^e taken one
+monomial at a time; both run on integers over a common denominator.
 
-Products, exponentials and Brauer-Klimyk tables key an exponent e by one signed
+Products, symmetric powers and Brauer-Klimyk tables key an exponent e by one signed
 packed code, sum_i e_i 2^(w (d-1-i)) in balanced digits of w bits, w from a
 bound on every exponent met: a product of monomials is one integer addition
 (Monagan and Pearce, ISSAC 2007), and codes order as their exponents do.
@@ -35,7 +36,7 @@ from .partitions import (
     enumerate_partitions,
     kostka_number,
 )
-from .polyutil import (Value, fraction_terms, integer, lowest_terms, merge_terms, newton_exp,
+from .polyutil import (Value, fraction_terms, integer, lowest_terms, merge_terms,
                        over_common_denominator, product_terms, scatter, size,
                        truncated_at_least)
 from .seriesforms import TSeries
@@ -93,7 +94,8 @@ class LaurentPoly(Value):
 
     def scale(self, c) -> "LaurentPoly":
         c = Fraction(c)
-        return LaurentPoly(self.d, {e: v * c for e, v in self.terms.items()})
+        return LaurentPoly.trusted(self.d, *lowest_terms(self.den * c.denominator, {
+            e: v * c.numerator for e, v in self.nums.items()}))
 
 
 def _width(bound: int) -> int:
@@ -212,17 +214,22 @@ def schur_coefficients(f: LaurentPoly) -> dict[Partition, Fraction]:
 
 
 def sym_degree_characters(chi: LaurentPoly, N: int) -> list[LaurentPoly]:
-    """Characters of Sym^n(E) for n <= N from the character of E: exp of
-    sum_k p_k / k with p_k = chi(alpha^k), by polyutil.newton_exp on
-    lc[k] = p_k(L chi) for L the denominator of chi, over the integers, on codes:
-    no entry of Sym^n exceeds n times chi's, and code(k e) = k code(e)."""
-    N = size(N, "truncation")
+    """Characters of Sym^n(E), n <= N, for chi = sum_e (a_e / L) x^e the character of E:
+    H(u) = prod_e (1 - x^e u)^(-a_e / L) on G_n = L^n n! [u^n] H, integers on codes. The
+    factor of e maps G_n to sum_j C(n, j) r_j x^(j e) G_(n-j), r_j = prod_(i<j) (a_e + i L),
+    n from N down, one merge each; no entry exceeds N times chi's, code(j e) = j code(e)."""
+    N, L = size(N, "truncation"), chi.den
     w = _width(N * _bound(chi.nums))
-    lc = {k: {k * x: c for x, c in _codes(chi.nums, w).items()} for k in range(1, N + 1)}
+    gs: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(N)]
+    for x, a in _codes(chi.nums, w).items():
+        rising = list(itertools.accumulate(range(N), lambda r, i: r * (a + i * L), initial=1))
+        for n in range(N, 0, -1):
+            gs[n] = merge_terms(itertools.chain(gs[n].items(), (
+                (y + j * x, f * c) for j in range(1, n + 1) if gs[n - j]
+                for f in [math.comb(n, j) * rising[j]] if f for y, c in gs[n - j].items())))
     # decoded in code order, the keys are sorted
-    return [LaurentPoly.trusted(chi.d, *lowest_terms(den, {_decode(x, chi.d, w): a[x]
-                                                           for x in sorted(a)}))
-            for den, a in newton_exp(lc, chi.den, N, product_terms, {0: 1})]
+    return [LaurentPoly.trusted(chi.d, *lowest_terms(L ** n * math.factorial(n), {
+        _decode(y, chi.d, w): a[y] for y in sorted(a)})) for n, a in enumerate(gs)]
 
 
 def _reflect(v: Exponent, spans) -> tuple[Exponent, int]:

@@ -33,8 +33,11 @@ Littlewood-Richardson products and Bott pushforwards, and
 ``detring_delta_squared`` reads the determinantal-ring character off
 g |Delta|^2, where the package reads both off one determinant of linear
 forms. ``sym_powers_binomial``
-reads Sym^n off generalized binomial series, against the Newton recurrence
-of ``sym_degree_characters``; it only builds LaurentPoly values.
+reads Sym^n off generalized binomial series in Fractions, the Euler product
+that ``sym_degree_characters`` runs on integers and packed codes, so
+``sym_powers_cycle_index`` reads it off the cycle index of S_n, sum over
+lam |- n of z_lam^{-1} prod_i chi(x^{lam_i}), which shares no step with the
+package; both only build LaurentPoly values.
 ``hilbert_from_weight_presentation`` sums a lattice-point EGF one point at a
 time, and ``mu_r`` is the Hilbert-series map ex_sigma(theta_r(c)); no package
 route calls either, so they live here with their tests.
@@ -421,6 +424,22 @@ def sym_powers_binomial(chi, N: int):
                     key = tuple(a + j * b for a, b in zip(e, mu))
                     new[n + j][key] = new[n + j].get(key, 0) + c * binoms[j]
         series = new
+    return [LaurentPoly(d, part) for part in series]
+
+
+def sym_powers_cycle_index(chi, N: int):
+    """Characters of Sym^n(E), n <= N, for the virtual character chi (a
+    LaurentPoly; any rational multiplicities): h_n[chi] = sum_{lam |- n}
+    z_lam^{-1} prod_i chi(x^{lam_i}), the cycle index of S_n with p_k read as
+    the Adams operation x^e -> x^{k e}, on Fractions and exponent tuples."""
+    from tcaseries.torus import LaurentPoly
+    d, terms = chi.d, chi.terms
+    series = [{} for _ in range(N + 1)]
+    for lam, weight in exp_power_sum_log(N).items():
+        term = {(0,) * d: weight}
+        for k in lam:
+            term = poly_mul(term, {tuple(k * x for x in e): c for e, c in terms.items()})
+        series[sum(lam)] = _plus(series[sum(lam)], term)
     return [LaurentPoly(d, part) for part in series]
 
 

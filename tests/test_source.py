@@ -199,11 +199,31 @@ def _called_names(module: str, name: str) -> set[str]:
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
 
 
+def _multiplies_an_earlier_part(node) -> bool:
+    """A call with an argument x[n - k], n and k names: a product by an earlier part
+    of a series, which each step of Newton's identity n a_n = sum_k k b_k a_(n-k) takes."""
+    return isinstance(node, ast.Call) and any(
+        isinstance(arg, ast.Subscript) and isinstance(arg.slice, ast.BinOp)
+        and isinstance(arg.slice.op, ast.Sub) and isinstance(arg.slice.left, ast.Name)
+        and isinstance(arg.slice.right, ast.Name) for arg in node.args)
+
+
 def test_exponentials_share_the_newton_kernel():
-    # Newton's identity runs once, in polyutil.newton_exp, on integers; the
-    # exponentials of power-sum dicts and of torus characters call it
-    for module, name in (("symfunc.py", "graded_exp"), ("torus.py", "sym_degree_characters")):
-        assert "newton_exp" in _called_names(module, name), name
+    # Newton's identity runs once, in symfunc.graded_exp, on integers; the
+    # torus characters of Sym^n run the Euler product, which shifts earlier
+    # parts by one monomial, and call no Newton step
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found |= {(path.name, func.name) for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef)
+                  and any(_multiplies_an_earlier_part(n) for n in ast.walk(func))}
+    assert found == {("symfunc.py", "graded_exp")}
+    tree = ast.parse((SRC / "torus.py").read_text())
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "sym_degree_characters")
+    names = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+    assert {"graded_exp", "newton_exp"}.isdisjoint(names | _attributes(func))
 
 
 def test_multiset_products_share_multiset_mul():
@@ -306,6 +326,7 @@ TRUSTED_CALLERS = {
     ("seriesforms.py", "ts_exp"),
     ("symfunc.py", "change_basis"),
     ("torus.py", "LaurentPoly.__mul__"),
+    ("torus.py", "LaurentPoly.scale"),
     ("torus.py", "delta_squared"),
     ("torus.py", "enhanced_from_equivariant"),
     ("torus.py", "kernel_K"),

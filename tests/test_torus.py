@@ -17,7 +17,9 @@ from oracles import (
     poly_mul,
     schur_monomials,
     sym_powers_binomial,
+    sym_powers_cycle_index,
 )
+from tcaseries import torus
 from tcaseries.grassmann import gessel_enhanced
 from tcaseries.partitions import (
     enumerate_partitions,
@@ -640,9 +642,12 @@ def virtual_characters(draw):
 @given(virtual_characters())
 def test_sym_degree_characters_match_binomial_series(case):
     # Sym^n is not linear in chi: scaling chi by its common denominator L
-    # and dividing Sym^n by L^n would be wrong here
+    # and dividing Sym^n by L^n would be wrong here; the binomial series run
+    # the package's product in Fractions, the cycle index shares no step with it
     chi, N = case
-    assert sym_degree_characters(chi, N) == sym_powers_binomial(chi, N)
+    got = sym_degree_characters(chi, N)
+    assert got == sym_powers_binomial(chi, N)
+    assert got == sym_powers_cycle_index(chi, N)
 
 
 @st.composite
@@ -656,11 +661,12 @@ def far_characters(draw):
 @settings(max_examples=100, deadline=None)
 @given(far_characters())
 def test_sym_degree_characters_with_far_exponents_match_binomial_series(case):
-    # Newton's recurrence runs on codes wide enough for N times the largest
+    # the Euler product runs on codes wide enough for N times the largest
     # entry of chi; terms compare in order, as the package decodes in code order
     chi, N = case
-    got, want = sym_degree_characters(chi, N), sym_powers_binomial(chi, N)
-    assert [list(f.terms.items()) for f in got] == [list(f.terms.items()) for f in want]
+    got = [list(f.terms.items()) for f in sym_degree_characters(chi, N)]
+    for oracle in (sym_powers_binomial, sym_powers_cycle_index):
+        assert got == [list(f.terms.items()) for f in oracle(chi, N)], oracle.__name__
 
 
 def test_sym_degree_characters_of_half_a_line():
@@ -670,9 +676,40 @@ def test_sym_degree_characters_of_half_a_line():
                    lp(1, {(3,): F(5, 16)})]
 
 
+@pytest.mark.parametrize("chi,N", [
+    (power_sum_lp(1, 2), 10), (schur_lp((2,), 3), 10), (schur_lp((3,), 2), 20),
+    (lp(2, {(1, 0): HALF, (0, 1): -1, (1, -1): F(-2, 3)}), 6), (power_sum_lp(1, 2), 0),
+    (lp(2, {}), 5)])
+def test_sym_degree_characters_merge_once_per_monomial_and_degree(monkeypatch, chi, N):
+    # the Euler product takes chi's monomials one at a time, each degree merged
+    # once per monomial, where Newton's identity multiplies chi into every
+    # earlier degree, N (N + 1) / 2 products
+    calls = []
+
+    def counted(*args, _original=torus.merge_terms):
+        calls.append(args)
+        return _original(*args)
+    want = sym_degree_characters(chi, N)
+    monkeypatch.setattr(torus, "merge_terms", counted)
+    assert sym_degree_characters(chi, N) == want
+    assert len(calls) == len(chi.nums) * N
+
+
+def test_scale_matches_fraction_products():
+    chi = lp(2, {(1, 0): HALF, (0, 1): F(-2, 3), (-1, 2): 3})
+    for c in (F(3, 4), -2, F(-6, 5), "1/2", 1.5, 1, 0):
+        got, want = chi.scale(c), lp(2, {e: v * F(c) for e, v in chi.terms.items()})
+        assert got == want and list(got.nums) == list(want.nums)
+    assert chi.scale(0) == lp(2, {}) and chi.scale(0).den == 1
+    with pytest.raises(ValueError):
+        chi.scale("x")
+    with pytest.raises(TypeError):
+        chi.scale(None)
+
+
 def test_expansion_routes_do_no_fraction_arithmetic(monkeypatch):
-    # the five expansion routes and the Laurent product run on integers over
-    # one common denominator and make one Fraction per output coefficient; no
+    # the five expansion routes, the Laurent product and scaling run on integers
+    # over one common denominator and make one Fraction per output coefficient; no
     # Fraction sum or product
     sigma = SigmaExpr({((2, 1), (2, 0)): F(1, 3), ((1,), (1,)): F(-5, 4), ((), (0, 0)): F(1),
                        ((1, 1), ()): F(2, 5)})
@@ -684,7 +721,8 @@ def test_expansion_routes_do_no_fraction_arithmetic(monkeypatch):
               (ts_exp, TSeries(9, {(1,): F(1, 2), (2,): F(-2, 3), (2, 1): F(3, 4),
                                    (4,): F(1, 5)}), 9),
               (LaurentPoly.__mul__, chi, lp(2, {(1, 0): F(5, 14), (0, 1): F(5, 14),
-                                              (1, -1): F(-10, 21), (0, 2): F(1, 4)}))]
+                                              (1, -1): F(-10, 21), (0, 2): F(1, 4)})),
+              (LaurentPoly.scale, chi, F(-9, 4))]
     calls = []
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
         def counted(*args, _original=getattr(F, name), _name=name):

@@ -262,6 +262,11 @@ def test_laurent_products_are_canonical(pair):
     assert_canonical(pair[0] * pair[1])
 
 
+@given(st.integers(0, 3).flatmap(_laurent_polys), _FRACTIONS)
+def test_scaled_laurent_polys_are_canonical(f, c):
+    assert_canonical(f.scale(c))
+
+
 @pytest.mark.parametrize("d", range(5))
 def test_weyl_weights_are_canonical(d):
     assert_canonical(delta_squared(d))
