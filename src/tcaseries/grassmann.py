@@ -28,7 +28,8 @@ from .partitions import (
     dim_schur,
     partitions_up_to,
 )
-from .polyutil import Value, integer, linear_form_det, lowest_terms, merge_terms, scatter, size
+from .polyutil import (Value, integer, integers, linear_form_det, lowest_terms, merge_terms,
+                       scatter, size)
 from .symfunc import SCHUR, SymFunc
 from .seriesforms import (
     EnhancedExpr,
@@ -116,7 +117,7 @@ def _unique_keys(pairs) -> dict:
 
 
 def _check_weight(w, length: int, name: str) -> Weight:
-    w = tuple(map(integer, w))
+    w = integers(w, name)
     if len(w) > length:
         raise ValueError(f"{name} has length {len(w)} > {length}")
     if any(w[i] < w[i + 1] for i in range(len(w) - 1)):
@@ -236,7 +237,7 @@ def theta_r(c: LambdaGrClass) -> SigmaExpr:
     for key, v in terms.items():
         if v % den:
             raise AssertionError(f"pairing {v}/{den} at {key} is not an integer")
-    return SigmaExpr.trusted({key: Fraction(v, den) for key, v in terms.items()})
+    return SigmaExpr.trusted(1, {key: v // den for key, v in terms.items()})
 
 
 def pushforward_module_character(d: int, r: int, alpha, N: int) -> SymFunc:
@@ -250,12 +251,12 @@ def pushforward_module_character(d: int, r: int, alpha, N: int) -> SymFunc:
     (d, r), alpha, N = _shape(d, r), as_partition(alpha), size(N, "truncation")
     if len(alpha) > r:
         raise ValueError(f"alpha={alpha} has more than r={r} rows")
-    terms: dict[Partition, Fraction] = {}
+    terms: dict[Partition, int] = {}
     for nu in _shapes(N, r):
         chi = sum(c_lr * _euler_table(d, r, lam) for lam, c_lr in _lr_products(alpha, nu, r))
         if chi:
-            terms[nu] = Fraction(chi)
-    return SymFunc.trusted(SCHUR, terms, N)
+            terms[nu] = chi
+    return SymFunc.trusted(SCHUR, N, 1, terms)
 
 
 @functools.cache
@@ -277,7 +278,7 @@ def detring_formal_character(d: int, r: int) -> SigmaExpr:
     row = list(itertools.accumulate(range(n), lambda c, j: c * (n - j) // (j + 1), initial=1))
     dets = linear_form_det(r, lambda a, b: {
         k: row[k + b - a] for k in range(max(0, a - b), n + a - b + 1)})
-    return SigmaExpr.trusted({((), lam): Fraction(c) for lam, c in dets.items()})
+    return SigmaExpr.trusted(1, {((), lam): c for lam, c in dets.items()})
 
 
 def gessel_enhanced(d: int, r: int, N: int) -> TSeries:

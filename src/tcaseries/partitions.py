@@ -17,7 +17,7 @@ import itertools
 import math
 from types import MappingProxyType
 
-from .polyutil import integer, merge_terms, multiset_code, size
+from .polyutil import integers, merge_terms, multiset_code, size
 
 Partition = tuple[int, ...]
 
@@ -45,10 +45,9 @@ __all__ = [
 
 
 def as_partition(parts) -> Partition:
-    """Validate and normalize a part sequence: sorted check, zeros stripped;
-    parts equal to integers, such as 2.0 and 2+0j, become ints."""
-    # int parts skip the integrality check
-    lam = tuple(p if type(p) is int else integer(p) for p in parts)
+    """Validate and normalize a part sequence, not a str: sorted check, zeros
+    stripped; parts equal to integers, such as 2.0 and 2+0j, become ints."""
+    lam = integers(parts, "partition")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError(f"parts not weakly decreasing in {parts!r}")
     # weakly decreasing: the last part is the least, and every zero trails

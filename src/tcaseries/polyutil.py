@@ -9,9 +9,10 @@ exactly over the rationals (``annihilates``), as guess_ode does with the vector
 of ``lifted_kernel_vector``; modulo a prime, full column rank proves a nullspace
 trivial (``residues`` picks the prime of guess_ode's rank filter). Also its one merge kernel
 for sparse term dicts, ``merge_terms`` (kernels run it on integers:
-``over_common_denominator``, ``cleared``; ``lowest_terms`` keeps them), its one
-integrality check, ``integer``, its one size check, ``size``, through which every
-public entry reads each dimension, rank, truncation, count and degree cap it takes,
+``over_common_denominator``, ``cleared``; ``lowest_terms`` keeps them, the form of
+every value class stored over one denominator), its one integrality check, ``integer``
+(``integers`` for a sequence, never a str), its one size check, ``size``, through which
+every public entry reads each dimension, rank, truncation, count and degree cap it takes,
 its one precondition on an input's truncation, ``truncated_at_least``, and the
 number checks of JSON readers, ``json_fraction`` and ``json_int``. And ``Value``, the immutable
 base of value classes, with its one trusted constructor; and ``multiset_mul``,
@@ -81,7 +82,7 @@ class Value:
 
 
 def ptrim(coeffs) -> Poly:
-    cs = [Fraction(c) for c in coeffs]
+    cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
@@ -119,6 +120,14 @@ def integer(v) -> int:
     if n != v and not isinstance(v, str):
         raise ValueError(f"{v!r} is not an integer")
     return n
+
+
+def integers(v, what: str) -> tuple[int, ...]:
+    """The entries of the sequence v read through `integer` (int entries as they are);
+    a str or bytes, whose characters would read one digit each, is refused."""
+    if isinstance(v, (str, bytes)):
+        raise ValueError(f"{what} {v!r} is a string, not a sequence of integers")
+    return tuple(p if type(p) is int else integer(p) for p in v)
 
 
 def size(v, name: str, low: int = 0) -> int:

@@ -3,7 +3,7 @@
 The central objects:
 
 * ``SigmaExpr``: an element of Lambda-tilde = Lambda tensor Z[sigma_0, sigma_1, ...],
-  a finite sum of monomials s_mu * sigma^nu with Fraction coefficients. The
+  a finite sum of monomials s_mu * sigma^nu with rational coefficients. The
   sigma part is a multiset of nonnegative indices (zeros allowed, since
   sigma_0 is not 1).
 * ``ExpPoly``: an exponential polynomial sum_r p_r(t) e^{rt}, the shape of
@@ -18,7 +18,8 @@ The central objects:
 Specializations: ``sigma_expand`` (sigma -> Schur series, by the Pieri rule),
 ``ex_*`` (Hilbert series, sigma_k -> (t^k/k!) e^t), ``phi_*`` (enhanced
 series, p_n -> n t_n, sigma_n -> exp(T_0) sum_{nu |- n} T^nu / nu!).
-``sigma_expand`` and ``enhanced_expand`` work on integers over one common denominator;
+SigmaExpr, TSeries and EnhancedExpr (one for all its layers) store integer numerators
+over one denominator, and the maps between them work on these integers;
 ``enhanced_expand`` multiplies t-monomials as multiset codes (polyutil.multiset_code),
 one integer addition per product, and applies N! exp(k T_0) as a cached scatter table
 into a list in canonical order (partitions.canonical_positions), with no key decoded.
@@ -31,46 +32,14 @@ import math
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .partitions import (
-    Partition,
-    _horizontal_strips_above,
-    as_partition,
-    canonical_key,
-    canonical_positions,
-    dim_specht,
-    enumerate_partitions,
-    format_partition,
-    multiplicities,
-    parse_bracket_list,
-    parse_partition,
-    partition_factorial,
-    partitions_up_to,
-)
-from .polyutil import (
-    LazyRows,
-    Poly,
-    Value,
-    fraction_terms,
-    fraction_text,
-    integer,
-    json_fraction,
-    json_int,
-    lowest_terms,
-    merge_terms,
-    multiset_code,
-    multiset_mul,
-    multiset_parts,
-    nullspace,
-    over_common_denominator,
-    padd,
-    pcompose_neg,
-    pderiv,
-    pscale,
-    ptrim,
-    scatter,
-    size,
-    truncated_at_least,
-)
+from .partitions import (Partition, _horizontal_strips_above, as_partition, canonical_key,
+                         canonical_positions, dim_specht, enumerate_partitions, format_partition,
+                         multiplicities, parse_bracket_list, parse_partition, partition_factorial,
+                         partitions_up_to, sym_character)
+from .polyutil import (LazyRows, Poly, Value, fraction_terms, fraction_text, integer, integers,
+                       json_fraction, json_int, lowest_terms, merge_terms, multiset_code,
+                       multiset_mul, multiset_parts, nullspace, over_common_denominator, padd,
+                       pcompose_neg, pderiv, pscale, ptrim, scatter, size, truncated_at_least)
 from . import symfunc
 from .symfunc import POWERSUM, SCHUR, SymFunc
 
@@ -118,7 +87,7 @@ def parse_indices(text: str) -> tuple[int, ...]:
 
 def _sigma_key(mu, nu) -> SigmaKey:
     mu = as_partition(mu)
-    nu = tuple(sorted(map(integer, nu), reverse=True))
+    nu = tuple(sorted(integers(nu, "sigma index multiset"), reverse=True))
     if any(i < 0 for i in nu):
         raise ValueError(f"negative sigma index in {nu}")
     return mu, nu
@@ -130,14 +99,21 @@ def _sigma_key_sort(key: SigmaKey):
 
 
 class SigmaExpr(Value):
-    """Finite sum  c * s_mu * sigma_{nu_1} ... sigma_{nu_k}  in Lambda-tilde."""
+    """Finite sum  c * s_mu * sigma_{nu_1} ... sigma_{nu_k}  in Lambda-tilde, with
+    c = nums[(mu, nu)] / den in polyutil.lowest_terms, read through `terms`."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "nums")
+    _params = ("terms",)
 
     def __init__(self, terms: dict[SigmaKey, Fraction] = {}):
-        Value.__init__(self, merge_terms(
+        den, (nums,) = over_common_denominator(merge_terms(
             ((_sigma_key(mu, nu), Fraction(c)) for (mu, nu), c in terms.items()),
             _sigma_key_sort))
+        Value.__init__(self, den, nums)
+
+    @property
+    def terms(self) -> dict[SigmaKey, Fraction]:
+        return fraction_terms(self.den, self.nums)
 
 
 def _layers(parts, low: int, total, error: str) -> dict:
@@ -191,8 +167,7 @@ class TSeries(Value):
 
     def __init__(self, truncation: int, coeffs: dict[Partition, Fraction] = {}):
         truncation = size(truncation, "truncation")
-        den, (nums,) = over_common_denominator(symfunc.normalize_terms(coeffs, truncation))
-        Value.__init__(self, truncation, den, nums)
+        Value.__init__(self, truncation, *symfunc.normalize_terms(coeffs, truncation))
 
     @property
     def coeffs(self) -> dict[Partition, Fraction]:
@@ -227,19 +202,27 @@ def _tt_key_sort(key: TTKey):
 
 
 def tt_terms(*polys) -> TTPoly:
-    """Canonical sum of TT polynomials: keys validated, coefficients made
+    """Canonical sum of TT polynomials: keys validated, coefficients read as
     Fractions, equal keys merged, zeros dropped, keys in canonical order."""
     return merge_terms((((as_partition(t), as_partition(T)), Fraction(c))
                         for poly in polys for (t, T), c in poly.items()), _tt_key_sort)
 
 
 class EnhancedExpr(Value):
-    """Enhanced series form sum_k q_k(t, T) e^{k T_0}."""
+    """Enhanced series form sum_k q_k(t, T) e^{k T_0}, with the coefficients of every
+    layer over one denominator, nums[k][key] / den in lowest terms, read through `parts`."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("den", "nums")
+    _params = ("parts",)
 
     def __init__(self, parts: dict[int, TTPoly] = {}):
-        Value.__init__(self, _layers(parts, 0, tt_terms, "negative exponent in EnhancedExpr"))
+        layers = _layers(parts, 0, tt_terms, "negative exponent in EnhancedExpr")
+        den, polys = over_common_denominator(*layers.values())
+        Value.__init__(self, den, dict(zip(layers, polys)))
+
+    @property
+    def parts(self) -> dict[int, TTPoly]:
+        return {k: fraction_terms(self.den, poly) for k, poly in self.nums.items()}
 
 
 class OdeOperator(Value):
@@ -303,12 +286,11 @@ def ex_specialize(f: SymFunc, N: int) -> list[Fraction]:
     N = size(N, "truncation")
     truncated_at_least(f.truncation, N)
     fs = symfunc.change_basis(f, SCHUR)
-    out = [Fraction(0)] * (N + 1)
-    for lam, c in fs.terms.items():
-        n = sum(lam)
-        if n <= N:
-            out[n] += c * Fraction(dim_specht(lam), factorial(n))
-    return out
+    out = [0] * (N + 1)
+    for lam, c in fs.nums.items():
+        if sum(lam) <= N:
+            out[sum(lam)] += c * dim_specht(lam)
+    return [Fraction(c, fs.den * factorial(n)) for n, c in enumerate(out)]
 
 
 def phi_enhanced(f: SymFunc, N: int) -> TSeries:
@@ -316,7 +298,8 @@ def phi_enhanced(f: SymFunc, N: int) -> TSeries:
     N = size(N, "truncation")
     truncated_at_least(f.truncation, N)
     fp = symfunc.change_basis(f, POWERSUM)
-    return TSeries(N, {mu: c * math.prod(mu) for mu, c in fp.terms.items() if sum(mu) <= N})
+    return TSeries.trusted(N, *lowest_terms(fp.den, {mu: c * math.prod(mu) for mu, c in
+                                                     fp.nums.items() if sum(mu) <= N}))
 
 
 @functools.cache
@@ -347,12 +330,11 @@ def _sigma_row(mu: Partition, nu: tuple[int, ...], N: int) -> tuple[tuple[Partit
 def sigma_expand(e: SigmaExpr, N: int) -> SymFunc:
     """Expand sigma_k -> sum_{n=k}^N binom(n,k) s_n and multiply out in the Schur
     basis through degree N: one scaled merge of the cached rows s_mu sigma^nu
-    (`_sigma_row`), one per term, over a common denominator."""
+    (`_sigma_row`), one per term, on the numerators over e's denominator."""
     N = size(N, "truncation")
-    L, (terms,) = over_common_denominator(e.terms)
-    total = merge_terms(((lam, c * v) for (mu, nu), c in terms.items()
+    total = merge_terms(((lam, c * v) for (mu, nu), c in e.nums.items()
                          for lam, v in _sigma_row(mu, nu, N)), canonical_key)
-    return SymFunc.trusted(SCHUR, {lam: Fraction(c, L) for lam, c in total.items()}, N)
+    return SymFunc.trusted(SCHUR, N, *lowest_terms(e.den, total))
 
 
 def sigma_recognize(f: SymFunc, r_max: int, s_deg_max: int,
@@ -380,12 +362,12 @@ def sigma_recognize(f: SymFunc, r_max: int, s_deg_max: int,
     sigmas = [nu + (0,) * j for nu in partitions_up_to(sigma_wt_max, max_length=r_max)
               for j in range(r_max - len(nu) + 1)]
     candidates = [(mu, nu) for mu in partitions_up_to(s_deg_max) for nu in sigmas]
-    # [A | -b]: A x = b is solvable iff the last column is free, and that
-    # column's basis vector is (x, 1) with the other free variables 0.
-    matrix = [[0] * len(candidates) + [-fs.terms.get(lam, 0)] for lam in rows]
+    # [den A | -nums]: A x = nums / den is solvable iff the last column is free,
+    # and that column's basis vector is (x, 1) with the other free variables 0.
+    matrix = [[0] * len(candidates) + [-fs.nums.get(lam, 0)] for lam in rows]
     for j, (mu, nu) in enumerate(candidates):
         for lam, c in _sigma_row(mu, nu, N):
-            matrix[row_index[lam]][j] = c
+            matrix[row_index[lam]][j] = c * fs.den
     basis = nullspace(matrix, len(candidates) + 1)
     if not basis or basis[-1][-1] != 1:
         return None
@@ -396,47 +378,59 @@ def sigma_recognize(f: SymFunc, r_max: int, s_deg_max: int,
     return expr
 
 
+def _over_factorials(e: SigmaExpr) -> tuple[int, list[tuple[Partition, tuple[int, ...], int]]]:
+    """(D, [(mu, nu, c)]), c / D = nums[(mu, nu)] / (den |mu|! prod_k nu_k!), D = den W!, W the
+    largest |mu| + |nu|: multinomials are integers, so |mu|! prod_k nu_k! | (|mu| + |nu|)! | W!."""
+    fW = factorial(max((sum(mu) + sum(nu) for mu, nu in e.nums), default=0))
+    return e.den * fW, [(mu, nu, c * (fW // (factorial(sum(mu)) * math.prod(map(factorial, nu)))))
+                        for (mu, nu), c in e.nums.items()]
+
+
 def ex_sigma(e: SigmaExpr) -> ExpPoly:
-    """Hilbert specialization on Lambda-tilde: sigma_k -> (t^k/k!) e^t."""
-    parts: dict[int, list[Fraction]] = {}
-    for (mu, nu), c in e.terms.items():
-        r = len(nu)
-        deg = sum(mu) + sum(nu)
-        coeff = c * Fraction(dim_specht(mu), factorial(sum(mu)))
-        for k in nu:
-            coeff /= factorial(k)
-        p = parts.setdefault(r, [])
-        while len(p) <= deg:
-            p.append(Fraction(0))
-        p[deg] += coeff
-    return ExpPoly({r: tuple(p) for r, p in parts.items()})
+    """Hilbert specialization on Lambda-tilde: sigma_k -> (t^k/k!) e^t, on integers over
+    one denominator (`_over_factorials`), with one Fraction per coefficient."""
+    D, terms = _over_factorials(e)
+    parts: dict[int, list[int]] = {}
+    for mu, nu, c in terms:
+        p, deg = parts.setdefault(len(nu), []), sum(mu) + sum(nu)
+        p += [0] * (deg + 1 - len(p))
+        p[deg] += c * dim_specht(mu)
+    return ExpPoly({r: tuple(Fraction(c, D) for c in p) for r, p in parts.items()})
 
 
 @functools.cache
-def _xlam(lam: Partition) -> tuple[tuple[TTKey, Fraction], ...]:
-    """X_lam = phi(s_lam) = sum_mu chi^lam(mu) t^mu / mu!  as a TTPoly, read
-    off s_lam = sum_mu chi^lam(mu) p_mu / z_mu with z_mu = mu! prod(mu)."""
-    return tuple(((mu, ()), v * math.prod(mu)) for mu, v in symfunc._s_to_p({lam: 1}).items())
+def _xlam(lam: Partition) -> tuple[tuple[Partition, int], ...]:
+    """|lam|! X_lam = sum_mu chi^lam(mu) (|lam|! / mu!) t^mu on integers: X_lam = phi(s_lam), read
+    off s_lam = sum_mu chi^lam(mu) p_mu / z_mu, z_mu = mu! prod(mu); mu! | l(mu)! | |lam|!."""
+    n = sum(lam)
+    return tuple((mu, chi * (factorial(n) // partition_factorial(mu)))
+                 for mu in enumerate_partitions(n) if (chi := sym_character(lam, mu)))
 
 
 @functools.cache
-def _bell_sigma(nu: tuple[int, ...]) -> tuple[tuple[Partition, Fraction], ...]:
-    """prod_{k in nu} phi(sigma_k) = exp(l(nu) T_0) times this T polynomial, with
-    phi(sigma_k) = exp(T_0) * sum_{lam |- k} T^lam / lam!; cached per sigma index nu."""
+def _bell_sigma(nu: tuple[int, ...]) -> tuple[tuple[Partition, int], ...]:
+    """prod_{k in nu} k! phi(sigma_k) = exp(l(nu) T_0) times this T polynomial, on
+    integers: k! phi(sigma_k) = exp(T_0) sum_{lam |- k} (k! / lam!) T^lam; cached per nu."""
     if not nu:
-        return (((), Fraction(1)),)
-    bell = {lam: Fraction(1, partition_factorial(lam)) for lam in enumerate_partitions(nu[-1])}
+        return (((), 1),)
+    k = nu[-1]
+    bell = {lam: factorial(k) // partition_factorial(lam) for lam in enumerate_partitions(k)}
     return tuple(symfunc._p_mul_terms(dict(_bell_sigma(nu[:-1])), bell, None).items())
 
 
 def phi_sigma(e: SigmaExpr) -> EnhancedExpr:
-    """Enhanced specialization on Lambda-tilde."""
+    """Enhanced specialization on Lambda-tilde, on integers over one denominator
+    (`_over_factorials`), from the integer rows of `_xlam` and `_bell_sigma`."""
+    D, terms = _over_factorials(e)
     layers: dict[int, list] = {}
-    for (mu, nu), c in e.terms.items():
+    for mu, nu, c in terms:
         layers.setdefault(len(nu), []).extend(
-            ((t, T), c * ct * cT) for (t, _), ct in _xlam(mu) for T, cT in _bell_sigma(nu))
-    return EnhancedExpr.trusted({k: poly for k, pairs in sorted(layers.items())
-                                 if (poly := merge_terms(pairs, _tt_key_sort))})
+            ((t, T), c * ct * cT) for t, ct in _xlam(mu) for T, cT in _bell_sigma(nu))
+    layers = {k: poly for k, pairs in sorted(layers.items())
+              if (poly := merge_terms(pairs, _tt_key_sort))}
+    g = math.gcd(D, *(c for poly in layers.values() for c in poly.values()))
+    return EnhancedExpr.trusted(D // g, {k: {key: c // g for key, c in poly.items()}
+                                         for k, poly in layers.items()})
 
 
 def _substitute_tails(poly: TTPoly, ns: tuple[int, ...], trunc: int | None) -> dict[int, list]:
@@ -489,17 +483,16 @@ def _exp_rows(k: int, N: int) -> LazyRows:
 
 def enhanced_expand(e: EnhancedExpr, N: int) -> TSeries:
     """Expand T_j and e^{k T_0} into the t variables, truncated at weight N, on
-    integers over L N! (L the common denominator): the T-tails on multiset codes, then
-    the scatter table _exp_rows(k, N) applied into one list in canonical order."""
+    integers over den N!: the T-tails on multiset codes, then the scatter table
+    _exp_rows(k, N) applied into one list in canonical order."""
     N = size(N, "truncation")
-    L, polys = over_common_denominator(*e.parts.values())
     ns = tuple(range(N + 1))  # t_n coded as part n; OverflowError when N is past any memory
     parts, _ = canonical_positions(N)
     total = [0] * len(parts)
-    for k, poly in zip(e.parts, polys):
+    for k, poly in e.nums.items():
         scatter(_exp_rows(k, N), ((code, c) for code, (_, c) in
                                   _substitute_tails(poly, ns, N).items()), total)
-    return TSeries.trusted(N, *lowest_terms(L * factorial(N), dict(zip(parts, total))))
+    return TSeries.trusted(N, *lowest_terms(e.den * factorial(N), dict(zip(parts, total))))
 
 
 def fourier_dual_hilbert(h: ExpPoly, d: int) -> ExpPoly:
@@ -592,14 +585,12 @@ def character_at(form: CharPolyForm, lam) -> int:
 
 def char_poly_form(e: EnhancedExpr, m: int) -> CharPolyForm:
     """Read a CharPolyForm off an EnhancedExpr with bundle rank m."""
-    p0 = e.parts.get(0, {})
     threshold = -1
-    for (tpart, Tpart) in p0:
+    for (tpart, Tpart) in e.nums.get(0, {}):
         if Tpart:
             raise ValueError("layer 0 must be a polynomial in the t_i only")
         threshold = max(threshold, sum(tpart))
-    entries = {k: poly for k, poly in e.parts.items() if k >= 1}
-    return CharPolyForm(m, entries, threshold)
+    return CharPolyForm(m, {k: poly for k, poly in e.parts.items() if k >= 1}, threshold)
 
 
 def tca_enhanced_exp(hV: TSeries, d: int, N: int) -> TSeries:
@@ -623,8 +614,8 @@ def tca_enhanced_exp(hV: TSeries, d: int, N: int) -> TSeries:
 
 def sigma_to_json(e: SigmaExpr) -> dict:
     out: dict[str, dict[str, str]] = {}
-    for (mu, nu), c in e.terms.items():
-        out.setdefault(format_partition(mu), {})[format_partition(nu)] = str(c)
+    for (mu, nu), c in e.nums.items():
+        out.setdefault(format_partition(mu), {})[format_partition(nu)] = fraction_text(c, e.den)
     return {"terms": out}
 
 
@@ -658,8 +649,10 @@ def tseries_from_json(obj: dict) -> TSeries:
                                for k, v in obj["coeffs"].items()))
 
 
-def _ttpoly_json(poly: TTPoly) -> list[dict]:
-    return [{"t": format_partition(t), "T": format_partition(T), "coeff": str(c)}
+def _ttpoly_json(poly: dict, den: int | None = None) -> list[dict]:
+    """Items of a TT polynomial, its coefficients Fractions or (den given) numerators over den."""
+    return [{"t": format_partition(t), "T": format_partition(T),
+             "coeff": str(c) if den is None else fraction_text(c, den)}
             for (t, T), c in poly.items()]
 
 
@@ -669,7 +662,7 @@ def _ttpoly_from_json(items: list[dict]) -> TTPoly:
 
 
 def enhanced_to_json(e: EnhancedExpr) -> dict:
-    return {"parts": {str(k): _ttpoly_json(p) for k, p in e.parts.items()}}
+    return {"parts": {str(k): _ttpoly_json(p, e.den) for k, p in e.nums.items()}}
 
 
 def enhanced_from_json(obj: dict) -> EnhancedExpr:

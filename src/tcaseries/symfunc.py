@@ -1,7 +1,7 @@
 """Symmetric functions with explicit basis tags and truncation metadata.
 
-A SymFunc is a finite Fraction-linear combination of basis elements indexed
-by partitions, in one of two bases: schur "s" or powersum "p".
+A SymFunc is a finite rational combination of basis elements indexed by partitions,
+in one of two bases: schur "s" or powersum "p", on integers over one denominator.
 ``truncation=N`` means coefficients are only meaningful in degrees <= N
 (None marks an exact, untruncated element). Operations propagate the minimum
 truncation of their inputs and never silently extend precision.
@@ -27,9 +27,9 @@ from .partitions import (
     sym_character,
     z_of,
 )
-from .polyutil import (Value, fraction_terms, json_fraction, json_int, merge_terms,
-                       multiset_code, multiset_mul, multiset_terms,
-                       over_common_denominator, size, truncated_at_least)
+from .polyutil import (Value, fraction_terms, fraction_text, json_fraction, json_int,
+                       lowest_terms, merge_terms, multiset_code, multiset_mul,
+                       multiset_terms, over_common_denominator, size, truncated_at_least)
 
 SCHUR = "s"
 POWERSUM = "p"
@@ -47,34 +47,37 @@ __all__ = [
 ]
 
 
-def normalize_terms(terms, truncation: int | None) -> dict[Partition, Fraction]:
-    """Canonical copy of a partition-keyed dict: keys validated, coefficients
-    made Fractions, terms above `truncation` (None: none) dropped, equal keys
-    merged, zeros dropped, keys in canonical order."""
+def normalize_terms(terms, truncation: int | None) -> tuple[int, dict[Partition, int]]:
+    """Canonical (den, nums) of a partition-keyed dict: keys validated, coefficients
+    read as Fractions, terms above `truncation` (None: none) dropped, equal keys
+    merged, zeros dropped, keys in canonical order; nums[lam] / den in lowest terms."""
     limit = math.inf if truncation is None else truncation
-    return merge_terms(((lam, Fraction(c))
-                        for lam, c in zip(map(as_partition, terms), terms.values())
-                        if sum(lam) <= limit), canonical_key)
+    den, (nums,) = over_common_denominator(merge_terms(
+        ((lam, Fraction(c)) for lam, c in zip(map(as_partition, terms), terms.values())
+         if sum(lam) <= limit), canonical_key))
+    return den, nums
 
 
 class SymFunc(Value):
-    __slots__ = ("basis", "terms", "truncation")
+    """Coefficients nums[lam] / den in polyutil.lowest_terms, read through `terms`."""
+
+    __slots__ = ("basis", "truncation", "den", "nums")
+    _params = ("basis", "terms", "truncation")
 
     def __init__(self, basis: str, terms: dict[Partition, Fraction] = {},
                  truncation: int | None = None):
         if basis not in _BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        if truncation is not None:
-            truncation = size(truncation, "truncation")
-        Value.__init__(self, basis, normalize_terms(terms, truncation), truncation)
+        truncation = None if truncation is None else size(truncation, "truncation")
+        Value.__init__(self, basis, truncation, *normalize_terms(terms, truncation))
+
+    @property
+    def terms(self) -> dict[Partition, Fraction]:
+        return fraction_terms(self.den, self.nums)
 
 
 def _min_trunc(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+    return b if a is None else a if b is None else min(a, b)
 
 
 def degree_slice(f: SymFunc, n: int) -> dict[Partition, Fraction]:
@@ -94,22 +97,23 @@ def change_basis(f: SymFunc, target: str) -> SymFunc:
         raise ValueError(f"unknown basis {target!r}")
     if f.basis == target:
         return f
-    terms = _s_to_p(f.terms) if target == POWERSUM else _p_to_s(f.terms)
-    return SymFunc.trusted(target, terms, f.truncation)
+    convert = _s_to_p if target == POWERSUM else _p_to_s
+    return SymFunc.trusted(target, f.truncation, *convert(f.den, f.nums))
 
 
-def _s_to_p(terms) -> dict[Partition, Fraction]:
-    return merge_terms(((mu, c * Fraction(sym_character(lam, mu), z_of(mu)))
-                        for lam, c in terms.items() for mu in enumerate_partitions(sum(lam))),
-                       canonical_key)
+def _s_to_p(den: int, nums: dict) -> tuple[int, dict[Partition, int]]:
+    """s_lam = sum_mu chi^lam(mu) p_mu / z_mu over den D!, D the largest |lam|: z_mu | |mu|!."""
+    fD = math.factorial(max(map(sum, nums), default=0))
+    return lowest_terms(den * fD, merge_terms(
+        ((mu, c * sym_character(lam, mu) * (fD // z_of(mu)))
+         for lam, c in nums.items() for mu in enumerate_partitions(sum(lam))), canonical_key))
 
 
-def _p_to_s(terms) -> dict[Partition, Fraction]:
-    """On integers over one common denominator: one Fraction per output coefficient."""
-    L, (ints,) = over_common_denominator(terms)
-    merged = merge_terms(((lam, c * sym_character(lam, mu)) for mu, c in ints.items()
-                          for lam in enumerate_partitions(sum(mu))), canonical_key)
-    return {lam: Fraction(c, L) for lam, c in merged.items()}
+def _p_to_s(den: int, nums: dict) -> tuple[int, dict[Partition, int]]:
+    """p_mu = sum_lam chi^lam(mu) s_lam, over den."""
+    return lowest_terms(den, merge_terms(
+        ((lam, c * sym_character(lam, mu)) for mu, c in nums.items()
+         for lam in enumerate_partitions(sum(mu))), canonical_key))
 
 
 def _p_mul_terms(a: dict, b: dict, trunc: int | None = None) -> dict:
@@ -148,32 +152,32 @@ def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
     trunc = _min_trunc(f.truncation, g.truncation)
     fp = change_basis(f, POWERSUM)
     gp = change_basis(g, POWERSUM)
-    prod = _p_mul_terms(fp.terms, gp.terms, trunc)
-    return change_basis(SymFunc(POWERSUM, prod, trunc), f.basis)
+    prod = _p_mul_terms(fp.nums, gp.nums, trunc)
+    return change_basis(SymFunc.trusted(POWERSUM, trunc, *lowest_terms(fp.den * gp.den, prod)),
+                        f.basis)
 
 
 def sym_algebra_character(f: SymFunc, N: int) -> SymFunc:
     """Character of Sym(V) truncated at degree N, for V with character f.
 
-    Computes exp(sum_{k>=1} (p_k ∘ f)/k) in the powersum basis; f must have
-    no degree-0 term. Returns a schur-basis SymFunc truncated at N.
+    Computes exp(sum_{k>=1} (p_k ∘ f)/k) in the powersum basis, on integers over
+    den lcm(1, ..., N); f must have no degree-0 term. Returns a schur-basis SymFunc
+    truncated at N.
     """
     N, fp = size(N, "truncation"), change_basis(f, POWERSUM)
-    if () in fp.terms:
+    if () in fp.nums:
         raise ValueError("character has a degree-0 term")
     truncated_at_least(fp.truncation, N)
-    log_terms = merge_terms((tuple(k * part for part in mu), c / k)
-                            for mu, c in fp.terms.items() for k in range(1, N // sum(mu) + 1))
-    L, (ints,) = over_common_denominator(log_terms)
-    return change_basis(SymFunc(POWERSUM, fraction_terms(*graded_exp(L, ints, N)), N), SCHUR)
+    M = math.lcm(*range(1, N + 1))
+    log_terms = merge_terms((tuple(k * part for part in mu), c * (M // k))
+                            for mu, c in fp.nums.items() for k in range(1, N // sum(mu) + 1))
+    return SymFunc.trusted(SCHUR, N, *_p_to_s(
+        *graded_exp(*lowest_terms(fp.den * M, log_terms), N)))
 
 
 def to_json(f: SymFunc) -> dict:
-    return {
-        "basis": f.basis,
-        "truncation": f.truncation,
-        "terms": {format_partition(lam): str(c) for lam, c in f.terms.items()},
-    }
+    return {"basis": f.basis, "truncation": f.truncation,
+            "terms": {format_partition(lam): fraction_text(c, f.den) for lam, c in f.nums.items()}}
 
 
 def from_json(obj: dict) -> SymFunc:

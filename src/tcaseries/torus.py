@@ -36,7 +36,7 @@ from .partitions import (
     enumerate_partitions,
     kostka_number,
 )
-from .polyutil import (Value, fraction_terms, integer, lowest_terms, merge_terms,
+from .polyutil import (Value, fraction_terms, integer, integers, lowest_terms, merge_terms,
                        over_common_denominator, product_terms, scatter, size,
                        truncated_at_least)
 from .seriesforms import TSeries
@@ -61,7 +61,7 @@ Exponent = tuple[int, ...]
 def _exponent(e, d: int) -> Exponent:
     """The exponent e as a tuple of d ints."""
     try:
-        e = tuple(map(integer, e))
+        e = integers(e, "exponent")
     except TypeError:
         raise ValueError(f"exponent {e!r} is not a sequence of integers") from None
     if len(e) != d:

@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from tcaseries.partitions import (
     as_partition,
     dim_schur,
+    dim_specht,
     enumerate_partitions,
     partitions_up_to,
     sym_character,
@@ -332,6 +334,52 @@ def test_ex_sigma_degrees_and_layers():
     assert h.parts == {1: (F(0), F(0), F(1)), 2: (F(0), F(0), F(1))}
 
 
+def _ex_sigma_fractions(e: SigmaExpr) -> dict:
+    """ex_sigma in Fractions, term by term: c s_mu sigma^nu -> c dim(M_mu) / (|mu|! prod_k nu_k!)
+    t^(|mu| + |nu|) e^(l(nu) t), as {l(nu): {degree: coefficient}}."""
+    out: dict = {}
+    for (mu, nu), c in e.terms.items():
+        layer = out.setdefault(len(nu), {})
+        coeff = c * F(dim_specht(mu), factorial(sum(mu)))
+        for k in nu:
+            coeff /= factorial(k)
+        layer[sum(mu) + sum(nu)] = layer.get(sum(mu) + sum(nu), 0) + coeff
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_sigma_exprs())
+def test_ex_sigma_matches_fraction_terms(e):
+    want = _ex_sigma_fractions(e)
+    got = ex_sigma(e).parts
+    assert {r: {n: c for n, c in enumerate(p) if c} for r, p in got.items()} == {
+        r: {n: c for n, c in layer.items() if c} for r, layer in want.items()
+        if any(layer.values())}
+
+
+def test_hilbert_specializations_do_no_fraction_arithmetic(monkeypatch):
+    # ex_sigma and ex_specialize sum numerators over one denominator and make one
+    # Fraction per output coefficient; no Fraction sum, product or quotient
+    e = sexpr(((2, 1), (2, 0), F(1, 3)), ((1,), (1,), F(-5, 4)), ((), (0, 0), 1),
+              ((1, 1), (), F(2, 5)), ((), (3,), F(1, 7)))
+    f = SymFunc(SCHUR, {(2, 1): F(1, 3), (1, 1, 1): F(-5, 4), (3,): F(2, 5), (1,): 3}, 6)
+    calls = []
+    for name in ("__new__", "__add__", "__radd__", "__mul__", "__rmul__", "__truediv__",
+                 "__rtruediv__"):
+        def counted(*args, _original=getattr(F, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(F, name, counted)
+    h = ex_sigma(e)
+    made_h = list(calls)
+    calls.clear()
+    egf = ex_specialize(f, 6)
+    monkeypatch.undo()
+    assert made_h == ["__new__"] * sum(map(len, h.parts.values()))
+    assert calls == ["__new__"] * 7 and len(egf) == 7
+    assert exppoly_taylor(h, 6) == ex_specialize(sigma_expand(e, 6), 6)
+
+
 def test_phi_sigma_sigma2():
     e = phi_sigma(sexpr(((), (2,), 1)))
     assert e.parts == {1: {((), (2,)): F(1), ((), (1, 1)): HALF}}
@@ -463,7 +511,7 @@ def test_expansions_refuse_negative_truncation(monkeypatch):
     def kernel(*args):
         raise AssertionError("a kernel ran at negative truncation")
 
-    for name in ("over_common_denominator", "_substitute_tails", "_sigma_mul", "_exp_rows",
+    for name in ("lowest_terms", "_substitute_tails", "_sigma_mul", "_exp_rows",
                  "canonical_positions"):
         monkeypatch.setattr(seriesforms, name, kernel)
     e = EnhancedExpr({0: {((), ()): F(1)}, 1: {((1,), (2,)): HALF}})

@@ -20,7 +20,8 @@ from oracles import (
     sym_powers_cycle_index,
 )
 from tcaseries import torus
-from tcaseries.grassmann import gessel_enhanced
+from tcaseries.grassmann import (GrClass, LambdaGrClass, detring_formal_character,
+                                 gessel_enhanced, pushforward_module_character, theta_r)
 from tcaseries.partitions import (
     enumerate_partitions,
     partition_factorial,
@@ -737,15 +738,25 @@ def test_expansion_routes_do_no_fraction_arithmetic(monkeypatch):
 
 
 def test_enhanced_routes_make_no_fraction(monkeypatch):
-    # Gessel's determinant, the expansion of an enhanced form, the integral route
-    # and the symmetric powers store integer numerators over one denominator:
-    # they make no Fraction at all, not even one per output coefficient
-    enhanced = phi_sigma(SigmaExpr({((2, 1), (2, 0)): F(1, 3), ((1,), (1,)): F(-5, 4),
-                                    ((), (0, 0)): F(1), ((1, 1), ()): F(2, 5)}))
+    # Gessel's determinant, theta_r, detring, the pushforward character, the
+    # expansions of sigma and enhanced forms, phi_sigma, the integral route and the
+    # symmetric powers store integer numerators over one denominator: they make no
+    # Fraction at all, not even one per output coefficient. The pushforward's
+    # table of Littlewood-Richardson products is read off the Schur-coefficient
+    # kernel, which makes Fractions, when a product is first met: it is warmed
+    # first, as the session's repeated points warm it.
+    sigma = SigmaExpr({((2, 1), (2, 0)): F(1, 3), ((1,), (1,)): F(-5, 4),
+                       ((), (0, 0)): F(1), ((1, 1), ()): F(2, 5)})
+    enhanced = phi_sigma(sigma)
     chi = lp(2, {(1, 0): HALF, (0, 1): HALF, (1, -1): F(-2, 3)})
     hilb = sym_degree_characters(power_sum_lp(1, 2).scale(F(3, 2)), 8)
+    classes = LambdaGrClass({(): GrClass(4, 2, {(2, 1): 1, (): 3}), (1,): GrClass(4, 2, {(1,): -2})})
+    pushforward_module_character(4, 2, (2, 1), 8)
     routes = [(gessel_enhanced, 3, 2, 9), (enhanced_expand, enhanced, 9),
-              (enhanced_from_equivariant, hilb, 2, 8), (sym_degree_characters, chi, 8)]
+              (enhanced_from_equivariant, hilb, 2, 8), (sym_degree_characters, chi, 8),
+              (theta_r, classes), (detring_formal_character, 4, 2),
+              (pushforward_module_character, 4, 2, (2, 1), 8), (sigma_expand, sigma, 9),
+              (phi_sigma, sigma)]
     made = []
 
     def counted(cls, *args, _original=F.__new__, **kwargs):

@@ -10,8 +10,9 @@ from fractions import Fraction, Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tcaseries.grassmann import (GrClass, LambdaGrClass, detring_formal_character,
-                                 gessel_enhanced, pushforward_module_character, theta_r)
+from tcaseries.grassmann import (GrClass, LambdaGrClass, bott_pushforward,
+                                 detring_formal_character, gessel_enhanced,
+                                 pushforward_module_character, theta_r)
 from tcaseries.partitions import enumerate_partitions
 from tcaseries.polyutil import Value
 from tcaseries.seriesforms import (
@@ -23,12 +24,14 @@ from tcaseries.seriesforms import (
     SigmaExpr,
     TSeries,
     enhanced_expand,
+    phi_enhanced,
     phi_sigma,
     sigma_expand,
     ts_exp,
     tseries_to_json,
 )
-from tcaseries.symfunc import POWERSUM, SCHUR, SymFunc, change_basis
+from tcaseries.symfunc import (POWERSUM, SCHUR, SymFunc, change_basis, multiply,
+                               sym_algebra_character)
 from tcaseries.torus import (KernelSeries, LaurentPoly, delta_squared,
                             enhanced_from_equivariant, kernel_K, sym_degree_characters)
 
@@ -52,7 +55,9 @@ IDS = [cls.__name__ for cls in CLASSES]
 # the fields of the classes that store their coefficients as integer numerators
 # over one denominator (polyutil.lowest_terms); every other class stores its
 # constructor's parameters
-FIELDS = {TSeries: ("truncation", "den", "nums"), LaurentPoly: ("d", "den", "nums")}
+FIELDS = {TSeries: ("truncation", "den", "nums"), LaurentPoly: ("d", "den", "nums"),
+          SymFunc: ("basis", "truncation", "den", "nums"), SigmaExpr: ("den", "nums"),
+          EnhancedExpr: ("den", "nums")}
 
 
 def _value(cls):
@@ -178,13 +183,17 @@ def _shape(x):
 
 def assert_canonical(v):
     """v equals its rebuild through the validating constructor, field by field, with
-    numbers of the same types and dict items in the same order; its coefficients,
-    when stored over one denominator, are in lowest terms."""
+    numbers of the same types and dict items in the same order (so keys in canonical
+    order); its coefficients, when stored over one denominator, are nonzero integer
+    numerators in lowest terms."""
     rebuilt = type(v)(*(getattr(v, name) for name in inspect.signature(type(v)).parameters))
     assert _shape(rebuilt._fields()) == _shape(v._fields())
     if type(v) in FIELDS:
-        assert type(v.den) is int and v.den >= 1 and math.gcd(v.den, *v.nums.values()) == 1
-        assert all(type(c) is int and c for c in v.nums.values())
+        # an EnhancedExpr holds one dict of numerators per layer, all over one den
+        layers = v.nums.values() if type(v) is EnhancedExpr else [v.nums]
+        nums = [c for layer in layers for c in layer.values()]
+        assert type(v.den) is int and v.den >= 1 and math.gcd(v.den, *nums) == 1
+        assert all(type(c) is int and c for c in nums)
 
 
 _FRACTIONS = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
@@ -201,6 +210,61 @@ _SIGMA = st.builds(SigmaExpr, st.dictionaries(
     _FRACTIONS, max_size=4))
 _ENHANCED = st.builds(EnhancedExpr, st.dictionaries(st.integers(0, 2), st.dictionaries(
     st.tuples(_partitions(4), _partitions(3)), _FRACTIONS, max_size=3), max_size=3))
+
+
+_SYMFUNC = st.builds(SymFunc, st.sampled_from([SCHUR, POWERSUM]),
+                     st.dictionaries(_partitions(5), _FRACTIONS, max_size=5),
+                     st.none() | st.integers(0, 5))
+
+
+@given(_SYMFUNC, _SIGMA, _ENHANCED)
+def test_validated_forms_are_canonical(f, e, h):
+    # the validating constructors store what the trusted kernels must store
+    for v in (f, e, h):
+        assert_canonical(v)
+
+
+@settings(deadline=None)
+@given(_SYMFUNC, _SYMFUNC)
+def test_symfunc_products_are_canonical(f, g):
+    assert_canonical(multiply(f, g))
+
+
+@settings(deadline=None)
+@given(_SYMFUNC, st.integers(0, 5))
+def test_sym_algebra_characters_are_canonical(f, N):
+    f = SymFunc(f.basis, {lam: c for lam, c in f.terms.items() if lam}, f.truncation)
+    if f.truncation is None or N <= f.truncation:
+        assert_canonical(sym_algebra_character(f, N))
+
+
+@given(_SYMFUNC, st.integers(0, 5))
+def test_enhanced_specializations_are_canonical(f, N):
+    if f.truncation is None or N <= f.truncation:
+        assert_canonical(phi_enhanced(f, N))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SymFunc(SCHUR, {"21": 1}),
+    lambda: SymFunc(SCHUR, {b"\x02\x01": 1}),
+    lambda: SigmaExpr({((1,), "10"): 1}),
+    lambda: SigmaExpr({("1", (1, 0)): 1}),
+    lambda: LaurentPoly(2, {"12": 1}),
+    lambda: EnhancedExpr({0: {("21", ()): 1}}),
+    lambda: GrClass(3, 2, {"21": 1}),
+    lambda: bott_pushforward(3, 2, "21", ()),
+], ids=["symfunc", "symfunc-bytes", "sigma-indices", "sigma-partition", "laurent", "enhanced",
+        "grassmann-class", "bott-weight"])
+def test_strings_are_refused_as_part_sequences(make):
+    # a str or bytes would be read one digit at a time: "21" as (2, 1)
+    with pytest.raises(ValueError, match="is a string, not a sequence of integers"):
+        make()
+
+
+def test_layer_keys_stay_read_as_numerals():
+    # a layer key is one integer, read through polyutil.integer: "01" names layer 1
+    assert EnhancedExpr({"01": {((1,), ()): 1}}) == EnhancedExpr({1: {((1,), ()): 1}})
+    assert ExpPoly({"2": (F(1),)}) == ExpPoly({2: (F(1),)})
 
 
 @given(_TSERIES, _TSERIES)
